@@ -6,7 +6,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -116,13 +115,6 @@ def _desc_from_config(cfg: dict) -> cutproject.CPSetDesc:
         field=field(cfg["d"]), d=cfg["dim"],
         window=region_from_spec(cfg["window"]),
         beta_exp=cfg.get("beta_exp", 0))
-
-
-def _threads(value: int | None) -> int:
-    if value:
-        return value
-    env = os.environ.get("QUASIVIS_THREADS")
-    return int(env) if env else 1
 
 
 @click.group()
@@ -283,9 +275,8 @@ def cmd_holes(n_dim, a_half, translates, seed, subspace, radius, budget, out):
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None,
               help="Overrides the config's seed.")
-@click.option("--threads", type=int, default=None)
 @click.option("--out", type=click.Path(), default=".")
-def cmd_random(config_path, seed, threads, out):
+def cmd_random(config_path, seed, out):
     """Random-lattice primitive-density experiment against 1/zeta(n)."""
     cfg = _load_config(config_path, RANDOM_SCHEMA)
     if seed is not None:
@@ -299,8 +290,7 @@ def cmd_random(config_path, seed, threads, out):
         sys.exit(EXIT_CONFIG)
     res = counting.random_lattice_experiment(
         n=cfg["n"], d=cfg["d"], window=window, omega=omega,
-        T_list=cfg["T_grid"], samples=cfg["samples"], seed=cfg["seed"],
-        threads=_threads(threads))
+        T_list=cfg["T_grid"], samples=cfg["samples"], seed=cfg["seed"])
     doc = _header(cfg, "float")
     doc["result"] = res
     out_dir = Path(out)

@@ -15,7 +15,7 @@ from . import kernels
 from .cutproject import CPSetDesc, gcd_one, iter_raw
 from .lattice import box_reduced_basis
 from .quadfield import (
-    dedekind_zeta,
+    as_scalar,
     dedekind_zeta_highprec,
     enumerate_ring_box,
     exact_compare,
@@ -84,8 +84,8 @@ class CountReport:
         }
 
 
-def predicted_density_hammarhjelm(desc: CPSetDesc, tol: float = 1e-9,
-                                  zeta_method: str = "highprec") -> float:
+def predicted_density_hammarhjelm(desc: CPSetDesc,
+                                  tol: float = 1e-9) -> float:
     """Density of the visible points of Lambda(beta*W, L) per unit volume of
     physical space: (1 - lambda^(-d)) * (vol(beta*W)/covol(L)) / zeta_K(d)."""
     desc.require_hammarhjelm()
@@ -93,10 +93,7 @@ def predicted_density_hammarhjelm(desc: CPSetDesc, tol: float = 1e-9,
     lam_inv_d = s_float(desc.unit_power_scalar(-desc.d), fld.d)
     vol_w = desc.scaled_window().volume()
     covol = desc.lattice.covolume()
-    if zeta_method == "highprec":
-        z = dedekind_zeta_highprec(fld, desc.d, tol)
-    else:
-        z, _ = dedekind_zeta(fld, desc.d, tol)
+    z = dedekind_zeta_highprec(fld, desc.d, tol)
     return (1.0 - lam_inv_d) * (vol_w / covol) / z
 
 
@@ -109,16 +106,10 @@ def _norm_cutoff(desc: CPSetDesc, D, T) -> int:
     x_i with |x_i| <= R_T and |sigma(x_i)| <= R_W, so |N(g)| <= R_T*R_W."""
     r_t = float(T) * max(max(abs(float(lo)), abs(float(hi)))
                          for lo, hi in D.bbox())
-    r_w = max(max(abs(s_float(scalarize(lo), desc.field.d)),
-                  abs(s_float(scalarize(hi), desc.field.d)))
+    r_w = max(max(abs(s_float(as_scalar(lo), desc.field.d)),
+                  abs(s_float(as_scalar(hi), desc.field.d)))
               for lo, hi in desc.scaled_window().bbox())
     return int(r_t * r_w) + 1
-
-
-def scalarize(x):
-    if isinstance(x, tuple):
-        return x
-    return (Fraction(x), Fraction(0))
 
 
 def moebius_count_primitive(desc: CPSetDesc, D, T,
@@ -189,15 +180,11 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
     mult = _inner_mult(desc) if fast_box is not None else None
     dd = desc.field.d
     count_all = len(master)
-    count_pr = 0
+    primitive = [xs for xs in master if any(xs) and gcd_one(desc, xs)]
+    count_pr = len(primitive)
     count_vis = 0
     count_pr_inner = 0
-    for xs in master:
-        if not any(xs):
-            continue
-        if not gcd_one(desc, xs):
-            continue
-        count_pr += 1
+    for xs in primitive:
         if fast_box is not None:
             in_inner = _in_box_exact([x.conj() * mult for x in xs], fast_box)
         else:
@@ -211,9 +198,7 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
     if fast_box is not None:
         # independent route for the inner count: generic exact region code
         check = 0
-        for xs in master:
-            if not any(xs) or not gcd_one(desc, xs):
-                continue
+        for xs in primitive:
             sigma = tuple(x.conj().as_pair() for x in xs)
             if inner_region.contains_exact(sigma, dd):
                 check += 1
@@ -265,9 +250,7 @@ def rate_fit(reports: list[CountReport]) -> RateFit:
 
 def random_lattice_experiment(n: int, d: int, window: Box, omega: Box,
                               T_list, samples: int, seed: int,
-                              tol: float = 1e-9,
-                              force_numpy: bool = False,
-                              threads: int = 1) -> dict:
+                              tol: float = 1e-9) -> dict:
     """Counts of primitive integer vectors u (gcd over Z equal 1) with
     g*u in (T*Omega) x W for iid Gaussian g normalized to |det| = 1.
 
@@ -293,20 +276,12 @@ def random_lattice_experiment(n: int, d: int, window: Box, omega: Box,
         hi_x = np.array([b[1] for b in bbox])
         vol = float(np.prod(hi_x - lo_x))
         widths = hi_x - lo_x
-
-        def _one(g0):
+        results = []
+        for g0 in bases:
             g = box_reduced_basis(g0, widths)
             lo_u, hi_u = kernels.integer_preimage_box(np.linalg.inv(g), bbox)
-            return kernels.count_lattice_points_in_box(
-                g, lo_u, hi_u, lo_x, hi_x, tol=tol, primitive=True,
-                force_numpy=force_numpy)
-
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as ex:
-                results = list(ex.map(_one, bases))
-        else:
-            results = [_one(g0) for g0 in bases]
+            results.append(kernels.count_lattice_points_in_box(
+                g, lo_u, hi_u, lo_x, hi_x, tol=tol, primitive=True))
         densities = [cnt / vol for cnt, _ in results]
         boundary = sum(bnd for _, bnd in results)
         total_count += sum(cnt for cnt, _ in results)
@@ -322,7 +297,7 @@ def random_lattice_experiment(n: int, d: int, window: Box, omega: Box,
     return {
         "n": n, "d": d, "m": m, "samples": samples, "seed": seed,
         "zeta_n": zn, "predicted_density": 1 / zn,
-        "backend": "numpy" if force_numpy else kernels.backend_name(),
+        "backend": kernels.backend_name(),
         "per_T": per_T,
         "total_count": int(total_count),
         "total_boundary_ambiguous": int(total_boundary),

@@ -1,23 +1,12 @@
-"""Float-path counting kernels: numba-jitted inner loops with a pure-numpy
-fallback, selected by the environment flag QUASIVIS_NO_NUMBA=1.
+"""Float-path lattice-point counting: one pure-numpy kernel that scans the
+integer preimage box in chunks.
 
-All kernels are deterministic and order-independent (integer accumulators).
+The kernel is deterministic and order-independent (integer accumulators).
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-USE_NUMBA = os.environ.get("QUASIVIS_NO_NUMBA", "0") not in ("1", "true", "yes")
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
 
 _CHUNK = 1 << 18
 
@@ -37,126 +26,66 @@ def _np_int_grid(lo: np.ndarray, hi: np.ndarray):
         yield U
 
 
-def _np_count_box(basis, trans, lo_u, hi_u, lo_x, hi_x, tol,
-                  primitive=False):
-    count = 0
-    boundary = 0
+def _normalize(basis, lo_u, hi_u, lo_x, hi_x, tol, translation):
+    """Coerce the kernel arguments to contiguous float64/int64 arrays."""
+    basis = np.ascontiguousarray(basis, dtype=np.float64)
+    trans = np.zeros(basis.shape[0]) if translation is None \
+        else np.asarray(translation, dtype=np.float64)
+    return (basis, trans,
+            np.asarray(lo_u, dtype=np.int64), np.asarray(hi_u, dtype=np.int64),
+            np.asarray(lo_x, dtype=np.float64),
+            np.asarray(hi_x, dtype=np.float64), float(tol))
+
+
+def _scan_box(basis, trans, lo_u, hi_u, lo_x, hi_x, tol):
+    """Yield (U, X, inside, near) per chunk of the integer box: preimages,
+    their images basis @ u + t, membership in the tol-widened box and
+    closeness to its boundary.  An empty integer box yields nothing."""
+    if np.any(hi_u < lo_u):
+        return
     for U in _np_int_grid(lo_u, hi_u):
         X = U @ basis.T + trans
         inside = np.all((X >= lo_x - tol) & (X <= hi_x + tol), axis=1)
-        if primitive:
-            g = np.gcd.reduce(np.abs(U), axis=1)
-            inside &= g == 1
         near = np.any((np.abs(X - lo_x) <= tol) | (np.abs(X - hi_x) <= tol),
                       axis=1)
-        count += int(np.count_nonzero(inside))
-        boundary += int(np.count_nonzero(inside & near))
-    return count, boundary
-
-
-def _np_collect_box(basis, trans, lo_u, hi_u, lo_x, hi_x, tol):
-    us, xs, bnd = [], [], []
-    for U in _np_int_grid(lo_u, hi_u):
-        X = U @ basis.T + trans
-        inside = np.all((X >= lo_x - tol) & (X <= hi_x + tol), axis=1)
-        near = np.any((np.abs(X - lo_x) <= tol) | (np.abs(X - hi_x) <= tol),
-                      axis=1)
-        us.append(U[inside])
-        xs.append(X[inside])
-        bnd.append(near[inside])
-    return (np.concatenate(us), np.concatenate(xs), np.concatenate(bnd))
-
-
-if USE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_count_box(basis, trans, lo_u, hi_u, lo_x, hi_x, tol, primitive):
-        n = lo_u.shape[0]
-        m = lo_x.shape[0]
-        sizes = np.empty(n, dtype=np.int64)
-        total = 1
-        for j in range(n):
-            sizes[j] = hi_u[j] - lo_u[j] + 1
-            total *= sizes[j]
-        count = 0
-        boundary = 0
-        u = np.empty(n, dtype=np.int64)
-        x = np.empty(m, dtype=np.float64)
-        for flat in range(total):
-            rem = flat
-            for j in range(n - 1, -1, -1):
-                u[j] = lo_u[j] + rem % sizes[j]
-                rem //= sizes[j]
-            if primitive:
-                g = 0
-                for j in range(n):
-                    a = u[j] if u[j] >= 0 else -u[j]
-                    while a:
-                        g, a = a, g % a
-                if g != 1:
-                    continue
-            for i in range(m):
-                s = trans[i]
-                for j in range(n):
-                    s += basis[i, j] * u[j]
-                x[i] = s
-            ok = True
-            near = False
-            for i in range(m):
-                if x[i] < lo_x[i] - tol or x[i] > hi_x[i] + tol:
-                    ok = False
-                    break
-                if abs(x[i] - lo_x[i]) <= tol or abs(x[i] - hi_x[i]) <= tol:
-                    near = True
-            if ok:
-                count += 1
-                if near:
-                    boundary += 1
-        return count, boundary
+        yield U, X, inside, near
 
 
 def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
                                 tol: float = 1e-9, translation=None,
-                                primitive: bool = False,
-                                force_numpy: bool = False):
+                                primitive: bool = False):
     """Count integer vectors u in [lo_u, hi_u] with basis @ u + t inside the
     box [lo_x, hi_x]; returns (count, boundary_ambiguous_count).
 
     With primitive=True only gcd-1 integer vectors are counted (and the
     all-zero vector is excluded).
     """
-    basis = np.ascontiguousarray(basis, dtype=np.float64)
-    lo_u = np.asarray(lo_u, dtype=np.int64)
-    hi_u = np.asarray(hi_u, dtype=np.int64)
-    lo_x = np.asarray(lo_x, dtype=np.float64)
-    hi_x = np.asarray(hi_x, dtype=np.float64)
-    trans = np.zeros(basis.shape[0]) if translation is None \
-        else np.asarray(translation, dtype=np.float64)
-    if np.any(hi_u < lo_u):
-        return 0, 0
-    if USE_NUMBA and not force_numpy:
-        return _nb_count_box(basis, trans, lo_u, hi_u, lo_x, hi_x,
-                             float(tol), primitive)
-    return _np_count_box(basis, trans, lo_u, hi_u, lo_x, hi_x,
-                         float(tol), primitive)
+    count = 0
+    boundary = 0
+    for U, _, inside, near in _scan_box(*_normalize(
+            basis, lo_u, hi_u, lo_x, hi_x, tol, translation)):
+        if primitive:
+            inside &= np.gcd.reduce(np.abs(U), axis=1) == 1
+        count += int(np.count_nonzero(inside))
+        boundary += int(np.count_nonzero(inside & near))
+    return count, boundary
 
 
 def collect_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
                                   tol: float = 1e-9, translation=None):
     """As count_lattice_points_in_box but materializes (preimages, points,
     boundary flags) in canonical lexicographic preimage order."""
-    basis = np.ascontiguousarray(basis, dtype=np.float64)
-    lo_u = np.asarray(lo_u, dtype=np.int64)
-    hi_u = np.asarray(hi_u, dtype=np.int64)
-    lo_x = np.asarray(lo_x, dtype=np.float64)
-    hi_x = np.asarray(hi_x, dtype=np.float64)
-    trans = np.zeros(basis.shape[0]) if translation is None \
-        else np.asarray(translation, dtype=np.float64)
-    if np.any(hi_u < lo_u):
-        n = basis.shape[1]
-        return (np.empty((0, n), dtype=np.int64),
-                np.empty((0, basis.shape[0])), np.empty(0, dtype=bool))
-    return _np_collect_box(basis, trans, lo_u, hi_u, lo_x, hi_x, float(tol))
+    args = _normalize(basis, lo_u, hi_u, lo_x, hi_x, tol, translation)
+    us, xs, bnd = [], [], []
+    for U, X, inside, near in _scan_box(*args):
+        us.append(U[inside])
+        xs.append(X[inside])
+        bnd.append(near[inside])
+    if not us:
+        rows, cols = args[0].shape
+        return (np.empty((0, cols), dtype=np.int64), np.empty((0, rows)),
+                np.empty(0, dtype=bool))
+    return np.concatenate(us), np.concatenate(xs), np.concatenate(bnd)
 
 
 def integer_preimage_box(basis_inv: np.ndarray,
@@ -179,4 +108,5 @@ def integer_preimage_box(basis_inv: np.ndarray,
 
 
 def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the counting kernel, recorded in artifact headers."""
+    return "numpy"

@@ -8,6 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +53,31 @@ class GridDesc:
         if self.translation is None:
             return np.zeros(self.n)
         return self.translation
+
+    @cached_property
+    def independent_lengths(self) -> list[float]:
+        """Lengths of greedily chosen linearly independent short vectors.
+
+        The nonzero combinations with coefficients in [-3, 3] are scanned in
+        order of length (ties in lexicographic coefficient order), keeping
+        each vector that raises the rank.  The greedy choice of k vectors is
+        a prefix of the choice of k + 1, so one scan serves every k."""
+        n = self.n
+        coeffs = np.array(list(itertools.product(range(-3, 4), repeat=n)),
+                          dtype=float)
+        coeffs = coeffs[np.any(coeffs != 0, axis=1)]
+        vecs = coeffs @ self.basis.T
+        lengths = np.linalg.norm(vecs, axis=1)
+        order = np.argsort(lengths, kind="stable")
+        chosen, out = [], []
+        for i in order:
+            cand = chosen + [vecs[i]]
+            if np.linalg.matrix_rank(np.array(cand), tol=1e-9) == len(cand):
+                chosen.append(vecs[i])
+                out.append(float(lengths[i]))
+                if len(chosen) == n:
+                    break
+        return out
 
 
 @dataclass(frozen=True)
@@ -223,28 +249,11 @@ def balanced_rescale(lat: FieldLatticeDesc, region: Product) -> BalancedRescale:
                            diam_phys=d1 * g ** k, diam_int=d2 * g ** (-k))
 
 
-def shortest_independent_bound(grid: GridDesc, count: int,
-                               search: int = 3) -> float:
-    """Max length among `count` linearly independent short lattice vectors,
-    found by scanning small integer combinations."""
-    n = grid.n
-    best: list[tuple[float, np.ndarray]] = []
-    vecs = []
-    for u in itertools.product(range(-search, search + 1), repeat=n):
-        if all(c == 0 for c in u):
-            continue
-        v = grid.basis @ np.array(u, dtype=float)
-        vecs.append((np.linalg.norm(v), v))
-    vecs.sort(key=lambda t: t[0])
-    chosen = []
-    for ln, v in vecs:
-        cand = chosen + [v]
-        if np.linalg.matrix_rank(np.array(cand), tol=1e-9) == len(cand):
-            chosen.append(v)
-            best.append((ln, v))
-            if len(chosen) == count:
-                return ln
-    return math.inf
+def shortest_independent_bound(grid: GridDesc, count: int) -> float:
+    """Max length among `count` linearly independent short lattice vectors
+    (GridDesc.independent_lengths); inf when the scan finds too few."""
+    lengths = grid.independent_lengths
+    return lengths[count - 1] if 0 < count <= len(lengths) else math.inf
 
 
 @dataclass

@@ -364,15 +364,6 @@ def fundamental_unit(fld: FieldDesc) -> FundamentalUnit:
                                    approx_err=math.ldexp(abs(approx), -48))
 
 
-def unit_inverse_scalar(fld: FieldDesc, k: int = 1) -> tuple[Fraction, Fraction]:
-    """lambda^{-k} as an exact pair (A, B) = A + B*sqrt(d), for k >= 0."""
-    lam = fundamental_unit(fld).value
-    n = lam.norm()
-    inv = lam.conj() if n == 1 else -lam.conj()  # lambda^{-1}, exactly
-    x = inv ** k
-    return x.as_pair()
-
-
 # ---------------------------------------------------------------------------
 # Ideals in Hermite normal form
 
@@ -731,11 +722,8 @@ def ideal_count_sieve(fld: FieldDesc, N: int) -> np.ndarray:
     return H
 
 
-def fitted_H_constant(fld: FieldDesc, N: int = 10000) -> float:
-    """Empirical sup of H_n / sqrt(n) over n <= N (with a safety factor)."""
-    H = ideal_count_sieve(fld, N)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    return 2.0 * float(np.max(H[1:] / np.sqrt(n)))
+# H_n <= d(n) <= 2*sqrt(n): a proven bound on H_n / sqrt(n) for every field.
+H_BOUND = 2
 
 
 def _chi_partial_max(fld: FieldDesc) -> int:
@@ -751,12 +739,12 @@ def _chi_partial_max(fld: FieldDesc) -> int:
 
 
 def zeta_direct(fld: FieldDesc, s: int, n_max: int) -> tuple[float, float]:
-    """Truncated sum of H_n / n^s with tail bound H_fit * sum_{n>n_max} n^(1/2-s)."""
+    """Truncated sum of H_n / n^s with tail bound
+    H_BOUND * sum_{n>n_max} n^(1/2-s) <= H_BOUND * n_max^(3/2-s) / (s-3/2)."""
     H = ideal_count_sieve(fld, n_max)
     n = np.arange(1, n_max + 1, dtype=np.float64)
     value = float(np.sum(H[1:] / n ** s))
-    Hc = fitted_H_constant(fld, min(n_max, 20000))
-    tail = Hc * n_max ** (1.5 - s) / (s - 1.5)
+    tail = H_BOUND * n_max ** (1.5 - s) / (s - 1.5)
     return value, tail
 
 
@@ -817,8 +805,7 @@ def dedekind_zeta(fld: FieldDesc, s: int, tol: float,
     if s < 2:
         raise ValueError("s must be >= 2")
     # Find a truncation length meeting tol on the direct path.
-    Hc = fitted_H_constant(fld)
-    need = (tol * (s - 1.5) / Hc) ** (1.0 / (1.5 - s))
+    need = (tol * (s - 1.5) / H_BOUND) ** (1.0 / (1.5 - s))
     if need > n_max_budget:
         raise TolTooTight(
             f"direct tail bound needs n_max ~ {need:.3g} > budget {n_max_budget}")
@@ -849,7 +836,7 @@ def dedekind_zeta_highprec(fld: FieldDesc, s: int,
 # Box enumeration in the Minkowski embedding
 
 
-def _as_scalar(x) -> tuple[Fraction, Fraction]:
+def as_scalar(x) -> tuple[Fraction, Fraction]:
     """Coerce a bound (int, Fraction, (A, B) pair or QuadInt) to
     (A, B) = A + B*sqrt(d)."""
     if isinstance(x, QuadInt):
@@ -866,10 +853,10 @@ def iter_ring_box(fld: FieldDesc, x_lo, x_hi, y_lo, y_hi,
     in ascending order of trace.  Bounds may be rational or QuadInt; all
     membership decisions are exact."""
     d = fld.d
-    xloA, xloB = _as_scalar(x_lo)
-    xhiA, xhiB = _as_scalar(x_hi)
-    yloA, yloB = _as_scalar(y_lo)
-    yhiA, yhiB = _as_scalar(y_hi)
+    xloA, xloB = as_scalar(x_lo)
+    xhiA, xhiB = as_scalar(x_hi)
+    yloA, yloB = as_scalar(y_lo)
+    yhiA, yhiB = as_scalar(y_hi)
     if quad_sign(xhiA - xloA, xhiB - xloB, d) < 0 or \
             quad_sign(yhiA - yloA, yhiB - yloB, d) < 0:
         return
@@ -926,6 +913,7 @@ def hammarhjelm_witness(fld: FieldDesc) -> QuadInt | None:
     return None
 
 
+@lru_cache(maxsize=None)
 def check_hammarhjelm(fld: FieldDesc) -> bool:
     """True iff the Minkowski lattice misses (1, lambda) x [-1, 1]."""
     return hammarhjelm_witness(fld) is None

@@ -13,17 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quadfield import quad_sign
+from .quadfield import as_scalar, quad_sign
 
 Scalar = tuple[Fraction, Fraction]  # A + B*sqrt(d)
 
 ONE: Scalar = (Fraction(1), Fraction(0))
-
-
-def scalar(x) -> Scalar:
-    if isinstance(x, tuple):
-        return x
-    return (Fraction(x), Fraction(0))
 
 
 def s_mul(x: Scalar, y: Scalar, d: int) -> Scalar:
@@ -306,8 +300,8 @@ class UnitScaled:
     def bbox(self):
         out = []
         for lo, hi in self.base.bbox():
-            lo_s = s_mul(scalar(lo), self.inv_mult, self.d_field)
-            hi_s = s_mul(scalar(hi), self.inv_mult, self.d_field)
+            lo_s = s_mul(as_scalar(lo), self.inv_mult, self.d_field)
+            hi_s = s_mul(as_scalar(hi), self.inv_mult, self.d_field)
             out.append((lo_s, hi_s))
         return out
 

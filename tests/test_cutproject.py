@@ -75,6 +75,28 @@ def test_visible_fast_requires_hammarhjelm():
     assert not bad.is_hammarhjelm()
 
 
+def test_hammarhjelm_checked_once_per_field(monkeypatch):
+    import quasivis.quadfield as quadfield
+    calls = []
+    witness = quadfield.hammarhjelm_witness
+
+    def counting_witness(fld):
+        calls.append(fld.d)
+        return witness(fld)
+
+    monkeypatch.setattr(quadfield, "hammarhjelm_witness", counting_witness)
+    quadfield.check_hammarhjelm.cache_clear()
+    try:
+        desc = desc_for(F2)
+        pts = generate(desc, D2, 6)
+        assert len(pts) > 10
+        for p in pts:
+            visible_fast(desc, p)
+        assert calls == [2]
+    finally:
+        quadfield.check_hammarhjelm.cache_clear()
+
+
 def test_visible_fast_gcd_blocker():
     desc = desc_for(F2)
     pts = {p.quad_coords: p for p in generate(desc, D2, 5)}

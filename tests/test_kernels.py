@@ -1,5 +1,5 @@
-"""Counting kernels: numba and numpy backends must agree exactly, and both
-must agree with a direct reference implementation."""
+"""Counting kernel: must agree exactly with a direct reference
+implementation."""
 
 import math
 
@@ -42,14 +42,9 @@ def test_backends_agree_with_reference(n, primitive):
     for _ in range(15):
         basis, lo_u, hi_u, lo_x, hi_x = random_case(rng, n)
         want = reference_count(basis, lo_u, hi_u, lo_x, hi_x, 1e-9, primitive)
-        got_np = kernels.count_lattice_points_in_box(
-            basis, lo_u, hi_u, lo_x, hi_x, primitive=primitive,
-            force_numpy=True)
-        assert got_np == want
-        if kernels.USE_NUMBA:
-            got_nb = kernels.count_lattice_points_in_box(
-                basis, lo_u, hi_u, lo_x, hi_x, primitive=primitive)
-            assert got_nb == want
+        got = kernels.count_lattice_points_in_box(
+            basis, lo_u, hi_u, lo_x, hi_x, primitive=primitive)
+        assert got == want
 
 
 def test_primitive_excludes_origin():
@@ -73,7 +68,7 @@ def test_collect_matches_count_and_order():
     rng = np.random.default_rng(3)
     basis, lo_u, hi_u, lo_x, hi_x = random_case(rng, 2)
     cnt, bnd = kernels.count_lattice_points_in_box(
-        basis, lo_u, hi_u, lo_x, hi_x, force_numpy=True)
+        basis, lo_u, hi_u, lo_x, hi_x)
     U, X, b = kernels.collect_lattice_points_in_box(
         basis, lo_u, hi_u, lo_x, hi_x)
     assert len(U) == cnt and int(b.sum()) == bnd
@@ -101,4 +96,4 @@ def test_translation_handling():
 
 
 def test_backend_flag_reporting():
-    assert kernels.backend_name() in ("numba", "numpy")
+    assert kernels.backend_name() == "numpy"

@@ -18,6 +18,7 @@ from quasivis.lattice import (
     enumerate_points,
     rescaler_matrix,
     schmidt_count_check,
+    shortest_independent_bound,
     unit_rescalers,
 )
 from quasivis.quadfield import field, fundamental_unit
@@ -287,3 +288,38 @@ def test_schmidt_hypothesis_failures():
     small = Box.cube(Fraction(1, 4), 2)
     with pytest.raises(HypothesisFailed):
         schmidt_count_check(Z2, small, c=0.5, T0=1.0)  # no short basis <= c
+
+
+def reference_independent_bound(grid, count, search=3):
+    """Scalar scan: max length among `count` greedily chosen linearly
+    independent vectors, over coefficient vectors in [-search, search]^n."""
+    vecs = []
+    for u in itertools.product(range(-search, search + 1), repeat=grid.n):
+        if all(c == 0 for c in u):
+            continue
+        v = grid.basis @ np.array(u, dtype=float)
+        vecs.append((np.linalg.norm(v), v))
+    vecs.sort(key=lambda t: t[0])
+    chosen = []
+    for ln, v in vecs:
+        cand = chosen + [v]
+        if np.linalg.matrix_rank(np.array(cand), tol=1e-9) == len(cand):
+            chosen.append(v)
+            if len(chosen) == count:
+                return ln
+    return math.inf
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_independent_lengths_match_scalar_scan(n):
+    # the lattices of acceptance criterion 10; the batched norms may differ
+    # from the per-vector ones in the last bits
+    for i in range(20):
+        rng = np.random.default_rng(1000 * n + i)
+        grid = GridDesc(basis=np.eye(n) + 0.2 * rng.standard_normal((n, n)),
+                        d=n, m=0)
+        assert len(grid.independent_lengths) == n
+        for count in range(n + 2):
+            want = reference_independent_bound(grid, count)
+            got = shortest_independent_bound(grid, count)
+            assert got == pytest.approx(want, rel=1e-12), (i, count)

@@ -4,11 +4,13 @@ enumeration and the unit-box classification."""
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasivis.quadfield import (
     AllZero,
+    H_BOUND,
     IdealHNF,
     NotPID,
     QuadInt,
@@ -22,7 +24,6 @@ from quasivis.quadfield import (
     exact_compare,
     factor_ideal,
     field,
-    fitted_H_constant,
     fundamental_unit,
     gcd_is_one,
     hammarhjelm_witness,
@@ -277,12 +278,13 @@ def test_ideal_count_sieve_matches(fld):
 
 
 @pytest.mark.parametrize("d", [2, 5, 13, 29, 53])
-def test_H_constant_stable(d):
-    fld = field(d)
-    h1 = fitted_H_constant(fld, 10**4)
-    h2 = fitted_H_constant(fld, 2 * 10**4)
-    assert math.isfinite(h1) and h1 > 0
-    assert h2 <= h1 * 1.01  # sup over a larger range cannot shrink the fit
+def test_H_bound_holds(d):
+    # the zeta tail bounds rest on H_n <= H_BOUND * sqrt(n), H_BOUND = 2
+    N = 2 * 10**4
+    H = ideal_count_sieve(field(d), N)
+    n = np.arange(1, N + 1, dtype=np.int64)
+    assert H_BOUND == 2
+    assert np.all(H[1:] ** 2 <= H_BOUND ** 2 * n)
 
 
 @pytest.mark.parametrize("d", [2, 5, 13, 29, 53])
