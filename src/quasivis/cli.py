@@ -3,6 +3,7 @@ construction and random-lattice experiments, with reproducible outputs."""
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -92,6 +93,19 @@ def _load_config(path: str, schema: dict) -> dict:
     return cfg
 
 
+@contextlib.contextmanager
+def _config_errors():
+    """Exit with EXIT_CONFIG when building objects from a schema-valid config
+    fails: an unknown region kind, a missing key, a d that is not
+    squarefree, regions of the wrong dimension, a field that is not a
+    Hammarhjelm example."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+
+
 def _header(cfg: dict, path_kind: str) -> dict:
     blob = json.dumps(cfg, sort_keys=True).encode()
     return {
@@ -110,11 +124,19 @@ def _header_comments(header: dict) -> str:
     return "".join(f"# {k}: {header[k]}\n" for k in keys)
 
 
-def _desc_from_config(cfg: dict) -> cutproject.CPSetDesc:
-    return cutproject.CPSetDesc(
+def _desc_from_config(cfg: dict):
+    """The cut-and-project set and the averaging region of a density or
+    plot config; raises ValueError when they do not fit together."""
+    desc = cutproject.CPSetDesc(
         field=field(cfg["d"]), d=cfg["dim"],
         window=region_from_spec(cfg["window"]),
         beta_exp=cfg.get("beta_exp", 0))
+    D = region_from_spec(cfg["averaging"])
+    if desc.window.dim != desc.d or D.dim != desc.d:
+        raise ValueError(f"window and averaging set must have dimension "
+                         f"dim={desc.d}")
+    desc.require_hammarhjelm()
+    return desc, D
 
 
 @click.group()
@@ -165,14 +187,10 @@ def cmd_density(config_path, out, method):
     cfg = _load_config(config_path, DENSITY_SCHEMA)
     if method:
         cfg["method"] = method
-    desc = _desc_from_config(cfg)
-    D = region_from_spec(cfg["averaging"])
+    with _config_errors():
+        desc, D = _desc_from_config(cfg)
     use_moebius = cfg.get("method", "direct") in ("moebius", "both")
-    try:
-        predicted = counting.predicted_density_hammarhjelm(desc)
-    except cutproject.NotHammarhjelm as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    predicted = counting.predicted_density_hammarhjelm(desc)
     reports = []
     for T in cfg["T_grid"]:
         rep = counting.visible_count(
@@ -213,15 +231,17 @@ def cmd_plot(config_path, field_d, out):
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if field_d is not None:
-        svg = svgplot.svg_field_plot(field(field_d))
+        with _config_errors():
+            fld = field(field_d)
+        svg = svgplot.svg_field_plot(fld)
         (out_dir / f"field_d{field_d}.svg").write_text(svg)
         return
     if config_path is None:
         click.echo("need --config or --field", err=True)
         sys.exit(EXIT_CONFIG)
     cfg = _load_config(config_path, PLOT_SCHEMA)
-    desc = _desc_from_config(cfg)
-    D = region_from_spec(cfg["averaging"])
+    with _config_errors():
+        desc, D = _desc_from_config(cfg)
     pts = cutproject.generate(desc, D, Fraction(str(cfg["T"])))
     vis = [cutproject.visible_fast(desc, p) for p in pts]
     (out_dir / "points.svg").write_text(svgplot.svg_scatter(pts, vis))
@@ -282,11 +302,16 @@ def cmd_random(config_path, seed, out):
     if seed is not None:
         cfg["seed"] = seed
     cfg.setdefault("seed", 0)
-    window = region_from_spec(cfg["window"])
-    omega = region_from_spec(cfg["omega"])
+    with _config_errors():
+        window = region_from_spec(cfg["window"])
+        omega = region_from_spec(cfg["omega"])
     if not isinstance(window, Box) or not isinstance(omega, Box):
         click.echo("config error: random experiment needs box regions",
                    err=True)
+        sys.exit(EXIT_CONFIG)
+    if (omega.dim, window.dim) != (cfg["d"], cfg["n"] - cfg["d"]):
+        click.echo("config error: omega and window dimensions must be d "
+                   "and n - d", err=True)
         sys.exit(EXIT_CONFIG)
     res = counting.random_lattice_experiment(
         n=cfg["n"], d=cfg["d"], window=window, omega=omega,

@@ -18,11 +18,15 @@ from .quadfield import (
     as_scalar,
     dedekind_zeta_highprec,
     enumerate_ring_box,
-    exact_compare,
     fundamental_unit,
     ideal_from_generators,
+    int_array,
+    int_lin,
     moebius,
     principal_ideal,
+    quad_floor,
+    quad_sign,
+    quad_sign_array,
 )
 from .regions import Box, s_float
 
@@ -103,13 +107,17 @@ def _nonzero_master(desc: CPSetDesc, D, T):
 
 def _norm_cutoff(desc: CPSetDesc, D, T) -> int:
     """Any g whose sublattice term is nonempty divides a nonzero coordinate
-    x_i with |x_i| <= R_T and |sigma(x_i)| <= R_W, so |N(g)| <= R_T*R_W."""
-    r_t = float(T) * max(max(abs(float(lo)), abs(float(hi)))
-                         for lo, hi in D.bbox())
-    r_w = max(max(abs(s_float(as_scalar(lo), desc.field.d)),
-                  abs(s_float(as_scalar(hi), desc.field.d)))
-              for lo, hi in desc.scaled_window().bbox())
-    return int(r_t * r_w) + 1
+    x_i with |x_i| <= R_T and |sigma(x_i)| <= R_W, so |N(g)| <= R_T*R_W.
+    Returns floor(R_T*R_W) + 1, computed exactly."""
+    d = desc.field.d
+    r_t = Fraction(T) * max(max(abs(lo), abs(hi)) for lo, hi in D.bbox())
+    products = []
+    for b in (b for lohi in desc.scaled_window().bbox() for b in lohi):
+        A, B = as_scalar(b)
+        if quad_sign(A, B, d) < 0:
+            A, B = -A, -B
+        products.append(quad_floor(r_t * A, r_t * B, d))
+    return max(products) + 1
 
 
 def moebius_count_primitive(desc: CPSetDesc, D, T,
@@ -151,58 +159,56 @@ def _inner_mult(desc: CPSetDesc):
     return fundamental_unit(desc.field).value ** k
 
 
-def _in_box_exact(u_coords, box: Box) -> bool:
+def _in_inner_box(desc: CPSetDesc, P: np.ndarray,
+                  Q: np.ndarray) -> np.ndarray:
+    """Fast route for a box window W: sigma(x) = (P + Q*sqrt(d))/2 lies in
+    lambda^(beta_exp-1)*W iff mult*sigma(x) lies in W, tested in integers
+    against the box bounds over one common denominator L."""
+    box, d = desc.window, desc.field.d
+    mult = _inner_mult(desc)
     lo_open, hi_open = box._flags()
-    for i, u in enumerate(u_coords):
-        lo, hi = box.bounds[i]
-        s = exact_compare(u, lo)
-        if s < 0 or (s == 0 and lo_open[i]):
-            return False
-        s = exact_compare(u, hi)
-        if s > 0 or (s == 0 and hi_open[i]):
-            return False
-    return True
+    bounds = [b for lohi in box.bounds for b in lohi]
+    L = math.lcm(*(b.denominator for b in bounds))
+    inside = np.ones(len(P), dtype=bool)
+    for i, (lo, hi) in enumerate(box.bounds):
+        # 4*L*mult*sigma(x_i) = A + B*sqrt(d), with mult = (p + q*sqrt(d))/2
+        A = int_lin([(L * mult.p, P[:, i]), (L * mult.q * d, Q[:, i])])
+        B = int_lin([(L * mult.q, P[:, i]), (L * mult.p, Q[:, i])])
+        s = quad_sign_array(int_lin([(1, A)], -int(4 * L * lo)), B, d)
+        inside &= (s > 0) if lo_open[i] else (s >= 0)
+        s = quad_sign_array(int_lin([(-1, A)], int(4 * L * hi)), -B, d)
+        inside &= (s > 0) if hi_open[i] else (s >= 0)
+    return inside
 
 
 def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
                   predicted: float | None = None) -> CountReport:
     """Classify one window of the cut-and-project set and assemble a report.
 
-    count_vis comes from the integer fast path (gcd one and conjugate
-    outside the closed inner window); count_pr_inner from the generic exact
-    region code; the identity vis = pr - pr_inner is cross-checked between
-    the two and recorded in identity_ok.  method='moebius' additionally
-    replaces both primitive counts by inclusion-exclusion sums."""
+    A point is visible iff its coordinate gcd is one and its conjugate lies
+    outside the closed inner window.  The inner-window test runs once over
+    all primitive points as integer arrays, through the generic region code
+    (contains_exact_batch); for a box window the integer fast route decides
+    it again independently, and identity_ok records that the two agree on
+    every point.  method='moebius' additionally checks both primitive counts
+    against inclusion-exclusion sums."""
     desc.require_hammarhjelm()
     master = list(iter_raw(desc, D, T))
-    inner_region = desc.scaled_window(extra_exp=-1)
-    fast_box = desc.window if isinstance(desc.window, Box) else None
-    mult = _inner_mult(desc) if fast_box is not None else None
-    dd = desc.field.d
     count_all = len(master)
     primitive = [xs for xs in master if any(xs) and gcd_one(desc, xs)]
     count_pr = len(primitive)
-    count_vis = 0
-    count_pr_inner = 0
-    for xs in primitive:
-        if fast_box is not None:
-            in_inner = _in_box_exact([x.conj() * mult for x in xs], fast_box)
-        else:
-            sigma = tuple(x.conj().as_pair() for x in xs)
-            in_inner = inner_region.contains_exact(sigma, dd)
-        if in_inner:
-            count_pr_inner += 1
-        else:
-            count_vis += 1
-    identity_ok = count_vis == count_pr - count_pr_inner
-    if fast_box is not None:
-        # independent route for the inner count: generic exact region code
-        check = 0
-        for xs in primitive:
-            sigma = tuple(x.conj().as_pair() for x in xs)
-            if inner_region.contains_exact(sigma, dd):
-                check += 1
-        identity_ok = identity_ok and check == count_pr_inner
+    # sigma(x) = (p - q*sqrt(d))/2 for x = (p + q*sqrt(d))/2
+    P = int_array([[x.p for x in xs] for xs in primitive]).reshape(-1, desc.d)
+    Q = -int_array([[x.q for x in xs] for xs in primitive]).reshape(-1, desc.d)
+    inner = desc.scaled_window(extra_exp=-1).contains_exact_batch(
+        P, Q, 2, desc.field.d)
+    identity_ok = True
+    if isinstance(desc.window, Box):
+        fast = _in_inner_box(desc, P, Q)
+        identity_ok = bool(np.array_equal(fast, inner))
+        inner = fast
+    count_pr_inner = int(inner.sum())
+    count_vis = count_pr - count_pr_inner
     if method == "moebius":
         m_outer = moebius_count_primitive(desc, D, T)
         m_inner = moebius_count_primitive(desc, D, T,

@@ -251,7 +251,10 @@ def balanced_rescale(lat: FieldLatticeDesc, region: Product) -> BalancedRescale:
 
 def shortest_independent_bound(grid: GridDesc, count: int) -> float:
     """Max length among `count` linearly independent short lattice vectors
-    (GridDesc.independent_lengths); inf when the scan finds too few."""
+    (GridDesc.independent_lengths); 0.0 for the empty set (count 0), inf
+    when the scan finds too few."""
+    if count == 0:
+        return 0.0
     lengths = grid.independent_lengths
     return lengths[count - 1] if 0 < count <= len(lengths) else math.inf
 

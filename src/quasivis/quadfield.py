@@ -83,6 +83,63 @@ def quad_ceil(A, B, d: int) -> int:
     return -quad_floor(-A, -B, d)
 
 
+# Batch versions on integer arrays.  Every result is exact: an operation runs
+# in int64 only when a bound on its inputs proves that no partial result
+# reaches 2^62, and on Python ints (dtype=object) otherwise.
+
+_INT64_LIMIT = 1 << 62
+
+
+def _max_abs(x: np.ndarray) -> int:
+    return int(np.abs(x).max(initial=0))
+
+
+def _exact_dtype(bound: int):
+    return np.int64 if bound < _INT64_LIMIT else object
+
+
+def int_array(rows) -> np.ndarray:
+    """Python ints (nested sequences) as an int64 array when they fit the
+    guard, else as a dtype=object array."""
+    a = np.array(rows, dtype=object)
+    return a.astype(_exact_dtype(_max_abs(a)))
+
+
+def int_lin(terms, const: int = 0) -> np.ndarray:
+    """Exact const + sum(c * X) over (c, X) terms with Python-int
+    coefficients c and integer arrays X of one shape."""
+    bound = abs(const) + sum(abs(c) * _max_abs(x) for c, x in terms)
+    dt = _exact_dtype(max(bound, *(abs(c) for c, _ in terms)))
+    out = np.full(terms[0][1].shape, const, dtype=dt)
+    for c, x in terms:
+        out += c * x.astype(dt)
+    return out
+
+
+def int_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Exact elementwise product of two integer arrays."""
+    dt = _exact_dtype(_max_abs(x) * _max_abs(y))
+    return x.astype(dt) * y.astype(dt)
+
+
+def quad_sign_array(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
+    """Elementwise quad_sign of A + B*sqrt(d) for integer arrays A, B.
+
+    The sign is that of A or of B except where the two differ in sign;
+    only there are A^2 and d*B^2 compared."""
+    sA = (A > 0).astype(np.int8) - (A < 0)
+    sB = (B > 0).astype(np.int8) - (B < 0)
+    out = np.where(sA == 0, sB, sA)
+    mixed = sA * sB < 0
+    if mixed.any():
+        a, b = A[mixed], B[mixed]
+        lhs, rhs = int_mul(a, a), int_lin([(d, int_mul(b, b))])
+        if (lhs == rhs).any():
+            raise ArithmeticError(f"sqrt({d}) compared equal to a rational")
+        out[mixed] = np.where(lhs > rhs, sA[mixed], sB[mixed])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Field descriptors and elements
 

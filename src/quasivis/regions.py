@@ -1,8 +1,12 @@
 """Convex regions with exact membership for points with coordinates in Q(sqrt d).
 
 Region data is rational; a point on the exact path is a tuple of scalars
-(A, B) meaning A + B*sqrt(d).  Float-path membership reports points within
-`tol` of the boundary separately so their influence can be bounded.
+(A, B) meaning A + B*sqrt(d).  `contains_exact_batch` decides many points at
+once: integer arrays P, Q of shape (N, dim) stand for the points
+(P + Q*sqrt(d))/den, and every bound becomes the exact sign of an integer
+A + B*sqrt(d) (int64 under a proven magnitude bound, Python ints past it).
+Float-path membership reports points within `tol` of the boundary
+separately so their influence can be bounded.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quadfield import as_scalar, quad_sign
+from .quadfield import as_scalar, int_lin, int_mul, quad_sign, quad_sign_array
 
 Scalar = tuple[Fraction, Fraction]  # A + B*sqrt(d)
 
@@ -26,6 +30,13 @@ def s_mul(x: Scalar, y: Scalar, d: int) -> Scalar:
 
 def s_float(x: Scalar, d: int) -> float:
     return float(x[0]) + float(x[1]) * math.sqrt(d)
+
+
+def _over_common_den(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    fr = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fr))
+    return [f.numerator * (den // f.denominator) for f in fr], den
 
 
 class RegionUnbounded(ValueError):
@@ -78,6 +89,23 @@ class Box:
             if s < 0 or (s == 0 and hi_open[i]):
                 return False
         return True
+
+    def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
+                             d: int) -> np.ndarray:
+        """contains_exact for each point (P + Q*sqrt(d))/den, den > 0."""
+        lo_open, hi_open = self._flags()
+        nums, L = _over_common_den([b for lohi in self.bounds for b in lohi])
+        inside = np.ones(len(P), dtype=bool)
+        for i in range(self.dim):
+            # L*den*(w - lo) and L*den*(hi - w) as A + B*sqrt(d)
+            B = int_lin([(L, Q[:, i])])
+            s = quad_sign_array(int_lin([(L, P[:, i])], -den * nums[2 * i]),
+                                B, d)
+            inside &= (s > 0) if lo_open[i] else (s >= 0)
+            s = quad_sign_array(
+                int_lin([(-L, P[:, i])], den * nums[2 * i + 1]), -B, d)
+            inside &= (s > 0) if hi_open[i] else (s >= 0)
+        return inside
 
     def contains_float(self, x: np.ndarray, tol: float) -> np.ndarray:
         lo = np.array([float(b[0]) for b in self.bounds])
@@ -133,6 +161,22 @@ class Ball:
             sq = s_mul(dw, dw, d)
             acc = (acc[0] + sq[0], acc[1] + sq[1])
         return quad_sign(self.r2 - acc[0], -acc[1], d) >= 0
+
+    def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
+                             d: int) -> np.ndarray:
+        """contains_exact for each point (P + Q*sqrt(d))/den, den > 0."""
+        cn, L = _over_common_den(self.center)
+        # den*L*(w_i - c_i) = X_i + Y_i*sqrt(d)
+        X = [int_lin([(L, P[:, i])], -den * c) for i, c in enumerate(cn)]
+        Y = [int_lin([(L, Q[:, i])]) for i in range(self.dim)]
+        # (den*L)^2 * |w - c|^2 = SA + SB*sqrt(d)
+        SA = int_lin([(1, int_mul(x, x)) for x in X]
+                     + [(d, int_mul(y, y)) for y in Y])
+        SB = int_lin([(2, int_mul(x, y)) for x, y in zip(X, Y)])
+        rn, R = self.r2.numerator, self.r2.denominator
+        s = quad_sign_array(int_lin([(-R, SA)], rn * (den * L) ** 2),
+                            int_lin([(-R, SB)]), d)
+        return s >= 0
 
     def contains_float(self, x: np.ndarray, tol: float) -> np.ndarray:
         c = np.array([float(v) for v in self.center])
@@ -202,6 +246,21 @@ class Polygon:
                 return False
         return True
 
+    def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
+                             d: int) -> np.ndarray:
+        """contains_exact for each point (P + Q*sqrt(d))/den, den > 0."""
+        nums, L = _over_common_den([c for v in self.vertices for c in v])
+        vs = list(zip(nums[::2], nums[1::2]))
+        inside = np.ones(len(P), dtype=bool)
+        for (x1, y1), (x2, y2) in zip(vs, vs[1:] + vs[:1]):
+            # den*L^2 * cross((v2-v1), (w-v1)) = A + B*sqrt(d)
+            ax, ay = x2 - x1, y2 - y1
+            A = int_lin([(ax * L, P[:, 1]), (-ay * L, P[:, 0])],
+                        den * (ay * x1 - ax * y1))
+            B = int_lin([(ax * L, Q[:, 1]), (-ay * L, Q[:, 0])])
+            inside &= quad_sign_array(A, B, d) >= 0
+        return inside
+
     def contains_float(self, x: np.ndarray, tol: float) -> np.ndarray:
         x = np.atleast_2d(x)
         inside = np.ones(len(x), dtype=bool)
@@ -258,6 +317,12 @@ class Product:
         return (self.left.contains_exact(point[:k], d, mult)
                 and self.right.contains_exact(point[k:], d, mult))
 
+    def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
+                             d: int) -> np.ndarray:
+        k = self.left.dim
+        return (self.left.contains_exact_batch(P[:, :k], Q[:, :k], den, d)
+                & self.right.contains_exact_batch(P[:, k:], Q[:, k:], den, d))
+
     def contains_float(self, x: np.ndarray, tol: float) -> np.ndarray:
         k = self.left.dim
         a = self.left.contains_float(x[..., :k], tol)
@@ -292,6 +357,14 @@ class UnitScaled:
 
     def contains_exact(self, point, d: int, mult: Scalar = ONE) -> bool:
         return self.base.contains_exact(point, d, s_mul(mult, self.mult, d))
+
+    def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
+                             d: int) -> np.ndarray:
+        (ma, mb), m = _over_common_den(self.mult)
+        # (P + Q*sqrt(d))/den * (ma + mb*sqrt(d))/m
+        return self.base.contains_exact_batch(
+            int_lin([(ma, P), (mb * d, Q)]), int_lin([(mb, P), (ma, Q)]),
+            den * m, d)
 
     def contains_float(self, x: np.ndarray, tol: float) -> np.ndarray:
         return self.base.contains_float(

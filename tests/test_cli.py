@@ -110,6 +110,35 @@ def test_density_config_schema_rejections(tmp_path, bad):
     assert res.exit_code == EXIT_CONFIG
 
 
+HEXAGON = {"kind": "hexagon"}
+
+
+@pytest.mark.parametrize("command,bad", [
+    ("density", {**DENSITY_CFG, "window": HEXAGON}),
+    ("density", {**DENSITY_CFG, "d": 4}),       # 4 is not squarefree
+    ("density", {**DENSITY_CFG, "averaging": {"kind": "box"}}),  # no bounds
+    ("density", {**DENSITY_CFG, "dim": 3}),     # the window is 2-D
+    ("plot", {**PLOT_CFG, "d": 4}),
+    ("plot", {**PLOT_CFG, "d": 3}),             # not a Hammarhjelm field
+    ("random", {**RANDOM_CFG, "omega": HEXAGON}),
+    ("random", {**RANDOM_CFG, "n": 4}),         # window is 1-D, not n - d
+])
+def test_config_errors_past_the_schema(tmp_path, command, bad):
+    cfg = write_cfg(tmp_path / "cfg.json", bad)
+    res = runner.invoke(main, [command, "--config", cfg,
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "config error:" in res.output
+    assert not isinstance(res.exception, (KeyError, ValueError))
+
+
+def test_plot_field_not_squarefree(tmp_path):
+    res = runner.invoke(main, ["plot", "--field", "4", "--out",
+                               str(tmp_path)])
+    assert res.exit_code == EXIT_CONFIG
+    assert "config error:" in res.output
+
+
 def test_density_missing_config_file(tmp_path):
     res = runner.invoke(main, ["density", "--config",
                                str(tmp_path / "nope.json")])

@@ -10,6 +10,8 @@ import pytest
 from quasivis.counting import (
     CountReport,
     DegenerateFit,
+    _nonzero_master,
+    _norm_cutoff,
     moebius_count_primitive,
     predicted_density_hammarhjelm,
     random_lattice_experiment,
@@ -19,7 +21,7 @@ from quasivis.counting import (
 )
 from quasivis.cutproject import CPSetDesc, NotHammarhjelm, gcd_one, iter_raw
 from quasivis.quadfield import field, fundamental_unit
-from quasivis.regions import Box, square_window
+from quasivis.regions import Box, disc_window, octagon_window, square_window
 
 F2, F5 = field(2), field(5)
 D2 = Box.cube(1, 2)
@@ -71,6 +73,18 @@ def test_moebius_equals_direct(fld, beta_exp, T):
         direct_primitive_count(desc, D2, T)
 
 
+@pytest.mark.parametrize("fld", [F2, F5])
+@pytest.mark.parametrize("beta_exp", [0, -1])
+@pytest.mark.parametrize("window", [square_window(1), disc_window(1)])
+@pytest.mark.parametrize("T", [3, Fraction(33, 4)])
+def test_norm_cutoff_bounds_every_master_norm(fld, beta_exp, window, T):
+    desc = CPSetDesc(field=fld, d=2, window=window, beta_exp=beta_exp)
+    cutoff = _norm_cutoff(desc, D2, T)
+    norms = [abs(x.norm()) for xs in _nonzero_master(desc, D2, T)
+             for x in xs if x]
+    assert norms and max(norms) <= cutoff
+
+
 def test_moebius_tiny_T_only_unit_term():
     desc = desc_for(F2)
     # at T=1 the cutoff excludes every non-unit g
@@ -112,6 +126,48 @@ def test_visible_count_one_gcd_test_per_point(monkeypatch):
     assert rep.identity_ok
     assert len(calls) == rep.count_all - 1  # every point but the origin
     assert len(set(calls)) == len(calls)
+
+
+# (count_all, count_pr, count_pr_inner, count_vis) as computed by the
+# per-point Fraction classification that the batch integer code replaced.
+PINNED_COUNTS = [
+    (2, "square", 0, "5", (81, 56, 8, 48)),
+    (2, "square", 0, "12", (361, 264, 56, 208)),
+    (2, "square", 0, "1313/64", (961, 696, 120, 576)),
+    (2, "square", -1, "31", (361, 264, 56, 208)),
+    (2, "octagon", 0, "5", (57, 36, 4, 32)),
+    (2, "octagon", 0, "12", (301, 212, 36, 176)),
+    (2, "octagon", 0, "1313/64", (781, 556, 100, 456)),
+    (2, "octagon", -1, "31", (301, 212, 36, 176)),
+    (2, "disc", 0, "5", (41, 28, 4, 24)),
+    (2, "disc", 0, "12", (253, 172, 28, 144)),
+    (2, "disc", 0, "1313/64", (685, 476, 76, 400)),
+    (2, "disc", -1, "31", (253, 172, 28, 144)),
+    (5, "square", 0, "5", (81, 80, 48, 32)),
+    (5, "square", 0, "12", (441, 392, 208, 184)),
+    (5, "square", 0, "1313/64", (1369, 1200, 472, 728)),
+    (5, "square", -1, "31", (1225, 1072, 392, 680)),
+    (5, "octagon", 0, "5", (69, 68, 36, 32)),
+    (5, "octagon", 0, "12", (373, 332, 164, 168)),
+    (5, "octagon", 0, "1313/64", (1081, 956, 372, 584)),
+    (5, "octagon", -1, "31", (969, 852, 332, 520)),
+    (5, "disc", 0, "5", (53, 52, 28, 24)),
+    (5, "disc", 0, "12", (333, 300, 140, 160)),
+    (5, "disc", 0, "1313/64", (1001, 884, 332, 552)),
+    (5, "disc", -1, "31", (889, 780, 300, 480)),
+]
+WINDOWS = {"square": square_window(1), "octagon": octagon_window(1),
+           "disc": disc_window(1)}
+
+
+@pytest.mark.parametrize("d,window,beta_exp,T,counts", PINNED_COUNTS)
+def test_visible_count_pinned(d, window, beta_exp, T, counts):
+    desc = CPSetDesc(field=field(d), d=2, window=WINDOWS[window],
+                     beta_exp=beta_exp)
+    rep = visible_count(desc, D2, Fraction(T), predicted=1.0)
+    assert rep.identity_ok
+    assert (rep.count_all, rep.count_pr, rep.count_pr_inner,
+            rep.count_vis) == counts
 
 
 def test_counts_independent_of_float_guard(monkeypatch):

@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from quasivis.cutproject import CPSetDesc
 from quasivis.lattice import (
     FieldLatticeDesc,
     GridDesc,
@@ -21,7 +23,7 @@ from quasivis.lattice import (
     shortest_independent_bound,
     unit_rescalers,
 )
-from quasivis.quadfield import field, fundamental_unit
+from quasivis.quadfield import field, fundamental_unit, int_array, int_mul
 from quasivis.regions import (
     Ball,
     Box,
@@ -98,6 +100,125 @@ def test_float_membership_boundary_flags():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.1, 0.0], [1.0 - 1e-12, 0.5]])
     status = b.contains_float(pts, 1e-9)
     assert list(status) == [1, 2, 0, 2]
+
+
+# Batch membership against the scalar contains_exact.  Each region comes with
+# points on its boundary: box corners and edges, polygon vertices and edge
+# midpoints, circle points, and (for unit-scaled windows) their images under
+# the irrational scale factor.
+
+F = Fraction
+BATCH_BASES = {
+    "box_mixed": Box.make([(-1, F(2, 3)), (F(1, 2), F(5, 4))],
+                          lo_open=[True, False], hi_open=[False, True]),
+    "box_open": Box.make([(-1, 1), (-1, 1)], [True, True], [True, True]),
+    "square": square_window(1),
+    "ball": Ball.make((F(1, 3), F(-1, 2)), 1),
+    "octagon": octagon_window(1),
+    "triangle": Polygon.make([(0, 0), (2, 0), (F(1, 2), F(3, 2))]),
+    "product": Product(Box.make([(0, 1)], lo_open=[True]), disc_window(1)),
+}
+
+
+def rational(a):
+    return (F(a), F(0))
+
+
+def boundary_points(region, d):
+    """Points on or at the corners of the region's boundary, as tuples of
+    (A, B) scalars."""
+    if isinstance(region, Box):
+        values = [[rational(0)] + [rational(b) for b in lohi]
+                  for lohi in region.bounds]
+        return list(itertools.product(*values))
+    if isinstance(region, Polygon):
+        vs = region.vertices
+        mids = [((x1 + x2) / 2, (y1 + y2) / 2)
+                for (x1, y1), (x2, y2) in zip(vs, vs[1:] + vs[:1])]
+        return [(rational(x), rational(y)) for x, y in list(vs) + mids]
+    if isinstance(region, Ball):  # unit radius in the regions used here
+        cx, cy = region.center
+        return [(rational(cx + ox), rational(cy + oy)) for ox, oy in
+                [(F(3, 5), F(4, 5)), (-1, 0), (0, 1), (F(-4, 5), F(-3, 5))]]
+    if isinstance(region, Product):
+        return [a + b for a in boundary_points(region.left, d)
+                for b in boundary_points(region.right, d)]
+    inv = region.inv_mult  # UnitScaled: the base's boundary times 1/mult
+    return [tuple((a * inv[0] + b * inv[1] * d, a * inv[1] + b * inv[0])
+                  for a, b in pt)
+            for pt in boundary_points(region.base, d)]
+
+
+def batch_region(name, d, extra_exp):
+    desc = CPSetDesc(field=field(d), d=2, window=BATCH_BASES[name])
+    return desc.scaled_window(extra_exp=extra_exp)
+
+
+def as_int_arrays(points, dim, den_factor=1):
+    """P, Q, den with points[i][j] = (P[i, j] + Q[i, j]*sqrt(d))/den."""
+    den = den_factor * math.lcm(*(x.denominator for pt in points
+                                  for ab in pt for x in ab))
+    P = int_array([[int(a * den) for a, _ in pt] for pt in points])
+    Q = int_array([[int(b * den) for _, b in pt] for pt in points])
+    return P.reshape(-1, dim), Q.reshape(-1, dim), den
+
+
+def check_batch(region, d, points, den_factor):
+    P, Q, den = as_int_arrays(points, region.dim, den_factor)
+    got = region.contains_exact_batch(P, Q, den, d)
+    want = [region.contains_exact(pt, d) for pt in points]
+    assert got.dtype == bool and got.tolist() == want
+
+
+small_scalars = st.tuples(
+    st.fractions(min_value=-3, max_value=3, max_denominator=12),
+    st.fractions(min_value=-2, max_value=2, max_denominator=12))
+
+
+@pytest.mark.parametrize("extra_exp", [0, -1, 2])
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("name", sorted(BATCH_BASES))
+def test_contains_exact_batch_on_boundary(name, d, extra_exp):
+    region = batch_region(name, d, extra_exp)
+    check_batch(region, d, boundary_points(region, d), 1)
+
+
+@pytest.mark.parametrize("extra_exp", [0, -1, 2])
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("name", sorted(BATCH_BASES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_contains_exact_batch_matches_scalar(name, d, extra_exp, data):
+    region = batch_region(name, d, extra_exp)
+    point = st.one_of(
+        st.sampled_from(boundary_points(region, d)),
+        st.lists(small_scalars, min_size=region.dim,
+                 max_size=region.dim).map(tuple))
+    points = data.draw(st.lists(point, max_size=12))
+    check_batch(region, d, points, data.draw(st.sampled_from([1, 3])))
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("name", sorted(BATCH_BASES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_contains_exact_batch_huge_coordinates(name, d, data):
+    """A + B*sqrt(d) near the region with |A|, |B| near 10^12: the squares
+    exceed the int64 guard, so the Python-int path decides the signs."""
+    region = batch_region(name, d, data.draw(st.sampled_from([0, -1])))
+
+    def coord(b, c):
+        a = -math.isqrt(b * b * d) if b > 0 else math.isqrt(b * b * d)
+        return (F(a + c, 2), F(b, 2))
+
+    point = st.lists(st.builds(
+        coord, st.integers(10 ** 12, 10 ** 13) | st.integers(-10 ** 13,
+                                                              -10 ** 12),
+        st.integers(-4, 4)), min_size=region.dim, max_size=region.dim)
+    points = data.draw(st.lists(point.map(tuple), min_size=1, max_size=8))
+    P, Q, _ = as_int_arrays(points, region.dim)
+    assert int_mul(Q, Q).dtype == object
+    check_batch(region, d, points, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +411,22 @@ def test_schmidt_hypothesis_failures():
         schmidt_count_check(Z2, small, c=0.5, T0=1.0)  # no short basis <= c
 
 
+def test_schmidt_one_dimensional_grid():
+    # n - 1 = 0 short vectors are asked for: the empty set satisfies that
+    line = GridDesc(basis=np.eye(1), d=1, m=0)
+    rep = schmidt_count_check(line, Box.make([(F(-5, 4), F(5, 4))]),
+                              c=2.0, T0=4.0)
+    assert rep.count == 3
+    assert rep.discrepancy == pytest.approx(0.5)
+    assert rep.discrepancy <= rep.bound == 2.0
+
+
 def reference_independent_bound(grid, count, search=3):
     """Scalar scan: max length among `count` greedily chosen linearly
-    independent vectors, over coefficient vectors in [-search, search]^n."""
+    independent vectors, over coefficient vectors in [-search, search]^n;
+    0.0 for the empty set."""
+    if count == 0:
+        return 0.0
     vecs = []
     for u in itertools.product(range(-search, search + 1), repeat=grid.n):
         if all(c == 0 for c in u):

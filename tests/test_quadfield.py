@@ -28,6 +28,9 @@ from quasivis.quadfield import (
     gcd_is_one,
     hammarhjelm_witness,
     ideal_count_sieve,
+    int_array,
+    int_lin,
+    int_mul,
     ideal_from_generators,
     moebius,
     moebius_of_element,
@@ -35,6 +38,7 @@ from quasivis.quadfield import (
     pair_ideal_norm,
     principal_ideal,
     quad_sign,
+    quad_sign_array,
     splitting_type,
     zeta_hurwitz,
     zeta_lseries,
@@ -70,6 +74,31 @@ def test_quad_sign_boundaries():
     assert quad_sign(-3, 2, 2) < 0   # 2*sqrt2 = 2.828 < 3
     assert quad_sign(-2, 2, 2) > 0
     assert quad_sign(Fraction(-7, 5), 1, 2) > 0
+
+
+sign_pairs = st.lists(st.tuples(
+    st.integers(-10**14, 10**14) | st.integers(-40, 40),
+    st.integers(-10**13, 10**13) | st.integers(-40, 40)), max_size=20)
+
+
+@settings(max_examples=150)
+@given(sign_pairs, st.sampled_from([2, 3, 5, 13]))
+def test_quad_sign_array_matches_scalar(pairs, d):
+    A = int_array([a for a, _ in pairs])
+    B = int_array([b for _, b in pairs])
+    assert quad_sign_array(A, B, d).tolist() == \
+        [quad_sign(a, b, d) for a, b in pairs]
+
+
+def test_int_ops_leave_int64_past_the_guard():
+    small = int_array([3, -2**40])
+    assert small.dtype == np.int64
+    assert int_array([2**70]).dtype == object
+    big = int_mul(small, small)           # 2^80 does not fit int64
+    assert big.dtype == object and big.tolist() == [9, 2**80]
+    assert int_lin([(2**30, small)], 1).tolist() == [3 * 2**30 + 1,
+                                                      1 - 2**70]
+    assert int_lin([(5, small)], -1).dtype == np.int64
 
 
 qints = st.builds(lambda a, b: QuadInt(F2, a, b),
