@@ -1,7 +1,11 @@
 """Cut-and-project sets over Minkowski-embedded field lattices: generation,
-exact visibility classification (fast gcd/window characterization and a
-brute-force oracle), primitive points, sublattices and strict-inclusion
-witnesses."""
+exact visibility classification, primitive points, sublattices and
+strict-inclusion witnesses.
+
+Visibility is decided two independent ways, both in exact arithmetic: the
+fast gcd/window characterization on Hammarhjelm examples, and the
+definitional oracle, which keys each point by its exact open ray from the
+origin and compares exact lengths along it."""
 
 from __future__ import annotations
 
@@ -9,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -44,8 +49,6 @@ class CPSetDesc:
     d: int
     window: object
     beta_exp: int = 0
-    star_shaped: bool = True
-    centrally_symmetric: bool = True
 
     @property
     def lattice(self) -> FieldLatticeDesc:
@@ -71,7 +74,6 @@ class CPSetDesc:
 
     def is_hammarhjelm(self) -> bool:
         return (self.field.is_pid
-                and self.centrally_symmetric
                 and self.window.is_centrally_symmetric()
                 and check_hammarhjelm(self.field))
 
@@ -90,6 +92,29 @@ class CPPoint:
     @property
     def is_origin(self) -> bool:
         return all(not x for x in self.quad_coords)
+
+    @cached_property
+    def ray(self) -> tuple:
+        """(key, length) of the open ray from the origin through this point.
+
+        With x_k the first nonzero coordinate, key = (k, sign(x_k), n,
+        *nums): nums are the omega-coordinates of x_i*sigma(x_k) (i > k)
+        and n = N(x_k), all divided by +-gcd(n, *nums) so that n > 0, which
+        is the ratios x_i/x_k in lowest terms.  Two points share the key
+        exactly when they lie on one open ray, and length = |x_k| orders
+        them along it.  The origin gets (None, None)."""
+        xs = self.quad_coords
+        k = next((i for i, x in enumerate(xs) if x), None)
+        if k is None:
+            return None, None
+        xk = xs[k]
+        n = xk.norm()
+        nums = []
+        for xi in xs[k + 1:]:
+            z = xi * xk.conj()
+            nums += [z.a, z.b]
+        g = math.gcd(n, *nums) * (1 if n > 0 else -1)
+        return (k, xk.sign(), n // g, *(c // g for c in nums)), abs(xk)
 
     def norm_phys(self) -> float:
         return math.hypot(*self.coords_phys)
@@ -142,33 +167,13 @@ def visible_fast(desc: CPSetDesc, x: CPPoint) -> bool:
     return not inner.contains_exact(sigma, desc.field.d)
 
 
-def _blocks(x: tuple[QuadInt, ...], z: tuple[QuadInt, ...]) -> bool:
-    """True iff z = t*x for a real t in (0,1): exact collinearity via cross
-    products, then a sign/magnitude comparison in the real embedding."""
-    if all(not zi for zi in z):
-        return False
-    d = len(x)
-    for i in range(d):
-        for j in range(i + 1, d):
-            if z[i] * x[j] != z[j] * x[i]:
-                return False
-    for i in range(d):
-        if x[i]:
-            zi, xi = z[i], x[i]
-            if not zi:
-                return False
-            if zi.sign() != xi.sign():
-                return False
-            return abs(zi) < abs(xi)
-    return False
-
-
 def visible_oracle(desc: CPSetDesc, x: CPPoint, points: list[CPPoint],
                    cover=None) -> bool:
     """Definitional visibility: x is visible iff no supplied point lies on the
-    open segment from the origin to x.  The caller must supply a point list
-    covering Lambda on that segment (e.g. a generate() result for a
-    star-shaped averaging set containing x)."""
+    open segment from the origin to x, that is on the ray of x and shorter.
+    The caller must supply a point list covering Lambda on that segment
+    (e.g. a generate() result for a star-shaped averaging set containing x);
+    cover=(D, T) checks that x lies in T*D."""
     if x.is_origin:
         return False
     if cover is not None:
@@ -177,19 +182,8 @@ def visible_oracle(desc: CPSetDesc, x: CPPoint, points: list[CPPoint],
         phys = tuple(q.as_pair() for q in x.quad_coords)
         if not TD.contains_exact(phys, desc.field.d):
             raise InsufficientCover("x outside the covered region")
-    xv = np.array(x.coords_phys)
-    nx = np.linalg.norm(xv)
-    pv = np.array([p.coords_phys for p in points])
-    # Cheap float prefilter: exact collinear points have tiny float cross
-    # residue; the margin is far above accumulated rounding at desk scale.
-    dots = pv @ xv
-    cross2 = np.einsum("ij,ij->i", pv, pv) * nx * nx - dots ** 2
-    cand = np.nonzero(cross2 <= 1e-6 * max(nx, 1.0) ** 4)[0]
-    for idx in cand:
-        z = points[int(idx)]
-        if _blocks(x.quad_coords, z.quad_coords):
-            return False
-    return True
+    key, length = x.ray
+    return not any(p.ray[0] == key and p.ray[1] < length for p in points)
 
 
 def primitive_points(desc: CPSetDesc, D, T) -> list[CPPoint]:

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -48,9 +49,6 @@ class CRTHole:
     prime_table: dict  # tuple in [-A, A]^n -> distinct rational prime
     x0: tuple
     N: int
-
-    def box_tuples(self):
-        return itertools.product(range(-self.A, self.A + 1), repeat=self.n)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -120,8 +118,10 @@ def hole_near_subspace(hole: CRTHole, V, R: float, search_budget: int,
     subspace V = span(rows of V) within distance R.
 
     Candidates are a budgeted grid along V with step N, each mapped to its
-    nearest translate by componentwise rounding; returns the integer vector
-    on success, the NotFound sentinel when the budget is exhausted."""
+    nearest translate by componentwise rounding and ranked in floats.  The
+    best one is returned as an integer vector only if its exact distance
+    to span(V), taking the floats of V and R at their binary values, is at
+    most R; otherwise the NotFound sentinel."""
     if search_budget <= 0:
         return NotFound
     Vb = np.atleast_2d(np.asarray(V, dtype=np.float64))
@@ -152,10 +152,33 @@ def hole_near_subspace(hole: CRTHole, V, R: float, search_budget: int,
         i = int(np.argmin(dist))
         if float(dist[i]) < best[0]:
             best = (float(dist[i]), tuple(int(v) for v in k[i]))
-    if best[1] is None or best[0] > R:
+    if best[1] is None:
         return NotFound
-    k = best[1]
-    return tuple(int(hole.x0[j]) + hole.N * k[j] for j in range(hole.n))
+    c = tuple(int(hole.x0[j]) + hole.N * best[1][j] for j in range(hole.n))
+    if math.isfinite(R) and _dist2_to_span(c, Vb.tolist()) > Fraction(R) ** 2:
+        return NotFound
+    return c
+
+
+def _dist2_to_span(x, V) -> Fraction:
+    """Exact squared distance from the vector x to span(rows of V), by
+    Gram-Schmidt in rationals."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    def reject(v, ortho):
+        for u, uu in ortho:
+            t = dot(v, u) / uu
+            v = [a - t * b for a, b in zip(v, u)]
+        return v
+
+    ortho = []
+    for row in V:
+        u = reject([Fraction(v) for v in row], ortho)
+        if any(u):
+            ortho.append((u, dot(u, u)))
+    r = reject([Fraction(v) for v in x], ortho)
+    return dot(r, r)
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import kernels
 from .quadfield import FieldDesc, QuadInt, fundamental_unit, iter_ring_box
-from .regions import BOUNDARY, IN, Box, Product
+from .regions import BOUNDARY, Box, Product
 
 
 class HypothesisFailed(ValueError):
@@ -113,13 +112,6 @@ class FieldLatticeDesc:
             B[self.d + i, 2 * i] = 1.0
             B[self.d + i, 2 * i + 1] = om.conj_float()
         return B
-
-    def as_grid(self) -> GridDesc:
-        return GridDesc(basis=self.basis_float(), d=self.d, m=self.d)
-
-    def embed(self, xs: tuple[QuadInt, ...]) -> np.ndarray:
-        return np.array([float(x) for x in xs]
-                        + [x.conj_float() for x in xs])
 
 
 def covolume(grid) -> float:
@@ -229,11 +221,6 @@ class BalancedRescale:
     g0: QuadInt
     diam_phys: float
     diam_int: float
-
-    @property
-    def matrix_scale(self) -> tuple[float, float]:
-        g = float(self.g0)
-        return g ** self.k, g ** (-self.k)
 
 
 def balanced_rescale(lat: FieldLatticeDesc, region: Product) -> BalancedRescale:

@@ -153,10 +153,6 @@ class FieldDesc:
     half: bool  # omega = (1 + sqrt(d))/2 when d = 1 mod 4, else sqrt(d)
     is_pid: bool
 
-    @property
-    def omega_name(self) -> str:
-        return f"(1+sqrt({self.d}))/2" if self.half else f"sqrt({self.d})"
-
     def __repr__(self) -> str:
         return f"FieldDesc(d={self.d})"
 
@@ -347,14 +343,6 @@ class QuadInt:
         z = other * self.conj()
         return z.a % abs(n) == 0 and z.b % abs(n) == 0
 
-    def exact_div(self, other: "QuadInt") -> "QuadInt":
-        """other / self, which must be exact."""
-        n = self.norm()
-        z = other * self.conj()
-        if n == 0 or z.a % n or z.b % n:
-            raise ValueError("not divisible")
-        return QuadInt(self.field, z.a // n, z.b // n)
-
     def to_json(self) -> dict:
         return {"a": str(self.a), "b": str(self.b), "d": self.field.d}
 
@@ -479,10 +467,6 @@ class IdealHNF:
         self.a = a
         self.b = b
         self.c = c
-
-    @property
-    def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (0, self.c))
 
     def norm(self) -> int:
         return self.a * self.c
@@ -921,35 +905,29 @@ def iter_ring_box(fld: FieldDesc, x_lo, x_hi, y_lo, y_hi,
     p_lo = quad_ceil(xloA + yloA, xloB + yloB, d)
     p_hi = quad_floor(xhiA + yhiA, xhiB + yhiB, d)
 
-    def cmp_ok(A, B, lo_open):
-        s = quad_sign(A, B, d)
-        return s > 0 or (s == 0 and not lo_open)
+    def q_min(A, B, is_open):
+        """Least integer q with q >= A + B*sqrt(d), or > on an open side."""
+        return quad_floor(A, B, d) + 1 if is_open else quad_ceil(A, B, d)
+
+    def q_max(A, B, is_open):
+        """Greatest integer q with q <= A + B*sqrt(d), or < on an open side."""
+        return quad_ceil(A, B, d) - 1 if is_open else quad_floor(A, B, d)
 
     for p in range(p_lo, p_hi + 1):
         if not fld.half and p % 2:
             continue
-        # Per-p range for q: q*sqrt(d) in
-        # [max(2x_lo - p, p - 2y_hi), min(2x_hi - p, p - 2y_lo)]
-        q_lo = max(quad_ceil(2 * xloB, Fraction(2 * xloA - p, d), d),
-                   quad_ceil(-2 * yhiB, Fraction(p - 2 * yhiA, d), d))
-        q_hi = min(quad_floor(2 * xhiB, Fraction(2 * xhiA - p, d), d),
-                   quad_floor(-2 * yloB, Fraction(p - 2 * yloA, d), d))
+        # Each side of the box is one bound on q*sqrt(d) at this p, exactly:
+        # x >= x_lo and sigma(x) <= y_hi bound q from below, x <= x_hi and
+        # sigma(x) >= y_lo from above.
+        q_lo = max(q_min(2 * xloB, Fraction(2 * xloA - p, d), x_lo_open),
+                   q_min(-2 * yhiB, Fraction(p - 2 * yhiA, d), y_hi_open))
+        q_hi = min(q_max(2 * xhiB, Fraction(2 * xhiA - p, d), x_hi_open),
+                   q_max(-2 * yloB, Fraction(p - 2 * yloA, d), y_lo_open))
         for q in range(q_lo, q_hi + 1):
             if fld.half:
                 if (p - q) % 2:
                     continue
             elif q % 2:
-                continue
-            # x = (p + q sqrt d)/2, sigma = (p - q sqrt d)/2
-            hp = Fraction(p, 2)
-            hq = Fraction(q, 2)
-            if not cmp_ok(hp - xloA, hq - xloB, x_lo_open):
-                continue
-            if not cmp_ok(xhiA - hp, xhiB - hq, x_hi_open):
-                continue
-            if not cmp_ok(hp - yloA, -hq - yloB, y_lo_open):
-                continue
-            if not cmp_ok(yhiA - hp, yhiB + hq, y_hi_open):
                 continue
             yield QuadInt.from_pq(fld, p, q)
 

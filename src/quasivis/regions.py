@@ -39,10 +39,6 @@ def _over_common_den(values) -> tuple[list[int], int]:
     return [f.numerator * (den // f.denominator) for f in fr], den
 
 
-class RegionUnbounded(ValueError):
-    pass
-
-
 # status codes for float membership
 OUT, IN, BOUNDARY = 0, 1, 2
 

@@ -8,8 +8,10 @@ import pytest
 
 from quasivis.cutproject import (
     CPSetDesc,
+    InsufficientCover,
     NotHammarhjelm,
     ZeroElement,
+    _make_point,
     generate,
     integer_coords,
     iter_raw,
@@ -145,6 +147,76 @@ def test_oracle_smallest_on_ray_visible():
     p = min(nonzero, key=lambda q: q.norm_phys())
     if visible_fast(desc, p):
         assert visible_oracle(desc, p, pts)
+
+
+@pytest.mark.parametrize("fld", [F2, F5])
+def test_oracle_multiple_blocks(fld):
+    """x blocks 2x, and 2x does not block x."""
+    desc = desc_for(fld)
+    x = _make_point((fld.element(1, 1), fld.element(3, 0)))
+    x2 = _make_point(tuple(2 * c for c in x.quad_coords))
+    pts = [x, x2]
+    assert visible_oracle(desc, x, pts)
+    assert not visible_oracle(desc, x2, pts)
+
+
+@pytest.mark.parametrize("fld", [F2, F5])
+def test_oracle_opposite_point_does_not_block(fld):
+    desc = desc_for(fld)
+    x = _make_point((fld.element(2, 1), fld.element(-1, 1)))
+    minus_x = _make_point(tuple(-c for c in x.quad_coords))
+    assert x.ray[0] != minus_x.ray[0]
+    assert visible_oracle(desc, x, [minus_x, x])
+    assert visible_oracle(desc, minus_x, [minus_x, x])
+
+
+@pytest.mark.parametrize("fld", [F2, F5])
+def test_oracle_unit_multiple_blocks(fld):
+    """lambda^-2 x lies on the segment to x: the ray key sees the ratio in
+    K, not only in Z."""
+    desc = desc_for(fld)
+    lam = fundamental_unit(fld).value
+    lam_inv2 = lam.conj() ** 2  # lambda^-2, whatever the norm of lambda
+    y = _make_point((fld.element(1, 0), fld.element(0, 1)))
+    x = _make_point(tuple(c * lam * lam for c in y.quad_coords))
+    assert tuple(c * lam_inv2 for c in x.quad_coords) == y.quad_coords
+    assert x.ray[0] == y.ray[0]
+    assert not visible_oracle(desc, x, [x, y])
+    assert visible_oracle(desc, y, [x, y])
+
+
+def test_oracle_first_coordinate_zero():
+    desc = CPSetDesc(field=F5, d=3, window=Box.cube(1, 3))
+    x = _make_point((F5.element(0), F5.element(0, 1), F5.element(2)))
+    x3 = _make_point(tuple(3 * c for c in x.quad_coords))
+    off = _make_point((F5.element(0), F5.element(0, 1), F5.element(3)))
+    front = _make_point((F5.element(1), F5.element(0, 1), F5.element(2)))
+    assert x.ray[0][0] == 1
+    pts = [x, x3, off, front]
+    assert not visible_oracle(desc, x3, pts)
+    assert visible_oracle(desc, x, pts)
+    assert visible_oracle(desc, off, pts)
+    assert visible_oracle(desc, front, pts)
+
+
+def test_oracle_origin():
+    desc = desc_for(F2)
+    origin = _make_point((F2.element(0), F2.element(0)))
+    x = _make_point((F2.element(1), F2.element(0, 1)))
+    assert origin.ray == (None, None)
+    assert not visible_oracle(desc, origin, [origin, x])
+    assert visible_oracle(desc, x, [origin, x])
+
+
+def test_oracle_cover_check():
+    desc = desc_for(F2)
+    inside = _make_point((F2.element(4), F2.element(-3, 1)))  # (4, -3 + sqrt2)
+    outside = _make_point((F2.element(4), F2.element(4, 1)))  # (4, 4 + sqrt2)
+    pts = [inside, outside]
+    assert visible_oracle(desc, inside, pts, cover=(D2, 5))
+    with pytest.raises(InsufficientCover):
+        visible_oracle(desc, outside, pts, cover=(D2, 5))
+    assert visible_oracle(desc, outside, pts)
 
 
 def test_primitive_points_subset():

@@ -1,0 +1,40 @@
+"""Byte-for-byte regression against the recorded artifacts in golden/: the
+plot of configs/plot.json, the `check-hc 2 100` table and the holes
+near-subspace search.  After an intended change to one of these outputs,
+re-record it with the same command (`--out tests/golden`, or the stdout of
+check-hc) and say in the change which bytes moved and why."""
+
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from quasivis.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+runner = CliRunner()
+
+
+def test_plot_artifacts(tmp_path):
+    res = runner.invoke(main, ["plot", "--config", str(CONFIGS / "plot.json"),
+                               "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_OK, res.output
+    for name in ("points.csv", "points.svg"):
+        assert (tmp_path / name).read_bytes() == \
+            (GOLDEN / name).read_bytes(), name
+
+
+def test_check_hc_table():
+    res = runner.invoke(main, ["check-hc", "2", "100"])
+    assert res.exit_code == EXIT_OK
+    assert res.stdout_bytes == (GOLDEN / "check_hc_2_100.txt").read_bytes()
+
+
+def test_holes_subspace_search(tmp_path):
+    res = runner.invoke(main, ["holes", "--n", "2", "--a", "1",
+                               "--subspace", "1,1.41421356",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_OK, res.output
+    assert (tmp_path / "holes.json").read_bytes() == \
+        (GOLDEN / "holes.json").read_bytes()

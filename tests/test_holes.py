@@ -2,6 +2,7 @@
 empirical empty-ball scan."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,6 +106,27 @@ def test_hole_near_subspace_budget_exhausted():
     hole1 = build_crt_hole(2, 1)
     assert hole_near_subspace(hole1, V, R=1e-12,
                               search_budget=50) is NotFound
+
+
+def test_hole_near_subspace_rechecks_distance_exactly():
+    """At n=3, A=1 the modulus N has 41 digits, beyond the float ranking of
+    the search.  A radius just below the exact distance of the best
+    translate must not report it; the next double up must."""
+    hole = build_crt_hole(3, 1)
+    V = [[1.0, 0.5, 0.25]]
+    x = hole_near_subspace(hole, V, R=float(hole.N), search_budget=50)
+    assert x is not NotFound
+    v = [Fraction(c) for c in V[0]]
+    along = sum(a * b for a, b in zip(x, v))
+    exact2 = sum(a * a for a in x) - along ** 2 / sum(c * c for c in v)
+    R = math.sqrt(float(exact2))
+    while Fraction(R) ** 2 < exact2:
+        R = math.nextafter(R, math.inf)
+    while Fraction(R) ** 2 >= exact2:
+        R = math.nextafter(R, 0.0)
+    assert hole_near_subspace(hole, V, R, search_budget=50) is NotFound
+    R_up = math.nextafter(R, math.inf)
+    assert hole_near_subspace(hole, V, R_up, search_budget=50) == x
 
 
 def test_not_found_is_falsy_singleton():

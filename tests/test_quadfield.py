@@ -368,28 +368,52 @@ def test_ring_box_open_unit_square_empty(d):
                               y_lo_open=True, y_hi_open=True) == []
 
 
+def _ring_box_bound(fld, rng):
+    """A rational, or a small ring element that enumerated elements (or
+    their conjugates) can hit exactly."""
+    if rng.random() < 0.5:
+        return Fraction(rng.randint(-40, 40), rng.randint(1, 3))
+    return fld.element(rng.randint(-15, 15), rng.randint(-8, 8))
+
+
+def _within(v, lo, hi, lo_open, hi_open):
+    c_lo, c_hi = v.compare(lo), v.compare(hi)
+    return (c_lo > 0 or (c_lo == 0 and not lo_open)) and \
+        (c_hi < 0 or (c_hi == 0 and not hi_open))
+
+
 @pytest.mark.parametrize("fld", [F2, F5])
 def test_ring_box_matches_direct_scan(fld):
+    import itertools
     import random
     rng = random.Random(31)
+    a, b = np.meshgrid(np.arange(-200, 201), np.arange(-120, 121))
+    fx = a + b * float(fld.omega)
+    fs = a + b * fld.omega.conj_float()
+    on_boundary = 0
     for _ in range(25):
-        xlo = Fraction(rng.randint(-40, 30), rng.randint(1, 7))
-        xhi = xlo + Fraction(rng.randint(1, 50), rng.randint(1, 7))
-        ylo = Fraction(rng.randint(-40, 30), rng.randint(1, 7))
-        yhi = ylo + Fraction(rng.randint(1, 50), rng.randint(1, 7))
-        got = set(enumerate_ring_box(fld, xlo, xhi, ylo, yhi))
-        want = set()
-        for a in range(-200, 201):
-            for b in range(-120, 121):
-                x = fld.element(a, b)
-                fx, fs = float(x), x.conj_float()
-                if float(xlo) - 1 <= fx <= float(xhi) + 1 and \
-                        float(ylo) - 1 <= fs <= float(yhi) + 1:
-                    if x.compare(xlo) >= 0 and x.compare(xhi) <= 0 and \
-                            x.conj().compare(ylo) >= 0 and \
-                            x.conj().compare(yhi) <= 0:
-                        want.add(x)
-        assert got == want
+        xlo, xhi = sorted([_ring_box_bound(fld, rng),
+                           _ring_box_bound(fld, rng)], key=float)
+        ylo, yhi = sorted([_ring_box_bound(fld, rng),
+                           _ring_box_bound(fld, rng)], key=float)
+        # a float superset of the box, decided exactly below
+        mask = (float(xlo) - 1 <= fx) & (fx <= float(xhi) + 1) & \
+            (float(ylo) - 1 <= fs) & (fs <= float(yhi) + 1)
+        near = [fld.element(int(ai), int(bi))
+                for ai, bi in zip(a[mask], b[mask])]
+        for flags in itertools.product([False, True], repeat=4):
+            got = set(enumerate_ring_box(
+                fld, xlo, xhi, ylo, yhi, **dict(zip(
+                    ["x_lo_open", "x_hi_open", "y_lo_open", "y_hi_open"],
+                    flags))))
+            want = {x for x in near
+                    if _within(x, xlo, xhi, flags[0], flags[1])
+                    and _within(x.conj(), ylo, yhi, flags[2], flags[3])}
+            assert got == want, (xlo, xhi, ylo, yhi, flags)
+        on_boundary += sum(x.compare(bd) == 0 for x in near
+                           for bd in (xlo, xhi)) + \
+            sum(x.conj().compare(bd) == 0 for x in near for bd in (ylo, yhi))
+    assert on_boundary > 0
 
 
 def test_check_hammarhjelm_classification():
