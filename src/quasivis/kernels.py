@@ -1,21 +1,35 @@
-"""Float-path lattice-point counting: one pure-numpy kernel that scans the
-integer preimage box in chunks.
+"""Float-path lattice-point counting: one pure-numpy kernel that slices the
+integer preimage box into lines along its last coordinate.
+
+Fix a prefix (u_1..u_{n-1}).  Every coordinate of x = B u + t, computed in
+floats as the pointwise test computes it, is monotone in u_n, so the u_n
+whose image lies in the tol-widened box form one interval.  The kernel
+estimates its ends by division and settles each end with the pointwise
+test, so every count is the count that testing every box point would give,
+yet no point between the two ends is visited.  A line's points that are not
+near a face (the open, tol-shrunk box) form an interval too, barring a
+coordinate that falls exactly on the float lo - tol or hi + tol; the
+boundary tally is the difference of the two interval lengths.  Primitive
+counts take Moebius over the divisors of the prefix gcd.
 
 The kernel is deterministic and order-independent (integer accumulators).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 _CHUNK = 1 << 18
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _np_int_grid(lo: np.ndarray, hi: np.ndarray):
     """Iterate the integer box [lo, hi] in lexicographic chunks (N x n)."""
-    sizes = (hi - lo + 1).astype(np.int64)
-    total = int(np.prod(sizes))
-    n = len(lo)
+    sizes = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    total = math.prod(sizes)
+    n = len(sizes)
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         U = np.empty((len(idx), n), dtype=np.int64)
@@ -26,29 +40,180 @@ def _np_int_grid(lo: np.ndarray, hi: np.ndarray):
         yield U
 
 
-def _normalize(basis, lo_u, hi_u, lo_x, hi_x, tol, translation):
-    """Coerce the kernel arguments to contiguous float64/int64 arrays."""
-    basis = np.ascontiguousarray(basis, dtype=np.float64)
-    trans = np.zeros(basis.shape[0]) if translation is None \
-        else np.asarray(translation, dtype=np.float64)
-    return (basis, trans,
-            np.asarray(lo_u, dtype=np.int64), np.asarray(hi_u, dtype=np.int64),
-            np.asarray(lo_x, dtype=np.float64),
-            np.asarray(hi_x, dtype=np.float64), float(tol))
+def _image(U, basis, trans):
+    """basis @ u + t for each row u of U, by one matrix product of at least
+    two rows: numpy computes a lone row by a vector product, whose last bit
+    can differ from that of the same row in a larger product."""
+    if len(U) == 1:
+        return (np.repeat(U, 2, axis=0) @ basis.T + trans)[:1]
+    return U @ basis.T + trans
 
 
-def _scan_box(basis, trans, lo_u, hi_u, lo_x, hi_x, tol):
-    """Yield (U, X, inside, near) per chunk of the integer box: preimages,
-    their images basis @ u + t, membership in the tol-widened box and
-    closeness to its boundary.  An empty integer box yields nothing."""
-    if np.any(hi_u < lo_u):
-        return
-    for U in _np_int_grid(lo_u, hi_u):
-        X = U @ basis.T + trans
-        inside = np.all((X >= lo_x - tol) & (X <= hi_x + tol), axis=1)
-        near = np.any((np.abs(X - lo_x) <= tol) | (np.abs(X - hi_x) <= tol),
-                      axis=1)
-        yield U, X, inside, near
+def _mobius_divisors(g: int) -> list[tuple[int, int]]:
+    """(e, mu(e)) for the squarefree divisors e of g >= 1."""
+    out = [(1, 1)]
+    p = 2
+    while p * p <= g:
+        if g % p == 0:
+            out += [(e * p, -mu) for e, mu in out]
+            while g % p == 0:
+                g //= p
+        p += 1
+    if g > 1:
+        out += [(e * g, -mu) for e, mu in out]
+    return out
+
+
+def _coprime_counts(g: np.ndarray, a: np.ndarray, z: np.ndarray):
+    """Number of u_n in [a, z] with gcd(g, u_n) = 1, summed over prefixes.
+
+    g holds gcd(prefix) per prefix; a and z are (k, m): k intervals on each
+    of the m lines.  Returns the k sums.  A zero prefix leaves only
+    u_n = +-1; otherwise Moebius over the squarefree divisors e of g gives
+    sum mu(e) * (floor(z/e) - floor((a-1)/e))."""
+    z = np.maximum(z, a - 1)
+    total = np.where(g == 0, ((a <= -1) & (-1 <= z)).astype(np.int64)
+                     + ((a <= 1) & (1 <= z)), 0).sum(axis=-1)
+    live = g > 0
+    gs, owner = np.unique(g[live], return_inverse=True)
+    if not len(gs):
+        return total
+    tables = [_mobius_divisors(int(x)) for x in gs]
+    # One row of divisors per distinct gcd, padded with mu = 0.
+    e = np.ones((len(gs), max(map(len, tables))), dtype=np.int64)
+    mu = np.zeros_like(e)
+    for i, t in enumerate(tables):
+        e[i, :len(t)], mu[i, :len(t)] = zip(*t)
+    e, mu = e[owner], mu[owner]
+    a, z = a[:, live, None], z[:, live, None]
+    return total + (mu * (z // e - (a - 1) // e)).sum(axis=(1, 2))
+
+
+class _Lines:
+    """One box query cut into lines of constant prefix (u_1..u_{n-1}),
+    with the pointwise predicates the lines are settled against."""
+
+    def __init__(self, basis, lo_u, hi_u, lo_x, hi_x, tol, translation):
+        self.basis = np.ascontiguousarray(basis, dtype=np.float64)
+        self.trans = np.zeros(self.basis.shape[0]) if translation is None \
+            else np.asarray(translation, dtype=np.float64)
+        self.lo_u = np.asarray(lo_u, dtype=np.int64)
+        self.hi_u = np.asarray(hi_u, dtype=np.int64)
+        self.lo_x = np.asarray(lo_x, dtype=np.float64)
+        self.hi_x = np.asarray(hi_x, dtype=np.float64)
+        self.tol = float(tol)
+        self.lo_w, self.hi_w = self.lo_x - self.tol, self.hi_x + self.tol
+        b = self.basis[:, -1]
+        rising, falling, self.flat = b > 0, b < 0, b == 0
+        self.slope = np.where(self.flat, 1.0, b)
+        # Per row, the face a line crosses on its way in (the lower one where
+        # the row rises along the line, the upper one where it falls) and on
+        # its way out; a flat row has both faces on both sides.
+        inf = np.full_like(self.lo_w, np.inf)
+        self.entry = (np.where(falling, -inf, self.lo_w),
+                      np.where(rising, inf, self.hi_w))
+        self.exit = (np.where(rising, -inf, self.lo_w),
+                     np.where(falling, inf, self.hi_w))
+        self.enter_at = np.where(rising, self.lo_w,
+                                 np.where(falling, self.hi_w, -inf))
+        self.leave_at = np.where(rising, self.hi_w,
+                                 np.where(falling, self.lo_w, inf))
+
+    def image(self, P, u):
+        """The images of the points (P[i], u[..., i]), one per row: u is one
+        u_n per prefix, or a stack of such rows."""
+        u = np.atleast_2d(u)
+        U = np.empty(u.shape + (P.shape[1] + 1,), dtype=np.int64)
+        U[..., :-1] = P
+        U[..., -1] = u
+        return _image(U.reshape(-1, U.shape[-1]), self.basis, self.trans)
+
+    def inside(self, X, rows=slice(None)):
+        X = X[:, rows]
+        return np.all((X >= self.lo_w[rows]) & (X <= self.hi_w[rows]), axis=1)
+
+    def near(self, X, rows=slice(None)):
+        X = X[:, rows]
+        return np.any((np.abs(X - self.lo_x[rows]) <= self.tol)
+                      | (np.abs(X - self.hi_x[rows]) <= self.tol), axis=1)
+
+    def _inner(self, X):
+        """The pointwise test of the open, tol-shrunk box."""
+        return self.inside(X) & ~self.near(X)
+
+    def _entered(self, X):
+        """The entry faces of inside; non-decreasing in u_n."""
+        return np.all((X >= self.entry[0]) & (X <= self.entry[1]), axis=1)
+
+    def _not_left(self, X):
+        """The exit faces of inside; non-increasing in u_n."""
+        return np.all((X >= self.exit[0]) & (X <= self.exit[1]), axis=1)
+
+    def _settle(self, P, a, z, ok_a, ok_z, first, last):
+        """Move the ends a..z of each line to the first u_n in [first, last]
+        at which ok_a holds (last + 1 if none) and the last at which ok_z
+        holds (first - 1 if none).  ok_a is non-decreasing and ok_z
+        non-increasing along the line; a and z start at estimates, so each
+        round tests the four points a - 1, a, z, z + 1 of the lines still
+        moving, and the first round mostly settles them all."""
+        a, z = a.copy(), z.copy()
+        idx = np.arange(len(a))
+        while len(idx):
+            k, ca, cz, lo, hi = len(idx), a[idx], z[idx], first[idx], last[idx]
+            X = self.image(P[idx], np.stack([ca - 1, ca, cz + 1, cz]))
+            below, at_a = ok_a(X[:2 * k]).reshape(2, k)
+            above, at_z = ok_z(X[2 * k:]).reshape(2, k)
+            down = (ca > lo) & below
+            up = ~down & (ca <= hi) & ~at_a
+            out = (cz < hi) & above
+            back = ~out & (cz >= lo) & ~at_z
+            a[idx] = ca + up - down
+            z[idx] = cz + out - back
+            idx = idx[down | up | out | back]
+        return a, z
+
+    def lines(self):
+        """Yield (P, a, z) per chunk of prefixes in lexicographic order: the
+        prefixes P (m x n-1) and, per prefix, the ends a..z of the u_n whose
+        image lies in the tol-widened box (a > z when there is none)."""
+        if np.any(self.hi_u < self.lo_u):
+            return
+        size = math.prod(int(h) - int(l) + 1
+                         for l, h in zip(self.lo_u, self.hi_u))
+        if size > _INT64_MAX:
+            raise ValueError(f"integer box of {size} points cannot be "
+                             f"indexed in int64")
+        lo_n, hi_n = int(self.lo_u[-1]), int(self.hi_u[-1])
+        for P in _np_int_grid(self.lo_u[:-1], self.hi_u[:-1]):
+            c = P @ self.basis[:, :-1].T + self.trans
+            enter = ((self.enter_at - c) / self.slope).max(axis=1)
+            leave = ((self.leave_at - c) / self.slope).min(axis=1)
+            a = np.clip(np.ceil(enter), lo_n, hi_n + 1)
+            z = np.clip(np.floor(leave), lo_n - 1, hi_n)
+            a, z = a.astype(np.int64), z.astype(np.int64)
+            if self.flat.any():
+                # Rows constant along the line: test them once per line.
+                X = self.image(P, np.clip(a, lo_n, hi_n))
+                off = ~self.inside(X, self.flat)
+                a[off], z[off] = hi_n + 1, lo_n - 1
+            first, last = np.full(len(P), lo_n), np.full(len(P), hi_n)
+            yield (P, *self._settle(P, a, z, self._entered, self._not_left,
+                                    first, last))
+
+    def interior(self, P, a, z):
+        """The ends of each line's points with inside & ~near (the open,
+        tol-shrunk box).  That test is not monotone along the line, but its
+        points form an interval inside a..z, so settling from a and z walks
+        in to the interval's ends."""
+        first, last = a, z
+        if self.flat.any():
+            # A row constant along the line and near a face makes the
+            # whole line near: skip the walk.
+            live = np.flatnonzero(a <= z)
+            hit = live[self.near(self.image(P[live], a[live]), self.flat)]
+            a, z = a.copy(), z.copy()
+            a[hit], z[hit] = last[hit] + 1, first[hit] - 1
+        return self._settle(P, a, z, self._inner, self._inner, first, last)
 
 
 def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
@@ -58,34 +223,40 @@ def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
     box [lo_x, hi_x]; returns (count, boundary_ambiguous_count).
 
     With primitive=True only gcd-1 integer vectors are counted (and the
-    all-zero vector is excluded).
+    all-zero vector is excluded).  Raises ValueError when the integer box
+    has more points than int64 can index.
     """
-    count = 0
-    boundary = 0
-    for U, _, inside, near in _scan_box(*_normalize(
-            basis, lo_u, hi_u, lo_x, hi_x, tol, translation)):
+    scan = _Lines(basis, lo_u, hi_u, lo_x, hi_x, tol, translation)
+    count = interior = 0
+    for P, a, z in scan.lines():
+        ai, zi = scan.interior(P, a, z)
         if primitive:
-            inside &= np.gcd.reduce(np.abs(U), axis=1) == 1
-        count += int(np.count_nonzero(inside))
-        boundary += int(np.count_nonzero(inside & near))
-    return count, boundary
+            g = np.gcd.reduce(np.abs(P), axis=1)
+            c, i = _coprime_counts(g, np.stack([a, ai]), np.stack([z, zi]))
+        else:
+            c = np.maximum(z - a + 1, 0).sum()
+            i = np.maximum(zi - ai + 1, 0).sum()
+        count += int(c)
+        interior += int(i)
+    return count, count - interior
 
 
 def collect_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
                                   tol: float = 1e-9, translation=None):
     """As count_lattice_points_in_box but materializes (preimages, points,
     boundary flags) in canonical lexicographic preimage order."""
-    args = _normalize(basis, lo_u, hi_u, lo_x, hi_x, tol, translation)
-    us, xs, bnd = [], [], []
-    for U, X, inside, near in _scan_box(*args):
-        us.append(U[inside])
-        xs.append(X[inside])
-        bnd.append(near[inside])
-    if not us:
-        rows, cols = args[0].shape
-        return (np.empty((0, cols), dtype=np.int64), np.empty((0, rows)),
-                np.empty(0, dtype=bool))
-    return np.concatenate(us), np.concatenate(xs), np.concatenate(bnd)
+    scan = _Lines(basis, lo_u, hi_u, lo_x, hi_x, tol, translation)
+    us = [np.empty((0, scan.basis.shape[1]), dtype=np.int64)]
+    for P, a, z in scan.lines():
+        lens = np.maximum(z - a + 1, 0)
+        U = np.empty((int(lens.sum()), P.shape[1] + 1), dtype=np.int64)
+        U[:, :-1] = np.repeat(P, lens, axis=0)
+        U[:, -1] = np.arange(len(U)) + np.repeat(a - np.cumsum(lens) + lens,
+                                                 lens)
+        us.append(U)
+    U = np.concatenate(us)
+    X = _image(U, scan.basis, scan.trans)
+    return U, X, scan.near(X)
 
 
 def integer_preimage_box(basis_inv: np.ndarray,

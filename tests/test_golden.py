@@ -1,6 +1,8 @@
 """Byte-for-byte regression against the recorded artifacts in golden/: the
-plot of configs/plot.json, the `check-hc 2 100` table and the holes
-near-subspace search.  After an intended change to one of these outputs,
+plot of configs/plot.json, the `check-hc 2 100` table, the holes
+near-subspace search and the random-lattice experiment of
+configs/random.json at seed 7 (`random --config configs/random.json
+--seed 7`).  After an intended change to one of these outputs,
 re-record it with the same command (`--out tests/golden`, or the stdout of
 check-hc) and say in the change which bytes moved and why."""
 
@@ -38,3 +40,12 @@ def test_holes_subspace_search(tmp_path):
     assert res.exit_code == EXIT_OK, res.output
     assert (tmp_path / "holes.json").read_bytes() == \
         (GOLDEN / "holes.json").read_bytes()
+
+
+def test_random_experiment(tmp_path):
+    res = runner.invoke(main, ["random", "--config",
+                               str(CONFIGS / "random.json"), "--seed", "7",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_OK, res.output
+    assert (tmp_path / "random.json").read_bytes() == \
+        (GOLDEN / "random.json").read_bytes()
