@@ -42,7 +42,8 @@ DENSITY_SCHEMA = {
         "dim": {"type": "integer", "minimum": 1},
         "window": _REGION_SCHEMA,
         "averaging": _REGION_SCHEMA,
-        "T_grid": {"type": "array", "items": {"type": "number"},
+        "T_grid": {"type": "array",
+                   "items": {"type": "number", "exclusiveMinimum": 0},
                    "minItems": 1},
         "beta_exp": {"type": "integer", "maximum": 0},
         "method": {"enum": ["direct", "moebius", "both"]},
@@ -58,7 +59,8 @@ RANDOM_SCHEMA = {
         "d": {"type": "integer", "minimum": 1},
         "window": _REGION_SCHEMA,
         "omega": _REGION_SCHEMA,
-        "T_grid": {"type": "array", "items": {"type": "number"},
+        "T_grid": {"type": "array",
+                   "items": {"type": "number", "exclusiveMinimum": 0},
                    "minItems": 1},
         "samples": {"type": "integer", "minimum": 1},
         "seed": {"type": "integer", "minimum": 0},
@@ -74,7 +76,7 @@ PLOT_SCHEMA = {
         "dim": {"type": "integer", "minimum": 1},
         "window": _REGION_SCHEMA,
         "averaging": _REGION_SCHEMA,
-        "T": {"type": "number"},
+        "T": {"type": "number", "exclusiveMinimum": 0},
         "beta_exp": {"type": "integer", "maximum": 0},
     },
     "additionalProperties": False,
@@ -98,7 +100,8 @@ def _config_errors():
     """Exit with EXIT_CONFIG when building objects from a schema-valid config
     fails: an unknown region kind, a missing key, a d that is not
     squarefree, regions of the wrong dimension, a field that is not a
-    Hammarhjelm example."""
+    Hammarhjelm example; or when an argument that click does not type
+    fails to parse, such as a --subspace vector of the wrong length."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:
@@ -249,9 +252,10 @@ def cmd_plot(config_path, field_d, out):
 
 
 @main.command("holes")
-@click.option("--n", "n_dim", type=int, required=True)
-@click.option("--a", "--A", "a_half", type=int, required=True)
-@click.option("--translates", type=int, default=5)
+@click.option("--n", "n_dim", type=click.IntRange(min=2), required=True)
+@click.option("--a", "--A", "a_half", type=click.IntRange(min=0),
+              required=True)
+@click.option("--translates", type=click.IntRange(min=0), default=5)
 @click.option("--seed", type=int, default=0)
 @click.option("--subspace", type=str, default=None,
               help="Comma-separated direction vector for the near-subspace "
@@ -262,6 +266,12 @@ def cmd_plot(config_path, field_d, out):
 def cmd_holes(n_dim, a_half, translates, seed, subspace, radius, budget, out):
     """Build a CRT gcd-hole, verify it on random translates, optionally
     search for a translate near a subspace."""
+    if subspace is not None:
+        with _config_errors():
+            vec = [float(v) for v in subspace.split(",")]
+            if len(vec) != n_dim:
+                raise ValueError(f"--subspace needs {n_dim} components, "
+                                 f"got {len(vec)}")
     hole = holes.build_crt_hole(n_dim, a_half)
     rng = np.random.default_rng(seed)
     checks = [("x0", holes.verify_hole(hole, hole.x0))]
@@ -275,7 +285,6 @@ def cmd_holes(n_dim, a_half, translates, seed, subspace, radius, budget, out):
     }
     exit_code = EXIT_OK if all(ok for _, ok in checks) else EXIT_IDENTITY
     if subspace is not None:
-        vec = [float(v) for v in subspace.split(",")]
         r = radius if radius is not None else float(hole.N)
         found = holes.hole_near_subspace(hole, [vec], r, budget)
         if found is holes.NotFound:

@@ -12,8 +12,14 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .quadfield import FieldDesc, QuadInt, fundamental_unit, iter_ring_box
-from .regions import BOUNDARY, Box, Product
+from .quadfield import (
+    FieldDesc,
+    QuadInt,
+    fundamental_unit,
+    int_array,
+    iter_ring_box,
+)
+from .regions import BOUNDARY, Product
 
 
 class HypothesisFailed(ValueError):
@@ -143,34 +149,23 @@ def enumerate_field_points_exact(lat: FieldLatticeDesc, phys_region,
     """Exact enumeration of lattice points with physical part in phys_region
     and internal part in int_region (regions with rational data).
 
-    Yields tuples of QuadInt of length d.  Per-axis candidates come from
-    Minkowski boxes; the joint membership filter is exact.
+    Yields tuples of QuadInt of length d in itertools.product order of the
+    per-axis candidates, which come from Minkowski boxes; one exact batch
+    filter decides the joint membership of every combination.
     """
     fld = lat.field
-    pb = phys_region.bbox()
-    ib = int_region.bbox()
-    axes = []
-    for i in range(lat.d):
-        xlo, xhi = pb[i]
-        ylo, yhi = ib[i]
-        axes.append(list(iter_ring_box(fld, xlo, xhi, ylo, yhi)))
-    d = fld.d
-    # Closed axis-aligned boxes factor over axes: the per-axis candidates
-    # are already exact, so the joint filter is redundant.
-    def _closed_box(r):
-        return isinstance(r, Box) and not any(r.lo_open) and not any(r.hi_open)
-
-    if _closed_box(phys_region) and _closed_box(int_region):
-        yield from itertools.product(*axes)
-        return
-    for combo in itertools.product(*axes):
-        phys = tuple(x.as_pair() for x in combo)
-        if not phys_region.contains_exact(phys, d):
-            continue
-        internal = tuple(x.conj().as_pair() for x in combo)
-        if not int_region.contains_exact(internal, d):
-            continue
-        yield combo
+    axes = [list(iter_ring_box(fld, *phys, *internal)) for phys, internal
+            in zip(phys_region.bbox(), int_region.bbox())]
+    # row i of idx: the axis-i candidate of each combination, product order
+    idx = np.indices([len(a) for a in axes]).reshape(lat.d, -1)
+    P = np.stack([int_array([x.p for x in a])[k]
+                  for a, k in zip(axes, idx)], axis=-1)
+    Q = np.stack([int_array([x.q for x in a])[k]
+                  for a, k in zip(axes, idx)], axis=-1)
+    # x = (p + q*sqrt(d))/2 and its conjugate (p - q*sqrt(d))/2
+    keep = (phys_region.contains_exact_batch(P, Q, 2, fld.d)
+            & int_region.contains_exact_batch(P, -Q, 2, fld.d))
+    yield from itertools.compress(itertools.product(*axes), keep)
 
 
 def box_reduced_basis(basis: np.ndarray, widths: np.ndarray,

@@ -110,6 +110,20 @@ def test_density_config_schema_rejections(tmp_path, bad):
     assert res.exit_code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command,bad", [
+    ("density", {**DENSITY_CFG, "T_grid": [0, 5]}),   # division by T
+    ("density", {**DENSITY_CFG, "T_grid": [-3]}),     # a reversed box
+    ("plot", {**PLOT_CFG, "T": 0}),
+    ("random", {**RANDOM_CFG, "T_grid": [0]}),        # NaN densities
+])
+def test_non_positive_T_rejected(tmp_path, command, bad):
+    cfg = write_cfg(tmp_path / "cfg.json", bad)
+    res = runner.invoke(main, [command, "--config", cfg,
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert not any((tmp_path / "o").glob("*"))
+
+
 HEXAGON = {"kind": "hexagon"}
 
 
@@ -190,6 +204,20 @@ def test_holes_subspace_budget_exhausted(tmp_path):
     assert res.exit_code == EXIT_BUDGET
     doc = json.loads((tmp_path / "holes.json").read_text())
     assert doc["subspace_search"] == "NotFound"
+
+
+@pytest.mark.parametrize("args", [
+    ["--n", "1", "--a", "1"],
+    ["--n", "2", "--a", "-1"],
+    ["--n", "2", "--a", "1", "--translates", "-1"],
+    ["--n", "2", "--a", "1", "--subspace", "1,x"],
+    ["--n", "2", "--a", "1", "--subspace", "1,2,3"],   # n = 2 components
+])
+def test_holes_bad_arguments(tmp_path, args):
+    res = runner.invoke(main, ["holes", *args, "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert not isinstance(res.exception, ValueError)
+    assert not (tmp_path / "holes.json").exists()
 
 
 def test_random_deterministic(tmp_path):

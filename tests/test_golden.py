@@ -1,13 +1,19 @@
 """Byte-for-byte regression against the recorded artifacts in golden/: the
 plot of configs/plot.json, the `check-hc 2 100` table, the holes
-near-subspace search and the random-lattice experiment of
+near-subspace search, the random-lattice experiment of
 configs/random.json at seed 7 (`random --config configs/random.json
---seed 7`).  After an intended change to one of these outputs,
-re-record it with the same command (`--out tests/golden`, or the stdout of
-check-hc) and say in the change which bytes moved and why."""
+--seed 7`) and two density sweeps with `--method both`, each from the
+config.json beside its outputs in golden/density_*/: d=5 with an octagon
+window and d=2 with a disc window, whose outer sets (Polygon, Ball) and
+inner Moebius sets (UnitScaled) go through the exact joint filter of
+field-point enumeration.  After an intended change to one of these
+outputs, re-record it with the same command (`--out tests/golden`, or
+`--out tests/golden/density_*`, or the stdout of check-hc) and say in the
+change which bytes moved and why."""
 
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from quasivis.cli import EXIT_OK, main
@@ -49,3 +55,14 @@ def test_random_experiment(tmp_path):
     assert res.exit_code == EXIT_OK, res.output
     assert (tmp_path / "random.json").read_bytes() == \
         (GOLDEN / "random.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["density_d5_octagon", "density_d2_disc"])
+def test_density_both_methods(tmp_path, name):
+    res = runner.invoke(main, ["density", "--config",
+                               str(GOLDEN / name / "config.json"),
+                               "--method", "both", "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_OK, res.output
+    for out in ("density.csv", "density.json"):
+        assert (tmp_path / out).read_bytes() == \
+            (GOLDEN / name / out).read_bytes(), out

@@ -271,17 +271,57 @@ def test_exact_enumeration_d1_matches_scan():
     assert got == want
 
 
-def test_exact_enumeration_closed_box_fast_path_equals_generic():
-    lat = FieldLatticeDesc(field=F5, d=2)
-    phys = Box.cube(3, 2)
-    window = Box.cube(1, 2)
-    fast = set(enumerate_field_points_exact(lat, phys, window))
-    # generic path via a product wrapper that is not a bare Box
-    lam = fundamental_unit(F5).value
-    generic_window = UnitScaled(base=window, mult=(Fraction(1), Fraction(0)),
-                                inv_mult=(Fraction(1), Fraction(0)), d_field=5)
-    generic = set(enumerate_field_points_exact(lat, phys, generic_window))
-    assert fast == generic
+# Exact enumeration against a bounded scan of a + b*omega on each axis, joint
+# membership decided point by point by the scalar contains_exact (the
+# reference).  Every physical region lies in [-3, 3]^2 and every window,
+# scaled by lambda^(+-1), in [-5/2, 5/2]^2.
+
+ENUM_PHYS = {
+    "cube": Box.cube(3, 2),
+    # the open faces x_1 = 1 and x_2 = -1 hold points whose internal part
+    # lies in the closed windows, e.g. x = (1, 0) with sigma(x) = x
+    "box_open_sides": Box.make([(-3, 1), (-1, 3)], lo_open=[False, True],
+                               hi_open=[True, False]),
+}
+ENUM_WINDOWS = {
+    "square": square_window(1),
+    "box_open": Box.make([(-1, 1), (-1, 1)], [True, True], [True, True]),
+    "disc": disc_window(1),
+    "octagon": octagon_window(1),
+}
+
+
+def scan_axis(fld, reach=12):
+    """a + b*omega for a, b in [-reach, reach] whose embeddings fit the
+    bounds above with room to spare; the scan's edge is never reached."""
+    out = []
+    for a, b in itertools.product(range(-reach, reach + 1), repeat=2):
+        x = fld.element(a, b)
+        if abs(float(x)) <= 3.5 and abs(x.conj_float()) <= 3:
+            assert max(abs(a), abs(b)) < reach
+            out.append(x)
+    return out
+
+
+@pytest.mark.parametrize("extra_exp", [0, 1, -1])
+@pytest.mark.parametrize("window_name", sorted(ENUM_WINDOWS))
+@pytest.mark.parametrize("phys_name", sorted(ENUM_PHYS))
+@pytest.mark.parametrize("d", [2, 5])
+def test_exact_enumeration_matches_scalar_scan(d, phys_name, window_name,
+                                               extra_exp):
+    fld = field(d)
+    lat = FieldLatticeDesc(field=fld, d=2)
+    phys = ENUM_PHYS[phys_name]
+    window = CPSetDesc(field=fld, d=2, window=ENUM_WINDOWS[window_name]
+                       ).scaled_window(extra_exp=extra_exp)
+    axis = scan_axis(fld)
+    want = {xs for xs in itertools.product(axis, repeat=2)
+            if phys.contains_exact(tuple(x.as_pair() for x in xs), d)
+            and window.contains_exact(tuple(x.conj().as_pair() for x in xs),
+                                      d)}
+    got = list(enumerate_field_points_exact(lat, phys, window))
+    assert want and len(got) == len(set(got))
+    assert set(got) == want
 
 
 def test_linear_equivariance_diagonal():
