@@ -100,8 +100,8 @@ def _config_errors():
     """Exit with EXIT_CONFIG when building objects from a schema-valid config
     fails: an unknown region kind, a missing key, a d that is not
     squarefree, regions of the wrong dimension, a field that is not a
-    Hammarhjelm example; or when an argument that click does not type
-    fails to parse, such as a --subspace vector of the wrong length."""
+    Hammarhjelm example; or when an argument click does not type is
+    rejected, such as a --subspace of the wrong length or a NaN --radius."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:
@@ -261,7 +261,7 @@ def cmd_plot(config_path, field_d, out):
               help="Comma-separated direction vector for the near-subspace "
                    "search.")
 @click.option("--radius", type=float, default=None)
-@click.option("--budget", type=int, default=1_000_000)
+@click.option("--budget", type=click.IntRange(min=1), default=1_000_000)
 @click.option("--out", type=click.Path(), default=".")
 def cmd_holes(n_dim, a_half, translates, seed, subspace, radius, budget, out):
     """Build a CRT gcd-hole, verify it on random translates, optionally
@@ -286,7 +286,8 @@ def cmd_holes(n_dim, a_half, translates, seed, subspace, radius, budget, out):
     exit_code = EXIT_OK if all(ok for _, ok in checks) else EXIT_IDENTITY
     if subspace is not None:
         r = radius if radius is not None else float(hole.N)
-        found = holes.hole_near_subspace(hole, [vec], r, budget)
+        with _config_errors():
+            found = holes.hole_near_subspace(hole, [vec], r, budget)
         if found is holes.NotFound:
             doc["subspace_search"] = "NotFound"
             exit_code = EXIT_BUDGET

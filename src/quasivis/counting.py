@@ -12,17 +12,18 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .cutproject import CPSetDesc, gcd_one, iter_raw
-from .lattice import box_reduced_basis
+from .cutproject import CPSetDesc, iter_raw
+from .lattice import box_reduced_basis, field_point_arrays
 from .quadfield import (
     as_scalar,
     dedekind_zeta_highprec,
     enumerate_ring_box,
     fundamental_unit,
     ideal_from_generators,
-    int_array,
+    ideal_norms,
     int_lin,
     moebius,
+    omega_coords,
     principal_ideal,
     quad_floor,
     quad_sign,
@@ -101,10 +102,6 @@ def predicted_density_hammarhjelm(desc: CPSetDesc,
     return (1.0 - lam_inv_d) * (vol_w / covol) / z
 
 
-def _nonzero_master(desc: CPSetDesc, D, T):
-    return [xs for xs in iter_raw(desc, D, T) if any(xs)]
-
-
 def _norm_cutoff(desc: CPSetDesc, D, T) -> int:
     """Any g whose sublattice term is nonempty divides a nonzero coordinate
     x_i with |x_i| <= R_T and |sigma(x_i)| <= R_W, so |N(g)| <= R_T*R_W.
@@ -132,8 +129,8 @@ def moebius_count_primitive(desc: CPSetDesc, D, T,
     desc.require_hammarhjelm()
     fld = desc.field
     lam = fundamental_unit(fld).value
-    master = _nonzero_master(desc, D, T)
-    ideal_mult = Counter(ideal_from_generators(list(xs)) for xs in master)
+    ideal_mult = Counter(ideal_from_generators(list(xs))
+                         for xs in iter_raw(desc, D, T) if any(xs))
     cutoff = _norm_cutoff(desc, D, T)
     total = 0
     for g in enumerate_ring_box(fld, 1, lam, -cutoff, cutoff,
@@ -186,20 +183,22 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
     """Classify one window of the cut-and-project set and assemble a report.
 
     A point is visible iff its coordinate gcd is one and its conjugate lies
-    outside the closed inner window.  The inner-window test runs once over
-    all primitive points as integer arrays, through the generic region code
-    (contains_exact_batch); for a box window the integer fast route decides
-    it again independently, and identity_ok records that the two agree on
-    every point.  method='moebius' additionally checks both primitive counts
-    against inclusion-exclusion sums."""
+    outside the closed inner window.  Both run on integer arrays: the gcd
+    as one batch of ideal norms over the whole set (the origin has norm 0),
+    the inner window through the generic region code (contains_exact_batch);
+    for a box window the integer fast route decides it again independently,
+    and identity_ok records that the two agree on every point.
+    method='moebius' additionally checks both primitive counts against
+    inclusion-exclusion sums."""
     desc.require_hammarhjelm()
-    master = list(iter_raw(desc, D, T))
-    count_all = len(master)
-    primitive = [xs for xs in master if any(xs) and gcd_one(desc, xs)]
-    count_pr = len(primitive)
+    _, P, Q, keep = field_point_arrays(desc.lattice, D.scaled(Fraction(T)),
+                                       desc.scaled_window())
+    P, Q = P[keep], Q[keep]
+    count_all = len(P)
+    primitive = ideal_norms(desc.field, *omega_coords(desc.field, P, Q)) == 1
+    count_pr = int(primitive.sum())
     # sigma(x) = (p - q*sqrt(d))/2 for x = (p + q*sqrt(d))/2
-    P = int_array([[x.p for x in xs] for xs in primitive]).reshape(-1, desc.d)
-    Q = -int_array([[x.q for x in xs] for xs in primitive]).reshape(-1, desc.d)
+    P, Q = P[primitive], -Q[primitive]
     inner = desc.scaled_window(extra_exp=-1).contains_exact_batch(
         P, Q, 2, desc.field.d)
     identity_ok = True

@@ -23,7 +23,7 @@ from .quadfield import (
     QuadInt,
     check_hammarhjelm,
     fundamental_unit,
-    pair_ideal_norm,
+    gcd_is_one,
 )
 from .regions import Scalar, UnitScaled
 
@@ -146,21 +146,11 @@ def generate(desc: CPSetDesc, D, T) -> list[CPPoint]:
     return [_make_point(xs) for xs in iter_raw(desc, D, T)]
 
 
-def gcd_one(desc: CPSetDesc, xs: tuple[QuadInt, ...]) -> bool:
-    if desc.d == 2:
-        return pair_ideal_norm(desc.field, xs[0].a, xs[0].b,
-                               xs[1].a, xs[1].b) == 1
-    from .quadfield import gcd_is_one
-    return gcd_is_one(list(xs))
-
-
 def visible_fast(desc: CPSetDesc, x: CPPoint) -> bool:
     """Visibility via the Hammarhjelm characterization: coordinate gcd is a
     unit and the conjugate vector avoids the closed window (1/lambda)*beta*W."""
     desc.require_hammarhjelm()
-    if x.is_origin:
-        return False
-    if not gcd_one(desc, x.quad_coords):
+    if x.is_origin or not gcd_is_one(list(x.quad_coords)):
         return False
     inner = desc.scaled_window(extra_exp=-1)
     sigma = tuple(q.conj().as_pair() for q in x.quad_coords)
@@ -190,7 +180,7 @@ def primitive_points(desc: CPSetDesc, D, T) -> list[CPPoint]:
     """Points whose quadratic-integer coordinates generate the unit ideal."""
     out = []
     for p in generate(desc, D, T):
-        if not p.is_origin and gcd_one(desc, p.quad_coords):
+        if not p.is_origin and gcd_is_one(list(p.quad_coords)):
             out.append(p)
     return out
 

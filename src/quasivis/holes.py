@@ -121,12 +121,14 @@ def hole_near_subspace(hole: CRTHole, V, R: float, search_budget: int,
     nearest translate by componentwise rounding and ranked in floats.  The
     best one is returned as an integer vector only if its exact distance
     to span(V), taking the floats of V and R at their binary values, is at
-    most R; otherwise the NotFound sentinel."""
+    most R (R = inf accepts any distance); otherwise the NotFound sentinel."""
+    if not R >= 0:
+        raise ValueError(f"radius must be >= 0, got {R}")
     if search_budget <= 0:
         return NotFound
     Vb = np.atleast_2d(np.asarray(V, dtype=np.float64))
-    if Vb.shape[1] != hole.n:
-        raise ValueError("subspace basis must live in R^n")
+    if Vb.shape[1] != hole.n or not np.isfinite(Vb).all() or not Vb.any():
+        raise ValueError("subspace basis must be finite, nonzero, in R^n")
     Q64, _ = np.linalg.qr(Vb.T)
     Q = Q64.astype(np.longdouble)
     r = Q.shape[1]

@@ -144,15 +144,12 @@ def enumerate_points(grid: GridDesc, region, tol: float = 1e-9):
     return U[keep], X[keep], status[keep] == BOUNDARY
 
 
-def enumerate_field_points_exact(lat: FieldLatticeDesc, phys_region,
-                                 int_region):
-    """Exact enumeration of lattice points with physical part in phys_region
-    and internal part in int_region (regions with rational data).
-
-    Yields tuples of QuadInt of length d in itertools.product order of the
-    per-axis candidates, which come from Minkowski boxes; one exact batch
-    filter decides the joint membership of every combination.
-    """
+def field_point_arrays(lat: FieldLatticeDesc, phys_region, int_region):
+    """Exact filter of lattice points with physical part in phys_region and
+    internal part in int_region (regions with rational data).  Returns the
+    per-axis candidates (from Minkowski boxes), the integer arrays P, Q of
+    every combination in itertools.product order, x_i = (P[:, i] +
+    Q[:, i]*sqrt(d))/2, and the mask keep of those in both regions."""
     fld = lat.field
     axes = [list(iter_ring_box(fld, *phys, *internal)) for phys, internal
             in zip(phys_region.bbox(), int_region.bbox())]
@@ -165,6 +162,13 @@ def enumerate_field_points_exact(lat: FieldLatticeDesc, phys_region,
     # x = (p + q*sqrt(d))/2 and its conjugate (p - q*sqrt(d))/2
     keep = (phys_region.contains_exact_batch(P, Q, 2, fld.d)
             & int_region.contains_exact_batch(P, -Q, 2, fld.d))
+    return axes, P, Q, keep
+
+
+def enumerate_field_points_exact(lat: FieldLatticeDesc, phys_region,
+                                 int_region):
+    """The points field_point_arrays keeps, as QuadInt tuples in its order."""
+    axes, _, _, keep = field_point_arrays(lat, phys_region, int_region)
     yield from itertools.compress(itertools.product(*axes), keep)
 
 

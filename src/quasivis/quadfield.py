@@ -553,33 +553,41 @@ def gcd_is_one(xs: list[QuadInt]) -> bool:
     return ideal_from_generators(xs).norm() == 1
 
 
-def pair_ideal_norm(fld: FieldDesc, a1: int, b1: int, a2: int, b2: int) -> int:
-    """Norm of the ideal (a1 + b1*omega, a2 + b2*omega); hot-path variant
-    of ideal_from_generators(...).norm() on raw coordinates."""
-    d = fld.d
+def ideal_norms(fld: FieldDesc, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Per row i, the norm of the ideal generated by A[i, j] + B[i, j]*omega
+    over j, for integer arrays A, B of shape (N, k); 0 for a zero row.
+
+    The ideal is the Z-module spanned by the x_j and omega*x_j, and its
+    norm is its index in O_K = Z + Z*omega: the gcd of the 2x2 minors of
+    the 2k x 2 coordinate matrix of those vectors (Cohen, GTM 138, 2.4)."""
+    # omega*(a + b*omega) = e*b + (a + b)*omega, e = (d - 1)/4, if d = 1 mod 4,
+    # else d*b + a*omega
     if fld.half:
-        e = (d - 1) // 4
-        vecs = ((a1, b1), (e * b1, a1 + b1), (a2, b2), (e * b2, a2 + b2))
+        wa, wb = int_lin([((fld.d - 1) // 4, B)]), int_lin([(1, A), (1, B)])
     else:
-        vecs = ((a1, b1), (d * b1, a1), (a2, b2), (d * b2, a2))
-    vg = 0
-    ug = 0
-    f0 = 0
-    for u, v in vecs:
-        if v == 0:
-            f0 = gcd(f0, u)
-            continue
-        if vg == 0:
-            vg, ug = v, u
-            continue
-        g, s, t = _extgcd(vg, v)
-        u_new = s * ug + t * u
-        f0 = gcd(f0, u - (v // g) * u_new)
-        f0 = gcd(f0, ug - (vg // g) * u_new)
-        vg, ug = g, u_new
-    if vg == 0 and f0 == 0:
-        raise AllZero("all generators are zero")
-    return abs(f0) * abs(vg)
+        wa, wb = int_lin([(fld.d, B)]), A
+    U, V = [*A.T, *wa.T], [*B.T, *wb.T]
+    norms = np.zeros(len(A), dtype=np.int64)
+    for j in range(len(U)):  # one minor at a time bounds peak memory
+        for l in range(j + 1, len(U)):
+            norms = np.gcd(norms, int_lin([(1, int_mul(U[j], V[l])),
+                                           (-1, int_mul(U[l], V[j]))]))
+    return norms
+
+
+def omega_coords(fld: FieldDesc, P: np.ndarray,
+                 Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) with (P + Q*sqrt(d))/2 = A + B*omega, for integer arrays of
+    points of O_K."""
+    if fld.half:
+        return int_lin([(1, P), (-1, Q)]) // 2, Q
+    return P // 2, Q // 2
+
+
+def pair_ideal_norm(fld: FieldDesc, a1: int, b1: int, a2: int, b2: int) -> int:
+    """Norm of the ideal (a1 + b1*omega, a2 + b2*omega)."""
+    return int(ideal_norms(fld, int_array([[a1, a2]]),
+                           int_array([[b1, b2]]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,6 @@ from .quadfield import as_scalar, int_lin, int_mul, quad_sign, quad_sign_array
 
 Scalar = tuple[Fraction, Fraction]  # A + B*sqrt(d)
 
-ONE: Scalar = (Fraction(1), Fraction(0))
-
 
 def s_mul(x: Scalar, y: Scalar, d: int) -> Scalar:
     return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0])
@@ -72,11 +70,9 @@ class Box:
         hi = self.hi_open or (False,) * k
         return lo, hi
 
-    def contains_exact(self, point: tuple[Scalar, ...], d: int,
-                       mult: Scalar = ONE) -> bool:
+    def contains_exact(self, point: tuple[Scalar, ...], d: int) -> bool:
         lo_open, hi_open = self._flags()
         for i, w in enumerate(point):
-            w = s_mul(w, mult, d)
             lo, hi = self.bounds[i]
             s = quad_sign(w[0] - lo, w[1], d)
             if s < 0 or (s == 0 and lo_open[i]):
@@ -149,10 +145,9 @@ class Ball:
     def dim(self) -> int:
         return len(self.center)
 
-    def contains_exact(self, point, d: int, mult: Scalar = ONE) -> bool:
+    def contains_exact(self, point, d: int) -> bool:
         acc: Scalar = (Fraction(0), Fraction(0))
         for i, w in enumerate(point):
-            w = s_mul(w, mult, d)
             dw = (w[0] - self.center[i], w[1])
             sq = s_mul(dw, dw, d)
             acc = (acc[0] + sq[0], acc[1] + sq[1])
@@ -230,9 +225,8 @@ class Polygon:
         for i in range(k):
             yield vs[i], vs[(i + 1) % k]
 
-    def contains_exact(self, point, d: int, mult: Scalar = ONE) -> bool:
-        wx = s_mul(point[0], mult, d)
-        wy = s_mul(point[1], mult, d)
+    def contains_exact(self, point, d: int) -> bool:
+        wx, wy = point
         for (x1, y1), (x2, y2) in self._edges():
             # ccw: inside iff cross((v2-v1), (w-v1)) >= 0
             ax, ay = x2 - x1, y2 - y1
@@ -308,10 +302,10 @@ class Product:
     def dim(self) -> int:
         return self.left.dim + self.right.dim
 
-    def contains_exact(self, point, d: int, mult: Scalar = ONE) -> bool:
+    def contains_exact(self, point, d: int) -> bool:
         k = self.left.dim
-        return (self.left.contains_exact(point[:k], d, mult)
-                and self.right.contains_exact(point[k:], d, mult))
+        return (self.left.contains_exact(point[:k], d)
+                and self.right.contains_exact(point[k:], d))
 
     def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
                              d: int) -> np.ndarray:
@@ -351,8 +345,9 @@ class UnitScaled:
     def dim(self) -> int:
         return self.base.dim
 
-    def contains_exact(self, point, d: int, mult: Scalar = ONE) -> bool:
-        return self.base.contains_exact(point, d, s_mul(mult, self.mult, d))
+    def contains_exact(self, point, d: int) -> bool:
+        return self.base.contains_exact(
+            tuple(s_mul(w, self.mult, d) for w in point), d)
 
     def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
                              d: int) -> np.ndarray:

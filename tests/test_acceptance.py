@@ -21,9 +21,7 @@ from quasivis.counting import (
 )
 from quasivis.cutproject import (
     CPSetDesc,
-    gcd_one,
     generate,
-    iter_raw,
     strict_inclusion_witness,
     strict_inclusion_witness_random,
     visible_fast,
@@ -128,8 +126,8 @@ def test_criterion_04_moebius_identity():
             for beta_exp in (0, -1):
                 desc = desc_for(fld, beta_exp=beta_exp)
                 for T in (5, 10, 20, 50, 100):
-                    direct = sum(1 for xs in iter_raw(desc, D2, T)
-                                 if any(xs) and gcd_one(desc, xs))
+                    direct = visible_count(desc, D2, T,
+                                           predicted=1.0).count_pr
                     assert moebius_count_primitive(desc, D2, T) == direct, \
                         (fld.d, beta_exp, T)
 

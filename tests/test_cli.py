@@ -212,12 +212,25 @@ def test_holes_subspace_budget_exhausted(tmp_path):
     ["--n", "2", "--a", "1", "--translates", "-1"],
     ["--n", "2", "--a", "1", "--subspace", "1,x"],
     ["--n", "2", "--a", "1", "--subspace", "1,2,3"],   # n = 2 components
+    ["--n", "2", "--a", "1", "--subspace", "1,1.41", "--radius", "nan"],
+    ["--n", "2", "--a", "1", "--subspace", "1,1.41", "--radius", "-1"],
+    ["--n", "2", "--a", "1", "--subspace", "1,1.41", "--budget", "-5"],
+    ["--n", "2", "--a", "1", "--subspace", "0,0"],
 ])
 def test_holes_bad_arguments(tmp_path, args):
     res = runner.invoke(main, ["holes", *args, "--out", str(tmp_path)])
     assert res.exit_code == EXIT_CONFIG, res.output
     assert not isinstance(res.exception, ValueError)
     assert not (tmp_path / "holes.json").exists()
+
+
+def test_holes_infinite_radius_accepts_best_translate(tmp_path):
+    res = runner.invoke(main, ["holes", "--n", "2", "--a", "1",
+                               "--subspace", "1,1.41", "--radius", "inf",
+                               "--budget", "10", "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_OK, res.output
+    doc = json.loads((tmp_path / "holes.json").read_text())
+    assert len(doc["subspace_search"]) == 2
 
 
 def test_random_deterministic(tmp_path):

@@ -10,7 +10,6 @@ import pytest
 from quasivis.counting import (
     CountReport,
     DegenerateFit,
-    _nonzero_master,
     _norm_cutoff,
     moebius_count_primitive,
     predicted_density_hammarhjelm,
@@ -19,8 +18,14 @@ from quasivis.counting import (
     riemann_zeta,
     visible_count,
 )
-from quasivis.cutproject import CPSetDesc, NotHammarhjelm, gcd_one, iter_raw
-from quasivis.quadfield import field, fundamental_unit
+from quasivis.cutproject import (
+    CPSetDesc,
+    NotHammarhjelm,
+    generate,
+    iter_raw,
+    visible_fast,
+)
+from quasivis.quadfield import field, fundamental_unit, gcd_is_one, ideal_norms
 from quasivis.regions import Box, disc_window, octagon_window, square_window
 
 F2, F5 = field(2), field(5)
@@ -60,8 +65,9 @@ def test_predicted_density_rejects_non_hammarhjelm():
 
 
 def direct_primitive_count(desc, D, T):
-    return sum(1 for xs in iter_raw(desc, D, T)
-               if any(xs) and gcd_one(desc, xs))
+    """Points of the set in T*D whose coordinates generate the unit ideal,
+    from visible_count's one batch of ideal norms."""
+    return visible_count(desc, D, T, predicted=1.0).count_pr
 
 
 @pytest.mark.parametrize("fld", [F2, F5])
@@ -80,8 +86,7 @@ def test_moebius_equals_direct(fld, beta_exp, T):
 def test_norm_cutoff_bounds_every_master_norm(fld, beta_exp, window, T):
     desc = CPSetDesc(field=fld, d=2, window=window, beta_exp=beta_exp)
     cutoff = _norm_cutoff(desc, D2, T)
-    norms = [abs(x.norm()) for xs in _nonzero_master(desc, D2, T)
-             for x in xs if x]
+    norms = [abs(x.norm()) for xs in iter_raw(desc, D2, T) for x in xs if x]
     assert norms and max(norms) <= cutoff
 
 
@@ -116,16 +121,15 @@ def test_visible_count_one_gcd_test_per_point(monkeypatch):
     import quasivis.counting as counting
     calls = []
 
-    def counting_gcd_one(desc, xs):
-        calls.append(xs)
-        return gcd_one(desc, xs)
+    def counting_ideal_norms(fld, A, B):
+        calls.append(len(A))
+        return ideal_norms(fld, A, B)
 
-    monkeypatch.setattr(counting, "gcd_one", counting_gcd_one)
+    monkeypatch.setattr(counting, "ideal_norms", counting_ideal_norms)
     desc = desc_for(F2)
     rep = visible_count(desc, D2, 12)
     assert rep.identity_ok
-    assert len(calls) == rep.count_all - 1  # every point but the origin
-    assert len(set(calls)) == len(calls)
+    assert calls == [rep.count_all]  # one call over every point, origin too
 
 
 # (count_all, count_pr, count_pr_inner, count_vis) as computed by the
@@ -157,7 +161,8 @@ PINNED_COUNTS = [
     (5, "disc", -1, "31", (889, 780, 300, 480)),
 ]
 WINDOWS = {"square": square_window(1), "octagon": octagon_window(1),
-           "disc": disc_window(1)}
+           "disc": disc_window(1), "cube1": Box.cube(1, 1),
+           "cube3": Box.cube(1, 3)}
 
 
 @pytest.mark.parametrize("d,window,beta_exp,T,counts", PINNED_COUNTS)
@@ -168,6 +173,28 @@ def test_visible_count_pinned(d, window, beta_exp, T, counts):
     assert rep.identity_ok
     assert (rep.count_all, rep.count_pr, rep.count_pr_inner,
             rep.count_vis) == counts
+
+
+# (d, window, beta_exp, T): both fields' omega forms, every window kind,
+# beta = 1 and 1/lambda, a one- and a three-dimensional cube set
+BATCH_SETS = [(d, window, beta_exp, 12) for d in (2, 5)
+              for window in ("square", "octagon", "disc")
+              for beta_exp in (0, -1)]
+BATCH_SETS += [(2, "cube1", 0, 300), (5, "cube3", 0, 3)]
+
+
+@pytest.mark.parametrize("d,window,beta_exp,T", BATCH_SETS)
+def test_visible_count_matches_per_point_decisions(d, window, beta_exp, T):
+    W = WINDOWS[window]
+    desc = CPSetDesc(field=field(d), d=W.dim, window=W, beta_exp=beta_exp)
+    D = Box.cube(1, W.dim)
+    pts = generate(desc, D, T)
+    rep = visible_count(desc, D, T, predicted=1.0)
+    assert rep.identity_ok
+    assert rep.count_all == len(pts)
+    assert rep.count_pr == sum(1 for p in pts if not p.is_origin
+                               and gcd_is_one(list(p.quad_coords)))
+    assert rep.count_vis == sum(visible_fast(desc, p) for p in pts)
 
 
 def test_counts_independent_of_float_guard(monkeypatch):

@@ -2,11 +2,13 @@
 plot of configs/plot.json, the `check-hc 2 100` table, the holes
 near-subspace search, the random-lattice experiment of
 configs/random.json at seed 7 (`random --config configs/random.json
---seed 7`) and two density sweeps with `--method both`, each from the
+--seed 7`), two density sweeps with `--method both`, each from the
 config.json beside its outputs in golden/density_*/: d=5 with an octagon
 window and d=2 with a disc window, whose outer sets (Polygon, Ball) and
 inner Moebius sets (UnitScaled) go through the exact joint filter of
-field-point enumeration.  After an intended change to one of these
+field-point enumeration, and the shipped sweep `density --config
+configs/density.json --method direct` up to T=500 in
+golden/density_shipped/.  After an intended change to one of these
 outputs, re-record it with the same command (`--out tests/golden`, or
 `--out tests/golden/density_*`, or the stdout of check-hc) and say in the
 change which bytes moved and why."""
@@ -66,3 +68,13 @@ def test_density_both_methods(tmp_path, name):
     for out in ("density.csv", "density.json"):
         assert (tmp_path / out).read_bytes() == \
             (GOLDEN / name / out).read_bytes(), out
+
+
+def test_density_shipped_direct(tmp_path):
+    res = runner.invoke(main, ["density", "--config",
+                               str(CONFIGS / "density.json"),
+                               "--method", "direct", "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_OK, res.output
+    for out in ("density.csv", "density.json"):
+        assert (tmp_path / out).read_bytes() == \
+            (GOLDEN / "density_shipped" / out).read_bytes(), out

@@ -108,6 +108,15 @@ def test_hole_near_subspace_budget_exhausted():
                               search_budget=50) is NotFound
 
 
+@pytest.mark.parametrize("R,V", [(math.nan, [[1.0, 1.41]]),
+                                 (-1.0, [[1.0, 1.41]]),
+                                 (1.0, [[0.0, 0.0]]),
+                                 (1.0, [[math.inf, 1.0]])])
+def test_hole_near_subspace_rejects_bad_arguments(R, V):
+    with pytest.raises(ValueError):
+        hole_near_subspace(build_crt_hole(2, 1), V, R, search_budget=10)
+
+
 def test_hole_near_subspace_rechecks_distance_exactly():
     """At n=3, A=1 the modulus N has 41 digits, beyond the float ranking of
     the search.  A radius just below the exact distance of the best

@@ -32,6 +32,7 @@ from quasivis.quadfield import (
     int_lin,
     int_mul,
     ideal_from_generators,
+    ideal_norms,
     moebius,
     moebius_of_element,
     norm,
@@ -227,6 +228,37 @@ def test_pair_ideal_norm_matches_hnf(x, y):
         return
     assert pair_ideal_norm(F2, x.a, x.b, y.a, y.b) == \
         ideal_from_generators([x, y]).norm()
+
+
+# small and huge omega-coordinates, mixed within rows and across rows; huge
+# ones push the 2x2 minors past int64 onto Python ints
+coords = st.one_of(st.integers(-9, 9), st.integers(-10**14, 10**14))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([F2, F5, F13]),
+       st.integers(1, 3).flatmap(lambda k: st.lists(
+           st.lists(st.tuples(coords, coords), min_size=k, max_size=k),
+           min_size=1, max_size=8)))
+def test_ideal_norms_match_hnf(fld, rows):
+    rows = rows + [[(0, 0)] * len(rows[0])]
+    A = int_array([[a for a, _ in r] for r in rows])
+    B = int_array([[b for _, b in r] for r in rows])
+    want = [ideal_from_generators([QuadInt(fld, a, b) for a, b in r]).norm()
+            if any(a or b for a, b in r) else 0 for r in rows]
+    assert ideal_norms(fld, A, B).tolist() == want
+
+
+def test_ideal_norms_examples():
+    # (sqrt2, 2) = (sqrt2) has norm 2; (1 + sqrt2, 3) is the unit ideal
+    A, B = int_array([[0, 2], [1, 3], [0, 0]]), int_array([[1, 0], [1, 0],
+                                                           [0, 0]])
+    assert ideal_norms(F2, A, B).tolist() == [2, 1, 0]
+    # 2^40 * (unit ideal) has norm 2^80: the object-dtype path
+    big = 1 << 40
+    got = ideal_norms(F5, int_array([[big, 3 * big]]),
+                      int_array([[big, 0]]))
+    assert got.dtype == object and got.tolist() == [1 << 80]
 
 
 def test_factor_ideal_examples():
