@@ -22,7 +22,6 @@ from .quadfield import (
     field,
     fundamental_unit,
     hammarhjelm_witness,
-    is_squarefree,
 )
 from .regions import Box, region_from_spec
 
@@ -83,13 +82,18 @@ PLOT_SCHEMA = {
 }
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def _load_config(path: str, schema: dict) -> dict:
+    """The schema-valid config at path; NaN and +-Infinity, which JSON
+    parsers accept but the schema's bounds let through, are rejected."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
         jsonschema.validate(cfg, schema)
-    except (OSError, json.JSONDecodeError,
-            jsonschema.ValidationError) as exc:
+    except (OSError, ValueError, jsonschema.ValidationError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     return cfg
@@ -99,9 +103,10 @@ def _load_config(path: str, schema: dict) -> dict:
 def _config_errors():
     """Exit with EXIT_CONFIG when building objects from a schema-valid config
     fails: an unknown region kind, a missing key, a d that is not
-    squarefree, regions of the wrong dimension, a field that is not a
-    Hammarhjelm example; or when an argument click does not type is
-    rejected, such as a --subspace of the wrong length or a NaN --radius."""
+    squarefree in [2, 100], regions of the wrong dimension, a field that
+    is not a Hammarhjelm example; or when an argument click does not type
+    is rejected, such as a --subspace of the wrong length or a NaN
+    --radius."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:
@@ -161,9 +166,7 @@ def cmd_check_hc(d_min, d_max, out):
         click.echo("need 2 <= d_min <= d_max", err=True)
         sys.exit(EXIT_CONFIG)
     rows = []
-    for d in range(d_min, d_max + 1):
-        if d not in PID_D or not is_squarefree(d):
-            continue
+    for d in sorted(d for d in PID_D if d_min <= d <= d_max):
         fld = field(d)
         lam = fundamental_unit(fld)
         wit = hammarhjelm_witness(fld)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import cKDTree
-from sympy import nextprime
+
+from .quadfield import factorint
 
 
 class NotInResidueClass(ValueError):
@@ -79,8 +79,10 @@ def build_crt_hole(n: int, A: int) -> CRTHole:
     table = {}
     p = 1
     for tup in itertools.product(range(-A, A + 1), repeat=n):
-        p = nextprime(p)
-        table[tup] = int(p)
+        p += 1
+        while factorint(p) != {p: 1}:
+            p += 1
+        table[tup] = p
     N = math.prod(table.values())
     x0 = []
     for j in range(n):
@@ -200,6 +202,7 @@ def scan_empty_ball(points, region, r_grid, grid_step: float = 0.5
     """Grid-search the largest radius in r_grid such that some ball of that
     radius inside the region misses every supplied point.  Empirical
     evidence only; not a certification of a hole of the full point set."""
+    from scipy.spatial import cKDTree
     r_grid = sorted(float(r) for r in r_grid)
     bbox = [(float(lo), float(hi)) for lo, hi in region.bbox()]
     inradius = min((hi - lo) / 2 for lo, hi in bbox)

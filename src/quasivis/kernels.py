@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .quadfield import factorint
+
 _CHUNK = 1 << 18
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -52,15 +54,8 @@ def _image(U, basis, trans):
 def _mobius_divisors(g: int) -> list[tuple[int, int]]:
     """(e, mu(e)) for the squarefree divisors e of g >= 1."""
     out = [(1, 1)]
-    p = 2
-    while p * p <= g:
-        if g % p == 0:
-            out += [(e * p, -mu) for e, mu in out]
-            while g % p == 0:
-                g //= p
-        p += 1
-    if g > 1:
-        out += [(e * g, -mu) for e, mu in out]
+    for p in factorint(g):
+        out += [(e * p, -mu) for e, mu in out]
     return out
 
 

@@ -16,8 +16,6 @@ from math import gcd, isqrt
 
 import mpmath
 import numpy as np
-from sympy import factorint
-from sympy.ntheory.residue_ntheory import sqrt_mod
 
 
 class AllZero(ValueError):
@@ -37,6 +35,21 @@ PID_D = frozenset(
     {2, 3, 5, 6, 7, 11, 13, 14, 17, 19, 21, 22, 23, 29, 31, 33, 37, 38, 41,
      43, 46, 47, 53, 57, 59, 61, 62, 67, 69, 71, 73, 77, 83, 86, 89, 93, 94, 97}
 )
+
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of n >= 1 by trial division, primes
+    ascending."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = 1
+    return out
 
 
 def is_squarefree(d: int) -> bool:
@@ -176,8 +189,9 @@ class FieldDesc:
 
 @lru_cache(maxsize=None)
 def field(d: int) -> FieldDesc:
-    if d <= 1 or not is_squarefree(d):
-        raise ValueError(f"d must be squarefree and > 1, got {d}")
+    """Q(sqrt(d)) for squarefree d in [2, 100], the range PID_D decides."""
+    if not 2 <= d <= 100 or not is_squarefree(d):
+        raise ValueError(f"d must be squarefree in [2, 100], got {d}")
     half = d % 4 == 1
     disc = d if half else 4 * d
     return FieldDesc(d=d, disc=disc, half=half, is_pid=d in PID_D)
@@ -625,37 +639,17 @@ def splitting_type(fld: FieldDesc, p: int) -> str:
 
 
 def primes_above(fld: FieldDesc, p: int) -> list[IdealHNF]:
-    """Prime ideals of the ring of integers above the rational prime p."""
-    typ = splitting_type(fld, p)
-    if typ == "inert":
+    """Prime ideals of the ring of integers above the rational prime p.
+
+    Dedekind-Kummer: omega is a root of x^2 - tr*x + nm, and each root r of
+    it mod p gives the prime (p, omega - r); with no root, p is inert."""
+    tr, nm = fld.omega.trace(), fld.omega.norm()
+    roots = [r for r in range(p) if (r * r - tr * r + nm) % p == 0]
+    if not roots:
         return [principal_ideal(fld.element(p))]
-    d = fld.d
-    roots: list[int]
-    if fld.half:
-        # omega satisfies x^2 - x - (d-1)/4 = 0.
-        if p == 2:
-            e = (d - 1) // 4
-            roots = [r for r in range(2) if (r * r - r - e) % 2 == 0]
-        else:
-            s = sqrt_mod(d % p, p, all_roots=False)
-            inv2 = pow(2, -1, p)
-            roots = [((1 + s) * inv2) % p, ((1 - s) * inv2) % p]
-    else:
-        if p == 2:
-            roots = [d % 2]
-        else:
-            s = sqrt_mod(d % p, p, all_roots=False)
-            roots = [s % p, (-s) % p]
-    out = []
-    seen = set()
-    for r in roots:
-        P = ideal_from_generators([fld.element(p), fld.element(-r, 1)])
-        if P not in seen:
-            seen.add(P)
-            out.append(P)
-    if typ == "ramified":
-        out = out[:1]
-        assert out[0].norm() == p
+    out = [ideal_from_generators([fld.element(p), fld.element(-r, 1)])
+           for r in roots]
+    assert all(P.norm() == p for P in out)
     return out
 
 

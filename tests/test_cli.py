@@ -2,10 +2,16 @@
 validation."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import quasivis
 from quasivis.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -115,6 +121,13 @@ def test_density_config_schema_rejections(tmp_path, bad):
     ("density", {**DENSITY_CFG, "T_grid": [-3]}),     # a reversed box
     ("plot", {**PLOT_CFG, "T": 0}),
     ("random", {**RANDOM_CFG, "T_grid": [0]}),        # NaN densities
+    # JSON's NaN and Infinity pass the schema's exclusiveMinimum
+    ("density", {**DENSITY_CFG, "T_grid": [math.nan]}),
+    ("density", {**DENSITY_CFG, "T_grid": [math.inf]}),
+    ("plot", {**PLOT_CFG, "T": math.nan}),
+    ("plot", {**PLOT_CFG, "T": math.inf}),
+    ("random", {**RANDOM_CFG, "T_grid": [math.nan]}),
+    ("random", {**RANDOM_CFG, "T_grid": [math.inf]}),
 ])
 def test_non_positive_T_rejected(tmp_path, command, bad):
     cfg = write_cfg(tmp_path / "cfg.json", bad)
@@ -136,6 +149,8 @@ HEXAGON = {"kind": "hexagon"}
     ("plot", {**PLOT_CFG, "d": 3}),             # not a Hammarhjelm field
     ("random", {**RANDOM_CFG, "omega": HEXAGON}),
     ("random", {**RANDOM_CFG, "n": 4}),         # window is 1-D, not n - d
+    ("density", {**DENSITY_CFG, "d": 2**61 - 1}),  # past the PID table
+    ("plot", {**PLOT_CFG, "d": 101}),
 ])
 def test_config_errors_past_the_schema(tmp_path, command, bad):
     cfg = write_cfg(tmp_path / "cfg.json", bad)
@@ -148,6 +163,13 @@ def test_config_errors_past_the_schema(tmp_path, command, bad):
 
 def test_plot_field_not_squarefree(tmp_path):
     res = runner.invoke(main, ["plot", "--field", "4", "--out",
+                               str(tmp_path)])
+    assert res.exit_code == EXIT_CONFIG
+    assert "config error:" in res.output
+
+
+def test_plot_field_past_the_pid_table(tmp_path):
+    res = runner.invoke(main, ["plot", "--field", "101", "--out",
                                str(tmp_path)])
     assert res.exit_code == EXIT_CONFIG
     assert "config error:" in res.output
@@ -263,3 +285,14 @@ def test_version_flag():
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == EXIT_OK
     assert "quasivis" in res.output
+
+
+def test_cli_import_loads_neither_sympy_nor_scipy():
+    src = str(Path(quasivis.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, quasivis.cli; "
+         "print(sorted({'sympy', 'scipy'} & sys.modules.keys()))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -174,3 +174,14 @@ def test_translation_handling():
 
 def test_backend_flag_reporting():
     assert kernels.backend_name() == "numpy"
+
+
+def test_mobius_divisors_match_brute_force():
+    N = 2000
+    mu = [0, 1] + [0] * (N - 1)  # mu by sum_{e | n} mu(e) = [n == 1]
+    for n in range(1, N + 1):
+        for m in range(2 * n, N + 1, n):
+            mu[m] -= mu[n]
+    for g in range(1, N + 1):
+        want = [(e, mu[e]) for e in range(1, g + 1) if g % e == 0 and mu[e]]
+        assert sorted(kernels._mobius_divisors(g)) == want, g

@@ -13,6 +13,7 @@ from quasivis.quadfield import (
     H_BOUND,
     IdealHNF,
     NotPID,
+    PID_D,
     QuadInt,
     TolTooTight,
     check_hammarhjelm,
@@ -23,6 +24,7 @@ from quasivis.quadfield import (
     enumerate_ring_box,
     exact_compare,
     factor_ideal,
+    factorint,
     field,
     fundamental_unit,
     gcd_is_one,
@@ -37,6 +39,7 @@ from quasivis.quadfield import (
     moebius_of_element,
     norm,
     pair_ideal_norm,
+    primes_above,
     principal_ideal,
     quad_sign,
     quad_sign_array,
@@ -261,6 +264,43 @@ def test_ideal_norms_examples():
     assert got.dtype == object and got.tolist() == [1 << 80]
 
 
+def _is_prime(n):
+    return n > 1 and all(n % k for k in range(2, n))
+
+
+def test_factorint_matches_brute_force():
+    assert factorint(1) == {}
+    for n in range(2, 3001):
+        fac = factorint(n)
+        assert math.prod(p ** e for p, e in fac.items()) == n, n
+        assert all(_is_prime(p) and e >= 1 for p, e in fac.items()), n
+        assert list(fac) == sorted(fac), n
+
+
+def test_field_past_the_pid_table():
+    for d in (101, 2**61 - 1):
+        with pytest.raises(ValueError):
+            field(d)
+
+
+def test_primes_above_every_pid_field():
+    """Dedekind-Kummer splitting agrees with the Kronecker symbol, and the
+    primes above p multiply back to (p)."""
+    for d in sorted(PID_D):
+        fld = field(d)
+        for p in filter(_is_prime, range(300)):
+            typ = splitting_type(fld, p)
+            Ps = primes_above(fld, p)
+            P_p = principal_ideal(fld.element(p))
+            if typ == "inert":
+                assert Ps == [P_p], (d, p)
+                continue
+            assert len(Ps) == {"split": 2, "ramified": 1}[typ], (d, p)
+            assert len(set(Ps)) == len(Ps)
+            assert all(P.norm() == p for P in Ps), (d, p)
+            assert Ps[0] * Ps[-1] == P_p, (d, p)  # P*P' or, ramified, P^2
+
+
 def test_factor_ideal_examples():
     fac2 = factor_ideal(principal_ideal(F2.element(2)))
     assert len(fac2) == 1
@@ -450,7 +490,6 @@ def test_ring_box_matches_direct_scan(fld):
 
 def test_check_hammarhjelm_classification():
     good = {2, 5, 13, 29, 53}
-    from quasivis.quadfield import PID_D
     for d in sorted(PID_D):
         assert check_hammarhjelm(field(d)) == (d in good), d
 
