@@ -38,7 +38,7 @@ DENSITY_SCHEMA = {
     "required": ["d", "dim", "window", "averaging", "T_grid"],
     "properties": {
         "d": {"type": "integer", "minimum": 2},
-        "dim": {"type": "integer", "minimum": 1},
+        "dim": {"type": "integer", "minimum": 2},
         "window": _REGION_SCHEMA,
         "averaging": _REGION_SCHEMA,
         "T_grid": {"type": "array",
@@ -72,7 +72,7 @@ PLOT_SCHEMA = {
     "required": ["d", "dim", "window", "averaging", "T"],
     "properties": {
         "d": {"type": "integer", "minimum": 2},
-        "dim": {"type": "integer", "minimum": 1},
+        "dim": {"type": "integer", "minimum": 2},
         "window": _REGION_SCHEMA,
         "averaging": _REGION_SCHEMA,
         "T": {"type": "number", "exclusiveMinimum": 0},

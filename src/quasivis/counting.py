@@ -5,26 +5,25 @@ convergence-rate fitting and the random-lattice 1/zeta(n) experiment."""
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import kernels
-from .cutproject import CPSetDesc, iter_raw
+from .cutproject import CPSetDesc
 from .lattice import box_reduced_basis, field_point_arrays
 from .quadfield import (
+    QuadInt,
     as_scalar,
     dedekind_zeta_highprec,
-    enumerate_ring_box,
     fundamental_unit,
-    ideal_from_generators,
     ideal_norms,
     int_lin,
-    moebius,
+    int_mul,
+    iter_ring_box,
+    moebius_of_element,
     omega_coords,
-    principal_ideal,
     quad_floor,
     quad_sign,
     quad_sign_array,
@@ -117,33 +116,82 @@ def _norm_cutoff(desc: CPSetDesc, D, T) -> int:
     return max(products) + 1
 
 
+def _norm_gcd(d: int, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Per row of integer arrays P, Q of shape (N, k), the gcd over i of
+    |N(x_i)| = |p_i^2 - d*q_i^2|/4 for x_i = (p_i + q_i*sqrt(d))/2; 0 for a
+    zero row."""
+    G = np.zeros(len(P), dtype=np.int64)
+    for p, q in zip(P.T, Q.T):
+        n = int_lin([(1, int_mul(p, p)), (-d, int_mul(q, q))]) // 4
+        G = np.gcd(G, np.abs(n))
+    return G
+
+
+def _divisible_rows(fld, P: np.ndarray, Q: np.ndarray,
+                    g: QuadInt) -> np.ndarray:
+    """Mask of the rows whose every coordinate x_i = (p_i + q_i*sqrt(d))/2
+    is a multiple of g.  With n = |N(g)|, g | x iff x*sigma(g) is n times an
+    integer of O_K; x*sigma(g) = (U + V*sqrt(d))/4, and (U/(2n), V/(2n))
+    must be integers of equal parity (d = 1 mod 4) or both even."""
+    d, n = fld.d, abs(g.norm())
+    ok = np.ones(len(P), dtype=bool)
+    for p, q in zip(P.T, Q.T):
+        U = int_lin([(g.p, p), (-d * g.q, q)])
+        V = int_lin([(g.p, q), (-g.q, p)])
+        if fld.half:
+            ok &= (U % (2 * n) == 0) & (U % (4 * n) == V % (4 * n))
+        else:
+            ok &= (U % (4 * n) == 0) & (V % (4 * n) == 0)
+    return ok
+
+
 def moebius_count_primitive(desc: CPSetDesc, D, T,
-                            beta_exp: int | None = None) -> int:
+                            beta_exp: int | None = None, *,
+                            points=None) -> int:
     """Primitive-point count by inclusion-exclusion over unit-class
     representatives g in [1, lambda) with mu(g) != 0:
     sum_g mu(g) * #(nonzero points of Lambda(beta*W, L_g) in T*D).
 
-    Terms beyond the certified norm cutoff are provably empty."""
+    points, if given, is the (P, Q) pair of integer arrays of that set (as
+    field_point_arrays filters it); otherwise the set is enumerated here.
+    g | x implies N(g) | G(x) = gcd_i N(x_i), so a g whose norm divides no
+    point's G has an empty term and is skipped before its mu is computed;
+    the others are tested on the points with N(g) | G only.  Terms beyond
+    the certified norm cutoff are provably empty."""
     if beta_exp is not None:
         desc = replace(desc, beta_exp=beta_exp)
     desc.require_hammarhjelm()
     fld = desc.field
+    if points is None:
+        _, P, Q, keep = field_point_arrays(
+            desc.lattice, D.scaled(Fraction(T)), desc.scaled_window())
+        points = P[keep], Q[keep]
+    P, Q = points
+    G = _norm_gcd(fld.d, P, Q)
+    # the nonzero rows sorted by G, so that each value of G is one slice
+    nonzero = np.flatnonzero(G)
+    order = nonzero[np.argsort(G[nonzero], kind="stable")]
+    P, Q, G = P[order], Q[order], G[order]
+    G_values, starts = np.unique(G, return_index=True)
+    slices = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(G)])]
     lam = fundamental_unit(fld).value
-    ideal_mult = Counter(ideal_from_generators(list(xs))
-                         for xs in iter_raw(desc, D, T) if any(xs))
     cutoff = _norm_cutoff(desc, D, T)
     total = 0
-    for g in enumerate_ring_box(fld, 1, lam, -cutoff, cutoff,
-                                x_hi_open=True):
-        if abs(g.norm()) > cutoff:
+    for g in iter_ring_box(fld, 1, lam, -cutoff, cutoff, x_hi_open=True):
+        n = abs(g.norm())
+        if n > cutoff:
             continue
-        pg = principal_ideal(g)
-        mu = moebius(pg)
+        if n == 1:  # g = 1, the only unit in [1, lambda)
+            total += len(P)
+            continue
+        groups = np.flatnonzero(G_values % n == 0)
+        if not len(groups):
+            continue
+        mu = moebius_of_element(g)
         if mu == 0:
             continue
-        cnt = sum(m for ix, m in ideal_mult.items()
-                  if pg.contains_ideal(ix))
-        total += mu * cnt
+        rows = np.r_[tuple(slices[j] for j in groups)]
+        total += mu * int(_divisible_rows(fld, P[rows], Q[rows], g).sum())
     return total
 
 
@@ -189,18 +237,19 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
     for a box window the integer fast route decides it again independently,
     and identity_ok records that the two agree on every point.
     method='moebius' additionally checks both primitive counts against
-    inclusion-exclusion sums."""
+    inclusion-exclusion sums: the outer one over this same set of points,
+    the inner one over its own enumeration of the beta/lambda set."""
     desc.require_hammarhjelm()
     _, P, Q, keep = field_point_arrays(desc.lattice, D.scaled(Fraction(T)),
                                        desc.scaled_window())
     P, Q = P[keep], Q[keep]
+    outer = P, Q
     count_all = len(P)
     primitive = ideal_norms(desc.field, *omega_coords(desc.field, P, Q)) == 1
     count_pr = int(primitive.sum())
     # sigma(x) = (p - q*sqrt(d))/2 for x = (p + q*sqrt(d))/2
     P, Q = P[primitive], -Q[primitive]
-    inner = desc.scaled_window(extra_exp=-1).contains_exact_batch(
-        P, Q, 2, desc.field.d)
+    inner = desc.inner_window.contains_exact_batch(P, Q, 2, desc.field.d)
     identity_ok = True
     if isinstance(desc.window, Box):
         fast = _in_inner_box(desc, P, Q)
@@ -209,7 +258,7 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
     count_pr_inner = int(inner.sum())
     count_vis = count_pr - count_pr_inner
     if method == "moebius":
-        m_outer = moebius_count_primitive(desc, D, T)
+        m_outer = moebius_count_primitive(desc, D, T, points=outer)
         m_inner = moebius_count_primitive(desc, D, T,
                                           beta_exp=desc.beta_exp - 1)
         identity_ok = identity_ok and m_outer == count_pr \

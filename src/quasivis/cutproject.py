@@ -72,13 +72,22 @@ class CPSetDesc:
                           inv_mult=self.unit_power_scalar(e),
                           d_field=self.field.d)
 
+    @cached_property
+    def inner_window(self):
+        """The closed window (1/lambda)*beta*W of the visibility test."""
+        return self.scaled_window(extra_exp=-1)
+
     def is_hammarhjelm(self) -> bool:
+        return self._hammarhjelm
+
+    @cached_property
+    def _hammarhjelm(self) -> bool:
         return (self.field.is_pid
                 and self.window.is_centrally_symmetric()
                 and check_hammarhjelm(self.field))
 
     def require_hammarhjelm(self):
-        if not self.is_hammarhjelm():
+        if not self._hammarhjelm:
             raise NotHammarhjelm(
                 f"d={self.field.d} with this window is not a Hammarhjelm example")
 
@@ -152,9 +161,8 @@ def visible_fast(desc: CPSetDesc, x: CPPoint) -> bool:
     desc.require_hammarhjelm()
     if x.is_origin or not gcd_is_one(list(x.quad_coords)):
         return False
-    inner = desc.scaled_window(extra_exp=-1)
     sigma = tuple(q.conj().as_pair() for q in x.quad_coords)
-    return not inner.contains_exact(sigma, desc.field.d)
+    return not desc.inner_window.contains_exact(sigma, desc.field.d)
 
 
 def visible_oracle(desc: CPSetDesc, x: CPPoint, points: list[CPPoint],

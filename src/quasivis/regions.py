@@ -405,22 +405,36 @@ def disc_window(r2=1) -> Ball:
     return Ball.make((0, 0), r2)
 
 
+def _positive(value, name: str) -> Fraction:
+    v = Fraction(str(value))
+    if v <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return v
+
+
 def region_from_spec(spec: dict):
-    """Build a region from a JSON-style spec dict."""
+    """Build a region from a JSON-style spec dict; an empty region (a
+    non-positive half_width or r2, a box side with lo > hi) is rejected."""
     kind = spec["kind"]
     if kind == "box":
-        return Box.make(spec["bounds"],
-                        spec.get("lo_open"), spec.get("hi_open"))
+        box = Box.make(spec["bounds"],
+                       spec.get("lo_open"), spec.get("hi_open"))
+        if any(lo > hi for lo, hi in box.bounds):
+            raise ValueError("box bounds must have lo <= hi")
+        return box
     if kind == "cube":
-        return Box.cube(Fraction(str(spec["half_width"])), spec["dim"])
+        return Box.cube(_positive(spec["half_width"], "half_width"),
+                        spec["dim"])
     if kind == "square":
-        return square_window(Fraction(str(spec.get("half_width", 1))))
+        return square_window(_positive(spec.get("half_width", 1),
+                                       "half_width"))
     if kind == "octagon":
-        return octagon_window(Fraction(str(spec.get("half_width", 1))))
+        return octagon_window(_positive(spec.get("half_width", 1),
+                                        "half_width"))
     if kind == "disc":
-        return disc_window(Fraction(str(spec.get("r2", 1))))
+        return disc_window(_positive(spec.get("r2", 1), "r2"))
     if kind == "ball":
-        return Ball.make(spec["center"], Fraction(str(spec["r2"])))
+        return Ball.make(spec["center"], _positive(spec["r2"], "r2"))
     if kind == "polygon":
         return Polygon.make(spec["vertices"])
     if kind == "product":

@@ -151,6 +151,17 @@ HEXAGON = {"kind": "hexagon"}
     ("random", {**RANDOM_CFG, "n": 4}),         # window is 1-D, not n - d
     ("density", {**DENSITY_CFG, "d": 2**61 - 1}),  # past the PID table
     ("plot", {**PLOT_CFG, "d": 101}),
+    # empty regions, one per kind
+    ("density", {**DENSITY_CFG,
+                 "window": {"kind": "square", "half_width": -1}}),
+    ("plot", {**PLOT_CFG, "window": {"kind": "octagon", "half_width": 0}}),
+    ("random", {**RANDOM_CFG,
+                "omega": {"kind": "cube", "half_width": -1, "dim": 2}}),
+    ("density", {**DENSITY_CFG, "window": {"kind": "disc", "r2": 0}}),
+    ("density", {**DENSITY_CFG, "averaging": {"kind": "ball",
+                                              "center": [0, 0], "r2": -1}}),
+    ("density", {**DENSITY_CFG, "averaging": {
+        "kind": "box", "bounds": [[-1, 1], [1, -1]]}}),
 ])
 def test_config_errors_past_the_schema(tmp_path, command, bad):
     cfg = write_cfg(tmp_path / "cfg.json", bad)
@@ -159,6 +170,24 @@ def test_config_errors_past_the_schema(tmp_path, command, bad):
     assert res.exit_code == EXIT_CONFIG, res.output
     assert "config error:" in res.output
     assert not isinstance(res.exception, (KeyError, ValueError))
+
+
+CUBE1 = {"kind": "cube", "half_width": 1, "dim": 1}
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("density", {**DENSITY_CFG, "dim": 1, "window": CUBE1,
+                 "averaging": CUBE1}),
+    ("plot", {**PLOT_CFG, "dim": 1, "window": CUBE1, "averaging": CUBE1}),
+])
+def test_dim_one_rejected(tmp_path, command, cfg):
+    """zeta_K has a pole at 1 and the plot is planar: dim starts at 2."""
+    res = runner.invoke(main, [command, "--config",
+                               write_cfg(tmp_path / "cfg.json", cfg),
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert "config error:" in res.output
+    assert not any((tmp_path / "o").glob("*"))
 
 
 def test_plot_field_not_squarefree(tmp_path):

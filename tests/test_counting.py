@@ -2,15 +2,20 @@
 rate fitting and the random-lattice experiment."""
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from quasivis import counting
 from quasivis.counting import (
     CountReport,
     DegenerateFit,
+    _divisible_rows,
     _norm_cutoff,
+    _norm_gcd,
     moebius_count_primitive,
     predicted_density_hammarhjelm,
     random_lattice_experiment,
@@ -25,7 +30,19 @@ from quasivis.cutproject import (
     iter_raw,
     visible_fast,
 )
-from quasivis.quadfield import field, fundamental_unit, gcd_is_one, ideal_norms
+from quasivis.lattice import field_point_arrays
+from quasivis.quadfield import (
+    QuadInt,
+    enumerate_ring_box,
+    field,
+    fundamental_unit,
+    gcd_is_one,
+    ideal_from_generators,
+    ideal_norms,
+    int_array,
+    moebius,
+    principal_ideal,
+)
 from quasivis.regions import Box, disc_window, octagon_window, square_window
 
 F2, F5 = field(2), field(5)
@@ -88,6 +105,139 @@ def test_norm_cutoff_bounds_every_master_norm(fld, beta_exp, window, T):
     cutoff = _norm_cutoff(desc, D2, T)
     norms = [abs(x.norm()) for xs in iter_raw(desc, D2, T) for x in xs if x]
     assert norms and max(norms) <= cutoff
+
+
+def ideal_route_count(desc, D, T):
+    """The Moebius sum by ideals, the route the integer-array sum replaced:
+    the distinct ideals generated by the nonzero points, and per g with
+    mu(g) != 0 the multiplicity of those that g's ideal contains."""
+    ideal_mult = Counter(ideal_from_generators(list(xs))
+                         for xs in iter_raw(desc, D, T) if any(xs))
+    cutoff = _norm_cutoff(desc, D, T)
+    total = 0
+    for g in enumerate_ring_box(desc.field, 1,
+                                fundamental_unit(desc.field).value,
+                                -cutoff, cutoff, x_hi_open=True):
+        if abs(g.norm()) > cutoff:
+            continue
+        pg = principal_ideal(g)
+        mu = moebius(pg)
+        if mu:
+            total += mu * sum(m for ix, m in ideal_mult.items()
+                              if pg.contains_ideal(ix))
+    return total
+
+
+# (dim, window, T): a one- and a three-dimensional cube set, and every
+# planar window kind; T = 33/4 puts the averaging box off the integers
+IDEAL_ROUTE_SETS = [(1, "cube1", 7), (1, "cube1", 60), (3, "cube3", 2),
+                    (3, "cube3", 3)]
+IDEAL_ROUTE_SETS += [(2, window, T) for window in ("square", "disc", "octagon")
+                     for T in (5, Fraction(33, 4))]
+
+
+@pytest.mark.parametrize("d", [2, 5, 13])
+@pytest.mark.parametrize("dim,window,T", IDEAL_ROUTE_SETS)
+@pytest.mark.parametrize("beta_exp", [0, -1])
+def test_moebius_matches_ideal_route(d, dim, window, T, beta_exp):
+    desc = CPSetDesc(field=field(d), d=dim, window=WINDOWS[window],
+                     beta_exp=beta_exp)
+    D = Box.cube(1, dim)
+    assert moebius_count_primitive(desc, D, T) == \
+        ideal_route_count(desc, D, T)
+
+
+@pytest.mark.parametrize("fld", [F2, F5])
+@pytest.mark.parametrize("window", ["square", "octagon"])
+def test_moebius_reused_outer_set_equals_fresh_enumeration(fld, window):
+    desc = CPSetDesc(field=fld, d=2, window=WINDOWS[window])
+    T = 15
+    _, P, Q, keep = field_point_arrays(desc.lattice, D2.scaled(T),
+                                       desc.scaled_window())
+    fresh = moebius_count_primitive(desc, D2, T)
+    assert moebius_count_primitive(desc, D2, T,
+                                   points=(P[keep], Q[keep])) == fresh
+    # the same sum on Python ints, as past the int64 guard
+    assert moebius_count_primitive(
+        desc, D2, T, points=(P[keep].astype(object),
+                             Q[keep].astype(object))) == fresh
+    assert fresh == visible_count(desc, D2, T, predicted=1.0).count_pr
+
+
+def test_visible_count_moebius_enumerates_outer_set_once(monkeypatch):
+    calls = []
+
+    def counting_arrays(lat, phys, internal):
+        calls.append(internal)
+        return field_point_arrays(lat, phys, internal)
+
+    monkeypatch.setattr(counting, "field_point_arrays", counting_arrays)
+    desc = desc_for(F5)
+    rep = visible_count(desc, D2, 12, method="moebius", predicted=1.0)
+    assert rep.identity_ok
+    # one outer set, shared with the direct count; one beta-1 inner set
+    assert calls == [desc.scaled_window(), desc.scaled_window(extra_exp=-1)]
+
+
+def _rows(fld, rng, g, size, scale):
+    """Rows of two coordinates of about the given scale: multiples of g,
+    of its conjugate, of g in one coordinate only, and random elements."""
+    big = scale // abs(g.norm())
+
+    def elt(scale):
+        return QuadInt(fld, rng.randint(-scale, scale),
+                       rng.randint(-scale, scale))
+
+    rows = []
+    for _ in range(size):
+        rows.append((g * elt(big), g * elt(big)))
+        rows.append((g.conj() * elt(big), g.conj() * elt(big)))
+        rows.append((g * elt(big), elt(scale)))
+        rows.append((elt(scale), elt(scale)))
+    rows.append((g * elt(big), QuadInt(fld, 0)))
+    return rows
+
+
+@pytest.mark.parametrize("d,g", [
+    (2, (3, 1)),      # 3 + sqrt2, norm 7: a split prime
+    (2, (0, 1)),      # sqrt2, the ramified prime above 2
+    (2, (3, 0)),      # 3, inert
+    (5, (2, 1)),      # 2 + omega, norm 5 = 5 ramified
+    (5, (3, 1)),      # 3 + omega, norm 11: split, odd b
+    (5, (2, 0)),      # 2, inert
+    (13, (2, 1)),     # 2 + omega, norm 3: split
+    (13, (6, 3)),     # 3*(2 + omega), norm 27
+])
+# at 10**14 the squares of the norms leave int64; at 10**18 the products
+# x*sigma(g) of the divisibility test do too
+@pytest.mark.parametrize("scale", [10 ** 14, 10 ** 18])
+def test_norm_gcd_and_divisibility_past_int64(d, g, scale):
+    fld = field(d)
+    g = QuadInt(fld, *g)
+    rows = _rows(fld, random.Random(d * 1000 + g.a * 10 + g.b), g, 6, scale)
+    P = int_array([[x.p for x in row] for row in rows])
+    Q = int_array([[x.q for x in row] for row in rows])
+    G = _norm_gcd(d, P, Q)
+    assert G.dtype == object
+    assert list(G) == [math.gcd(*(abs(x.norm()) for x in row))
+                       for row in rows]
+    got = _divisible_rows(fld, P, Q, g)
+    want = [all(g.divides(x) for x in row) for row in rows]
+    assert list(got) == want
+    assert any(want) and not all(want)
+    # some multiples of the conjugate are not multiples of g itself, so
+    # testing x*g in place of x*sigma(g) would show
+    assert g.divides(g.conj()) or not all(want[1::4])
+
+
+def test_norm_gcd_of_zero_row_and_zero_coordinate():
+    fld = F2
+    rows = [(QuadInt(fld, 0), QuadInt(fld, 0)),
+            (QuadInt(fld, 0), QuadInt(fld, 3, 1)),
+            (QuadInt(fld, 2), QuadInt(fld, 0, 2))]
+    P = int_array([[x.p for x in row] for row in rows])
+    Q = int_array([[x.q for x in row] for row in rows])
+    assert list(_norm_gcd(2, P, Q)) == [0, 7, 4]
 
 
 def test_moebius_tiny_T_only_unit_term():

@@ -99,6 +99,31 @@ def test_hammarhjelm_checked_once_per_field(monkeypatch):
         quadfield.check_hammarhjelm.cache_clear()
 
 
+def test_visible_fast_per_set_work_once_per_desc(monkeypatch):
+    """The window symmetry test and the inner window lambda^(-1)*beta*W
+    are computed once per set description, not once per point."""
+    from quasivis.regions import Polygon
+    calls = []
+    symmetric = Polygon.is_centrally_symmetric
+    scaled = CPSetDesc.scaled_window
+
+    def counting_symmetric(self):
+        calls.append("symmetric")
+        return symmetric(self)
+
+    def counting_scaled(self, extra_exp=0):
+        calls.append(extra_exp)
+        return scaled(self, extra_exp)
+
+    pts = generate(CPSetDesc(field=F2, d=2, window=octagon_window(1)), D2, 6)
+    monkeypatch.setattr(Polygon, "is_centrally_symmetric", counting_symmetric)
+    monkeypatch.setattr(CPSetDesc, "scaled_window", counting_scaled)
+    desc = CPSetDesc(field=F2, d=2, window=octagon_window(1))
+    vis = [visible_fast(desc, p) for p in pts]
+    assert len(pts) > 10 and any(vis) and not all(vis)
+    assert sorted(calls, key=str) == [-1, "symmetric"]
+
+
 def test_visible_fast_gcd_blocker():
     desc = desc_for(F2)
     pts = {p.quad_coords: p for p in generate(desc, D2, 5)}
