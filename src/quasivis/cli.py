@@ -104,9 +104,9 @@ def _config_errors():
     """Exit with EXIT_CONFIG when building objects from a schema-valid config
     fails: an unknown region kind, a missing key, a d that is not
     squarefree in [2, 100], regions of the wrong dimension, a field that
-    is not a Hammarhjelm example; or when an argument click does not type
-    is rejected, such as a --subspace of the wrong length or a NaN
-    --radius."""
+    is not a Hammarhjelm example, a random-lattice box too large to index
+    in int64; or when an argument click does not type is rejected, such as
+    a --subspace of the wrong length or a NaN --radius."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:
@@ -326,9 +326,10 @@ def cmd_random(config_path, seed, out):
         click.echo("config error: omega and window dimensions must be d "
                    "and n - d", err=True)
         sys.exit(EXIT_CONFIG)
-    res = counting.random_lattice_experiment(
-        n=cfg["n"], d=cfg["d"], window=window, omega=omega,
-        T_list=cfg["T_grid"], samples=cfg["samples"], seed=cfg["seed"])
+    with _config_errors():  # such as a box past int64
+        res = counting.random_lattice_experiment(
+            n=cfg["n"], d=cfg["d"], window=window, omega=omega,
+            T_list=cfg["T_grid"], samples=cfg["samples"], seed=cfg["seed"])
     doc = _header(cfg, "float")
     doc["result"] = res
     out_dir = Path(out)

@@ -17,6 +17,7 @@ from .quadfield import (
     QuadInt,
     as_scalar,
     dedekind_zeta_highprec,
+    floor_quad,
     fundamental_unit,
     ideal_norms,
     int_lin,
@@ -24,8 +25,7 @@ from .quadfield import (
     iter_ring_box,
     moebius_of_element,
     omega_coords,
-    quad_floor,
-    quad_sign,
+    over_common_den,
     quad_sign_array,
 )
 from .regions import Box, s_float
@@ -107,13 +107,13 @@ def _norm_cutoff(desc: CPSetDesc, D, T) -> int:
     Returns floor(R_T*R_W) + 1, computed exactly."""
     d = desc.field.d
     r_t = Fraction(T) * max(max(abs(lo), abs(hi)) for lo, hi in D.bbox())
-    products = []
-    for b in (b for lohi in desc.scaled_window().bbox() for b in lohi):
-        A, B = as_scalar(b)
-        if quad_sign(A, B, d) < 0:
-            A, B = -A, -B
-        products.append(quad_floor(r_t * A, r_t * B, d))
-    return max(products) + 1
+    # R_T = r/L and each bound of the window (a + b*sqrt(d))/L; the floor
+    # of R_T*|bound| is the larger floor of the two signs
+    (r, *nums), L = over_common_den(
+        [r_t, *(c for lohi in desc.scaled_window().bbox() for bound in lohi
+                for c in as_scalar(bound))])
+    return 1 + max(floor_quad(s * r * a, s * r * b, L * L, d)
+                   for a, b in zip(nums[::2], nums[1::2]) for s in (1, -1))
 
 
 def _norm_gcd(d: int, P: np.ndarray, Q: np.ndarray) -> np.ndarray:

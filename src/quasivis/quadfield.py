@@ -81,19 +81,19 @@ def quad_sign(A, B, d: int) -> int:
     return sA if lhs > rhs else sB
 
 
-def quad_floor(A, B, d: int) -> int:
-    """Exact floor of A + B*sqrt(d)."""
-    k = math.floor(float(A) + float(B) * math.sqrt(d))
-    # Correct any float rounding with exact comparisons.
-    while quad_sign(A - (k + 1), B, d) >= 0:
-        k += 1
-    while quad_sign(A - k, B, d) < 0:
-        k -= 1
-    return k
+def floor_quad(a: int, b: int, c: int, d: int) -> int:
+    """Exact floor of (a + b*sqrt(d))/c for integers a, b and c > 0: it is
+    (a + floor(b*sqrt(d))) // c, and floor(b*sqrt(d)) is isqrt(b^2*d), or
+    -isqrt(b^2*d) - 1 for b < 0 (b^2*d is no square for squarefree d > 1)."""
+    f = isqrt(b * b * d)
+    return (a + (f if b >= 0 else -f - 1)) // c
 
 
-def quad_ceil(A, B, d: int) -> int:
-    return -quad_floor(-A, -B, d)
+def over_common_den(values) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    fr = [Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fr))
+    return [f.numerator * (den // f.denominator) for f in fr], den
 
 
 # Batch versions on integer arrays.  Every result is exact: an operation runs
@@ -893,50 +893,37 @@ def iter_ring_box(fld: FieldDesc, x_lo, x_hi, y_lo, y_hi,
                   x_lo_open: bool = False, x_hi_open: bool = False,
                   y_lo_open: bool = False, y_hi_open: bool = False):
     """Yield ring elements whose embeddings (x, sigma(x)) lie in the box,
-    in ascending order of trace.  Bounds may be rational or QuadInt; all
-    membership decisions are exact."""
+    in ascending order of trace.  Bounds may be rational, (A, B) pairs or
+    QuadInt; all membership decisions are exact, in integers."""
     d = fld.d
-    xloA, xloB = as_scalar(x_lo)
-    xhiA, xhiB = as_scalar(x_hi)
-    yloA, yloB = as_scalar(y_lo)
-    yhiA, yhiB = as_scalar(y_hi)
-    if quad_sign(xhiA - xloA, xhiB - xloB, d) < 0 or \
-            quad_sign(yhiA - yloA, yhiB - yloB, d) < 0:
+    # each bound as (a + b*sqrt(d))/L, over one common denominator L
+    (xla, xlb, xha, xhb, yla, ylb, yha, yhb), L = over_common_den(
+        [c for bound in (x_lo, x_hi, y_lo, y_hi) for c in as_scalar(bound)])
+    if quad_sign(xha - xla, xhb - xlb, d) < 0 or \
+            quad_sign(yha - yla, yhb - ylb, d) < 0:
         return
-    # p = x + sigma(x), q*sqrt(d) = x - sigma(x)
-    p_lo = quad_ceil(xloA + yloA, xloB + yloB, d)
-    p_hi = quad_floor(xhiA + yhiA, xhiB + yhiB, d)
+    # x = (p + q*sqrt(d))/2: p = x + sigma(x), q*sqrt(d) = x - sigma(x)
+    p_lo = -floor_quad(-xla - yla, -xlb - ylb, L, d)
+    p_hi = floor_quad(xha + yha, xhb + yhb, L, d)
 
-    def q_min(A, B, is_open):
-        """Least integer q with q >= A + B*sqrt(d), or > on an open side."""
-        return quad_floor(A, B, d) + 1 if is_open else quad_ceil(A, B, d)
+    def q_min(a, b, is_open):
+        """Least integer q >= (a + b*sqrt(d))/(L*d), or > on an open side."""
+        if is_open:
+            return floor_quad(a, b, L * d, d) + 1
+        return -floor_quad(-a, -b, L * d, d)
 
-    def q_max(A, B, is_open):
-        """Greatest integer q with q <= A + B*sqrt(d), or < on an open side."""
-        return quad_ceil(A, B, d) - 1 if is_open else quad_floor(A, B, d)
-
-    for p in range(p_lo, p_hi + 1):
-        if not fld.half and p % 2:
-            continue
-        # Each side of the box is one bound on q*sqrt(d) at this p, exactly:
-        # x >= x_lo and sigma(x) <= y_hi bound q from below, x <= x_hi and
-        # sigma(x) >= y_lo from above.
-        q_lo = max(q_min(2 * xloB, Fraction(2 * xloA - p, d), x_lo_open),
-                   q_min(-2 * yhiB, Fraction(p - 2 * yhiA, d), y_hi_open))
-        q_hi = min(q_max(2 * xhiB, Fraction(2 * xhiA - p, d), x_hi_open),
-                   q_max(-2 * yloB, Fraction(p - 2 * yloA, d), y_lo_open))
-        for q in range(q_lo, q_hi + 1):
-            if fld.half:
-                if (p - q) % 2:
-                    continue
-            elif q % 2:
-                continue
+    # q = p (mod 2), and p is even unless d = 1 (mod 4)
+    step = 1 if fld.half else 2
+    for p in range(p_lo + p_lo % step, p_hi + 1, step):
+        # Each side is one bound on q at this p, e.g. x >= (a + b*sqrt(d))/L
+        # iff q >= (2b*d + (2a - p*L)*sqrt(d))/(L*d); x <= x_hi and
+        # sigma(x) >= y_lo bound -q from below.
+        q_lo = max(q_min(2 * xlb * d, 2 * xla - p * L, x_lo_open),
+                   q_min(-2 * yhb * d, p * L - 2 * yha, y_hi_open))
+        q_hi = -max(q_min(-2 * xhb * d, p * L - 2 * xha, x_hi_open),
+                    q_min(2 * ylb * d, 2 * yla - p * L, y_lo_open))
+        for q in range(q_lo + (q_lo - p) % 2, q_hi + 1, 2):
             yield QuadInt.from_pq(fld, p, q)
-
-
-def enumerate_ring_box(fld: FieldDesc, x_lo, x_hi, y_lo, y_hi,
-                       **flags) -> list[QuadInt]:
-    return list(iter_ring_box(fld, x_lo, x_hi, y_lo, y_hi, **flags))
 
 
 def hammarhjelm_witness(fld: FieldDesc) -> QuadInt | None:

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quadfield import as_scalar, int_lin, int_mul, quad_sign, quad_sign_array
+from .quadfield import (as_scalar, int_lin, int_mul, over_common_den,
+                        quad_sign, quad_sign_array)
 
 Scalar = tuple[Fraction, Fraction]  # A + B*sqrt(d)
 
@@ -28,13 +29,6 @@ def s_mul(x: Scalar, y: Scalar, d: int) -> Scalar:
 
 def s_float(x: Scalar, d: int) -> float:
     return float(x[0]) + float(x[1]) * math.sqrt(d)
-
-
-def _over_common_den(values) -> tuple[list[int], int]:
-    """Rationals as integer numerators over their least common denominator."""
-    fr = [Fraction(v) for v in values]
-    den = math.lcm(*(f.denominator for f in fr))
-    return [f.numerator * (den // f.denominator) for f in fr], den
 
 
 # status codes for float membership
@@ -86,7 +80,7 @@ class Box:
                              d: int) -> np.ndarray:
         """contains_exact for each point (P + Q*sqrt(d))/den, den > 0."""
         lo_open, hi_open = self._flags()
-        nums, L = _over_common_den([b for lohi in self.bounds for b in lohi])
+        nums, L = over_common_den([b for lohi in self.bounds for b in lohi])
         inside = np.ones(len(P), dtype=bool)
         for i in range(self.dim):
             # L*den*(w - lo) and L*den*(hi - w) as A + B*sqrt(d)
@@ -156,7 +150,7 @@ class Ball:
     def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
                              d: int) -> np.ndarray:
         """contains_exact for each point (P + Q*sqrt(d))/den, den > 0."""
-        cn, L = _over_common_den(self.center)
+        cn, L = over_common_den(self.center)
         # den*L*(w_i - c_i) = X_i + Y_i*sqrt(d)
         X = [int_lin([(L, P[:, i])], -den * c) for i, c in enumerate(cn)]
         Y = [int_lin([(L, Q[:, i])]) for i in range(self.dim)]
@@ -239,7 +233,7 @@ class Polygon:
     def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
                              d: int) -> np.ndarray:
         """contains_exact for each point (P + Q*sqrt(d))/den, den > 0."""
-        nums, L = _over_common_den([c for v in self.vertices for c in v])
+        nums, L = over_common_den([c for v in self.vertices for c in v])
         vs = list(zip(nums[::2], nums[1::2]))
         inside = np.ones(len(P), dtype=bool)
         for (x1, y1), (x2, y2) in zip(vs, vs[1:] + vs[:1]):
@@ -280,6 +274,15 @@ class Polygon:
     def scaled(self, t) -> "Polygon":
         t = Fraction(t)
         return Polygon(tuple((x * t, y * t) for x, y in self.vertices))
+
+    def is_strictly_convex(self) -> bool:
+        """At least 3 vertices, and each lies strictly left of every edge
+        it is not an endpoint of."""
+        vs, k = self.vertices, len(self.vertices)
+        return k >= 3 and all(
+            (x2 - x1) * (vs[j][1] - y1) - (y2 - y1) * (vs[j][0] - x1) > 0
+            for i, ((x1, y1), (x2, y2)) in enumerate(self._edges())
+            for j in range(k) if j not in (i, (i + 1) % k))
 
     def is_centrally_symmetric(self) -> bool:
         vs = set(self.vertices)
@@ -351,7 +354,7 @@ class UnitScaled:
 
     def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
                              d: int) -> np.ndarray:
-        (ma, mb), m = _over_common_den(self.mult)
+        (ma, mb), m = over_common_den(self.mult)
         # (P + Q*sqrt(d))/den * (ma + mb*sqrt(d))/m
         return self.base.contains_exact_batch(
             int_lin([(ma, P), (mb * d, Q)]), int_lin([(mb, P), (ma, Q)]),
@@ -413,14 +416,18 @@ def _positive(value, name: str) -> Fraction:
 
 
 def region_from_spec(spec: dict):
-    """Build a region from a JSON-style spec dict; an empty region (a
-    non-positive half_width or r2, a box side with lo > hi) is rejected."""
+    """Build a region from a JSON-style spec dict.  Rejected: an empty region
+    (a non-positive half_width or r2, a box side with lo > hi), box open
+    flags of the wrong length, a polygon not strictly convex in ccw order."""
     kind = spec["kind"]
     if kind == "box":
         box = Box.make(spec["bounds"],
                        spec.get("lo_open"), spec.get("hi_open"))
         if any(lo > hi for lo, hi in box.bounds):
             raise ValueError("box bounds must have lo <= hi")
+        if any(len(spec.get(key, box.bounds)) != box.dim
+               for key in ("lo_open", "hi_open")):
+            raise ValueError("lo_open and hi_open need one entry per bound")
         return box
     if kind == "cube":
         return Box.cube(_positive(spec["half_width"], "half_width"),
@@ -436,7 +443,10 @@ def region_from_spec(spec: dict):
     if kind == "ball":
         return Ball.make(spec["center"], _positive(spec["r2"], "r2"))
     if kind == "polygon":
-        return Polygon.make(spec["vertices"])
+        poly = Polygon.make(spec["vertices"])
+        if not poly.is_strictly_convex():
+            raise ValueError("polygon must be strictly convex in ccw order")
+        return poly
     if kind == "product":
         return Product(region_from_spec(spec["left"]),
                        region_from_spec(spec["right"]))

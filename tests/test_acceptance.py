@@ -34,9 +34,9 @@ from quasivis.lattice import (
 )
 from quasivis.quadfield import (
     dedekind_zeta_highprec,
-    enumerate_ring_box,
     field,
     fundamental_unit,
+    iter_ring_box,
     norm,
     zeta_hurwitz,
     zeta_lseries,
@@ -102,8 +102,8 @@ def test_criterion_02_fundamental_units():
         for d in (2, 5, 13):
             fld = field(d)
             lam = fundamental_unit(fld).value
-            between = enumerate_ring_box(fld, 1, lam, -1, 1,
-                                         x_lo_open=True, x_hi_open=True)
+            between = iter_ring_box(fld, 1, lam, -1, 1,
+                                    x_lo_open=True, x_hi_open=True)
             assert all(abs(norm(u)) != 1 for u in between)
 
 

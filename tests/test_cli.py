@@ -138,6 +138,10 @@ def test_non_positive_T_rejected(tmp_path, command, bad):
 
 
 HEXAGON = {"kind": "hexagon"}
+CW_SQUARE = {"kind": "polygon", "vertices": [[1, 0], [0, -1], [-1, 0], [0, 1]]}
+NONCONVEX_HEXAGON = {"kind": "polygon", "vertices": [
+    [3, 0], [1, 1], [0, 3], [-3, 0], [-1, -1], [0, -3]]}
+TWO_VERTICES = {"kind": "polygon", "vertices": [[1, 0], [-1, 0]]}
 
 
 @pytest.mark.parametrize("command,bad", [
@@ -162,6 +166,23 @@ HEXAGON = {"kind": "hexagon"}
                                               "center": [0, 0], "r2": -1}}),
     ("density", {**DENSITY_CFG, "averaging": {
         "kind": "box", "bounds": [[-1, 1], [1, -1]]}}),
+    # polygons that are not strictly convex in ccw order
+    ("density", {**DENSITY_CFG, "window": CW_SQUARE}),
+    ("plot", {**PLOT_CFG, "window": CW_SQUARE}),
+    ("density", {**DENSITY_CFG, "window": NONCONVEX_HEXAGON}),
+    ("plot", {**PLOT_CFG, "window": NONCONVEX_HEXAGON}),
+    ("density", {**DENSITY_CFG, "window": TWO_VERTICES}),
+    ("plot", {**PLOT_CFG, "window": TWO_VERTICES}),
+    # open flags of the wrong length
+    ("density", {**DENSITY_CFG, "averaging": {
+        "kind": "box", "bounds": [[-1, 1], [-1, 1]], "lo_open": [True]}}),
+    ("plot", {**PLOT_CFG, "averaging": {
+        "kind": "box", "bounds": [[-1, 1], [-1, 1]],
+        "hi_open": [True, False, True]}}),
+    ("density", {**DENSITY_CFG, "averaging": {
+        "kind": "box", "bounds": [[-1, 1], [-1, 1]], "lo_open": []}}),
+    # a preimage box past int64, rejected before anything is allocated
+    ("random", {**RANDOM_CFG, "T_grid": [1e9]}),
 ])
 def test_config_errors_past_the_schema(tmp_path, command, bad):
     cfg = write_cfg(tmp_path / "cfg.json", bad)

@@ -33,13 +33,13 @@ from quasivis.cutproject import (
 from quasivis.lattice import field_point_arrays
 from quasivis.quadfield import (
     QuadInt,
-    enumerate_ring_box,
     field,
     fundamental_unit,
     gcd_is_one,
     ideal_from_generators,
     ideal_norms,
     int_array,
+    iter_ring_box,
     moebius,
     principal_ideal,
 )
@@ -115,9 +115,9 @@ def ideal_route_count(desc, D, T):
                          for xs in iter_raw(desc, D, T) if any(xs))
     cutoff = _norm_cutoff(desc, D, T)
     total = 0
-    for g in enumerate_ring_box(desc.field, 1,
-                                fundamental_unit(desc.field).value,
-                                -cutoff, cutoff, x_hi_open=True):
+    for g in iter_ring_box(desc.field, 1,
+                           fundamental_unit(desc.field).value,
+                           -cutoff, cutoff, x_hi_open=True):
         if abs(g.norm()) > cutoff:
             continue
         pg = principal_ideal(g)

@@ -78,8 +78,39 @@ def test_region_from_spec_roundtrip():
                            "left": {"kind": "cube", "half_width": 1, "dim": 2},
                            "right": {"kind": "disc", "r2": 2}})
     assert pr.dim == 4
+    box = region_from_spec({"kind": "box", "bounds": [[-1, 1], [-1, 1]],
+                            "lo_open": [True, False]})
+    assert box.lo_open == (True, False)
     with pytest.raises(ValueError):
         region_from_spec({"kind": "frisbee"})
+
+
+SQUARE_CCW = [[1, 0], [0, 1], [-1, 0], [0, -1]]
+
+
+@pytest.mark.parametrize("vertices", [
+    SQUARE_CCW,
+    [[0, 0], [1, 0], [0, 1]],
+    [[Fraction(1, 3), Fraction(-2, 7)], [5, 1], [Fraction(-1, 2), 4]],
+])
+def test_polygon_spec_accepts_strictly_convex_ccw(vertices):
+    assert region_from_spec({"kind": "polygon", "vertices": vertices}) \
+        .is_strictly_convex()
+    assert octagon_window(1).is_strictly_convex()
+
+
+# the clockwise, non-convex and 2-vertex cases run through the CLI in
+# tests/test_cli.py
+@pytest.mark.parametrize("vertices", [
+    [[4, 0], [0, 4], [-4, 0], [0, 1]],                   # reflex at (0, 1)
+    [[1, 0], [1, 1], [0, 1], [-1, 1], [-1, -1]],       # (0, 1) on an edge
+    [[1, 0], [0, 1], [0, 1], [-1, 0], [0, -1]],        # a repeated vertex
+    [[1, 0], [0, 1], [-1, 0], [0, -1], [1, 0], [0, 1],
+     [-1, 0], [0, -1]],                                  # wound twice
+])
+def test_polygon_spec_rejects_other_vertex_lists(vertices):
+    with pytest.raises(ValueError):
+        region_from_spec({"kind": "polygon", "vertices": vertices})
 
 
 def test_unit_scaled_membership():

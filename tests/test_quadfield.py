@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quasivis.quadfield import (
     AllZero,
@@ -15,17 +15,18 @@ from quasivis.quadfield import (
     NotPID,
     PID_D,
     QuadInt,
+    as_scalar,
     TolTooTight,
     check_hammarhjelm,
     count_ideals_of_norm,
     count_ideals_of_norm_slow,
     dedekind_zeta,
     dedekind_zeta_highprec,
-    enumerate_ring_box,
     exact_compare,
     factor_ideal,
     factorint,
     field,
+    floor_quad,
     fundamental_unit,
     gcd_is_one,
     hammarhjelm_witness,
@@ -35,6 +36,7 @@ from quasivis.quadfield import (
     int_mul,
     ideal_from_generators,
     ideal_norms,
+    iter_ring_box,
     moebius,
     moebius_of_element,
     norm,
@@ -103,6 +105,27 @@ def test_int_ops_leave_int64_past_the_guard():
     assert int_lin([(2**30, small)], 1).tolist() == [3 * 2**30 + 1,
                                                       1 - 2**70]
     assert int_lin([(5, small)], -1).dtype == np.int64
+
+
+BIG = 10**30
+
+
+@settings(max_examples=400)
+@given(st.integers(-BIG, BIG) | st.integers(-40, 40),
+       st.integers(-BIG, BIG) | st.integers(-40, 40) | st.just(0),
+       st.integers(1, 10**6) | st.integers(1, 4),
+       st.sampled_from(sorted(PID_D)))
+# a + b*sqrt(d) just above 0 and just below c, past 2^64, for both signs of b
+@example(-math.isqrt(2 * BIG**2), BIG, 1, 2)
+@example(math.isqrt(2 * BIG**2) + 1, -BIG, 1, 2)
+@example(10**6 + math.isqrt(97 * BIG**2), -BIG, 10**6, 97)
+@example(-7, 0, 3, 5)
+@example(0, -1, 1, 2)
+def test_floor_quad_matches_sign_oracle(a, b, c, d):
+    """k = floor((a + b*sqrt(d))/c) iff a + b*sqrt(d) - k*c >= 0 and
+    a + b*sqrt(d) - (k + 1)*c < 0, decided by quad_sign alone."""
+    k = floor_quad(a, b, c, d)
+    assert quad_sign(a - k * c, b, d) >= 0 > quad_sign(a - (k + 1) * c, b, d)
 
 
 qints = st.builds(lambda a, b: QuadInt(F2, a, b),
@@ -176,8 +199,8 @@ def test_unit_minimality_exhaustive(d):
     box (1, lambda) x [-1, 1] since |sigma(u)| = 1/|u| < 1."""
     fld = field(d)
     lam = fundamental_unit(fld).value
-    between = enumerate_ring_box(fld, 1, lam, -1, 1,
-                                 x_lo_open=True, x_hi_open=True)
+    between = iter_ring_box(fld, 1, lam, -1, 1,
+                            x_lo_open=True, x_hi_open=True)
     assert all(abs(norm(u)) != 1 for u in between)
 
 
@@ -422,39 +445,52 @@ def test_zeta_tol_too_tight():
 
 def test_ring_box_d5_hammarhjelm_empty():
     lam = fundamental_unit(F5).value
-    assert enumerate_ring_box(F5, 1, lam, -1, 1,
-                              x_lo_open=True, x_hi_open=True) == []
+    assert list(iter_ring_box(F5, 1, lam, -1, 1,
+                              x_lo_open=True, x_hi_open=True)) == []
 
 
 def test_ring_box_d3_nonempty():
     f3 = field(3)
     lam = fundamental_unit(f3).value
-    assert enumerate_ring_box(f3, 1, lam, -1, 1,
-                              x_lo_open=True, x_hi_open=True) != []
+    assert list(iter_ring_box(f3, 1, lam, -1, 1,
+                              x_lo_open=True, x_hi_open=True)) != []
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7, 13])
 def test_ring_box_open_unit_square_empty(d):
-    assert enumerate_ring_box(field(d), 0, 1, 0, 1,
+    assert list(iter_ring_box(field(d), 0, 1, 0, 1,
                               x_lo_open=True, x_hi_open=True,
-                              y_lo_open=True, y_hi_open=True) == []
+                              y_lo_open=True, y_hi_open=True)) == []
 
 
 def _ring_box_bound(fld, rng):
-    """A rational, or a small ring element that enumerated elements (or
-    their conjugates) can hit exactly."""
-    if rng.random() < 0.5:
+    """A rational; a small ring element that enumerated elements (or their
+    conjugates) can hit exactly; or an (A, B) pair A + B*sqrt(d) whose
+    sqrt(d) part has denominator 2, 3 or 7, as UnitScaled bounding boxes
+    give."""
+    kind = rng.randrange(3)
+    if kind == 0:
         return Fraction(rng.randint(-40, 40), rng.randint(1, 3))
-    return fld.element(rng.randint(-15, 15), rng.randint(-8, 8))
+    if kind == 1:
+        return fld.element(rng.randint(-15, 15), rng.randint(-8, 8))
+    return (Fraction(rng.randint(-20, 20), rng.randint(1, 3)),
+            Fraction(rng.randint(-20, 20), rng.choice([2, 3, 7])))
 
 
-def _within(v, lo, hi, lo_open, hi_open):
-    c_lo, c_hi = v.compare(lo), v.compare(hi)
+def _cmp(v, bound):
+    """Exact sign of v - bound for a QuadInt v and any ring-box bound."""
+    A, B = as_scalar(bound)
+    return quad_sign(Fraction(v.p, 2) - A, Fraction(v.q, 2) - B, v.field.d)
+
+
+def _within(signs, lo_open, hi_open):
+    c_lo, c_hi = signs
     return (c_lo > 0 or (c_lo == 0 and not lo_open)) and \
         (c_hi < 0 or (c_hi == 0 and not hi_open))
 
 
-@pytest.mark.parametrize("fld", [F2, F5])
+# d = 2, 3 (mod 4) and d = 1 (mod 4)
+@pytest.mark.parametrize("fld", [F2, F5, field(3), F13])
 def test_ring_box_matches_direct_scan(fld):
     import itertools
     import random
@@ -462,29 +498,37 @@ def test_ring_box_matches_direct_scan(fld):
     a, b = np.meshgrid(np.arange(-200, 201), np.arange(-120, 121))
     fx = a + b * float(fld.omega)
     fs = a + b * fld.omega.conj_float()
+    sqrt_d = math.sqrt(fld.d)
+
+    def approx(bound):
+        A, B = as_scalar(bound)
+        return float(A) + float(B) * sqrt_d
+
     on_boundary = 0
-    for _ in range(25):
+    for _ in range(40):
         xlo, xhi = sorted([_ring_box_bound(fld, rng),
-                           _ring_box_bound(fld, rng)], key=float)
+                           _ring_box_bound(fld, rng)], key=approx)
         ylo, yhi = sorted([_ring_box_bound(fld, rng),
-                           _ring_box_bound(fld, rng)], key=float)
+                           _ring_box_bound(fld, rng)], key=approx)
         # a float superset of the box, decided exactly below
-        mask = (float(xlo) - 1 <= fx) & (fx <= float(xhi) + 1) & \
-            (float(ylo) - 1 <= fs) & (fs <= float(yhi) + 1)
-        near = [fld.element(int(ai), int(bi))
-                for ai, bi in zip(a[mask], b[mask])]
+        mask = (approx(xlo) - 1 <= fx) & (fx <= approx(xhi) + 1) & \
+            (approx(ylo) - 1 <= fs) & (fs <= approx(yhi) + 1)
+        assert not (mask[[0, -1]].any() or mask[:, [0, -1]].any())
+        near = []
+        for ai, bi in zip(a[mask], b[mask]):
+            x = fld.element(int(ai), int(bi))
+            near.append((x, (_cmp(x, xlo), _cmp(x, xhi)),
+                         (_cmp(x.conj(), ylo), _cmp(x.conj(), yhi))))
         for flags in itertools.product([False, True], repeat=4):
-            got = set(enumerate_ring_box(
+            got = set(iter_ring_box(
                 fld, xlo, xhi, ylo, yhi, **dict(zip(
                     ["x_lo_open", "x_hi_open", "y_lo_open", "y_hi_open"],
                     flags))))
-            want = {x for x in near
-                    if _within(x, xlo, xhi, flags[0], flags[1])
-                    and _within(x.conj(), ylo, yhi, flags[2], flags[3])}
+            want = {x for x, cx, cy in near
+                    if _within(cx, flags[0], flags[1])
+                    and _within(cy, flags[2], flags[3])}
             assert got == want, (xlo, xhi, ylo, yhi, flags)
-        on_boundary += sum(x.compare(bd) == 0 for x in near
-                           for bd in (xlo, xhi)) + \
-            sum(x.conj().compare(bd) == 0 for x in near for bd in (ylo, yhi))
+        on_boundary += sum((*cx, *cy).count(0) for _, cx, cy in near)
     assert on_boundary > 0
 
 
