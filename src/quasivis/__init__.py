@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .quadfield import (  # noqa: F401
     FieldDesc,
     FundamentalUnit,
-    IdealHNF,
     QuadInt,
     field,
     fundamental_unit,

@@ -23,7 +23,7 @@ from .quadfield import (
     int_lin,
     int_mul,
     iter_ring_box,
-    moebius_of_element,
+    moebius,
     omega_coords,
     over_common_den,
     quad_sign_array,
@@ -187,7 +187,7 @@ def moebius_count_primitive(desc: CPSetDesc, D, T,
         groups = np.flatnonzero(G_values % n == 0)
         if not len(groups):
             continue
-        mu = moebius_of_element(g)
+        mu = moebius(g)
         if mu == 0:
             continue
         rows = np.r_[tuple(slices[j] for j in groups)]

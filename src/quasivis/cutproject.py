@@ -1,6 +1,6 @@
 """Cut-and-project sets over Minkowski-embedded field lattices: generation,
-exact visibility classification, primitive points, sublattices and
-strict-inclusion witnesses.
+exact visibility classification, sublattices and strict-inclusion
+witnesses.
 
 Visibility is decided two independent ways, both in exact arithmetic: the
 fast gcd/window characterization on Hammarhjelm examples, and the
@@ -9,7 +9,6 @@ origin and compares exact lengths along it."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,13 +127,6 @@ class CPPoint:
     def norm_phys(self) -> float:
         return math.hypot(*self.coords_phys)
 
-    def to_json(self) -> dict:
-        return {
-            "coords": [x.to_json() for x in self.quad_coords],
-            "phys": list(self.coords_phys),
-            "internal": list(self.coords_int),
-        }
-
 
 def _make_point(xs: tuple[QuadInt, ...]) -> CPPoint:
     return CPPoint(
@@ -182,15 +174,6 @@ def visible_oracle(desc: CPSetDesc, x: CPPoint, points: list[CPPoint],
             raise InsufficientCover("x outside the covered region")
     key, length = x.ray
     return not any(p.ray[0] == key and p.ray[1] < length for p in points)
-
-
-def primitive_points(desc: CPSetDesc, D, T) -> list[CPPoint]:
-    """Points whose quadratic-integer coordinates generate the unit ideal."""
-    out = []
-    for p in generate(desc, D, T):
-        if not p.is_origin and gcd_is_one(list(p.quad_coords)):
-            out.append(p)
-    return out
 
 
 @dataclass(frozen=True)
@@ -313,13 +296,3 @@ def points_to_csv(points: list[CPPoint], visible: list[bool] | None = None) -> s
         row.append("" if visible is None else str(int(visible[k])))
         lines.append(",".join(row) + "\n")
     return "".join(lines)
-
-
-def points_to_json(points: list[CPPoint], visible: list[bool] | None = None) -> str:
-    docs = []
-    for k, p in enumerate(points):
-        doc = p.to_json()
-        if visible is not None:
-            doc["visible"] = bool(visible[k])
-        docs.append(doc)
-    return json.dumps(docs, indent=1)

@@ -1,9 +1,10 @@
 """Exact arithmetic in real quadratic fields K = Q(sqrt(d)) with PID ring of integers.
 
-Elements, units, ideals in Hermite normal form, ideal factorization, the
-Moebius function, ideal counting and the Dedekind zeta function.  Every
-correctness-bearing comparison is an exact integer sign computation; floats
-appear only as convenience approximations.
+Elements, units, ideal norms and gcd tests from 2x2 minors, the Moebius
+function of a principal ideal from its norm and the Kronecker symbol, and
+the Dedekind zeta function.  Every correctness-bearing comparison is an
+exact integer sign computation; floats appear only as convenience
+approximations.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from math import gcd, isqrt
 
 import mpmath
 import numpy as np
-
-
-class AllZero(ValueError):
-    """Every supplied generator was zero."""
 
 
 class NotPID(ValueError):
@@ -40,6 +37,8 @@ PID_D = frozenset(
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization {p: e} of n >= 1 by trial division, primes
     ascending."""
+    if n < 1:
+        raise ValueError(f"factorint needs n >= 1, got {n}")
     out = {}
     p = 2
     while p * p <= n:
@@ -357,24 +356,8 @@ class QuadInt:
         z = other * self.conj()
         return z.a % abs(n) == 0 and z.b % abs(n) == 0
 
-    def to_json(self) -> dict:
-        return {"a": str(self.a), "b": str(self.b), "d": self.field.d}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "QuadInt":
-        return cls(field(int(doc["d"])), int(doc["a"]), int(doc["b"]))
-
     def __repr__(self):
         return f"QuadInt(d={self.field.d}, {self.a} + {self.b}*omega)"
-
-
-def norm(x: QuadInt) -> int:
-    return x.norm()
-
-
-def exact_compare(x: QuadInt, r) -> int:
-    """Sign of x - r in the real embedding; r rational or QuadInt."""
-    return x.compare(r)
 
 
 # ---------------------------------------------------------------------------
@@ -424,147 +407,7 @@ def fundamental_unit(fld: FieldDesc) -> FundamentalUnit:
 
 
 # ---------------------------------------------------------------------------
-# Ideals in Hermite normal form
-
-
-def _extgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qq = old_r // r
-        old_r, r = r, old_r - qq * r
-        old_s, s = s, old_s - qq * s
-        old_t, t = t, old_t - qq * t
-    return old_r, old_s, old_t
-
-
-def _hnf2(vecs: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """HNF (a, b, c) of the Z-module spanned by vectors u + v*omega.
-
-    Columns are (a, 0) and (b, c) with 0 <= b < a, i.e. generators a and
-    b + c*omega over Z.
-    """
-    vg = 0
-    ug = 0
-    firsts = []
-    for u, v in vecs:
-        if v == 0:
-            if u:
-                firsts.append(u)
-            continue
-        if vg == 0:
-            vg, ug = v, u
-            continue
-        g, s, t = _extgcd(vg, v)
-        u_new = s * ug + t * u
-        firsts.append(u - (v // g) * u_new)
-        firsts.append(ug - (vg // g) * u_new)
-        vg, ug = g, u_new
-    if vg < 0:
-        vg, ug = -vg, -ug
-    a = 0
-    for u in firsts:
-        a = gcd(a, u)
-    if a:
-        ug %= a
-    return a, ug, vg
-
-
-class IdealHNF:
-    """Integral ideal as the Z-module with basis a and b + c*omega."""
-
-    __slots__ = ("field", "a", "b", "c")
-
-    def __init__(self, fld: FieldDesc, a: int, b: int, c: int):
-        self.field = fld
-        self.a = a
-        self.b = b
-        self.c = c
-
-    def norm(self) -> int:
-        return self.a * self.c
-
-    def is_unit_ideal(self) -> bool:
-        return self.norm() == 1
-
-    def contains(self, x: QuadInt) -> bool:
-        if self.c == 0:
-            return not x
-        if x.b % self.c:
-            return False
-        return (x.a - (x.b // self.c) * self.b) % self.a == 0
-
-    def basis(self) -> tuple[QuadInt, QuadInt]:
-        return (QuadInt(self.field, self.a, 0),
-                QuadInt(self.field, self.b, self.c))
-
-    def __mul__(self, other: "IdealHNF") -> "IdealHNF":
-        if other.field.d != self.field.d:
-            raise ValueError("mixed fields")
-        vecs = []
-        for e in self.basis():
-            for f in other.basis():
-                z = e * f
-                vecs.append((z.a, z.b))
-        return IdealHNF(self.field, *_hnf2(vecs))
-
-    def conj(self) -> "IdealHNF":
-        vecs = []
-        for e in self.basis():
-            z = e.conj()
-            vecs.append((z.a, z.b))
-        return IdealHNF(self.field, *_hnf2(vecs))
-
-    def contains_ideal(self, other: "IdealHNF") -> bool:
-        return all(self.contains(e) for e in other.basis())
-
-    def divide(self, prime: "IdealHNF") -> "IdealHNF":
-        """self / prime, assuming prime | self (i.e. self subset prime)."""
-        if not prime.contains_ideal(self):
-            raise ValueError("ideal does not divide")
-        prod = self * prime.conj()
-        n = prime.norm()
-        if prod.a % n or prod.b % n or prod.c % n:
-            raise ArithmeticError("inexact ideal division")
-        return IdealHNF(self.field, prod.a // n, (prod.b // n) % (prod.a // n)
-                        if prod.a // n else 0, prod.c // n)
-
-    def __eq__(self, other):
-        if not isinstance(other, IdealHNF):
-            return NotImplemented
-        return (self.field.d == other.field.d and self.a == other.a
-                and self.b == other.b and self.c == other.c)
-
-    def __hash__(self):
-        return hash((self.field.d, self.a, self.b, self.c))
-
-    def __repr__(self):
-        return f"IdealHNF(d={self.field.d}, [[{self.a},{self.b}],[0,{self.c}]])"
-
-
-def ideal_from_generators(xs: list[QuadInt]) -> IdealHNF:
-    """HNF of the ideal generated by xs (module closure under omega)."""
-    xs = [x for x in xs if x]
-    if not xs:
-        raise AllZero("all generators are zero")
-    fld = xs[0].field
-    omega = fld.omega
-    vecs = []
-    for x in xs:
-        vecs.append((x.a, x.b))
-        z = omega * x
-        vecs.append((z.a, z.b))
-    return IdealHNF(fld, *_hnf2(vecs))
-
-
-def principal_ideal(x: QuadInt) -> IdealHNF:
-    return ideal_from_generators([x])
-
-
-def gcd_is_one(xs: list[QuadInt]) -> bool:
-    """True iff the ideal generated by xs is the unit ideal."""
-    return ideal_from_generators(xs).norm() == 1
+# Ideal norms from 2x2 minors
 
 
 def ideal_norms(fld: FieldDesc, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -589,6 +432,17 @@ def ideal_norms(fld: FieldDesc, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return norms
 
 
+def gcd_is_one(xs: list[QuadInt]) -> bool:
+    """True iff the ideal generated by xs is the unit ideal; False when
+    every x_i is zero.  Its norm is the gcd of the 2x2 minors of the
+    omega-coordinates of the x_i and omega*x_i, the formula of ideal_norms,
+    here on Python ints for one point."""
+    vecs = [(z.a, z.b) for x in xs for z in (x, x.field.omega * x)]
+    minors = [u1 * v2 - u2 * v1 for j, (u1, v1) in enumerate(vecs)
+              for u2, v2 in vecs[j + 1:]]
+    return gcd(*minors) == 1
+
+
 def omega_coords(fld: FieldDesc, P: np.ndarray,
                  Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) with (P + Q*sqrt(d))/2 = A + B*omega, for integer arrays of
@@ -598,6 +452,7 @@ def omega_coords(fld: FieldDesc, P: np.ndarray,
     return P // 2, Q // 2
 
 
+# No caller in the package; perfbench/tracer.py binds it by name.
 def pair_ideal_norm(fld: FieldDesc, a1: int, b1: int, a2: int, b2: int) -> int:
     """Norm of the ideal (a1 + b1*omega, a2 + b2*omega)."""
     return int(ideal_norms(fld, int_array([[a1, a2]]),
@@ -605,7 +460,7 @@ def pair_ideal_norm(fld: FieldDesc, a1: int, b1: int, a2: int, b2: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Prime ideals, factorization, Moebius
+# Splitting of rational primes, Moebius
 
 
 def kronecker_symbol(D: int, n: int) -> int:
@@ -638,112 +493,31 @@ def splitting_type(fld: FieldDesc, p: int) -> str:
     return {1: "split", -1: "inert", 0: "ramified"}[k]
 
 
-def primes_above(fld: FieldDesc, p: int) -> list[IdealHNF]:
-    """Prime ideals of the ring of integers above the rational prime p.
+def moebius(g: QuadInt) -> int:
+    """Moebius function of the principal ideal (g), g != 0, from
+    |N(g)| = prod p^k and the splitting of each p (Kronecker symbol).
 
-    Dedekind-Kummer: omega is a root of x^2 - tr*x + nm, and each root r of
-    it mod p gives the prime (p, omega - r); with no root, p is inert."""
-    tr, nm = fld.omega.trace(), fld.omega.norm()
-    roots = [r for r in range(p) if (r * r - tr * r + nm) % p == 0]
-    if not roots:
-        return [principal_ideal(fld.element(p))]
-    out = [ideal_from_generators([fld.element(p), fld.element(-r, 1)])
-           for r in roots]
-    assert all(P.norm() == p for P in out)
-    return out
-
-
-class IdealFactorization:
-    """Factorization of an ideal into prime-ideal powers."""
-
-    def __init__(self, fld: FieldDesc, factors: list[tuple[IdealHNF, int]]):
-        self.field = fld
-        self.factors = factors
-
-    def product(self) -> IdealHNF:
-        out = IdealHNF(self.field, 1, 0, 1)
-        for P, e in self.factors:
-            for _ in range(e):
-                out = out * P
-        return out
-
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
-    def __len__(self):
-        return len(self.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-
-def factor_ideal(I: IdealHNF) -> IdealFactorization:
-    n = I.norm()
-    if n < 1:
-        raise ValueError("zero ideal")
-    factors = []
-    current = I
-    for p in sorted(factorint(n)):
-        for P in primes_above(I.field, p):
-            e = 0
-            while P.contains_ideal(current):
-                current = current.divide(P)
-                e += 1
-            if e:
-                factors.append((P, e))
-    assert current.is_unit_ideal()
-    return IdealFactorization(I.field, factors)
-
-
-def moebius(I: IdealHNF) -> int:
-    if I.norm() == 1:
-        return 1
-    fac = factor_ideal(I)
-    if not fac.is_squarefree():
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-def moebius_of_element(g: QuadInt) -> int:
-    return moebius(principal_ideal(g))
+    The p-part of (g) is P^k for p ramified (N(P) = p) and (p)^(k/2) for
+    p inert; each is squarefree only as one prime.  For p split it is
+    P^i * P'^(k-i): squarefree for k = 1, and for k = 2 only as
+    P*P' = (p), that is when p divides g.  mu = (-1)^m over the m prime
+    factors: 1 per ramified or inert p, k per split p."""
+    m = 0
+    for p, k in factorint(abs(g.norm())).items():
+        typ = splitting_type(g.field, p)
+        if typ == "split":
+            if k >= 3 or (k == 2 and (g.a % p or g.b % p)):
+                return 0
+            m += k
+        else:  # one prime: (p) with N((p)) = p^2, or P with N(P) = p
+            if k > (2 if typ == "inert" else 1):
+                return 0
+            m += 1
+    return -1 if m % 2 else 1
 
 
 # ---------------------------------------------------------------------------
 # Ideal counting and Dedekind zeta
-
-
-def count_ideals_of_norm(fld: FieldDesc, n: int) -> int:
-    """H_n, via multiplicativity over the splitting of rational primes."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = 1
-    for p, k in factorint(n).items():
-        typ = splitting_type(fld, p)
-        if typ == "split":
-            out *= k + 1
-        elif typ == "inert":
-            if k % 2:
-                return 0
-        # ramified contributes a single ideal per power
-    return out
-
-
-def count_ideals_of_norm_slow(fld: FieldDesc, n: int) -> int:
-    """Independent oracle: enumerate all HNF modules [[a,b],[0,c]] with
-    a*c = n that are closed under multiplication by omega."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    count = 0
-    for c in range(1, n + 1):
-        if n % c:
-            continue
-        a = n // c
-        for b in range(a):
-            I = IdealHNF(fld, a, b, c)
-            omega = fld.omega
-            if all(I.contains(omega * e) for e in I.basis()):
-                count += 1
-    return count
 
 
 def _chi_period(fld: FieldDesc) -> np.ndarray:

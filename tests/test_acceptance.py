@@ -37,7 +37,6 @@ from quasivis.quadfield import (
     field,
     fundamental_unit,
     iter_ring_box,
-    norm,
     zeta_hurwitz,
     zeta_lseries,
 )
@@ -104,7 +103,7 @@ def test_criterion_02_fundamental_units():
             lam = fundamental_unit(fld).value
             between = iter_ring_box(fld, 1, lam, -1, 1,
                                     x_lo_open=True, x_hi_open=True)
-            assert all(abs(norm(u)) != 1 for u in between)
+            assert all(abs(u.norm()) != 1 for u in between)
 
 
 def test_criterion_03_oracle_equivalence():

@@ -36,14 +36,13 @@ from quasivis.quadfield import (
     field,
     fundamental_unit,
     gcd_is_one,
-    ideal_from_generators,
     ideal_norms,
     int_array,
     iter_ring_box,
-    moebius,
-    principal_ideal,
 )
 from quasivis.regions import Box, disc_window, octagon_window, square_window
+
+from ideal_oracle import ideal_from_generators, ideal_moebius, principal_ideal
 
 F2, F5 = field(2), field(5)
 D2 = Box.cube(1, 2)
@@ -121,7 +120,7 @@ def ideal_route_count(desc, D, T):
         if abs(g.norm()) > cutoff:
             continue
         pg = principal_ideal(g)
-        mu = moebius(pg)
+        mu = ideal_moebius(pg)
         if mu:
             total += mu * sum(m for ix, m in ideal_mult.items()
                               if pg.contains_ideal(ix))

@@ -16,8 +16,6 @@ from quasivis.cutproject import (
     integer_coords,
     iter_raw,
     points_to_csv,
-    points_to_json,
-    primitive_points,
     strict_inclusion_witness,
     strict_inclusion_witness_random,
     sublattice_Lg,
@@ -244,18 +242,6 @@ def test_oracle_cover_check():
     assert visible_oracle(desc, outside, pts)
 
 
-def test_primitive_points_subset():
-    desc = desc_for(F2)
-    prim = primitive_points(desc, D2, 8)
-    allpts = generate(desc, D2, 8)
-    assert 0 < len(prim) < len(allpts)
-    s2 = F2.sqrt_d
-    assert all(p.quad_coords != (s2, s2) for p in prim)
-    coords = {p.quad_coords for p in allpts}
-    unit_vec = (F2.element(1), F2.element(0))
-    assert unit_vec in {p.quad_coords for p in prim}
-
-
 def test_sublattice_properties():
     desc = desc_for(F2)
     s2 = F2.sqrt_d
@@ -320,8 +306,3 @@ def test_point_dumps():
     assert csv.splitlines()[0] == \
         "a1,b1,a2,b2,phys1,phys2,int1,int2,visible"
     assert len(csv.splitlines()) == len(pts) + 1
-    import json
-    docs = json.loads(points_to_json(pts, vis))
-    assert len(docs) == len(pts)
-    assert docs[0]["coords"][0]["d"] == 2
-    assert all(isinstance(doc["visible"], bool) for doc in docs)

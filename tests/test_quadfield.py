@@ -1,7 +1,9 @@
-"""Exact field arithmetic: norms, units, ideals, Moebius, zeta, box
-enumeration and the unit-box classification."""
+"""Exact field arithmetic: norms, units, ideal norms, Moebius, zeta, box
+enumeration and the unit-box classification.  The HNF ideal route of
+ideal_oracle is the reference for ideal norms, gcd tests and Moebius."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -9,21 +11,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quasivis.quadfield import (
-    AllZero,
     H_BOUND,
-    IdealHNF,
     NotPID,
     PID_D,
     QuadInt,
     as_scalar,
     TolTooTight,
     check_hammarhjelm,
-    count_ideals_of_norm,
-    count_ideals_of_norm_slow,
     dedekind_zeta,
     dedekind_zeta_highprec,
-    exact_compare,
-    factor_ideal,
     factorint,
     field,
     floor_quad,
@@ -34,20 +30,26 @@ from quasivis.quadfield import (
     int_array,
     int_lin,
     int_mul,
-    ideal_from_generators,
     ideal_norms,
     iter_ring_box,
     moebius,
-    moebius_of_element,
-    norm,
     pair_ideal_norm,
-    primes_above,
-    principal_ideal,
     quad_sign,
     quad_sign_array,
     splitting_type,
     zeta_hurwitz,
     zeta_lseries,
+)
+
+from ideal_oracle import (
+    AllZero,
+    count_ideals_of_norm,
+    count_ideals_of_norm_slow,
+    factor_ideal,
+    ideal_from_generators,
+    ideal_moebius,
+    primes_above,
+    principal_ideal,
 )
 
 F2, F5, F13 = field(2), field(5), field(13)
@@ -62,17 +64,17 @@ def sqrt2():
 
 
 def test_norm_examples():
-    assert norm(F2.element(3, 1)) == 7          # (3+sqrt2)(3-sqrt2)
-    assert norm(F2.element(1, 1)) == -1
-    assert norm(F5.omega) == -1                 # (1+sqrt5)/2
+    assert F2.element(3, 1).norm() == 7          # (3+sqrt2)(3-sqrt2)
+    assert F2.element(1, 1).norm() == -1
+    assert F5.omega.norm() == -1                 # (1+sqrt5)/2
 
 
 def test_exact_compare_examples():
     x = F2.element(1, 1)  # 1 + sqrt2
-    assert exact_compare(x, 2) > 0
-    assert exact_compare(x, 3) < 0
-    assert exact_compare(F5.omega, 1) > 0
-    assert exact_compare(F2.element(1), 1) == 0
+    assert x.compare(2) > 0
+    assert x.compare(3) < 0
+    assert F5.omega.compare(1) > 0
+    assert F2.element(1).compare(1) == 0
 
 
 def test_quad_sign_boundaries():
@@ -137,7 +139,7 @@ qints5 = st.builds(lambda a, b: QuadInt(F5, a, b),
 @settings(max_examples=250)
 @given(qints, qints)
 def test_norm_multiplicative(x, y):
-    assert norm(x * y) == norm(x) * norm(y)
+    assert (x * y).norm() == x.norm() * y.norm()
 
 
 @settings(max_examples=250)
@@ -201,13 +203,13 @@ def test_unit_minimality_exhaustive(d):
     lam = fundamental_unit(fld).value
     between = iter_ring_box(fld, 1, lam, -1, 1,
                             x_lo_open=True, x_hi_open=True)
-    assert all(abs(norm(u)) != 1 for u in between)
+    assert all(abs(u.norm()) != 1 for u in between)
 
 
 def test_unit_powers_have_unit_norm():
     lam = fundamental_unit(F2).value
     for k in range(1, 11):
-        assert abs(norm(lam ** k)) == 1
+        assert abs((lam ** k).norm()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +275,8 @@ def test_ideal_norms_match_hnf(fld, rows):
     want = [ideal_from_generators([QuadInt(fld, a, b) for a, b in r]).norm()
             if any(a or b for a, b in r) else 0 for r in rows]
     assert ideal_norms(fld, A, B).tolist() == want
+    assert [gcd_is_one([QuadInt(fld, a, b) for a, b in r]) for r in rows] \
+        == [n == 1 for n in want]
 
 
 def test_ideal_norms_examples():
@@ -298,6 +302,12 @@ def test_factorint_matches_brute_force():
         assert math.prod(p ** e for p, e in fac.items()) == n, n
         assert all(_is_prime(p) and e >= 1 for p, e in fac.items()), n
         assert list(fac) == sorted(fac), n
+
+
+@pytest.mark.parametrize("n", [0, -1, -6])
+def test_factorint_rejects_n_below_one(n):
+    with pytest.raises(ValueError):
+        factorint(n)
 
 
 def test_field_past_the_pid_table():
@@ -341,10 +351,70 @@ def test_factor_ideal_reconstructs():
         assert factor_ideal(I).product() == I
 
 
+# (d, a, b, mu) for g = a + b*omega.  Q(sqrt2): 2 ramified, 3 inert, 7 split
+# (3 + sqrt2 has norm 7).  Q(sqrt5): 5 ramified, 2 inert, 11 split (3 + omega
+# has norm 11).
+MOEBIUS_CASES = [
+    (2, 1, 0, 1),       # the unit ideal
+    (2, 1, 1, 1),       # unit, N = -1
+    (2, 0, 1, -1),      # sqrt2, N = -2: ramified, k = 1
+    (2, 1, 2, -1),      # N = -7: a signed norm must not factor as 1
+    (2, 2, 0, 0),       # ramified, k = 2
+    (2, 3, 0, -1),      # inert, k = 2: (3) is prime
+    (2, 9, 0, 0),       # inert, k = 4
+    (2, 3, 1, -1),      # split, k = 1
+    (2, 11, 6, 0),      # (3 + sqrt2)^2: split, k = 2, 7 does not divide g
+    (2, 7, 0, 1),       # split, k = 2, 7 | g: (7) = P*P'
+    (2, 45, 29, 0),     # (3 + sqrt2)^3: split, k = 3
+    (2, 21, 7, 0),      # 7*(3 + sqrt2): split, k = 3, 7 | g
+    (2, 21, 0, -1),     # (3)*P*P': m = 3
+    (5, 2, 0, -1),      # inert, k = 2
+    (5, 4, 0, 0),       # inert, k = 4
+    (5, -1, 2, -1),     # sqrt5, N = -5: ramified, k = 1
+    (5, 5, 0, 0),       # ramified, k = 2
+    (5, 3, 1, -1),      # split, k = 1
+    (5, 10, 7, 0),      # (3 + omega)^2: split, k = 2, 11 does not divide g
+    (5, 11, 0, 1),      # split, k = 2, 11 | g
+]
+
+
 def test_moebius_examples():
-    assert moebius(principal_ideal(F2.element(1))) == 1
-    assert moebius_of_element(sqrt2()) == -1
-    assert moebius_of_element(F2.element(2)) == 0
+    """Each rule for mu = 0, and mu = +-1 next to it."""
+    for d, a, b, mu in MOEBIUS_CASES:
+        g = field(d).element(a, b)
+        assert moebius(g) == mu == ideal_moebius(principal_ideal(g)), g
+    with pytest.raises(ValueError):
+        moebius(F2.element(0))
+
+
+def test_moebius_matches_ideal_oracle_every_pid_field():
+    """mu from the norm equals mu from the HNF factorization of (g) on 80 g
+    per field: random a + b*omega with 0 < |N| <= NMAX, moved into
+    [1, lambda) by a unit, where the Moebius sum takes its g."""
+    rng = random.Random(11)
+    NMAX, PER_FIELD = 20_000, 80
+    split_k2 = set()  # whether p | g, over the split p with k = 2 met
+    for d in sorted(PID_D):
+        fld = field(d)
+        lam = fundamental_unit(fld).value
+        lam_inv = lam.conj() * lam.norm()
+        tested = 0
+        while tested < PER_FIELD:
+            g = fld.element(rng.randint(-150, 150), rng.randint(-150, 150))
+            n = abs(g.norm())
+            if not 0 < n <= NMAX:
+                continue
+            g = abs(g)
+            while g >= lam:
+                g = g * lam_inv
+            while g < 1:
+                g = g * lam
+            assert moebius(g) == ideal_moebius(principal_ideal(g)), g
+            split_k2 |= {g.a % p == 0 and g.b % p == 0
+                         for p, k in factorint(n).items()
+                         if k == 2 and splitting_type(fld, p) == "split"}
+            tested += 1
+    assert split_k2 == {False, True}
 
 
 def _divisors(I):
@@ -368,13 +438,13 @@ def test_moebius_divisor_sum_vanishes(fld):
     for a in range(-12, 13):
         for b in range(-12, 13):
             x = fld.element(a, b)
-            if not x or abs(norm(x)) > 500 or abs(norm(x)) == 1:
+            if not x or abs(x.norm()) > 500 or abs(x.norm()) == 1:
                 continue
             I = principal_ideal(x)
             if I in seen:
                 continue
             seen.add(I)
-            assert sum(moebius(J) for J in _divisors(I)) == 0
+            assert sum(ideal_moebius(J) for J in _divisors(I)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -548,16 +618,5 @@ def test_witness_is_in_the_box():
     w = hammarhjelm_witness(f7)
     lam = fundamental_unit(f7).value
     assert w is not None
-    assert exact_compare(w, 1) > 0 and w < lam
+    assert w.compare(1) > 0 and w < lam
     assert w.conj().compare(-1) >= 0 and w.conj().compare(1) <= 0
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def test_quadint_json_roundtrip():
-    x = F2.element(-(10**30), 7)
-    doc = x.to_json()
-    assert doc == {"a": str(-(10**30)), "b": "7", "d": 2}
-    assert QuadInt.from_json(doc) == x
