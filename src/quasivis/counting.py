@@ -28,7 +28,7 @@ from .quadfield import (
     over_common_den,
     quad_sign_array,
 )
-from .regions import Box, s_float
+from .regions import Box
 
 
 class DegenerateFit(ValueError):
@@ -93,11 +93,10 @@ def predicted_density_hammarhjelm(desc: CPSetDesc,
     """Density of the visible points of Lambda(beta*W, L) per unit volume of
     physical space: (1 - lambda^(-d)) * (vol(beta*W)/covol(L)) / zeta_K(d)."""
     desc.require_hammarhjelm()
-    fld = desc.field
-    lam_inv_d = s_float(desc.unit_power_scalar(-desc.d), fld.d)
+    lam_inv_d = float(desc.unit_power(-desc.d))
     vol_w = desc.scaled_window().volume()
     covol = desc.lattice.covolume()
-    z = dedekind_zeta_highprec(fld, desc.d, tol)
+    z = dedekind_zeta_highprec(desc.field, desc.d, tol)
     return (1.0 - lam_inv_d) * (vol_w / covol) / z
 
 
@@ -195,22 +194,14 @@ def moebius_count_primitive(desc: CPSetDesc, D, T,
     return total
 
 
-def _inner_mult(desc: CPSetDesc):
-    """lambda^(1 - beta_exp) as a QuadInt (beta_exp <= 1), so that
-    sigma(x) in lambda^(beta_exp-1)*W  iff  mult*sigma(x) in W."""
-    k = 1 - desc.beta_exp
-    if k < 0:
-        raise ValueError("beta_exp > 1 not supported on the integer fast path")
-    return fundamental_unit(desc.field).value ** k
-
-
 def _in_inner_box(desc: CPSetDesc, P: np.ndarray,
                   Q: np.ndarray) -> np.ndarray:
     """Fast route for a box window W: sigma(x) = (P + Q*sqrt(d))/2 lies in
-    lambda^(beta_exp-1)*W iff mult*sigma(x) lies in W, tested in integers
-    against the box bounds over one common denominator L."""
+    lambda^(beta_exp-1)*W iff mult*sigma(x) lies in W, mult =
+    lambda^(1-beta_exp), tested in integers against the box bounds over one
+    common denominator L."""
     box, d = desc.window, desc.field.d
-    mult = _inner_mult(desc)
+    mult = desc.unit_power(1 - desc.beta_exp)
     lo_open, hi_open = box._flags()
     bounds = [b for lohi in box.bounds for b in lohi]
     L = math.lcm(*(b.denominator for b in bounds))

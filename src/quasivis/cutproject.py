@@ -24,7 +24,7 @@ from .quadfield import (
     fundamental_unit,
     gcd_is_one,
 )
-from .regions import Scalar, UnitScaled
+from .regions import UnitScaled
 
 
 class NotHammarhjelm(ValueError):
@@ -53,23 +53,19 @@ class CPSetDesc:
     def lattice(self) -> FieldLatticeDesc:
         return FieldLatticeDesc(field=self.field, d=self.d)
 
-    def unit_power_scalar(self, k: int) -> Scalar:
-        """lambda^k as an exact (A, B) pair, any integer k."""
+    def unit_power(self, k: int) -> QuadInt:
+        """lambda^k for any integer k; 1/lambda = N(lambda)*sigma(lambda)."""
         lam = fundamental_unit(self.field).value
-        if k >= 0:
-            return (lam ** k).as_pair()
-        inv = lam.conj() if lam.norm() == 1 else -lam.conj()
-        return (inv ** (-k)).as_pair()
+        if k < 0:
+            lam, k = lam.norm() * lam.conj(), -k
+        return lam ** k
 
     def scaled_window(self, extra_exp: int = 0):
         """Region lambda^(beta_exp + extra_exp) * W with exact membership."""
         e = self.beta_exp + extra_exp
         if e == 0:
             return self.window
-        return UnitScaled(base=self.window,
-                          mult=self.unit_power_scalar(-e),
-                          inv_mult=self.unit_power_scalar(e),
-                          d_field=self.field.d)
+        return UnitScaled(self.window, self.unit_power(-e))
 
     @cached_property
     def inner_window(self):
@@ -188,10 +184,6 @@ class SublatticeLg:
 
     def contains(self, xs: tuple[QuadInt, ...]) -> bool:
         return all(self.g.divides(x) for x in xs)
-
-    def basis_float(self) -> np.ndarray:
-        from .lattice import rescaler_matrix
-        return rescaler_matrix(self.base, self.g) @ self.base.basis_float()
 
 
 def sublattice_Lg(desc: CPSetDesc, g: QuadInt) -> SublatticeLg:

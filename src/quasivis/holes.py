@@ -114,16 +114,16 @@ def verify_hole(hole: CRTHole, x) -> bool:
     return True
 
 
-def hole_near_subspace(hole: CRTHole, V, R: float, search_budget: int,
-                       chunk: int = 1 << 16):
+def hole_near_subspace(hole: CRTHole, V, R: float, search_budget: int):
     """Search translates x0 + N*k for one whose hole box approaches the
     subspace V = span(rows of V) within distance R.
 
     Candidates are a budgeted grid along V with step N, each mapped to its
-    nearest translate by componentwise rounding and ranked in floats.  The
-    best one is returned as an integer vector only if its exact distance
-    to span(V), taking the floats of V and R at their binary values, is at
-    most R (R = inf accepts any distance); otherwise the NotFound sentinel."""
+    nearest translate by componentwise rounding and ranked in floats, 2^16
+    at a time.  The best one is returned as an integer vector only if its
+    exact distance to span(V), taking the floats of V and R at their binary
+    values, is at most R (R = inf accepts any distance); otherwise the
+    NotFound sentinel."""
     if not R >= 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     if search_budget <= 0:
@@ -143,7 +143,7 @@ def hole_near_subspace(hole: CRTHole, V, R: float, search_budget: int,
     tried = 0
     mesh = itertools.product(*[g.tolist() for g in grids])
     while tried < search_budget:
-        block = list(itertools.islice(mesh, chunk))
+        block = list(itertools.islice(mesh, 1 << 16))
         if not block:
             break
         tried += len(block)
@@ -191,10 +191,6 @@ class EmptyBallScan:
     center: tuple
     grid_step: float
     label: str = "empirical"
-
-    def csv_row(self) -> str:
-        return ",".join([f"{c:.12g}" for c in self.center]
-                        + [f"{self.radius:.12g}"])
 
 
 def scan_empty_ball(points, region, r_grid, grid_step: float = 0.5

@@ -256,9 +256,10 @@ def collect_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
 
 def integer_preimage_box(basis_inv: np.ndarray,
                          bbox: list[tuple[float, float]],
-                         translation=None, pad: int = 1):
+                         translation=None):
     """Integer bounds covering the preimage of a bounding box: map all box
-    corners through the inverse basis and pad against float rounding."""
+    corners through the inverse basis and pad by 1 against float
+    rounding."""
     n = basis_inv.shape[0]
     corners = []
     for mask in range(1 << n):
@@ -268,8 +269,8 @@ def integer_preimage_box(basis_inv: np.ndarray,
     if translation is not None:
         corners = corners - np.asarray(translation, dtype=np.float64)
     pre = corners @ basis_inv.T
-    lo = np.floor(pre.min(axis=0)).astype(np.int64) - pad
-    hi = np.ceil(pre.max(axis=0)).astype(np.int64) + pad
+    lo = np.floor(pre.min(axis=0)).astype(np.int64) - 1
+    hi = np.ceil(pre.max(axis=0)).astype(np.int64) + 1
     return lo, hi
 
 

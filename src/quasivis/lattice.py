@@ -54,11 +54,6 @@ class GridDesc:
     def covolume(self) -> float:
         return abs(np.linalg.det(self.basis))
 
-    def trans(self) -> np.ndarray:
-        if self.translation is None:
-            return np.zeros(self.n)
-        return self.translation
-
     @cached_property
     def independent_lengths(self) -> list[float]:
         """Lengths of greedily chosen linearly independent short vectors.
@@ -91,10 +86,6 @@ class FieldLatticeDesc:
 
     field: FieldDesc
     d: int
-
-    @property
-    def m(self) -> int:
-        return self.d
 
     @property
     def n(self) -> int:
@@ -172,18 +163,18 @@ def enumerate_field_points_exact(lat: FieldLatticeDesc, phys_region,
     yield from itertools.compress(itertools.product(*axes), keep)
 
 
-def box_reduced_basis(basis: np.ndarray, widths: np.ndarray,
-                      max_rounds: int = 100) -> np.ndarray:
+def box_reduced_basis(basis: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """Unimodular column reduction of the basis in box-scaled coordinates.
 
     Greedy pairwise size reduction of diag(1/widths) @ basis keeps the
     integer bounding box of a [widths]-proportioned region close to the
     count itself; the returned basis spans the same lattice, and coordinate
-    gcds of preimages are preserved under the unimodular change."""
+    gcds of preimages are preserved under the unimodular change.  At most
+    100 rounds."""
     n = basis.shape[1]
     scaled = basis / widths[:, None]
     U = np.eye(n, dtype=np.int64)
-    for _ in range(max_rounds):
+    for _ in range(100):
         changed = False
         for i in range(n):
             for j in range(n):
@@ -208,10 +199,8 @@ def unit_rescalers(lat: FieldLatticeDesc) -> QuadInt:
     return u.value if u.norm == 1 else u.value * u.value
 
 
-def rescaler_matrix(lat: FieldLatticeDesc, g0: QuadInt, k: int = 1) -> np.ndarray:
-    gk = float(g0) ** k
-    sk = g0.conj_float() ** k
-    return np.diag([gk] * lat.d + [sk] * lat.d)
+def rescaler_matrix(lat: FieldLatticeDesc, g0: QuadInt) -> np.ndarray:
+    return np.diag([float(g0)] * lat.d + [g0.conj_float()] * lat.d)
 
 
 @dataclass(frozen=True)

@@ -168,10 +168,6 @@ class FieldDesc:
     def __repr__(self) -> str:
         return f"FieldDesc(d={self.d})"
 
-    @property
-    def unit(self) -> "FundamentalUnit":
-        return fundamental_unit(self)
-
     def element(self, a: int, b: int = 0) -> "QuadInt":
         return QuadInt(self, a, b)
 
@@ -613,19 +609,22 @@ def zeta_hurwitz(fld: FieldDesc, s: int) -> float:
         return float(mpmath.zeta(s) * L)
 
 
-def dedekind_zeta(fld: FieldDesc, s: int, tol: float,
-                  n_max_budget: int = 2_000_000) -> tuple[float, float]:
+N_MAX_BUDGET = 2_000_000
+
+
+def dedekind_zeta(fld: FieldDesc, s: int, tol: float) -> tuple[float, float]:
     """Value of the Dedekind zeta function at integer s >= 2, with a
     certified error bound below tol; cross-checked between the direct
-    H_n sum and the Euler product, which must agree within 2*tol.
+    H_n sum and the Euler product, which must agree within 2*tol.  The
+    direct sum may take at most N_MAX_BUDGET terms.
     """
     if s < 2:
         raise ValueError("s must be >= 2")
     # Find a truncation length meeting tol on the direct path.
     need = (tol * (s - 1.5) / H_BOUND) ** (1.0 / (1.5 - s))
-    if need > n_max_budget:
+    if need > N_MAX_BUDGET:
         raise TolTooTight(
-            f"direct tail bound needs n_max ~ {need:.3g} > budget {n_max_budget}")
+            f"direct tail bound needs n_max ~ {need:.3g} > budget {N_MAX_BUDGET}")
     n_max = max(1000, int(need) + 1)
     direct, direct_err = zeta_direct(fld, s, n_max)
     p_max = max(1000, int((12.0 / (tol * (s - 1))) ** (1.0 / (s - 1))) + 1)
@@ -664,11 +663,11 @@ def as_scalar(x) -> tuple[Fraction, Fraction]:
 
 
 def iter_ring_box(fld: FieldDesc, x_lo, x_hi, y_lo, y_hi,
-                  x_lo_open: bool = False, x_hi_open: bool = False,
-                  y_lo_open: bool = False, y_hi_open: bool = False):
+                  x_lo_open: bool = False, x_hi_open: bool = False):
     """Yield ring elements whose embeddings (x, sigma(x)) lie in the box,
-    in ascending order of trace.  Bounds may be rational, (A, B) pairs or
-    QuadInt; all membership decisions are exact, in integers."""
+    in ascending order of trace; the sigma(x) bounds are closed.  Bounds
+    may be rational, (A, B) pairs or QuadInt; all membership decisions are
+    exact, in integers."""
     d = fld.d
     # each bound as (a + b*sqrt(d))/L, over one common denominator L
     (xla, xlb, xha, xhb, yla, ylb, yha, yhb), L = over_common_den(
@@ -693,9 +692,9 @@ def iter_ring_box(fld: FieldDesc, x_lo, x_hi, y_lo, y_hi,
         # iff q >= (2b*d + (2a - p*L)*sqrt(d))/(L*d); x <= x_hi and
         # sigma(x) >= y_lo bound -q from below.
         q_lo = max(q_min(2 * xlb * d, 2 * xla - p * L, x_lo_open),
-                   q_min(-2 * yhb * d, p * L - 2 * yha, y_hi_open))
+                   q_min(-2 * yhb * d, p * L - 2 * yha, False))
         q_hi = -max(q_min(-2 * xhb * d, p * L - 2 * xha, x_hi_open),
-                    q_min(2 * ylb * d, 2 * yla - p * L, y_lo_open))
+                    q_min(2 * ylb * d, 2 * yla - p * L, False))
         for q in range(q_lo + (q_lo - p) % 2, q_hi + 1, 2):
             yield QuadInt.from_pq(fld, p, q)
 

@@ -13,22 +13,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
-from .quadfield import (as_scalar, int_lin, int_mul, over_common_den,
-                        quad_sign, quad_sign_array)
+from .quadfield import (QuadInt, as_scalar, int_lin, int_mul,
+                        over_common_den, quad_sign, quad_sign_array)
 
 Scalar = tuple[Fraction, Fraction]  # A + B*sqrt(d)
 
 
 def s_mul(x: Scalar, y: Scalar, d: int) -> Scalar:
     return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0])
-
-
-def s_float(x: Scalar, d: int) -> float:
-    return float(x[0]) + float(x[1]) * math.sqrt(d)
 
 
 # status codes for float membership
@@ -245,18 +242,6 @@ class Polygon:
             inside &= quad_sign_array(A, B, d) >= 0
         return inside
 
-    def contains_float(self, x: np.ndarray, tol: float) -> np.ndarray:
-        x = np.atleast_2d(x)
-        inside = np.ones(len(x), dtype=bool)
-        near = np.zeros(len(x), dtype=bool)
-        for (x1, y1), (x2, y2) in self._edges():
-            ax, ay = float(x2 - x1), float(y2 - y1)
-            ln = math.hypot(ax, ay)
-            c = (ax * (x[:, 1] - float(y1)) - ay * (x[:, 0] - float(x1))) / ln
-            inside &= c >= -tol
-            near |= np.abs(c) <= tol
-        return np.where(inside, np.where(near, BOUNDARY, IN), OUT)
-
     def bbox(self):
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
@@ -316,74 +301,64 @@ class Product:
         return (self.left.contains_exact_batch(P[:, :k], Q[:, :k], den, d)
                 & self.right.contains_exact_batch(P[:, k:], Q[:, k:], den, d))
 
-    def contains_float(self, x: np.ndarray, tol: float) -> np.ndarray:
-        k = self.left.dim
-        a = self.left.contains_float(x[..., :k], tol)
-        b = self.right.contains_float(x[..., k:], tol)
-        out = np.minimum(a, 1) * np.minimum(b, 1)
-        boundary = (out == 1) & ((a == BOUNDARY) | (b == BOUNDARY))
-        return np.where(boundary, BOUNDARY, out)
-
     def bbox(self):
         return self.left.bbox() + self.right.bbox()
 
     def volume(self) -> float:
         return self.left.volume() * self.right.volume()
 
-    def diameter(self) -> float:
-        return math.hypot(self.left.diameter(), self.right.diameter())
+    def scaled(self, t) -> "Product":
+        return Product(self.left.scaled(t), self.right.scaled(t))
+
+    def is_centrally_symmetric(self) -> bool:
+        return (self.left.is_centrally_symmetric()
+                and self.right.is_centrally_symmetric())
 
 
 @dataclass(frozen=True)
 class UnitScaled:
-    """Region (1/mult) * base for a positive quadratic-irrational factor
-    mult = A + B*sqrt(d): membership of w is tested as mult*w in base."""
+    """Region (1/mult) * base for a positive unit mult of O_K: membership of
+    w is tested as mult*w in base, and 1/mult = N(mult)*sigma(mult)."""
 
     base: object
-    mult: Scalar
-    inv_mult: Scalar  # exact value of 1/mult
-    d_field: int
+    mult: QuadInt
+
+    def __post_init__(self):
+        if abs(self.mult.norm()) != 1 or self.mult.sign() <= 0:
+            raise ValueError(f"mult must be a positive unit, got {self.mult}")
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
+    @property
+    def inv(self) -> QuadInt:
+        return self.mult.norm() * self.mult.conj()
+
+    @cached_property
+    def _mult_pair(self) -> Scalar:
+        return self.mult.as_pair()
+
     def contains_exact(self, point, d: int) -> bool:
+        m = self._mult_pair
         return self.base.contains_exact(
-            tuple(s_mul(w, self.mult, d) for w in point), d)
+            tuple(s_mul(w, m, d) for w in point), d)
 
     def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
                              d: int) -> np.ndarray:
-        (ma, mb), m = over_common_den(self.mult)
-        # (P + Q*sqrt(d))/den * (ma + mb*sqrt(d))/m
+        ma, mb = self.mult.p, self.mult.q
+        # (P + Q*sqrt(d))/den * (ma + mb*sqrt(d))/2
         return self.base.contains_exact_batch(
             int_lin([(ma, P), (mb * d, Q)]), int_lin([(mb, P), (ma, Q)]),
-            den * m, d)
-
-    def contains_float(self, x: np.ndarray, tol: float) -> np.ndarray:
-        return self.base.contains_float(
-            np.asarray(x) * s_float(self.mult, self.d_field), tol)
+            den * 2, d)
 
     def bbox(self):
-        out = []
-        for lo, hi in self.base.bbox():
-            lo_s = s_mul(as_scalar(lo), self.inv_mult, self.d_field)
-            hi_s = s_mul(as_scalar(hi), self.inv_mult, self.d_field)
-            out.append((lo_s, hi_s))
-        return out
+        inv, d = self.inv.as_pair(), self.mult.field.d
+        return [tuple(s_mul(as_scalar(b), inv, d) for b in lohi)
+                for lohi in self.base.bbox()]
 
     def volume(self) -> float:
-        return self.base.volume() * s_float(self.inv_mult, self.d_field) ** self.dim
-
-    def scaled(self, t) -> "UnitScaled":
-        return UnitScaled(self.base.scaled(t), self.mult, self.inv_mult,
-                          self.d_field)
-
-    def is_centrally_symmetric(self) -> bool:
-        return self.base.is_centrally_symmetric()
-
-    def diameter(self) -> float:
-        return self.base.diameter() * s_float(self.inv_mult, self.d_field)
+        return self.base.volume() * float(self.inv) ** self.dim
 
 
 def square_window(half_width=1) -> Box:

@@ -97,6 +97,24 @@ def test_density_method_override(tmp_path):
     assert res.exit_code == EXIT_OK, res.output
 
 
+CUBE1 = {"kind": "cube", "half_width": 1, "dim": 1}
+
+
+@pytest.mark.parametrize("key", ["window", "averaging"])
+def test_density_product_region_matches_box(tmp_path, key):
+    """A product of two cubes [-1, 1] prints the rows of the square window
+    and of the 2-D cube averaging set."""
+    outputs = []
+    for region in (DENSITY_CFG[key],
+                   {"kind": "product", "left": CUBE1, "right": CUBE1}):
+        cfg = write_cfg(tmp_path / "cfg.json", {**DENSITY_CFG, key: region})
+        res = runner.invoke(main, ["density", "--config", cfg,
+                                   "--out", str(tmp_path / "o")])
+        assert res.exit_code == EXIT_OK, res.output
+        outputs.append(res.output)
+    assert outputs[0] == outputs[1]
+
+
 def test_density_rejects_non_hammarhjelm_field(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", {**DENSITY_CFG, "d": 3})
     res = runner.invoke(main, ["density", "--config", cfg,

@@ -82,12 +82,15 @@ def test_predicted_density_rejects_non_hammarhjelm():
 
 def direct_primitive_count(desc, D, T):
     """Points of the set in T*D whose coordinates generate the unit ideal,
-    from visible_count's one batch of ideal norms."""
-    return visible_count(desc, D, T, predicted=1.0).count_pr
+    from visible_count's one batch of ideal norms; its two inner-window
+    routes must agree."""
+    rep = visible_count(desc, D, T, predicted=1.0)
+    assert rep.identity_ok
+    return rep.count_pr
 
 
 @pytest.mark.parametrize("fld", [F2, F5])
-@pytest.mark.parametrize("beta_exp", [0, -1])
+@pytest.mark.parametrize("beta_exp", [0, -1, 2])
 @pytest.mark.parametrize("T", [5, 10, 20])
 def test_moebius_equals_direct(fld, beta_exp, T):
     desc = desc_for(fld, beta_exp)

@@ -284,6 +284,16 @@ def test_strict_inclusion_random_lattices_empty():
         assert examined > 100
 
 
+@pytest.mark.parametrize("d", [2, 3])  # N(lambda) = -1 and +1
+def test_unit_power_inverse(d):
+    desc = CPSetDesc(field=field(d), d=2, window=square_window(1))
+    lam = fundamental_unit(field(d)).value
+    assert desc.unit_power(1) == lam and desc.unit_power(0) == 1
+    for k in range(-4, 5):
+        assert desc.unit_power(k) * desc.unit_power(-k) == 1
+        assert desc.unit_power(k) * lam == desc.unit_power(k + 1)
+
+
 def test_beta_scaling_subset():
     """The beta = 1/lambda point set is the subset of the beta = 1 set whose
     internal part lies in the shrunk window."""

@@ -78,6 +78,8 @@ def test_region_from_spec_roundtrip():
                            "left": {"kind": "cube", "half_width": 1, "dim": 2},
                            "right": {"kind": "disc", "r2": 2}})
     assert pr.dim == 4
+    assert pr.is_centrally_symmetric()
+    assert not Product(pr, Box.make([(0, 1)])).is_centrally_symmetric()
     box = region_from_spec({"kind": "box", "bounds": [[-1, 1], [-1, 1]],
                             "lo_open": [True, False]})
     assert box.lo_open == (True, False)
@@ -115,15 +117,30 @@ def test_polygon_spec_rejects_other_vertex_lists(vertices):
 
 def test_unit_scaled_membership():
     lam = fundamental_unit(F2).value  # 1 + sqrt2
-    inv = lam.conj()  # sqrt2 - 1 = -conj since norm -1
-    w = UnitScaled(base=square_window(1), mult=lam.as_pair(),
-                   inv_mult=(-inv).as_pair(), d_field=2)
+    w = UnitScaled(base=square_window(1), mult=lam)
+    assert w.inv == -lam.conj()  # sqrt2 - 1, since N(lam) = -1
     # w = (1/lam) * [-1,1]^2, half-width sqrt2 - 1 = 0.4142
     inside = ((Fraction(2, 5), Fraction(0)),) * 2
     outside = ((Fraction(1, 2), Fraction(0)),) * 2
     assert w.contains_exact(inside, 2)
     assert not w.contains_exact(outside, 2)
     assert w.volume() == pytest.approx(4 * (math.sqrt(2) - 1) ** 2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_unit_scaled_inverse(d):
+    lam = fundamental_unit(field(d)).value
+    for mult in (lam, lam * lam, lam.norm() * lam.conj()):
+        assert UnitScaled(square_window(1), mult).inv * mult == 1
+
+
+@pytest.mark.parametrize("a,b", [(2, 0), (1, 2), (0, 0), (-1, 0), (1, -1)])
+def test_unit_scaled_rejects_non_unit_or_negative(a, b):
+    """In Q(sqrt2), 2, 1 + 2*sqrt2 and 0 are no units; -1 and 1 - sqrt2
+    are units below zero."""
+    mult = F2.element(a, b)
+    with pytest.raises(ValueError):
+        UnitScaled(square_window(1), mult)
 
 
 def test_float_membership_boundary_flags():
@@ -174,7 +191,7 @@ def boundary_points(region, d):
     if isinstance(region, Product):
         return [a + b for a in boundary_points(region.left, d)
                 for b in boundary_points(region.right, d)]
-    inv = region.inv_mult  # UnitScaled: the base's boundary times 1/mult
+    inv = region.inv.as_pair()  # UnitScaled: the base's boundary / mult
     return [tuple((a * inv[0] + b * inv[1] * d, a * inv[1] + b * inv[0])
                   for a, b in pt)
             for pt in boundary_points(region.base, d)]
@@ -409,10 +426,8 @@ def test_a0_invariance_point_sets():
     internal = Box.cube(2, 1)
     pts = set(xs[0] for xs in enumerate_field_points_exact(lat, phys, internal))
     inv = g0.conj()  # norm 1: inverse is the conjugate
-    scaled_phys = UnitScaled(base=phys, mult=inv.as_pair(),
-                             inv_mult=g0.as_pair(), d_field=2)
-    scaled_int = UnitScaled(base=internal, mult=g0.as_pair(),
-                            inv_mult=inv.as_pair(), d_field=2)
+    scaled_phys = UnitScaled(base=phys, mult=inv)
+    scaled_int = UnitScaled(base=internal, mult=g0)
     pts_scaled = set(xs[0] for xs in enumerate_field_points_exact(
         lat, scaled_phys, scaled_int))
     assert {g0 * x for x in pts} == pts_scaled
