@@ -6,7 +6,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -18,7 +17,6 @@ import numpy as np
 from . import __version__, counting, cutproject, holes, kernels, svgplot
 from .quadfield import (
     PID_D,
-    check_hammarhjelm,
     field,
     fundamental_unit,
     hammarhjelm_witness,
@@ -44,7 +42,7 @@ DENSITY_SCHEMA = {
         "T_grid": {"type": "array",
                    "items": {"type": "number", "exclusiveMinimum": 0},
                    "minItems": 1},
-        "beta_exp": {"type": "integer", "maximum": 0},
+        "beta_exp": {"type": "integer"},
         "method": {"enum": ["direct", "moebius", "both"]},
     },
     "additionalProperties": False,
@@ -76,7 +74,7 @@ PLOT_SCHEMA = {
         "window": _REGION_SCHEMA,
         "averaging": _REGION_SCHEMA,
         "T": {"type": "number", "exclusiveMinimum": 0},
-        "beta_exp": {"type": "integer", "maximum": 0},
+        "beta_exp": {"type": "integer"},
     },
     "additionalProperties": False,
 }

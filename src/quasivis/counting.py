@@ -5,7 +5,7 @@ convergence-rate fitting and the random-lattice 1/zeta(n) experiment."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -224,7 +224,7 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
     A point is visible iff its coordinate gcd is one and its conjugate lies
     outside the closed inner window.  Both run on integer arrays: the gcd
     as one batch of ideal norms over the whole set (the origin has norm 0),
-    the inner window through the generic region code (contains_exact_batch);
+    the inner window through the generic region code (contains_exact);
     for a box window the integer fast route decides it again independently,
     and identity_ok records that the two agree on every point.
     method='moebius' additionally checks both primitive counts against
@@ -240,7 +240,7 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
     count_pr = int(primitive.sum())
     # sigma(x) = (p - q*sqrt(d))/2 for x = (p + q*sqrt(d))/2
     P, Q = P[primitive], -Q[primitive]
-    inner = desc.inner_window.contains_exact_batch(P, Q, 2, desc.field.d)
+    inner = desc.inner_window.contains_exact(P.T, Q.T, 2, desc.field.d)
     identity_ok = True
     if isinstance(desc.window, Box):
         fast = _in_inner_box(desc, P, Q)

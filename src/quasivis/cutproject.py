@@ -149,8 +149,10 @@ def visible_fast(desc: CPSetDesc, x: CPPoint) -> bool:
     desc.require_hammarhjelm()
     if x.is_origin or not gcd_is_one(list(x.quad_coords)):
         return False
-    sigma = tuple(q.conj().as_pair() for q in x.quad_coords)
-    return not desc.inner_window.contains_exact(sigma, desc.field.d)
+    # sigma(x) = (p - q*sqrt(d))/2 for x = (p + q*sqrt(d))/2
+    xs = x.quad_coords
+    return not desc.inner_window.contains_exact(
+        [q.p for q in xs], [-q.q for q in xs], 2, desc.field.d)
 
 
 def visible_oracle(desc: CPSetDesc, x: CPPoint, points: list[CPPoint],
@@ -159,14 +161,16 @@ def visible_oracle(desc: CPSetDesc, x: CPPoint, points: list[CPPoint],
     open segment from the origin to x, that is on the ray of x and shorter.
     The caller must supply a point list covering Lambda on that segment
     (e.g. a generate() result for a star-shaped averaging set containing x);
-    cover=(D, T) checks that x lies in T*D."""
+    cover=(D, T) with rational T > 0 checks that x lies in T*D."""
     if x.is_origin:
         return False
     if cover is not None:
         D, T = cover
-        TD = D.scaled(Fraction(T))
-        phys = tuple(q.as_pair() for q in x.quad_coords)
-        if not TD.contains_exact(phys, desc.field.d):
+        # x = (p + q*sqrt(d))/2 lies in T*D iff m*x/n lies in D, T = n/m
+        n, m = T.as_integer_ratio()
+        xs = x.quad_coords
+        if not D.contains_exact([m * q.p for q in xs], [m * q.q for q in xs],
+                                2 * n, desc.field.d):
             raise InsufficientCover("x outside the covered region")
     key, length = x.ray
     return not any(p.ray[0] == key and p.ray[1] < length for p in points)

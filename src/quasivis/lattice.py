@@ -151,8 +151,8 @@ def field_point_arrays(lat: FieldLatticeDesc, phys_region, int_region):
     Q = np.stack([int_array([x.q for x in a])[k]
                   for a, k in zip(axes, idx)], axis=-1)
     # x = (p + q*sqrt(d))/2 and its conjugate (p - q*sqrt(d))/2
-    keep = (phys_region.contains_exact_batch(P, Q, 2, fld.d)
-            & int_region.contains_exact_batch(P, -Q, 2, fld.d))
+    keep = (phys_region.contains_exact(P.T, Q.T, 2, fld.d)
+            & int_region.contains_exact(P.T, -Q.T, 2, fld.d))
     return axes, P, Q, keep
 
 

@@ -97,7 +97,9 @@ def over_common_den(values) -> tuple[list[int], int]:
 
 # Batch versions on integer arrays.  Every result is exact: an operation runs
 # in int64 only when a bound on its inputs proves that no partial result
-# reaches 2^62, and on Python ints (dtype=object) otherwise.
+# reaches 2^62, and on Python ints (dtype=object) otherwise.  int_lin,
+# int_mul and quad_sign_array also take Python ints in place of the arrays
+# (one point), and then use plain int arithmetic and quad_sign.
 
 _INT64_LIMIT = 1 << 62
 
@@ -119,7 +121,9 @@ def int_array(rows) -> np.ndarray:
 
 def int_lin(terms, const: int = 0) -> np.ndarray:
     """Exact const + sum(c * X) over (c, X) terms with Python-int
-    coefficients c and integer arrays X of one shape."""
+    coefficients c and integer arrays X of one shape, or Python ints X."""
+    if not isinstance(terms[0][1], np.ndarray):
+        return const + sum(c * x for c, x in terms)
     bound = abs(const) + sum(abs(c) * _max_abs(x) for c, x in terms)
     dt = _exact_dtype(max(bound, *(abs(c) for c, _ in terms)))
     out = np.full(terms[0][1].shape, const, dtype=dt)
@@ -129,7 +133,9 @@ def int_lin(terms, const: int = 0) -> np.ndarray:
 
 
 def int_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact elementwise product of two integer arrays."""
+    """Exact elementwise product of two integer arrays, or of two ints."""
+    if not isinstance(x, np.ndarray):
+        return x * y
     dt = _exact_dtype(_max_abs(x) * _max_abs(y))
     return x.astype(dt) * y.astype(dt)
 
@@ -138,7 +144,9 @@ def quad_sign_array(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
     """Elementwise quad_sign of A + B*sqrt(d) for integer arrays A, B.
 
     The sign is that of A or of B except where the two differ in sign;
-    only there are A^2 and d*B^2 compared."""
+    only there are A^2 and d*B^2 compared.  For ints A, B: quad_sign."""
+    if not isinstance(A, np.ndarray):
+        return quad_sign(A, B, d)
     sA = (A > 0).astype(np.int8) - (A < 0)
     sB = (B > 0).astype(np.int8) - (B < 0)
     out = np.where(sA == 0, sB, sA)

@@ -1,12 +1,14 @@
 """Convex regions with exact membership for points with coordinates in Q(sqrt d).
 
-Region data is rational; a point on the exact path is a tuple of scalars
-(A, B) meaning A + B*sqrt(d).  `contains_exact_batch` decides many points at
-once: integer arrays P, Q of shape (N, dim) stand for the points
-(P + Q*sqrt(d))/den, and every bound becomes the exact sign of an integer
-A + B*sqrt(d) (int64 under a proven magnitude bound, Python ints past it).
-Float-path membership reports points within `tol` of the boundary
-separately so their influence can be bounded.
+Region data is rational.  Each region has one exact membership method,
+`contains_exact(P, Q, den, d)`, for the points (P[i] + Q[i]*sqrt(d))/den
+with coordinates indexed axis first: P[i], Q[i] are Python ints for one
+point, or integer arrays of one shape for a batch (the transpose of (N, dim)
+arrays).  The region's data is brought to integers over one denominator
+once, and every bound becomes the exact sign of an integer A + B*sqrt(d)
+(plain ints for one point; for a batch int64 under a proven magnitude
+bound, Python ints past it).  Float-path membership reports points within
+`tol` of the boundary separately so their influence can be bounded.
 """
 
 from __future__ import annotations
@@ -18,14 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .quadfield import (QuadInt, as_scalar, int_lin, int_mul,
-                        over_common_den, quad_sign, quad_sign_array)
-
-Scalar = tuple[Fraction, Fraction]  # A + B*sqrt(d)
-
-
-def s_mul(x: Scalar, y: Scalar, d: int) -> Scalar:
-    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0])
+from .quadfield import (QuadInt, int_lin, int_mul, over_common_den,
+                        quad_sign_array)
 
 
 # status codes for float membership
@@ -61,32 +57,23 @@ class Box:
         hi = self.hi_open or (False,) * k
         return lo, hi
 
-    def contains_exact(self, point: tuple[Scalar, ...], d: int) -> bool:
-        lo_open, hi_open = self._flags()
-        for i, w in enumerate(point):
-            lo, hi = self.bounds[i]
-            s = quad_sign(w[0] - lo, w[1], d)
-            if s < 0 or (s == 0 and lo_open[i]):
-                return False
-            s = quad_sign(hi - w[0], -w[1], d)
-            if s < 0 or (s == 0 and hi_open[i]):
-                return False
-        return True
+    @cached_property
+    def _ints(self) -> tuple[list[int], int]:
+        return over_common_den([b for lohi in self.bounds for b in lohi])
 
-    def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
-                             d: int) -> np.ndarray:
-        """contains_exact for each point (P + Q*sqrt(d))/den, den > 0."""
+    def contains_exact(self, P, Q, den: int, d: int):
+        """Whether (P[i] + Q[i]*sqrt(d))/den lies in the box, den > 0."""
         lo_open, hi_open = self._flags()
-        nums, L = over_common_den([b for lohi in self.bounds for b in lohi])
-        inside = np.ones(len(P), dtype=bool)
+        nums, L = self._ints
+        inside = True
         for i in range(self.dim):
             # L*den*(w - lo) and L*den*(hi - w) as A + B*sqrt(d)
-            B = int_lin([(L, Q[:, i])])
-            s = quad_sign_array(int_lin([(L, P[:, i])], -den * nums[2 * i]),
+            B = int_lin([(L, Q[i])])
+            s = quad_sign_array(int_lin([(L, P[i])], -den * nums[2 * i]),
                                 B, d)
             inside &= (s > 0) if lo_open[i] else (s >= 0)
             s = quad_sign_array(
-                int_lin([(-L, P[:, i])], den * nums[2 * i + 1]), -B, d)
+                int_lin([(-L, P[i])], den * nums[2 * i + 1]), -B, d)
             inside &= (s > 0) if hi_open[i] else (s >= 0)
         return inside
 
@@ -136,21 +123,16 @@ class Ball:
     def dim(self) -> int:
         return len(self.center)
 
-    def contains_exact(self, point, d: int) -> bool:
-        acc: Scalar = (Fraction(0), Fraction(0))
-        for i, w in enumerate(point):
-            dw = (w[0] - self.center[i], w[1])
-            sq = s_mul(dw, dw, d)
-            acc = (acc[0] + sq[0], acc[1] + sq[1])
-        return quad_sign(self.r2 - acc[0], -acc[1], d) >= 0
+    @cached_property
+    def _ints(self) -> tuple[list[int], int]:
+        return over_common_den(self.center)
 
-    def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
-                             d: int) -> np.ndarray:
-        """contains_exact for each point (P + Q*sqrt(d))/den, den > 0."""
-        cn, L = over_common_den(self.center)
+    def contains_exact(self, P, Q, den: int, d: int):
+        """Whether (P[i] + Q[i]*sqrt(d))/den lies in the ball, den > 0."""
+        cn, L = self._ints
         # den*L*(w_i - c_i) = X_i + Y_i*sqrt(d)
-        X = [int_lin([(L, P[:, i])], -den * c) for i, c in enumerate(cn)]
-        Y = [int_lin([(L, Q[:, i])]) for i in range(self.dim)]
+        X = [int_lin([(L, P[i])], -den * c) for i, c in enumerate(cn)]
+        Y = [int_lin([(L, Q[i])]) for i in range(self.dim)]
         # (den*L)^2 * |w - c|^2 = SA + SB*sqrt(d)
         SA = int_lin([(1, int_mul(x, x)) for x in X]
                      + [(d, int_mul(y, y)) for y in Y])
@@ -216,29 +198,22 @@ class Polygon:
         for i in range(k):
             yield vs[i], vs[(i + 1) % k]
 
-    def contains_exact(self, point, d: int) -> bool:
-        wx, wy = point
-        for (x1, y1), (x2, y2) in self._edges():
-            # ccw: inside iff cross((v2-v1), (w-v1)) >= 0
-            ax, ay = x2 - x1, y2 - y1
-            cA = ax * (wy[0] - y1) - ay * (wx[0] - x1)
-            cB = ax * wy[1] - ay * wx[1]
-            if quad_sign(cA, cB, d) < 0:
-                return False
-        return True
-
-    def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
-                             d: int) -> np.ndarray:
-        """contains_exact for each point (P + Q*sqrt(d))/den, den > 0."""
+    @cached_property
+    def _ints(self) -> tuple[list[tuple[int, int]], int]:
         nums, L = over_common_den([c for v in self.vertices for c in v])
-        vs = list(zip(nums[::2], nums[1::2]))
-        inside = np.ones(len(P), dtype=bool)
+        return list(zip(nums[::2], nums[1::2])), L
+
+    def contains_exact(self, P, Q, den: int, d: int):
+        """Whether (P[i] + Q[i]*sqrt(d))/den lies in the polygon, den > 0."""
+        vs, L = self._ints
+        inside = True
         for (x1, y1), (x2, y2) in zip(vs, vs[1:] + vs[:1]):
+            # ccw: inside iff cross((v2-v1), (w-v1)) >= 0, and
             # den*L^2 * cross((v2-v1), (w-v1)) = A + B*sqrt(d)
             ax, ay = x2 - x1, y2 - y1
-            A = int_lin([(ax * L, P[:, 1]), (-ay * L, P[:, 0])],
+            A = int_lin([(ax * L, P[1]), (-ay * L, P[0])],
                         den * (ay * x1 - ax * y1))
-            B = int_lin([(ax * L, Q[:, 1]), (-ay * L, Q[:, 0])])
+            B = int_lin([(ax * L, Q[1]), (-ay * L, Q[0])])
             inside &= quad_sign_array(A, B, d) >= 0
         return inside
 
@@ -290,16 +265,10 @@ class Product:
     def dim(self) -> int:
         return self.left.dim + self.right.dim
 
-    def contains_exact(self, point, d: int) -> bool:
+    def contains_exact(self, P, Q, den: int, d: int):
         k = self.left.dim
-        return (self.left.contains_exact(point[:k], d)
-                and self.right.contains_exact(point[k:], d))
-
-    def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
-                             d: int) -> np.ndarray:
-        k = self.left.dim
-        return (self.left.contains_exact_batch(P[:, :k], Q[:, :k], den, d)
-                & self.right.contains_exact_batch(P[:, k:], Q[:, k:], den, d))
+        return (self.left.contains_exact(P[:k], Q[:k], den, d)
+                & self.right.contains_exact(P[k:], Q[k:], den, d))
 
     def bbox(self):
         return self.left.bbox() + self.right.bbox()
@@ -335,26 +304,17 @@ class UnitScaled:
     def inv(self) -> QuadInt:
         return self.mult.norm() * self.mult.conj()
 
-    @cached_property
-    def _mult_pair(self) -> Scalar:
-        return self.mult.as_pair()
-
-    def contains_exact(self, point, d: int) -> bool:
-        m = self._mult_pair
-        return self.base.contains_exact(
-            tuple(s_mul(w, m, d) for w in point), d)
-
-    def contains_exact_batch(self, P: np.ndarray, Q: np.ndarray, den: int,
-                             d: int) -> np.ndarray:
+    def contains_exact(self, P, Q, den: int, d: int):
         ma, mb = self.mult.p, self.mult.q
-        # (P + Q*sqrt(d))/den * (ma + mb*sqrt(d))/2
-        return self.base.contains_exact_batch(
-            int_lin([(ma, P), (mb * d, Q)]), int_lin([(mb, P), (ma, Q)]),
-            den * 2, d)
+        # (P[i] + Q[i]*sqrt(d))/den * (ma + mb*sqrt(d))/2
+        return self.base.contains_exact(
+            [int_lin([(ma, p), (mb * d, q)]) for p, q in zip(P, Q)],
+            [int_lin([(mb, p), (ma, q)]) for p, q in zip(P, Q)], den * 2, d)
 
     def bbox(self):
-        inv, d = self.inv.as_pair(), self.mult.field.d
-        return [tuple(s_mul(as_scalar(b), inv, d) for b in lohi)
+        """The base's rational bounds b times 1/mult, as (A, B) pairs."""
+        ia, ib = self.inv.as_pair()
+        return [tuple((b * ia, b * ib) for b in lohi)
                 for lohi in self.base.bbox()]
 
     def volume(self) -> float:

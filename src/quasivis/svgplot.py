@@ -4,7 +4,6 @@ plots with the unit-box overlay."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .quadfield import FieldDesc, fundamental_unit, iter_ring_box

@@ -115,6 +115,25 @@ def test_density_product_region_matches_box(tmp_path, key):
     assert outputs[0] == outputs[1]
 
 
+def test_density_beta_exp_positive(tmp_path):
+    """beta = lambda: both routes run on the window lambda*W and the inner
+    window W, and their identities hold."""
+    cfg = write_cfg(tmp_path / "cfg.json", {**DENSITY_CFG, "beta_exp": 1})
+    res = runner.invoke(main, ["density", "--config", cfg, "--method", "both",
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_OK, res.output
+    doc = json.loads((tmp_path / "o" / "density.json").read_text())
+    assert doc["identities_ok"] is True
+
+
+def test_plot_beta_exp_positive(tmp_path):
+    cfg = write_cfg(tmp_path / "cfg.json", {**PLOT_CFG, "beta_exp": 1})
+    res = runner.invoke(main, ["plot", "--config", cfg,
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_OK, res.output
+    assert (tmp_path / "o" / "points.csv").exists()
+
+
 def test_density_rejects_non_hammarhjelm_field(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", {**DENSITY_CFG, "d": 3})
     res = runner.invoke(main, ["density", "--config", cfg,
@@ -126,6 +145,8 @@ def test_density_rejects_non_hammarhjelm_field(tmp_path):
     {**DENSITY_CFG, "T_grid": []},
     {**DENSITY_CFG, "extra_key": 1},
     {k: v for k, v in DENSITY_CFG.items() if k != "window"},
+    {**DENSITY_CFG, "beta_exp": 0.5},   # beta_exp is any integer
+    {**DENSITY_CFG, "beta_exp": "1"},
 ])
 def test_density_config_schema_rejections(tmp_path, bad):
     cfg = write_cfg(tmp_path / "cfg.json", bad)

@@ -304,8 +304,9 @@ def test_beta_scaling_subset():
     assert small < big
     inner = base.scaled_window(extra_exp=-1)
     for xs in big:
-        sigma = tuple(x.conj().as_pair() for x in xs)
-        assert (xs in small) == inner.contains_exact(sigma, 2)
+        # sigma(x) = (p - q*sqrt(2))/2 for x = (p + q*sqrt(2))/2
+        assert (xs in small) == inner.contains_exact(
+            [x.p for x in xs], [-x.q for x in xs], 2, 2)
 
 
 def test_point_dumps():

@@ -36,6 +36,9 @@ from quasivis.regions import (
     square_window,
 )
 
+import region_oracle
+from region_oracle import as_ints
+
 F2, F5 = field(2), field(5)
 Z2 = GridDesc(basis=np.eye(2), d=2, m=0)
 
@@ -48,27 +51,28 @@ def test_box_exact_membership_open_closed():
     b = Box.make([(0, 1)], lo_open=[True], hi_open=[False])
     one = (Fraction(1), Fraction(0))
     zero = (Fraction(0), Fraction(0))
-    assert b.contains_exact((one,), 2)
-    assert not b.contains_exact((zero,), 2)
+    assert b.contains_exact(*as_ints((one,)), 2)
+    assert not b.contains_exact(*as_ints((zero,)), 2)
     # sqrt2/2 is inside
-    assert b.contains_exact(((Fraction(0), Fraction(1, 2)),), 2)
+    assert b.contains_exact(*as_ints(((Fraction(0), Fraction(1, 2)),)), 2)
 
 
 def test_ball_exact_membership_quadratic_point():
     ball = Ball.make((0, 0), 1)
     half2 = (Fraction(0), Fraction(1, 2))  # sqrt2/2
-    assert ball.contains_exact((half2, half2), 2)  # on the boundary, closed
+    # on the boundary, closed
+    assert ball.contains_exact(*as_ints((half2, half2)), 2)
     just_out = (Fraction(1, 100) , Fraction(1, 2))
-    assert not ball.contains_exact((just_out, half2), 2)
+    assert not ball.contains_exact(*as_ints((just_out, half2)), 2)
 
 
 def test_polygon_octagon_symmetry_and_area():
     o = octagon_window(1)
     assert o.is_centrally_symmetric()
     assert o.volume_exact() == Fraction(4) - 2 * (1 - Fraction(29, 70)) ** 2
-    assert o.contains_exact(((Fraction(0), Fraction(0)),) * 2, 2)
-    assert not o.contains_exact(
-        ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0))), 2)
+    assert o.contains_exact(*as_ints(((Fraction(0), Fraction(0)),) * 2), 2)
+    assert not o.contains_exact(*as_ints(
+        ((Fraction(1), Fraction(0)), (Fraction(1), Fraction(0)))), 2)
 
 
 def test_region_from_spec_roundtrip():
@@ -122,8 +126,8 @@ def test_unit_scaled_membership():
     # w = (1/lam) * [-1,1]^2, half-width sqrt2 - 1 = 0.4142
     inside = ((Fraction(2, 5), Fraction(0)),) * 2
     outside = ((Fraction(1, 2), Fraction(0)),) * 2
-    assert w.contains_exact(inside, 2)
-    assert not w.contains_exact(outside, 2)
+    assert w.contains_exact(*as_ints(inside), 2)
+    assert not w.contains_exact(*as_ints(outside), 2)
     assert w.volume() == pytest.approx(4 * (math.sqrt(2) - 1) ** 2)
 
 
@@ -150,7 +154,8 @@ def test_float_membership_boundary_flags():
     assert list(status) == [1, 2, 0, 2]
 
 
-# Batch membership against the scalar contains_exact.  Each region comes with
+# Membership, for a batch and for each point alone, against the Fraction
+# oracle in region_oracle.py.  Each region comes with
 # points on its boundary: box corners and edges, polygon vertices and edge
 # midpoints, circle points, and (for unit-scaled windows) their images under
 # the irrational scale factor.
@@ -212,10 +217,15 @@ def as_int_arrays(points, dim, den_factor=1):
 
 
 def check_batch(region, d, points, den_factor):
+    """contains_exact on the (dim, N) arrays and on each point as Python
+    ints, both against the oracle."""
     P, Q, den = as_int_arrays(points, region.dim, den_factor)
-    got = region.contains_exact_batch(P, Q, den, d)
-    want = [region.contains_exact(pt, d) for pt in points]
+    want = [region_oracle.contains(region, pt, d) for pt in points]
+    got = region.contains_exact(P.T, Q.T, den, d)
     assert got.dtype == bool and got.tolist() == want
+    one = [region.contains_exact(p.tolist(), q.tolist(), den, d)
+           for p, q in zip(P, Q)]
+    assert all(type(r) is bool for r in one) and one == want
 
 
 small_scalars = st.tuples(
@@ -320,8 +330,8 @@ def test_exact_enumeration_d1_matches_scan():
 
 
 # Exact enumeration against a bounded scan of a + b*omega on each axis, joint
-# membership decided point by point by the scalar contains_exact (the
-# reference).  Every physical region lies in [-3, 3]^2 and every window,
+# membership decided point by point by the Fraction oracle in
+# region_oracle.py (the reference).  Every physical region lies in [-3, 3]^2 and every window,
 # scaled by lambda^(+-1), in [-5/2, 5/2]^2.
 
 ENUM_PHYS = {
@@ -364,9 +374,9 @@ def test_exact_enumeration_matches_scalar_scan(d, phys_name, window_name,
                        ).scaled_window(extra_exp=extra_exp)
     axis = scan_axis(fld)
     want = {xs for xs in itertools.product(axis, repeat=2)
-            if phys.contains_exact(tuple(x.as_pair() for x in xs), d)
-            and window.contains_exact(tuple(x.conj().as_pair() for x in xs),
-                                      d)}
+            if region_oracle.contains(phys, tuple(x.as_pair() for x in xs), d)
+            and region_oracle.contains(
+                window, tuple(x.conj().as_pair() for x in xs), d)}
     got = list(enumerate_field_points_exact(lat, phys, window))
     assert want and len(got) == len(set(got))
     assert set(got) == want
