@@ -163,21 +163,16 @@ def cmd_check_hc(d_min, d_max, out):
     if not (2 <= d_min <= d_max):
         click.echo("need 2 <= d_min <= d_max", err=True)
         sys.exit(EXIT_CONFIG)
-    rows = []
+    lines = ["d,disc,lambda,empty_box,witness"]
     for d in sorted(d for d in PID_D if d_min <= d <= d_max):
         fld = field(d)
-        lam = fundamental_unit(fld)
         wit = hammarhjelm_witness(fld)
-        rows.append((d, fld.disc, float(lam), wit is None,
-                     "" if wit is None else repr(wit)))
-    header = "d,disc,lambda,empty_box,witness"
-    click.echo(header)
-    for r in rows:
-        click.echo(f"{r[0]},{r[1]},{r[2]:.6f},{int(r[3])},{r[4]}")
+        lines.append(f"{d},{fld.disc},{float(fundamental_unit(fld)):.6f},"
+                     f"{int(wit is None)},{'' if wit is None else repr(wit)}")
+    for line in lines:
+        click.echo(line)
     if out:
         Path(out).mkdir(parents=True, exist_ok=True)
-        lines = [header] + [f"{r[0]},{r[1]},{r[2]:.6f},{int(r[3])},{r[4]}"
-                            for r in rows]
         (Path(out) / "check_hc.csv").write_text("\n".join(lines) + "\n")
 
 

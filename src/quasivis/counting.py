@@ -5,7 +5,7 @@ convergence-rate fitting and the random-lattice 1/zeta(n) experiment."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +14,9 @@ from . import kernels
 from .cutproject import CPSetDesc
 from .lattice import box_reduced_basis, field_point_arrays
 from .quadfield import (
-    QuadInt,
     as_scalar,
     dedekind_zeta_highprec,
+    divisible_by,
     floor_quad,
     fundamental_unit,
     ideal_norms,
@@ -66,9 +66,6 @@ class CountReport:
     count_pr_inner: int = 0
     identity_ok: bool = True
 
-    CSV_HEADER = ("T,count_vis,count_pr,count_all,vol_TD,M_T,predicted,"
-                  "rel_error,boundary_ambiguous,count_pr_inner,identity_ok")
-
     def csv_row(self) -> str:
         return (f"{self.T:g},{self.count_vis},{self.count_pr},"
                 f"{self.count_all},{self.vol_TD:.12g},{self.M_T:.12g},"
@@ -77,15 +74,10 @@ class CountReport:
                 f"{int(self.identity_ok)}")
 
     def to_json(self) -> dict:
-        return {
-            "T": self.T, "count_vis": self.count_vis,
-            "count_pr": self.count_pr, "count_all": self.count_all,
-            "vol_TD": self.vol_TD, "M_T": self.M_T,
-            "predicted": self.predicted, "rel_error": self.rel_error,
-            "boundary_ambiguous": self.boundary_ambiguous,
-            "count_pr_inner": self.count_pr_inner,
-            "identity_ok": self.identity_ok,
-        }
+        return asdict(self)
+
+
+CountReport.CSV_HEADER = ",".join(f.name for f in fields(CountReport))
 
 
 def predicted_density_hammarhjelm(desc: CPSetDesc,
@@ -126,24 +118,6 @@ def _norm_gcd(d: int, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return G
 
 
-def _divisible_rows(fld, P: np.ndarray, Q: np.ndarray,
-                    g: QuadInt) -> np.ndarray:
-    """Mask of the rows whose every coordinate x_i = (p_i + q_i*sqrt(d))/2
-    is a multiple of g.  With n = |N(g)|, g | x iff x*sigma(g) is n times an
-    integer of O_K; x*sigma(g) = (U + V*sqrt(d))/4, and (U/(2n), V/(2n))
-    must be integers of equal parity (d = 1 mod 4) or both even."""
-    d, n = fld.d, abs(g.norm())
-    ok = np.ones(len(P), dtype=bool)
-    for p, q in zip(P.T, Q.T):
-        U = int_lin([(g.p, p), (-d * g.q, q)])
-        V = int_lin([(g.p, q), (-g.q, p)])
-        if fld.half:
-            ok &= (U % (2 * n) == 0) & (U % (4 * n) == V % (4 * n))
-        else:
-            ok &= (U % (4 * n) == 0) & (V % (4 * n) == 0)
-    return ok
-
-
 def moebius_count_primitive(desc: CPSetDesc, D, T,
                             beta_exp: int | None = None, *,
                             points=None) -> int:
@@ -170,7 +144,7 @@ def moebius_count_primitive(desc: CPSetDesc, D, T,
     # the nonzero rows sorted by G, so that each value of G is one slice
     nonzero = np.flatnonzero(G)
     order = nonzero[np.argsort(G[nonzero], kind="stable")]
-    P, Q, G = P[order], Q[order], G[order]
+    (A, B), G = omega_coords(fld, P[order], Q[order]), G[order]
     G_values, starts = np.unique(G, return_index=True)
     slices = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(G)])]
     lam = fundamental_unit(fld).value
@@ -181,7 +155,7 @@ def moebius_count_primitive(desc: CPSetDesc, D, T,
         if n > cutoff:
             continue
         if n == 1:  # g = 1, the only unit in [1, lambda)
-            total += len(P)
+            total += len(G)
             continue
         groups = np.flatnonzero(G_values % n == 0)
         if not len(groups):
@@ -190,7 +164,7 @@ def moebius_count_primitive(desc: CPSetDesc, D, T,
         if mu == 0:
             continue
         rows = np.r_[tuple(slices[j] for j in groups)]
-        total += mu * int(_divisible_rows(fld, P[rows], Q[rows], g).sum())
+        total += mu * int(divisible_by(g, A[rows].T, B[rows].T).sum())
     return total
 
 
@@ -202,7 +176,6 @@ def _in_inner_box(desc: CPSetDesc, P: np.ndarray,
     common denominator L."""
     box, d = desc.window, desc.field.d
     mult = desc.unit_power(1 - desc.beta_exp)
-    lo_open, hi_open = box._flags()
     bounds = [b for lohi in box.bounds for b in lohi]
     L = math.lcm(*(b.denominator for b in bounds))
     inside = np.ones(len(P), dtype=bool)
@@ -211,9 +184,9 @@ def _in_inner_box(desc: CPSetDesc, P: np.ndarray,
         A = int_lin([(L * mult.p, P[:, i]), (L * mult.q * d, Q[:, i])])
         B = int_lin([(L * mult.q, P[:, i]), (L * mult.p, Q[:, i])])
         s = quad_sign_array(int_lin([(1, A)], -int(4 * L * lo)), B, d)
-        inside &= (s > 0) if lo_open[i] else (s >= 0)
+        inside &= (s > 0) if box.lo_open[i] else (s >= 0)
         s = quad_sign_array(int_lin([(-1, A)], int(4 * L * hi)), -B, d)
-        inside &= (s > 0) if hi_open[i] else (s >= 0)
+        inside &= (s > 0) if box.hi_open[i] else (s >= 0)
     return inside
 
 
@@ -236,7 +209,8 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
     P, Q = P[keep], Q[keep]
     outer = P, Q
     count_all = len(P)
-    primitive = ideal_norms(desc.field, *omega_coords(desc.field, P, Q)) == 1
+    primitive = ideal_norms(desc.field,
+                            *omega_coords(desc.field, P.T, Q.T)) == 1
     count_pr = int(primitive.sum())
     # sigma(x) = (p - q*sqrt(d))/2 for x = (p + q*sqrt(d))/2
     P, Q = P[primitive], -Q[primitive]

@@ -21,6 +21,7 @@ from .quadfield import (
     FieldDesc,
     QuadInt,
     check_hammarhjelm,
+    divisible_by,
     fundamental_unit,
     gcd_is_one,
 )
@@ -147,10 +148,10 @@ def visible_fast(desc: CPSetDesc, x: CPPoint) -> bool:
     """Visibility via the Hammarhjelm characterization: coordinate gcd is a
     unit and the conjugate vector avoids the closed window (1/lambda)*beta*W."""
     desc.require_hammarhjelm()
-    if x.is_origin or not gcd_is_one(list(x.quad_coords)):
+    xs = x.quad_coords
+    if not gcd_is_one(list(xs)):  # the origin has ideal norm 0
         return False
     # sigma(x) = (p - q*sqrt(d))/2 for x = (p + q*sqrt(d))/2
-    xs = x.quad_coords
     return not desc.inner_window.contains_exact(
         [q.p for q in xs], [-q.q for q in xs], 2, desc.field.d)
 
@@ -187,7 +188,7 @@ class SublatticeLg:
         return abs(self.g.norm()) ** self.base.d * self.base.covolume()
 
     def contains(self, xs: tuple[QuadInt, ...]) -> bool:
-        return all(self.g.divides(x) for x in xs)
+        return divisible_by(self.g, [x.a for x in xs], [x.b for x in xs])
 
 
 def sublattice_Lg(desc: CPSetDesc, g: QuadInt) -> SublatticeLg:

@@ -38,6 +38,9 @@ class _NotFoundType:
 
 NotFound = _NotFoundType()
 
+# candidates ranked at a time by hole_near_subspace
+SEARCH_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class CRTHole:
@@ -119,8 +122,9 @@ def hole_near_subspace(hole: CRTHole, V, R: float, search_budget: int):
     subspace V = span(rows of V) within distance R.
 
     Candidates are a budgeted grid along V with step N, each mapped to its
-    nearest translate by componentwise rounding and ranked in floats, 2^16
-    at a time.  The best one is returned as an integer vector only if its
+    nearest translate by componentwise rounding and ranked in floats,
+    SEARCH_BLOCK at a time, until the block in which the count reaches the
+    budget.  The best one is returned as an integer vector only if its
     exact distance to span(V), taking the floats of V and R at their binary
     values, is at most R (R = inf accepts any distance); otherwise the
     NotFound sentinel."""
@@ -137,17 +141,15 @@ def hole_near_subspace(hole: CRTHole, V, R: float, search_budget: int):
     x0 = np.array(hole.x0, dtype=np.longdouble)
     N = np.longdouble(hole.N)
     side = max(1, int(round(search_budget ** (1.0 / r))))
-    grids = [np.arange(-(side // 2), side - side // 2, dtype=np.longdouble)
-             for _ in range(r)]
     best = (math.inf, None)
     tried = 0
-    mesh = itertools.product(*[g.tolist() for g in grids])
-    while tried < search_budget:
-        block = list(itertools.islice(mesh, 1 << 16))
-        if not block:
-            break
+    while tried < min(search_budget, side ** r):
+        # the next indices of the grid [-(side//2), side - side//2)^r in
+        # lexicographic order
+        block = np.arange(tried, min(tried + SEARCH_BLOCK, side ** r))
         tried += len(block)
-        J = np.array(block, dtype=np.longdouble) * N
+        J = np.stack(np.unravel_index(block, (side,) * r), axis=1)
+        J = (J - side // 2).astype(np.longdouble) * N
         t = J @ Q.T
         k = np.rint((t - x0) / N)
         c = x0 + N * k

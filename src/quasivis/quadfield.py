@@ -1,8 +1,9 @@
 """Exact arithmetic in real quadratic fields K = Q(sqrt(d)) with PID ring of integers.
 
-Elements, units, ideal norms and gcd tests from 2x2 minors, the Moebius
-function of a principal ideal from its norm and the Kronecker symbol, and
-the Dedekind zeta function.  Every correctness-bearing comparison is an
+Elements, units, ideal norms from 2x2 minors and divisibility by g (each
+one body for a point or a set of points), the Moebius function of a
+principal ideal from its norm and the Kronecker symbol, and the Dedekind
+zeta function.  Every correctness-bearing comparison is an
 exact integer sign computation; floats appear only as convenience
 approximations.
 """
@@ -124,8 +125,10 @@ def int_lin(terms, const: int = 0) -> np.ndarray:
     coefficients c and integer arrays X of one shape, or Python ints X."""
     if not isinstance(terms[0][1], np.ndarray):
         return const + sum(c * x for c, x in terms)
-    bound = abs(const) + sum(abs(c) * _max_abs(x) for c, x in terms)
-    dt = _exact_dtype(max(bound, *(abs(c) for c, _ in terms)))
+    mags = [_max_abs(x) for _, x in terms]
+    bound = abs(const) + sum(abs(c) * m for (c, _), m in zip(terms, mags))
+    # the inputs must fit too, also under a zero coefficient
+    dt = _exact_dtype(max(bound, *mags, *(abs(c) for c, _ in terms)))
     out = np.full(terms[0][1].shape, const, dtype=dt)
     for c, x in terms:
         out += c * x.astype(dt)
@@ -136,7 +139,8 @@ def int_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Exact elementwise product of two integer arrays, or of two ints."""
     if not isinstance(x, np.ndarray):
         return x * y
-    dt = _exact_dtype(_max_abs(x) * _max_abs(y))
+    mx, my = _max_abs(x), _max_abs(y)
+    dt = _exact_dtype(max(mx * my, mx, my))  # a zero factor bounds no input
     return x.astype(dt) * y.astype(dt)
 
 
@@ -182,6 +186,11 @@ class FieldDesc:
     @property
     def omega(self) -> "QuadInt":
         return QuadInt(self, 0, 1)
+
+    @property
+    def omega_square(self) -> tuple[int, int]:
+        """(k, t) with omega^2 = k + t*omega."""
+        return ((self.d - 1) // 4, 1) if self.half else (self.d, 0)
 
     @property
     def sqrt_d(self) -> "QuadInt":
@@ -258,12 +267,9 @@ class QuadInt:
         if other is NotImplemented:
             return NotImplemented
         a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        if self.field.half:
-            e = (self.field.d - 1) // 4
-            return QuadInt(self.field, a1 * a2 + e * b1 * b2,
-                           a1 * b2 + a2 * b1 + b1 * b2)
-        return QuadInt(self.field, a1 * a2 + self.field.d * b1 * b2,
-                       a1 * b2 + a2 * b1)
+        k, t = self.field.omega_square
+        return QuadInt(self.field, a1 * a2 + k * b1 * b2,
+                       a1 * b2 + a2 * b1 + t * b1 * b2)
 
     __rmul__ = __mul__
 
@@ -354,11 +360,9 @@ class QuadInt:
 
     def divides(self, other: "QuadInt") -> bool:
         """True iff self | other in the ring of integers."""
-        n = self.norm()
-        if n == 0:
+        if not self:
             return not other
-        z = other * self.conj()
-        return z.a % abs(n) == 0 and z.b % abs(n) == 0
+        return divisible_by(self, [other.a], [other.b])
 
     def __repr__(self):
         return f"QuadInt(d={self.field.d}, {self.a} + {self.b}*omega)"
@@ -411,40 +415,52 @@ def fundamental_unit(fld: FieldDesc) -> FundamentalUnit:
 
 
 # ---------------------------------------------------------------------------
-# Ideal norms from 2x2 minors
+# Ideal norms from 2x2 minors, divisibility by g
+
+# Both take omega-coordinates axis first, as regions' contains_exact does:
+# x_i = A[i] + B[i]*omega, with A[i], B[i] Python ints for one point or
+# integer arrays of one shape for a set of points.
 
 
-def ideal_norms(fld: FieldDesc, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Per row i, the norm of the ideal generated by A[i, j] + B[i, j]*omega
-    over j, for integer arrays A, B of shape (N, k); 0 for a zero row.
+def ideal_norms(fld: FieldDesc, A, B):
+    """Per point, the norm of the ideal generated by its coordinates x_i;
+    0 for the zero point.
 
-    The ideal is the Z-module spanned by the x_j and omega*x_j, and its
+    The ideal is the Z-module spanned by the x_i and omega*x_i, and its
     norm is its index in O_K = Z + Z*omega: the gcd of the 2x2 minors of
     the 2k x 2 coordinate matrix of those vectors (Cohen, GTM 138, 2.4)."""
-    # omega*(a + b*omega) = e*b + (a + b)*omega, e = (d - 1)/4, if d = 1 mod 4,
-    # else d*b + a*omega
-    if fld.half:
-        wa, wb = int_lin([((fld.d - 1) // 4, B)]), int_lin([(1, A), (1, B)])
-    else:
-        wa, wb = int_lin([(fld.d, B)]), A
-    U, V = [*A.T, *wa.T], [*B.T, *wb.T]
-    norms = np.zeros(len(A), dtype=np.int64)
+    k, t = fld.omega_square
+    # omega*(a + b*omega) = k*b + (a + t*b)*omega; a itself when t = 0
+    U = [*A, *(int_lin([(k, b)]) for b in B)]
+    V = [*B, *(int_lin([(1, a), (t, b)]) if t else a for a, b in zip(A, B))]
+    gcd_of = np.gcd if isinstance(U[0], np.ndarray) else gcd
+    norms = 0
     for j in range(len(U)):  # one minor at a time bounds peak memory
         for l in range(j + 1, len(U)):
-            norms = np.gcd(norms, int_lin([(1, int_mul(U[j], V[l])),
+            norms = gcd_of(norms, int_lin([(1, int_mul(U[j], V[l])),
                                            (-1, int_mul(U[l], V[j]))]))
     return norms
 
 
+def divisible_by(g: QuadInt, A, B):
+    """Whether g != 0 divides every coordinate x_i: each x_i*sigma(g) must
+    be |N(g)| times an integer of O_K, so both its omega-coordinates must
+    be divisible by |N(g)|."""
+    (k, t), s, n = g.field.omega_square, g.conj(), abs(g.norm())
+    ok = True
+    for a, b in zip(A, B):
+        # (a + b*omega)*(s.a + s.b*omega) = za + zb*omega
+        za = int_lin([(s.a, a), (k * s.b, b)])
+        zb = int_lin([(s.b, a), (s.a + t * s.b, b)])
+        ok &= (za % n == 0) & (zb % n == 0)
+    return ok
+
+
 def gcd_is_one(xs: list[QuadInt]) -> bool:
     """True iff the ideal generated by xs is the unit ideal; False when
-    every x_i is zero.  Its norm is the gcd of the 2x2 minors of the
-    omega-coordinates of the x_i and omega*x_i, the formula of ideal_norms,
-    here on Python ints for one point."""
-    vecs = [(z.a, z.b) for x in xs for z in (x, x.field.omega * x)]
-    minors = [u1 * v2 - u2 * v1 for j, (u1, v1) in enumerate(vecs)
-              for u2, v2 in vecs[j + 1:]]
-    return gcd(*minors) == 1
+    every x_i is zero."""
+    return ideal_norms(xs[0].field, [x.a for x in xs],
+                       [x.b for x in xs]) == 1
 
 
 def omega_coords(fld: FieldDesc, P: np.ndarray,
@@ -459,8 +475,7 @@ def omega_coords(fld: FieldDesc, P: np.ndarray,
 # No caller in the package; perfbench/tracer.py binds it by name.
 def pair_ideal_norm(fld: FieldDesc, a1: int, b1: int, a2: int, b2: int) -> int:
     """Norm of the ideal (a1 + b1*omega, a2 + b2*omega)."""
-    return int(ideal_norms(fld, int_array([[a1, a2]]),
-                           int_array([[b1, b2]]))[0])
+    return ideal_norms(fld, [a1, a2], [b1, b2])
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,17 @@ OUT, IN, BOUNDARY = 0, 1, 2
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box; per-side open/closed flags (closed by default)."""
+    """Axis-aligned box; per-side open/closed flags, one per axis (closed
+    when not given)."""
 
     bounds: tuple  # of (lo: Fraction, hi: Fraction)
     lo_open: tuple = ()
     hi_open: tuple = ()
+
+    def __post_init__(self):
+        for name in ("lo_open", "hi_open"):
+            if not getattr(self, name):
+                object.__setattr__(self, name, (False,) * self.dim)
 
     @staticmethod
     def cube(half_width, dim: int) -> "Box":
@@ -44,18 +50,11 @@ class Box:
     @staticmethod
     def make(bounds, lo_open=None, hi_open=None) -> "Box":
         bs = tuple((Fraction(lo), Fraction(hi)) for lo, hi in bounds)
-        k = len(bs)
-        return Box(bs, tuple(lo_open or [False] * k), tuple(hi_open or [False] * k))
+        return Box(bs, tuple(lo_open or ()), tuple(hi_open or ()))
 
     @property
     def dim(self) -> int:
         return len(self.bounds)
-
-    def _flags(self):
-        k = self.dim
-        lo = self.lo_open or (False,) * k
-        hi = self.hi_open or (False,) * k
-        return lo, hi
 
     @cached_property
     def _ints(self) -> tuple[list[int], int]:
@@ -63,7 +62,6 @@ class Box:
 
     def contains_exact(self, P, Q, den: int, d: int):
         """Whether (P[i] + Q[i]*sqrt(d))/den lies in the box, den > 0."""
-        lo_open, hi_open = self._flags()
         nums, L = self._ints
         inside = True
         for i in range(self.dim):
@@ -71,10 +69,10 @@ class Box:
             B = int_lin([(L, Q[i])])
             s = quad_sign_array(int_lin([(L, P[i])], -den * nums[2 * i]),
                                 B, d)
-            inside &= (s > 0) if lo_open[i] else (s >= 0)
+            inside &= (s > 0) if self.lo_open[i] else (s >= 0)
             s = quad_sign_array(
                 int_lin([(-L, P[i])], den * nums[2 * i + 1]), -B, d)
-            inside &= (s > 0) if hi_open[i] else (s >= 0)
+            inside &= (s > 0) if self.hi_open[i] else (s >= 0)
         return inside
 
     def contains_float(self, x: np.ndarray, tol: float) -> np.ndarray:
@@ -102,7 +100,9 @@ class Box:
                    self.lo_open, self.hi_open)
 
     def is_centrally_symmetric(self) -> bool:
-        return all(lo == -hi for lo, hi in self.bounds)
+        """-w lies in the box iff w does: lo = -hi with equal flags."""
+        return (all(lo == -hi for lo, hi in self.bounds)
+                and self.lo_open == self.hi_open)
 
     def diameter(self) -> float:
         return math.sqrt(sum(float(hi - lo) ** 2 for lo, hi in self.bounds))

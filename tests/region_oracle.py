@@ -24,7 +24,7 @@ def contains(region, point: tuple[Scalar, ...], d: int) -> bool:
     """Whether the point lies in the region (Box, Ball, Polygon, Product or
     UnitScaled)."""
     if isinstance(region, Box):
-        lo_open, hi_open = region._flags()
+        lo_open, hi_open = region.lo_open, region.hi_open
         for i, w in enumerate(point):
             lo, hi = region.bounds[i]
             s = quad_sign(w[0] - lo, w[1], d)

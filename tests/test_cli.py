@@ -141,6 +141,18 @@ def test_density_rejects_non_hammarhjelm_field(tmp_path):
     assert res.exit_code == EXIT_CONFIG
 
 
+def test_density_rejects_half_open_box_window(tmp_path):
+    """[-1, 1)^2 is not centrally symmetric, so not a Hammarhjelm example;
+    the fast test disagreed with the oracle on it while it passed as one."""
+    window = {"kind": "box", "bounds": [[-1, 1], [-1, 1]],
+              "hi_open": [True, True]}
+    cfg = write_cfg(tmp_path / "cfg.json",
+                    {**DENSITY_CFG, "window": window, "T_grid": [12]})
+    res = runner.invoke(main, ["density", "--config", cfg,
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_CONFIG, res.output
+
+
 @pytest.mark.parametrize("bad", [
     {**DENSITY_CFG, "T_grid": []},
     {**DENSITY_CFG, "extra_key": 1},

@@ -13,7 +13,6 @@ from quasivis import counting
 from quasivis.counting import (
     CountReport,
     DegenerateFit,
-    _divisible_rows,
     _norm_cutoff,
     _norm_gcd,
     moebius_count_primitive,
@@ -33,12 +32,14 @@ from quasivis.cutproject import (
 from quasivis.lattice import field_point_arrays
 from quasivis.quadfield import (
     QuadInt,
+    divisible_by,
     field,
     fundamental_unit,
     gcd_is_one,
     ideal_norms,
     int_array,
     iter_ring_box,
+    omega_coords,
 )
 from quasivis.regions import Box, disc_window, octagon_window, square_window
 
@@ -223,9 +224,14 @@ def test_norm_gcd_and_divisibility_past_int64(d, g, scale):
     assert G.dtype == object
     assert list(G) == [math.gcd(*(abs(x.norm()) for x in row))
                        for row in rows]
-    got = _divisible_rows(fld, P, Q, g)
-    want = [all(g.divides(x) for x in row) for row in rows]
+    # the HNF ideal (g) of the oracle decides divisibility independently
+    ideal = principal_ideal(g)
+    want = [all(ideal.contains(x) for x in row) for row in rows]
+    got = divisible_by(g, *omega_coords(fld, P.T, Q.T))
     assert list(got) == want
+    assert [divisible_by(g, [x.a for x in row], [x.b for x in row])
+            for row in rows] == want
+    assert [all(g.divides(x) for x in row) for row in rows] == want
     assert any(want) and not all(want)
     # some multiples of the conjugate are not multiples of g itself, so
     # testing x*g in place of x*sigma(g) would show
@@ -274,7 +280,7 @@ def test_visible_count_one_gcd_test_per_point(monkeypatch):
     calls = []
 
     def counting_ideal_norms(fld, A, B):
-        calls.append(len(A))
+        calls.append(len(A[0]))
         return ideal_norms(fld, A, B)
 
     monkeypatch.setattr(counting, "ideal_norms", counting_ideal_norms)

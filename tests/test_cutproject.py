@@ -163,6 +163,29 @@ def test_oracle_equivalence_T15(fld, window_name):
             p.quad_coords
 
 
+# open at both ends of the first axis, closed on the second
+OPEN_BOX = Box.make([(-1, 1), (-1, 1)], lo_open=[True, False],
+                    hi_open=[True, False])
+
+
+def test_box_symmetry_needs_equal_flags():
+    assert OPEN_BOX.is_centrally_symmetric()
+    for lo_open, hi_open in [([], [True, True]), ([False, True], [])]:
+        box = Box.make([(-1, 1), (-1, 1)], lo_open, hi_open)
+        assert not box.is_centrally_symmetric()
+        assert not desc_for(F2, box).is_hammarhjelm()
+
+
+@pytest.mark.parametrize("fld", [F2, F5])
+def test_oracle_equivalence_box_open_on_both_sides(fld):
+    desc = desc_for(fld, OPEN_BOX)
+    assert desc.is_hammarhjelm()
+    pts = generate(desc, D2, 12)
+    for p in pts:
+        assert visible_fast(desc, p) == visible_oracle(desc, p, pts), \
+            p.quad_coords
+
+
 def test_oracle_smallest_on_ray_visible():
     desc = desc_for(F2)
     pts = generate(desc, D2, 8)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from quasivis import holes
 from quasivis.holes import (
     CRTHole,
     NotFound,
@@ -136,6 +137,50 @@ def test_hole_near_subspace_rechecks_distance_exactly():
     assert hole_near_subspace(hole, V, R, search_budget=50) is NotFound
     R_up = math.nextafter(R, math.inf)
     assert hole_near_subspace(hole, V, R_up, search_budget=50) == x
+
+
+# Recorded from the itertools.product mesh that the block-wise index grid
+# replaced.  At budget 70,000 a plane gets side 265, so 265^2 = 70,225
+# candidates in two blocks of at most 2^16; the best one lies in the
+# second, partial block, so a lost block or a shifted order would show.
+PLANE = [[2.118, -1.112, -0.378], [2.043, 0.647, 0.663]]
+PINNED_PLANE_SEARCH = [
+    (65536, (1670913506640006565367470341160931012860921,
+             -1555599472638216564994261318264774970167199,
+             -703566635095784851510658376362012940354111)),
+    (70000, (927383977243324492013568170361471002578411,
+             -3474385354952234818810783049360155641863999,
+             -1950777458599896716491397501574010376957031)),
+]
+
+
+@pytest.mark.parametrize("budget,want", PINNED_PLANE_SEARCH)
+def test_hole_near_subspace_pinned_plane_search(budget, want):
+    hole = build_crt_hole(3, 1)
+    assert hole_near_subspace(hole, PLANE, math.inf, budget) == want
+
+
+# Also recorded from the mesh, with blocks of 16.  Budgets 1,130 and 1,156
+# both give side 34 and 34^2 = 1,156 candidates; at 1,130 the search stops
+# after the block in which the count reaches the budget (71 blocks, 1,136
+# candidates), before the best one of the full grid.
+STOP_PLANE = [[-0.549, -0.532, -1.349], [-0.592, -0.092, 0.691]]
+PINNED_STOP_SEARCH = [
+    (1130, (279793741962343331350492086116780025880741,
+            147322997915474635267901718082375375963711,
+            135902188416598134534069880992216103513239)),
+    (1156, (-247872375674011688449051389934449658835879,
+            -164479707960553330977283063220623983187019,
+            -271839811575130744401940986865552289222331)),
+]
+
+
+@pytest.mark.parametrize("budget,want", PINNED_STOP_SEARCH)
+def test_hole_near_subspace_stops_after_budget_block(monkeypatch, budget,
+                                                     want):
+    monkeypatch.setattr(holes, "SEARCH_BLOCK", 16)
+    hole = build_crt_hole(3, 1)
+    assert hole_near_subspace(hole, STOP_PLANE, math.inf, budget) == want
 
 
 def test_not_found_is_falsy_singleton():

@@ -259,8 +259,10 @@ def test_pair_ideal_norm_matches_hnf(x, y):
 
 
 # small and huge omega-coordinates, mixed within rows and across rows; huge
-# ones push the 2x2 minors past int64 onto Python ints
-coords = st.one_of(st.integers(-9, 9), st.integers(-10**14, 10**14))
+# ones push the 2x2 minors past int64 onto Python ints, and the largest are
+# past 2^62 themselves
+coords = st.one_of(st.integers(-9, 9), st.integers(-10**14, 10**14),
+                   st.integers(-2**70, 2**70))
 
 
 @settings(max_examples=200)
@@ -274,7 +276,10 @@ def test_ideal_norms_match_hnf(fld, rows):
     B = int_array([[b for _, b in r] for r in rows])
     want = [ideal_from_generators([QuadInt(fld, a, b) for a, b in r]).norm()
             if any(a or b for a, b in r) else 0 for r in rows]
-    assert ideal_norms(fld, A, B).tolist() == want
+    assert ideal_norms(fld, A.T, B.T).tolist() == want
+    # one point on Python ints: the same body, the same norms
+    assert [ideal_norms(fld, [a for a, _ in r], [b for _, b in r])
+            for r in rows] == want
     assert [gcd_is_one([QuadInt(fld, a, b) for a, b in r]) for r in rows] \
         == [n == 1 for n in want]
 
@@ -283,12 +288,18 @@ def test_ideal_norms_examples():
     # (sqrt2, 2) = (sqrt2) has norm 2; (1 + sqrt2, 3) is the unit ideal
     A, B = int_array([[0, 2], [1, 3], [0, 0]]), int_array([[1, 0], [1, 0],
                                                            [0, 0]])
-    assert ideal_norms(F2, A, B).tolist() == [2, 1, 0]
+    assert ideal_norms(F2, A.T, B.T).tolist() == [2, 1, 0]
+    assert pair_ideal_norm(F2, 0, 1, 2, 0) == 2
     # 2^40 * (unit ideal) has norm 2^80: the object-dtype path
     big = 1 << 40
-    got = ideal_norms(F5, int_array([[big, 3 * big]]),
-                      int_array([[big, 0]]))
+    got = ideal_norms(F5, int_array([[big], [3 * big]]),
+                      int_array([[big], [0]]))
     assert got.dtype == object and got.tolist() == [1 << 80]
+    assert ideal_norms(F5, [big, 3 * big], [big, 0]) == 1 << 80
+    # a coordinate past int64 beside zeros, whose products bound nothing:
+    # (2^63*sqrt2) has norm 2^127
+    got = ideal_norms(F2, int_array([[0], [0]]), int_array([[1 << 63], [0]]))
+    assert got.tolist() == [1 << 127]
 
 
 def _is_prime(n):
