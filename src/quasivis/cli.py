@@ -11,7 +11,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
-import jsonschema
 import numpy as np
 
 from . import __version__, counting, cutproject, holes, kernels, svgplot
@@ -21,77 +20,69 @@ from .quadfield import (
     fundamental_unit,
     hammarhjelm_witness,
 )
-from .regions import Box, region_from_spec
+from .regions import region_from_spec
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
-_REGION_SCHEMA = {"type": "object", "required": ["kind"],
-                  "properties": {"kind": {"type": "string"}}}
+_INTEGER = (lambda v: type(v) is int, "an integer")  # not 2.0, not true
+_POSITIVE = (lambda v: type(v) in (int, float) and v > 0, "a number > 0")
+_REGION = (lambda v: isinstance(v, dict) and isinstance(v.get("kind"), str),
+           "an object with a string kind")
+_T_GRID = (lambda v: isinstance(v, list) and len(v) > 0
+           and all(map(_POSITIVE[0], v)), "a non-empty list of numbers > 0")
 
-DENSITY_SCHEMA = {
-    "type": "object",
-    "required": ["d", "dim", "window", "averaging", "T_grid"],
-    "properties": {
-        "d": {"type": "integer", "minimum": 2},
-        "dim": {"type": "integer", "minimum": 2},
-        "window": _REGION_SCHEMA,
-        "averaging": _REGION_SCHEMA,
-        "T_grid": {"type": "array",
-                   "items": {"type": "number", "exclusiveMinimum": 0},
-                   "minItems": 1},
-        "beta_exp": {"type": "integer"},
-        "method": {"enum": ["direct", "moebius", "both"]},
-    },
-    "additionalProperties": False,
-}
 
-RANDOM_SCHEMA = {
-    "type": "object",
-    "required": ["n", "d", "window", "omega", "T_grid", "samples"],
-    "properties": {
-        "n": {"type": "integer", "minimum": 3},
-        "d": {"type": "integer", "minimum": 1},
-        "window": _REGION_SCHEMA,
-        "omega": _REGION_SCHEMA,
-        "T_grid": {"type": "array",
-                   "items": {"type": "number", "exclusiveMinimum": 0},
-                   "minItems": 1},
-        "samples": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", "minimum": 0},
-    },
-    "additionalProperties": False,
-}
+def _integer_from(lo: int):
+    return (lambda v: type(v) is int and v >= lo), f"an integer >= {lo}"
 
-PLOT_SCHEMA = {
-    "type": "object",
-    "required": ["d", "dim", "window", "averaging", "T"],
-    "properties": {
-        "d": {"type": "integer", "minimum": 2},
-        "dim": {"type": "integer", "minimum": 2},
-        "window": _REGION_SCHEMA,
-        "averaging": _REGION_SCHEMA,
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "beta_exp": {"type": "integer"},
-    },
-    "additionalProperties": False,
-}
+
+# Per command: (check, wording) for every key a config may hold, and the
+# keys it must hold.  A region's other keys are region_from_spec's to check.
+DENSITY_KEYS = ({"d": _integer_from(2), "dim": _integer_from(2),
+                 "window": _REGION, "averaging": _REGION, "T_grid": _T_GRID,
+                 "beta_exp": _INTEGER,
+                 "method": (lambda v: v in ("direct", "moebius", "both"),
+                            "direct, moebius or both")},
+                ("d", "dim", "window", "averaging", "T_grid"))
+
+PLOT_KEYS = ({"d": _integer_from(2), "dim": _integer_from(2),
+              "window": _REGION, "averaging": _REGION, "T": _POSITIVE,
+              "beta_exp": _INTEGER},
+             ("d", "dim", "window", "averaging", "T"))
+
+RANDOM_KEYS = ({"n": _integer_from(3), "d": _integer_from(1),
+                "window": _REGION, "omega": _REGION, "T_grid": _T_GRID,
+                "samples": _integer_from(1), "seed": _integer_from(0)},
+               ("n", "d", "window", "omega", "T_grid", "samples"))
 
 
 def _reject_constant(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
-def _load_config(path: str, schema: dict) -> dict:
-    """The schema-valid config at path; NaN and +-Infinity, which JSON
-    parsers accept but the schema's bounds let through, are rejected."""
+def _load_config(path: str, table: tuple) -> dict:
+    """The config at path: a JSON object that holds every key the command's
+    table requires, no key it does not name, and passes each key's check.
+    NaN and +-Infinity, which JSON parsers accept, are rejected."""
+    checks, required = table
     try:
         with open(path) as fh:
             cfg = json.load(fh, parse_constant=_reject_constant)
-        jsonschema.validate(cfg, schema)
-    except (OSError, ValueError, jsonschema.ValidationError) as exc:
+        if not isinstance(cfg, dict):
+            raise ValueError("a config must be a JSON object")
+        bad = [f"missing key {k!r}" for k in required if k not in cfg]
+        for k, v in cfg.items():
+            if k not in checks:
+                bad.append(f"unknown key {k!r}")
+            elif not checks[k][0](v):
+                bad.append(f"{k!r} must be {checks[k][1]}, "
+                           f"got {json.dumps(v)}")
+        if bad:
+            raise ValueError("; ".join(bad))
+    except (OSError, ValueError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     return cfg
@@ -99,12 +90,12 @@ def _load_config(path: str, schema: dict) -> dict:
 
 @contextlib.contextmanager
 def _config_errors():
-    """Exit with EXIT_CONFIG when building objects from a schema-valid config
+    """Exit with EXIT_CONFIG when building objects from a checked config
     fails: an unknown region kind, a missing key, a d that is not
-    squarefree in [2, 100], regions of the wrong dimension, a field that
-    is not a Hammarhjelm example, a random-lattice box too large to index
-    in int64; or when an argument click does not type is rejected, such as
-    a --subspace of the wrong length or a NaN --radius."""
+    squarefree in [2, 100], regions of the wrong kind or dimension, a field
+    that is not a Hammarhjelm example, a random-lattice box too large to
+    index in int64; or when an argument click does not type is rejected,
+    such as a --subspace of the wrong length or a NaN --radius."""
     try:
         yield
     except (KeyError, TypeError, ValueError) as exc:
@@ -183,7 +174,7 @@ def cmd_check_hc(d_min, d_max, out):
               default=None, help="Overrides the config's method.")
 def cmd_density(config_path, out, method):
     """Visible-density sweep over a T grid with identity cross-checks."""
-    cfg = _load_config(config_path, DENSITY_SCHEMA)
+    cfg = _load_config(config_path, DENSITY_KEYS)
     if method:
         cfg["method"] = method
     with _config_errors():
@@ -238,7 +229,7 @@ def cmd_plot(config_path, field_d, out):
     if config_path is None:
         click.echo("need --config or --field", err=True)
         sys.exit(EXIT_CONFIG)
-    cfg = _load_config(config_path, PLOT_SCHEMA)
+    cfg = _load_config(config_path, PLOT_KEYS)
     with _config_errors():
         desc, D = _desc_from_config(cfg)
     pts = cutproject.generate(desc, D, Fraction(str(cfg["T"])))
@@ -281,7 +272,7 @@ def cmd_holes(n_dim, a_half, translates, seed, subspace, radius, budget, out):
     }
     exit_code = EXIT_OK if all(ok for _, ok in checks) else EXIT_IDENTITY
     if subspace is not None:
-        r = radius if radius is not None else float(hole.N)
+        r = radius if radius is not None else hole.N
         with _config_errors():
             found = holes.hole_near_subspace(hole, [vec], r, budget)
         if found is holes.NotFound:
@@ -304,25 +295,15 @@ def cmd_holes(n_dim, a_half, translates, seed, subspace, radius, budget, out):
 @click.option("--out", type=click.Path(), default=".")
 def cmd_random(config_path, seed, out):
     """Random-lattice primitive-density experiment against 1/zeta(n)."""
-    cfg = _load_config(config_path, RANDOM_SCHEMA)
+    cfg = _load_config(config_path, RANDOM_KEYS)
     if seed is not None:
         cfg["seed"] = seed
     cfg.setdefault("seed", 0)
     with _config_errors():
-        window = region_from_spec(cfg["window"])
-        omega = region_from_spec(cfg["omega"])
-    if not isinstance(window, Box) or not isinstance(omega, Box):
-        click.echo("config error: random experiment needs box regions",
-                   err=True)
-        sys.exit(EXIT_CONFIG)
-    if (omega.dim, window.dim) != (cfg["d"], cfg["n"] - cfg["d"]):
-        click.echo("config error: omega and window dimensions must be d "
-                   "and n - d", err=True)
-        sys.exit(EXIT_CONFIG)
-    with _config_errors():  # such as a box past int64
         res = counting.random_lattice_experiment(
-            n=cfg["n"], d=cfg["d"], window=window, omega=omega,
-            T_list=cfg["T_grid"], samples=cfg["samples"], seed=cfg["seed"])
+            n=cfg["n"], d=cfg["d"], window=region_from_spec(cfg["window"]),
+            omega=region_from_spec(cfg["omega"]), T_list=cfg["T_grid"],
+            samples=cfg["samples"], seed=cfg["seed"])
     doc = _header(cfg, "float")
     doc["result"] = res
     out_dir = Path(out)

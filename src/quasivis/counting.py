@@ -248,8 +248,7 @@ class RateFit:
     residual: float
 
     def to_json(self) -> dict:
-        return {"pairs": [list(p) for p in self.pairs], "slope": self.slope,
-                "intercept": self.intercept, "residual": self.residual}
+        return asdict(self)
 
 
 def rate_fit(reports: list[CountReport]) -> RateFit:
@@ -276,8 +275,10 @@ def random_lattice_experiment(n: int, d: int, window: Box, omega: Box,
     The mean of count/(vol(W)*vol(T*Omega)) over samples estimates
     1/zeta(n).  Deterministic for a fixed seed."""
     m = n - d
+    if not isinstance(window, Box) or not isinstance(omega, Box):
+        raise ValueError("the random experiment needs box regions")
     if window.dim != m or omega.dim != d:
-        raise ValueError("window/omega dimensions must split n")
+        raise ValueError("omega and window dimensions must be d and n - d")
     rng = np.random.default_rng(seed)
     bases = []
     for _ in range(samples):

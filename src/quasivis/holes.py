@@ -117,12 +117,12 @@ def verify_hole(hole: CRTHole, x) -> bool:
     return True
 
 
-def hole_near_subspace(hole: CRTHole, V, R: float, search_budget: int):
+def hole_near_subspace(hole: CRTHole, V, R, search_budget: int):
     """Search translates x0 + N*k for one whose hole box approaches the
-    subspace V = span(rows of V) within distance R.
+    subspace V = span(rows of V) within distance R, a float or an int.
 
     Candidates are a budgeted grid along V with step N, each mapped to its
-    nearest translate by componentwise rounding and ranked in floats,
+    nearest translate by componentwise rounding and ranked in long doubles,
     SEARCH_BLOCK at a time, until the block in which the count reaches the
     budget.  The best one is returned as an integer vector only if its
     exact distance to span(V), taking the floats of V and R at their binary
@@ -141,7 +141,7 @@ def hole_near_subspace(hole: CRTHole, V, R: float, search_budget: int):
     x0 = np.array(hole.x0, dtype=np.longdouble)
     N = np.longdouble(hole.N)
     side = max(1, int(round(search_budget ** (1.0 / r))))
-    best = (math.inf, None)
+    best = (np.longdouble(np.inf), None)
     tried = 0
     while tried < min(search_budget, side ** r):
         # the next indices of the grid [-(side//2), side - side//2)^r in
@@ -156,12 +156,12 @@ def hole_near_subspace(hole: CRTHole, V, R: float, search_budget: int):
         resid = c - (c @ Q) @ Q.T
         dist = np.sqrt((resid * resid).sum(axis=1))
         i = int(np.argmin(dist))
-        if float(dist[i]) < best[0]:
-            best = (float(dist[i]), tuple(int(v) for v in k[i]))
+        if dist[i] < best[0]:
+            best = (dist[i], tuple(int(v) for v in k[i]))
     if best[1] is None:
         return NotFound
     c = tuple(int(hole.x0[j]) + hole.N * best[1][j] for j in range(hole.n))
-    if math.isfinite(R) and _dist2_to_span(c, Vb.tolist()) > Fraction(R) ** 2:
+    if R < math.inf and _dist2_to_span(c, Vb.tolist()) > Fraction(R) ** 2:
         return NotFound
     return c
 

@@ -1,7 +1,7 @@
 """Float-path lattice-point counting: one pure-numpy kernel that slices the
 integer preimage box into lines along its last coordinate.
 
-Fix a prefix (u_1..u_{n-1}).  Every coordinate of x = B u + t, computed in
+Fix a prefix (u_1..u_{n-1}).  Every coordinate of x = B u, computed in
 floats as the pointwise test computes it, is monotone in u_n, so the u_n
 whose image lies in the tol-widened box form one interval.  The kernel
 estimates its ends by division and settles each end with the pointwise
@@ -42,13 +42,13 @@ def _np_int_grid(lo: np.ndarray, hi: np.ndarray):
         yield U
 
 
-def _image(U, basis, trans):
-    """basis @ u + t for each row u of U, by one matrix product of at least
+def _image(U, basis):
+    """basis @ u for each row u of U, by one matrix product of at least
     two rows: numpy computes a lone row by a vector product, whose last bit
     can differ from that of the same row in a larger product."""
     if len(U) == 1:
-        return (np.repeat(U, 2, axis=0) @ basis.T + trans)[:1]
-    return U @ basis.T + trans
+        return (np.repeat(U, 2, axis=0) @ basis.T)[:1]
+    return U @ basis.T
 
 
 def _mobius_divisors(g: int) -> list[tuple[int, int]]:
@@ -88,10 +88,8 @@ class _Lines:
     """One box query cut into lines of constant prefix (u_1..u_{n-1}),
     with the pointwise predicates the lines are settled against."""
 
-    def __init__(self, basis, lo_u, hi_u, lo_x, hi_x, tol, translation):
+    def __init__(self, basis, lo_u, hi_u, lo_x, hi_x, tol):
         self.basis = np.ascontiguousarray(basis, dtype=np.float64)
-        self.trans = np.zeros(self.basis.shape[0]) if translation is None \
-            else np.asarray(translation, dtype=np.float64)
         self.lo_u = np.asarray(lo_u, dtype=np.int64)
         self.hi_u = np.asarray(hi_u, dtype=np.int64)
         self.lo_x = np.asarray(lo_x, dtype=np.float64)
@@ -121,7 +119,7 @@ class _Lines:
         U = np.empty(u.shape + (P.shape[1] + 1,), dtype=np.int64)
         U[..., :-1] = P
         U[..., -1] = u
-        return _image(U.reshape(-1, U.shape[-1]), self.basis, self.trans)
+        return _image(U.reshape(-1, U.shape[-1]), self.basis)
 
     def inside(self, X, rows=slice(None)):
         X = X[:, rows]
@@ -180,7 +178,7 @@ class _Lines:
                              f"indexed in int64")
         lo_n, hi_n = int(self.lo_u[-1]), int(self.hi_u[-1])
         for P in _np_int_grid(self.lo_u[:-1], self.hi_u[:-1]):
-            c = P @ self.basis[:, :-1].T + self.trans
+            c = P @ self.basis[:, :-1].T
             enter = ((self.enter_at - c) / self.slope).max(axis=1)
             leave = ((self.leave_at - c) / self.slope).min(axis=1)
             a = np.clip(np.ceil(enter), lo_n, hi_n + 1)
@@ -212,16 +210,15 @@ class _Lines:
 
 
 def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
-                                tol: float = 1e-9, translation=None,
-                                primitive: bool = False):
-    """Count integer vectors u in [lo_u, hi_u] with basis @ u + t inside the
+                                tol: float = 1e-9, primitive: bool = False):
+    """Count integer vectors u in [lo_u, hi_u] with basis @ u inside the
     box [lo_x, hi_x]; returns (count, boundary_ambiguous_count).
 
     With primitive=True only gcd-1 integer vectors are counted (and the
     all-zero vector is excluded).  Raises ValueError when the integer box
     has more points than int64 can index.
     """
-    scan = _Lines(basis, lo_u, hi_u, lo_x, hi_x, tol, translation)
+    scan = _Lines(basis, lo_u, hi_u, lo_x, hi_x, tol)
     count = interior = 0
     for P, a, z in scan.lines():
         ai, zi = scan.interior(P, a, z)
@@ -237,10 +234,10 @@ def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
 
 
 def collect_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
-                                  tol: float = 1e-9, translation=None):
+                                  tol: float = 1e-9):
     """As count_lattice_points_in_box but materializes (preimages, points,
     boundary flags) in canonical lexicographic preimage order."""
-    scan = _Lines(basis, lo_u, hi_u, lo_x, hi_x, tol, translation)
+    scan = _Lines(basis, lo_u, hi_u, lo_x, hi_x, tol)
     us = [np.empty((0, scan.basis.shape[1]), dtype=np.int64)]
     for P, a, z in scan.lines():
         lens = np.maximum(z - a + 1, 0)
@@ -250,13 +247,12 @@ def collect_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
                                                  lens)
         us.append(U)
     U = np.concatenate(us)
-    X = _image(U, scan.basis, scan.trans)
+    X = _image(U, scan.basis)
     return U, X, scan.near(X)
 
 
 def integer_preimage_box(basis_inv: np.ndarray,
-                         bbox: list[tuple[float, float]],
-                         translation=None):
+                         bbox: list[tuple[float, float]]):
     """Integer bounds covering the preimage of a bounding box: map all box
     corners through the inverse basis and pad by 1 against float
     rounding."""
@@ -265,10 +261,7 @@ def integer_preimage_box(basis_inv: np.ndarray,
     for mask in range(1 << n):
         c = [bbox[j][1] if mask >> j & 1 else bbox[j][0] for j in range(n)]
         corners.append(c)
-    corners = np.array(corners, dtype=np.float64)
-    if translation is not None:
-        corners = corners - np.asarray(translation, dtype=np.float64)
-    pre = corners @ basis_inv.T
+    pre = np.array(corners, dtype=np.float64) @ basis_inv.T
     lo = np.floor(pre.min(axis=0)).astype(np.int64) - 1
     hi = np.ceil(pre.max(axis=0)).astype(np.int64) + 1
     return lo, hi

@@ -30,20 +30,15 @@ class HypothesisFailed(ValueError):
 
 @dataclass(frozen=True)
 class GridDesc:
-    """Grid y + basis * Z^n with an R^d x R^m splitting."""
+    """Grid basis * Z^n with an R^d x R^m splitting."""
 
     basis: np.ndarray
     d: int
     m: int
-    translation: np.ndarray | None = None
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=np.float64)
         object.__setattr__(self, "basis", b)
-        if self.translation is not None:
-            object.__setattr__(
-                self, "translation",
-                np.asarray(self.translation, dtype=np.float64))
         if abs(np.linalg.det(b)) < 1e-14:
             raise ValueError("basis is singular")
 
@@ -111,10 +106,6 @@ class FieldLatticeDesc:
         return B
 
 
-def covolume(grid) -> float:
-    return grid.covolume()
-
-
 def enumerate_points(grid: GridDesc, region, tol: float = 1e-9):
     """All grid points in the region (float path).
 
@@ -124,12 +115,11 @@ def enumerate_points(grid: GridDesc, region, tol: float = 1e-9):
     """
     bbox = [(float(lo), float(hi)) for lo, hi in region.bbox()]
     inv = np.linalg.inv(grid.basis)
-    lo_u, hi_u = kernels.integer_preimage_box(inv, bbox, grid.translation)
+    lo_u, hi_u = kernels.integer_preimage_box(inv, bbox)
     lo_x = np.array([b[0] for b in bbox])
     hi_x = np.array([b[1] for b in bbox])
     U, X, _ = kernels.collect_lattice_points_in_box(
-        grid.basis, lo_u, hi_u, lo_x, hi_x, tol=tol,
-        translation=grid.translation)
+        grid.basis, lo_u, hi_u, lo_x, hi_x, tol=tol)
     status = region.contains_float(X, tol)
     keep = status != 0
     return U[keep], X[keep], status[keep] == BOUNDARY

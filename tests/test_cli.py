@@ -172,7 +172,7 @@ def test_density_config_schema_rejections(tmp_path, bad):
     ("density", {**DENSITY_CFG, "T_grid": [-3]}),     # a reversed box
     ("plot", {**PLOT_CFG, "T": 0}),
     ("random", {**RANDOM_CFG, "T_grid": [0]}),        # NaN densities
-    # JSON's NaN and Infinity pass the schema's exclusiveMinimum
+    # JSON's NaN and Infinity, rejected as they are parsed
     ("density", {**DENSITY_CFG, "T_grid": [math.nan]}),
     ("density", {**DENSITY_CFG, "T_grid": [math.inf]}),
     ("plot", {**PLOT_CFG, "T": math.nan}),
@@ -262,6 +262,49 @@ def test_dim_one_rejected(tmp_path, command, cfg):
     assert not any((tmp_path / "o").glob("*"))
 
 
+# Integral floats and booleans are not JSON integers: each integer key of
+# each command at the float of a value it accepts, and at true.
+INTEGER_KEYS = [
+    ("density", DENSITY_CFG, "d", 2), ("density", DENSITY_CFG, "dim", 2),
+    ("density", DENSITY_CFG, "beta_exp", 1),
+    ("plot", PLOT_CFG, "d", 2), ("plot", PLOT_CFG, "dim", 2),
+    ("plot", PLOT_CFG, "beta_exp", 1),
+    ("random", RANDOM_CFG, "n", 3), ("random", RANDOM_CFG, "d", 2),
+    ("random", RANDOM_CFG, "samples", 3), ("random", RANDOM_CFG, "seed", 7),
+]
+CONFIG_TABLE_REJECTIONS = [
+    (command, {**cfg, key: bad}, key)
+    for command, cfg, key, good in INTEGER_KEYS for bad in (float(good), True)
+] + [
+    ("plot", {**PLOT_CFG, "T": True}, "T"),
+    ("density", {**DENSITY_CFG, "T_grid": [True]}, "T_grid"),
+    ("density", {**DENSITY_CFG, "T_grid": True}, "T_grid"),
+    ("random", {**RANDOM_CFG, "T_grid": [True]}, "T_grid"),
+    ("density", [DENSITY_CFG], "object"),
+    ("plot", [], "object"),
+    ("random", 3, "object"),
+    ("plot", {**PLOT_CFG, "extra_key": 1}, "extra_key"),
+    ("random", {**RANDOM_CFG, "extra_key": 1}, "extra_key"),
+    ("plot", {k: v for k, v in PLOT_CFG.items() if k != "T"}, "T"),
+    ("random", {k: v for k, v in RANDOM_CFG.items() if k != "omega"},
+     "omega"),
+    ("density", {**DENSITY_CFG, "method": "fast"}, "method"),
+    ("density", {**DENSITY_CFG, "window": {"kind": 1}}, "window"),
+]
+
+
+@pytest.mark.parametrize("command,bad,key", CONFIG_TABLE_REJECTIONS)
+def test_config_key_table_rejections(tmp_path, command, bad, key):
+    cfg = write_cfg(tmp_path / "cfg.json", bad)
+    res = runner.invoke(main, [command, "--config", cfg,
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("config error:")
+    assert len(res.output.splitlines()) == 1 and key in res.output
+    assert not any((tmp_path / "o").glob("*"))
+
+
 def test_plot_field_not_squarefree(tmp_path):
     res = runner.invoke(main, ["plot", "--field", "4", "--out",
                                str(tmp_path)])
@@ -347,6 +390,21 @@ def test_holes_bad_arguments(tmp_path, args):
     assert not (tmp_path / "holes.json").exists()
 
 
+def test_holes_default_radius_past_the_float_range(tmp_path):
+    """The default radius is N itself, an int of 648 digits here, which no
+    float holds."""
+    res = runner.invoke(main, ["holes", "--n", "5", "--a", "1",
+                               "--subspace", "1,2,3,5,7", "--budget", "100",
+                               "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_OK, res.output
+    doc = json.loads((tmp_path / "holes.json").read_text())
+    assert len(doc["verifications"]) == 6
+    assert all(doc["verifications"].values())
+    N, x0 = int(doc["hole"]["N"]), [int(v) for v in doc["hole"]["x0"]]
+    x = [int(v) for v in doc["subspace_search"]]
+    assert all((xi - x0i) % N == 0 for xi, x0i in zip(x, x0))
+
+
 def test_holes_infinite_radius_accepts_best_translate(tmp_path):
     res = runner.invoke(main, ["holes", "--n", "2", "--a", "1",
                                "--subspace", "1,1.41", "--radius", "inf",
@@ -394,6 +452,7 @@ def test_cli_import_loads_neither_sympy_nor_scipy():
         [src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", "import sys, quasivis.cli; "
-         "print(sorted({'sympy', 'scipy'} & sys.modules.keys()))"],
+         "print(sorted({'sympy', 'scipy', 'jsonschema'} "
+         "& sys.modules.keys()))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"

@@ -98,6 +98,18 @@ def test_hole_near_subspace_finds_translate():
     assert dist <= hole.N
 
 
+def test_hole_near_subspace_past_the_float_range():
+    """At n=5, A=1 the modulus N has 648 digits, past the largest double:
+    the candidates are ranked by their long double distances, and an int
+    radius is compared exactly."""
+    hole = build_crt_hole(5, 1)
+    assert hole.N > 10 ** 600
+    x = hole_near_subspace(hole, [[1, 2, 3, 5, 7]], math.inf, 100)
+    assert x is not NotFound
+    assert all((xi - x0i) % hole.N == 0 for xi, x0i in zip(x, hole.x0))
+    assert hole_near_subspace(hole, [[1, 2, 3, 5, 7]], hole.N, 100) == x
+
+
 def test_hole_near_subspace_budget_exhausted():
     hole = build_crt_hole(2, 0)
     V = [[1.0, math.sqrt(2)]]

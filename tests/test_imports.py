@@ -1,14 +1,18 @@
-"""Every name a package module imports is used in that module, and every
+"""Every name a package module imports is used in that module, every
 private (_name) function or class it defines at module or class level is
-referenced in it.  AST scans of src/quasivis/*.py; __init__.py is left out
-of the import scan, since its imports are re-exports."""
+referenced in it, and the third-party packages it imports are the ones
+pyproject.toml declares.  AST scans of src/quasivis/*.py; __init__.py is
+left out of the unused-import scan, since its imports are re-exports."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "quasivis"
+PYPROJECT = SRC.parents[1] / "pyproject.toml"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -72,3 +76,39 @@ def test_scan_finds_an_unreferenced_private_def():
 @pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_unreferenced_private_defs(name):
     assert unreferenced_private_defs((SRC / name).read_text()) == []
+
+
+def third_party_imports(source: str) -> set[str]:
+    """Top-level names of the absolute imports, anywhere in the module,
+    that are neither in the standard library nor the package itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"quasivis"}
+
+
+def declared_dependencies(toml: str) -> set[str]:
+    """The names in the [project] dependencies list, read by a regex since
+    Python 3.10 has no tomllib."""
+    block = re.search(r"^dependencies = \[(.*?)\]", toml, re.M | re.S)
+    return set(re.findall(r'"([A-Za-z0-9_.-]+)', block.group(1)))
+
+
+def test_scan_finds_third_party_imports():
+    assert third_party_imports(
+        "from __future__ import annotations\nimport json, numpy.linalg\n"
+        "from . import cli\nfrom quasivis.cli import main\n"
+        "def f():\n    from scipy.spatial import cKDTree\n") \
+        == {"numpy", "scipy"}
+    assert declared_dependencies(
+        'name = "x"\ndependencies = [\n    "numpy>=1.24",\n    "click",\n]\n'
+        'test = ["pytest"]\n') == {"numpy", "click"}
+
+
+def test_imports_match_declared_dependencies():
+    used = set().union(*(third_party_imports(p.read_text())
+                         for p in SRC.glob("*.py")))
+    assert used == declared_dependencies(PYPROJECT.read_text())

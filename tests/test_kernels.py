@@ -49,7 +49,7 @@ def test_backends_agree_with_reference(n, primitive):
 
 def face_cases():
     """Cases the random ones never reach, each with the brute-force answer:
-    (label, basis, lo_u, hi_u, lo_x, hi_x, translation, primitive).
+    (label, basis, lo_u, hi_u, lo_x, hi_x, primitive).
     Integer or dyadic data keeps every image exact; the integer bases are
     unimodular, so points sit on the faces and the boundary tally is
     nonzero."""
@@ -64,54 +64,47 @@ def face_cases():
             hi_x = lo_x + rng.integers(0, 5, n)
             w = 5 if n < 4 else 2
             cases.append((f"int-n{n}-{k}", basis, np.full(n, -w),
-                          np.full(n, w), lo_x, hi_x, None, k % 2 == 1))
+                          np.full(n, w), lo_x, hi_x, k % 2 == 1))
     # A zero in the last column (a coordinate constant along every line)
     # and one elsewhere.
     basis = np.array([[2.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, -1.0, 2.0]])
     for lo0 in (-2.0, 0.0, 3.0):
         cases.append((f"zero-entry-{lo0}", basis, np.full(3, -4),
                       np.full(3, 4), np.array([lo0, -3.0, -2.0]),
-                      np.array([lo0 + 2, 2.0, 3.0]), None, lo0 != 0))
+                      np.array([lo0 + 2, 2.0, 3.0]), lo0 != 0))
     # The zero prefix, whose line holds primitive points only at +-1.
     cases.append(("zero-prefix", np.eye(3), np.full(3, -3), np.full(3, 3),
-                  np.full(3, -2.0), np.full(3, 2.0), None, True))
+                  np.full(3, -2.0), np.full(3, 2.0), True))
     # A box thinner than 2*tol: every point in it is near a face.
     cases.append(("thin", np.array([[1.0, 2.0], [-1.0, 1.0]]),
                   np.full(2, -6), np.full(2, 6), np.array([1.0, -4.0]),
-                  np.array([1.0 + 1e-9, 4.0]), None, False))
-    # A dyadic translation with primitive=True.
-    cases.append(("translated", np.array([[2.0, 1.0], [1.0, -1.0]]),
-                  np.full(2, -6), np.full(2, 6), np.array([-3.0, -2.5]),
-                  np.array([4.5, 3.0]), np.array([0.5, -0.5]), True))
+                  np.array([1.0 + 1e-9, 4.0]), False))
     return cases
 
 
 def face_reference(case):
-    """reference_count of a face case.  It has no translation; shifting the
-    box instead is exact on dyadic data."""
-    _, basis, lo_u, hi_u, lo_x, hi_x, t, primitive = case
-    shift = 0 if t is None else t
-    return reference_count(basis, lo_u, hi_u, lo_x - shift, hi_x - shift,
-                           1e-9, primitive)
+    """reference_count of a face case."""
+    _, basis, lo_u, hi_u, lo_x, hi_x, primitive = case
+    return reference_count(basis, lo_u, hi_u, lo_x, hi_x, 1e-9, primitive)
 
 
 @pytest.mark.parametrize("case", face_cases(), ids=lambda c: c[0])
 def test_face_cases_match_reference(case):
-    _, basis, lo_u, hi_u, lo_x, hi_x, t, primitive = case
+    _, basis, lo_u, hi_u, lo_x, hi_x, primitive = case
     want = face_reference(case)
     got = kernels.count_lattice_points_in_box(
-        basis, lo_u, hi_u, lo_x, hi_x, translation=t, primitive=primitive)
+        basis, lo_u, hi_u, lo_x, hi_x, primitive=primitive)
     assert got == want
     if not primitive:
         U, X, b = kernels.collect_lattice_points_in_box(
-            basis, lo_u, hi_u, lo_x, hi_x, translation=t)
+            basis, lo_u, hi_u, lo_x, hi_x)
         assert (len(U), int(b.sum())) == want
 
 
 def test_face_cases_reach_the_boundary():
     """The face cases exercise the boundary tally, unlike the random ones."""
     tallies = {c[0]: face_reference(c)[1] for c in face_cases()}
-    assert all(tallies[k] > 0 for k in ("thin", "translated", "zero-prefix"))
+    assert all(tallies[k] > 0 for k in ("thin", "zero-prefix"))
     assert sum(v > 0 for v in tallies.values()) >= len(tallies) * 3 // 4
 
 
@@ -162,14 +155,6 @@ def test_chunked_grid_covers_box(monkeypatch):
     assert len({tuple(r) for r in rows}) == len(rows)
     assert rows.min(axis=0).tolist() == lo.tolist()
     assert rows.max(axis=0).tolist() == hi.tolist()
-
-
-def test_translation_handling():
-    basis = np.eye(2)
-    t = np.array([0.5, 0.5])
-    cnt, _ = kernels.count_lattice_points_in_box(
-        basis, [-2, -2], [2, 2], np.zeros(2), np.ones(2), translation=t)
-    assert cnt == 1  # only (0.5, 0.5)
 
 
 def test_backend_flag_reporting():

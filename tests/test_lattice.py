@@ -15,7 +15,6 @@ from quasivis.lattice import (
     HypothesisFailed,
     balanced_rescale,
     box_reduced_basis,
-    covolume,
     enumerate_field_points_exact,
     enumerate_points,
     rescaler_matrix,
@@ -301,11 +300,11 @@ def test_field_lattice_covolume():
     assert lat.covolume() == pytest.approx(8.0)  # sqrt(disc)^d = sqrt(8)^2
     assert lat.covolume_sq() == 64
     g = GridDesc(basis=lat.basis_float(), d=2, m=2)
-    assert covolume(g) == pytest.approx(8.0)
+    assert g.covolume() == pytest.approx(8.0)
 
 
 def test_covolume_examples():
-    assert covolume(GridDesc(basis=np.diag([2.0, 3.0]), d=2, m=0)) == \
+    assert GridDesc(basis=np.diag([2.0, 3.0]), d=2, m=0).covolume() == \
         pytest.approx(6.0)
     lat = FieldLatticeDesc(field=F2, d=2)
     g = F2.sqrt_d
