@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .quadfield import (  # noqa: F401
     FieldDesc,
-    FundamentalUnit,
     QuadInt,
     field,
     fundamental_unit,

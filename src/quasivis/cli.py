@@ -267,7 +267,7 @@ def cmd_holes(n_dim, a_half, translates, seed, subspace, radius, budget, out):
         x = tuple(x0 + hole.N * int(kj) for x0, kj in zip(hole.x0, k))
         checks.append((f"translate_{t}", holes.verify_hole(hole, x)))
     doc = {
-        "hole": json.loads(hole.to_json()),
+        "hole": hole.to_json(),
         "verifications": {name: ok for name, ok in checks},
     }
     exit_code = EXIT_OK if all(ok for _, ok in checks) else EXIT_IDENTITY
@@ -275,7 +275,7 @@ def cmd_holes(n_dim, a_half, translates, seed, subspace, radius, budget, out):
         r = radius if radius is not None else hole.N
         with _config_errors():
             found = holes.hole_near_subspace(hole, [vec], r, budget)
-        if found is holes.NotFound:
+        if found is None:
             doc["subspace_search"] = "NotFound"
             exit_code = EXIT_BUDGET
         else:

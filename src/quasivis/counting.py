@@ -147,7 +147,7 @@ def moebius_count_primitive(desc: CPSetDesc, D, T,
     (A, B), G = omega_coords(fld, P[order], Q[order]), G[order]
     G_values, starts = np.unique(G, return_index=True)
     slices = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(G)])]
-    lam = fundamental_unit(fld).value
+    lam = fundamental_unit(fld)
     cutoff = _norm_cutoff(desc, D, T)
     total = 0
     for g in iter_ring_box(fld, 1, lam, -cutoff, cutoff, x_hi_open=True):

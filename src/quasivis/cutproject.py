@@ -1,6 +1,5 @@
 """Cut-and-project sets over Minkowski-embedded field lattices: generation,
-exact visibility classification, sublattices and strict-inclusion
-witnesses.
+exact visibility classification and strict-inclusion witnesses.
 
 Visibility is decided two independent ways, both in exact arithmetic: the
 fast gcd/window characterization on Hammarhjelm examples, and the
@@ -21,7 +20,6 @@ from .quadfield import (
     FieldDesc,
     QuadInt,
     check_hammarhjelm,
-    divisible_by,
     fundamental_unit,
     gcd_is_one,
 )
@@ -33,10 +31,6 @@ class NotHammarhjelm(ValueError):
 
 
 class InsufficientCover(ValueError):
-    pass
-
-
-class ZeroElement(ValueError):
     pass
 
 
@@ -56,7 +50,7 @@ class CPSetDesc:
 
     def unit_power(self, k: int) -> QuadInt:
         """lambda^k for any integer k; 1/lambda = N(lambda)*sigma(lambda)."""
-        lam = fundamental_unit(self.field).value
+        lam = fundamental_unit(self.field)
         if k < 0:
             lam, k = lam.norm() * lam.conj(), -k
         return lam ** k
@@ -175,26 +169,6 @@ def visible_oracle(desc: CPSetDesc, x: CPPoint, points: list[CPPoint],
             raise InsufficientCover("x outside the covered region")
     key, length = x.ray
     return not any(p.ray[0] == key and p.ray[1] < length for p in points)
-
-
-@dataclass(frozen=True)
-class SublatticeLg:
-    """The lattice a_g L of coordinate-wise multiples of g."""
-
-    base: FieldLatticeDesc
-    g: QuadInt
-
-    def covolume(self) -> float:
-        return abs(self.g.norm()) ** self.base.d * self.base.covolume()
-
-    def contains(self, xs: tuple[QuadInt, ...]) -> bool:
-        return divisible_by(self.g, [x.a for x in xs], [x.b for x in xs])
-
-
-def sublattice_Lg(desc: CPSetDesc, g: QuadInt) -> SublatticeLg:
-    if not g:
-        raise ZeroElement("g must be nonzero")
-    return SublatticeLg(base=desc.lattice, g=g)
 
 
 def integer_coords(xs: tuple[QuadInt, ...]) -> tuple[int, ...]:

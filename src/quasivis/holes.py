@@ -5,7 +5,6 @@ empty-ball scanning in generated point sets."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,25 +17,6 @@ from .quadfield import factorint
 class NotInResidueClass(ValueError):
     pass
 
-
-class _NotFoundType:
-    """Sentinel value: search budget exhausted without a hit."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __bool__(self):
-        return False
-
-    def __repr__(self):
-        return "NotFound"
-
-
-NotFound = _NotFoundType()
 
 # candidates ranked at a time by hole_near_subspace
 SEARCH_BLOCK = 1 << 16
@@ -53,22 +33,15 @@ class CRTHole:
     x0: tuple
     N: int
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_json(self) -> dict:
+        """The hole as JSON-ready data; the big integers as strings."""
+        return {
             "n": self.n, "A": self.A,
             "primes": {",".join(map(str, k)): str(p)
                        for k, p in sorted(self.prime_table.items())},
             "x0": [str(v) for v in self.x0],
             "N": str(self.N),
-        }, indent=1)
-
-    @classmethod
-    def from_json(cls, doc: str) -> "CRTHole":
-        data = json.loads(doc)
-        table = {tuple(int(v) for v in k.split(",")): int(p)
-                 for k, p in data["primes"].items()}
-        return cls(n=data["n"], A=data["A"], prime_table=table,
-                   x0=tuple(int(v) for v in data["x0"]), N=int(data["N"]))
+        }
 
 
 def build_crt_hole(n: int, A: int) -> CRTHole:
@@ -126,12 +99,11 @@ def hole_near_subspace(hole: CRTHole, V, R, search_budget: int):
     SEARCH_BLOCK at a time, until the block in which the count reaches the
     budget.  The best one is returned as an integer vector only if its
     exact distance to span(V), taking the floats of V and R at their binary
-    values, is at most R (R = inf accepts any distance); otherwise the
-    NotFound sentinel."""
+    values, is at most R (R = inf accepts any distance); otherwise None."""
     if not R >= 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     if search_budget <= 0:
-        return NotFound
+        return None
     Vb = np.atleast_2d(np.asarray(V, dtype=np.float64))
     if Vb.shape[1] != hole.n or not np.isfinite(Vb).all() or not Vb.any():
         raise ValueError("subspace basis must be finite, nonzero, in R^n")
@@ -159,10 +131,10 @@ def hole_near_subspace(hole: CRTHole, V, R, search_budget: int):
         if dist[i] < best[0]:
             best = (dist[i], tuple(int(v) for v in k[i]))
     if best[1] is None:
-        return NotFound
+        return None
     c = tuple(int(hole.x0[j]) + hole.N * best[1][j] for j in range(hole.n))
     if R < math.inf and _dist2_to_span(c, Vb.tolist()) > Fraction(R) ** 2:
-        return NotFound
+        return None
     return c
 
 

@@ -1,6 +1,6 @@
 """Lattices and grids in R^n: Minkowski-embedded field lattices, point
-enumeration in convex regions (exact and float paths), covolume, the
-unit-rescaling subgroup and Schmidt-style counting checks."""
+enumeration in convex regions (exact and float paths), covolume and
+Schmidt-style counting checks."""
 
 from __future__ import annotations
 
@@ -12,14 +12,8 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .quadfield import (
-    FieldDesc,
-    QuadInt,
-    fundamental_unit,
-    int_array,
-    iter_ring_box,
-)
-from .regions import BOUNDARY, Product
+from .quadfield import FieldDesc, int_array, iter_ring_box
+from .regions import BOUNDARY
 
 
 class HypothesisFailed(ValueError):
@@ -179,39 +173,6 @@ def box_reduced_basis(basis: np.ndarray, widths: np.ndarray) -> np.ndarray:
         if not changed:
             break
     return basis @ U
-
-
-def unit_rescalers(lat: FieldLatticeDesc) -> QuadInt:
-    """Generator g_0 of the totally-positive unit group: lambda if
-    N(lambda) = 1, else lambda^2.  a_{g_0} = diag(g_0,..,sigma(g_0),..)
-    fixes the lattice setwise."""
-    u = fundamental_unit(lat.field)
-    return u.value if u.norm == 1 else u.value * u.value
-
-
-def rescaler_matrix(lat: FieldLatticeDesc, g0: QuadInt) -> np.ndarray:
-    return np.diag([float(g0)] * lat.d + [g0.conj_float()] * lat.d)
-
-
-@dataclass(frozen=True)
-class BalancedRescale:
-    k: int
-    g0: QuadInt
-    diam_phys: float
-    diam_int: float
-
-
-def balanced_rescale(lat: FieldLatticeDesc, region: Product) -> BalancedRescale:
-    """Pick a_0 = a_{g_0}^k making the two factor diameters comparable
-    (ratio at most g_0)."""
-    g0 = unit_rescalers(lat)
-    d1 = region.left.diameter()
-    d2 = region.right.diameter()
-    g = float(g0)
-    # a_{g0}^k scales d1 by g^k and d2 by g^-k; balance log ratio.
-    k = round(math.log(d2 / d1) / (2 * math.log(g)))
-    return BalancedRescale(k=k, g0=g0,
-                           diam_phys=d1 * g ** k, diam_int=d2 * g ** (-k))
 
 
 def shortest_independent_bound(grid: GridDesc, count: int) -> float:

@@ -358,12 +358,6 @@ class QuadInt:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
-    def divides(self, other: "QuadInt") -> bool:
-        """True iff self | other in the ring of integers."""
-        if not self:
-            return not other
-        return divisible_by(self, [other.a], [other.b])
-
     def __repr__(self):
         return f"QuadInt(d={self.field.d}, {self.a} + {self.b}*omega)"
 
@@ -372,22 +366,8 @@ class QuadInt:
 # Units
 
 
-@dataclass(frozen=True)
-class FundamentalUnit:
-    value: QuadInt
-    approx: float
-    approx_err: float
-
-    def __float__(self):
-        return self.approx
-
-    @property
-    def norm(self) -> int:
-        return self.value.norm()
-
-
 @lru_cache(maxsize=None)
-def fundamental_unit(fld: FieldDesc) -> FundamentalUnit:
+def fundamental_unit(fld: FieldDesc) -> QuadInt:
     """Smallest unit > 1, certified by scanning q = 1, 2, ... in (p+q*sqrt d)/2.
 
     Units > 1 have p, q > 0 and grow with q, so the first solution of
@@ -408,10 +388,7 @@ def fundamental_unit(fld: FieldDesc) -> FundamentalUnit:
                 continue
             if fld.half and (p - q) % 2:
                 continue
-            u = QuadInt.from_pq(fld, p, q)
-            approx = float(u)
-            return FundamentalUnit(value=u, approx=approx,
-                                   approx_err=math.ldexp(abs(approx), -48))
+            return QuadInt.from_pq(fld, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +703,7 @@ def hammarhjelm_witness(fld: FieldDesc) -> QuadInt | None:
     """First ring element in the open-x box (1, lambda) x [-1, 1], or None."""
     if not fld.is_pid:
         raise NotPID(f"d={fld.d} is not in the PID table")
-    lam = fundamental_unit(fld).value
+    lam = fundamental_unit(fld)
     for x in iter_ring_box(fld, 1, lam, -1, 1,
                            x_lo_open=True, x_hi_open=True):
         return x

@@ -350,19 +350,36 @@ def _positive(value, name: str) -> Fraction:
     return v
 
 
+# Per kind, the keys a region spec may hold besides "kind".
+REGION_KEYS = {"box": {"bounds", "lo_open", "hi_open"},
+               "cube": {"half_width", "dim"}, "square": {"half_width"},
+               "octagon": {"half_width"}, "disc": {"r2"},
+               "ball": {"center", "r2"}, "polygon": {"vertices"},
+               "product": {"left", "right"}}
+
+
 def region_from_spec(spec: dict):
-    """Build a region from a JSON-style spec dict.  Rejected: an empty region
-    (a non-positive half_width or r2, a box side with lo > hi), box open
-    flags of the wrong length, a polygon not strictly convex in ccw order."""
+    """Build a region from a JSON-style spec dict.  Rejected: an unknown kind,
+    a key the kind does not hold, an empty region (a non-positive half_width
+    or r2, a box side with lo > hi), box open flags that are not booleans or
+    not one per bound, a polygon not strictly convex in ccw order."""
     kind = spec["kind"]
+    if kind not in REGION_KEYS:
+        raise ValueError(f"unknown region kind {kind!r}")
+    unknown = sorted(set(spec) - REGION_KEYS[kind] - {"kind"})
+    if unknown:
+        raise ValueError(f"a {kind} region holds no key "
+                         + ", ".join(map(repr, unknown)))
     if kind == "box":
         box = Box.make(spec["bounds"],
                        spec.get("lo_open"), spec.get("hi_open"))
         if any(lo > hi for lo, hi in box.bounds):
             raise ValueError("box bounds must have lo <= hi")
-        if any(len(spec.get(key, box.bounds)) != box.dim
-               for key in ("lo_open", "hi_open")):
-            raise ValueError("lo_open and hi_open need one entry per bound")
+        for key in ("lo_open", "hi_open"):
+            flags = spec.get(key, (False,) * box.dim)
+            if len(flags) != box.dim or any(type(f) is not bool
+                                            for f in flags):
+                raise ValueError(f"{key} needs one true or false per bound")
         return box
     if kind == "cube":
         return Box.cube(_positive(spec["half_width"], "half_width"),
@@ -382,7 +399,5 @@ def region_from_spec(spec: dict):
         if not poly.is_strictly_convex():
             raise ValueError("polygon must be strictly convex in ccw order")
         return poly
-    if kind == "product":
-        return Product(region_from_spec(spec["left"]),
-                       region_from_spec(spec["right"]))
-    raise ValueError(f"unknown region kind {kind!r}")
+    return Product(region_from_spec(spec["left"]),
+                   region_from_spec(spec["right"]))

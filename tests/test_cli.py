@@ -234,13 +234,20 @@ TWO_VERTICES = {"kind": "polygon", "vertices": [[1, 0], [-1, 0]]}
         "kind": "box", "bounds": [[-1, 1], [-1, 1]], "lo_open": []}}),
     # a preimage box past int64, rejected before anything is allocated
     ("random", {**RANDOM_CFG, "T_grid": [1e9]}),
+    # a key the kind does not hold; open flags that are not booleans
+    ("density", {**DENSITY_CFG,
+                 "window": {"kind": "square", "half_widht": 2}}),
+    ("density", {**DENSITY_CFG, "averaging": {
+        "kind": "box", "bounds": [[-1, 1], [-1, 1]],
+        "lo_open": ["false", "false"], "hi_open": ["false", "false"]}}),
 ])
 def test_config_errors_past_the_schema(tmp_path, command, bad):
     cfg = write_cfg(tmp_path / "cfg.json", bad)
     res = runner.invoke(main, [command, "--config", cfg,
                                "--out", str(tmp_path / "o")])
     assert res.exit_code == EXIT_CONFIG, res.output
-    assert "config error:" in res.output
+    assert res.output.startswith("config error:")
+    assert len(res.output.splitlines()) == 1
     assert not isinstance(res.exception, (KeyError, ValueError))
 
 

@@ -10,7 +10,6 @@ from quasivis.cutproject import (
     CPSetDesc,
     InsufficientCover,
     NotHammarhjelm,
-    ZeroElement,
     _make_point,
     generate,
     integer_coords,
@@ -18,7 +17,6 @@ from quasivis.cutproject import (
     points_to_csv,
     strict_inclusion_witness,
     strict_inclusion_witness_random,
-    sublattice_Lg,
     visible_fast,
     visible_oracle,
 )
@@ -136,7 +134,7 @@ def test_visible_unit_action_blocks():
     desc = desc_for(F2)
     pts = generate(desc, D2, 10)
     by_coords = {p.quad_coords: p for p in pts}
-    lam = fundamental_unit(F2).value
+    lam = fundamental_unit(F2)
     inv = -lam.conj()  # lambda^{-1}
     hits = 0
     for p in pts:
@@ -221,7 +219,7 @@ def test_oracle_unit_multiple_blocks(fld):
     """lambda^-2 x lies on the segment to x: the ray key sees the ratio in
     K, not only in Z."""
     desc = desc_for(fld)
-    lam = fundamental_unit(fld).value
+    lam = fundamental_unit(fld)
     lam_inv2 = lam.conj() ** 2  # lambda^-2, whatever the norm of lambda
     y = _make_point((fld.element(1, 0), fld.element(0, 1)))
     x = _make_point(tuple(c * lam * lam for c in y.quad_coords))
@@ -265,23 +263,6 @@ def test_oracle_cover_check():
     assert visible_oracle(desc, outside, pts)
 
 
-def test_sublattice_properties():
-    desc = desc_for(F2)
-    s2 = F2.sqrt_d
-    sub = sublattice_Lg(desc, s2)
-    assert sub.covolume() == pytest.approx(4 * desc.lattice.covolume())
-    assert sub.contains((s2, F2.element(2)))
-    assert not sub.contains((F2.element(1), F2.element(0)))
-    lam = fundamental_unit(F2).value
-    unit_sub = sublattice_Lg(desc, lam)
-    assert unit_sub.covolume() == pytest.approx(desc.lattice.covolume())
-    # unit rescaling is setwise trivial on membership
-    for xs in iter_raw(desc, D2, 4):
-        assert unit_sub.contains(xs)
-    with pytest.raises(ZeroElement):
-        sublattice_Lg(desc, F2.element(0))
-
-
 def test_strict_inclusion_witness_nonempty_hammarhjelm():
     desc = desc_for(F2)
     w = strict_inclusion_witness(desc, D2, 10)
@@ -310,7 +291,7 @@ def test_strict_inclusion_random_lattices_empty():
 @pytest.mark.parametrize("d", [2, 3])  # N(lambda) = -1 and +1
 def test_unit_power_inverse(d):
     desc = CPSetDesc(field=field(d), d=2, window=square_window(1))
-    lam = fundamental_unit(field(d)).value
+    lam = fundamental_unit(field(d))
     assert desc.unit_power(1) == lam and desc.unit_power(0) == 1
     for k in range(-4, 5):
         assert desc.unit_power(k) * desc.unit_power(-k) == 1

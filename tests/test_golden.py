@@ -9,13 +9,13 @@ inner Moebius sets (UnitScaled) go through the exact joint filter of
 field-point enumeration, and the shipped sweep `density --config
 configs/density.json --method direct` up to T=500 in
 golden/density_shipped/.  The same sweep with `--method both` is pinned in
-golden/density_shipped_both/, and the d=5 sweep (the shipped config with
-d = 5) with `--method both` in golden/density_shipped_d5_both/; CI
-compares both byte for byte after tier-1, since they take several
-seconds.  After an intended change to one of these
-outputs, re-record it with the same command (`--out tests/golden`, or
-`--out tests/golden/density_*`, or the stdout of check-hc) and say in the
-change which bytes moved and why."""
+golden/density_shipped_both/, and the sweep of
+golden/density_shipped_d5_both/config.json (the shipped config with d = 5)
+with `--method both` beside that config; CI compares both byte for byte
+after tier-1, since they take several seconds.  After an intended change
+to one of these outputs, re-record it with the same command (`--out
+tests/golden`, or `--out tests/golden/density_*`, or the stdout of
+check-hc) and say in the change which bytes moved and why."""
 
 from pathlib import Path
 

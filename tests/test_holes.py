@@ -1,6 +1,7 @@
 """Certified gcd-holes via CRT, translate search near a subspace, and the
 empirical empty-ball scan."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ import pytest
 from quasivis import holes
 from quasivis.holes import (
     CRTHole,
-    NotFound,
     NotInResidueClass,
     build_crt_hole,
     hole_near_subspace,
@@ -75,8 +75,12 @@ def test_verify_detects_corrupt_certificate():
 
 def test_json_roundtrip():
     hole = build_crt_hole(3, 1)
-    again = CRTHole.from_json(hole.to_json())
-    assert again == hole
+    data = json.loads(json.dumps(hole.to_json()))
+    assert (data["n"], data["A"]) == (hole.n, hole.A)
+    assert {tuple(int(v) for v in k.split(",")): int(p)
+            for k, p in data["primes"].items()} == hole.prime_table
+    assert tuple(int(v) for v in data["x0"]) == hole.x0
+    assert int(data["N"]) == hole.N
 
 
 def test_build_rejects_bad_parameters():
@@ -90,7 +94,7 @@ def test_hole_near_subspace_finds_translate():
     hole = build_crt_hole(2, 0)
     V = [[1.0, math.sqrt(2)]]
     x = hole_near_subspace(hole, V, R=float(hole.N), search_budget=20000)
-    assert x is not NotFound
+    assert x is not None
     assert verify_hole(hole, x)
     q = np.array(V[0]) / np.linalg.norm(V[0])
     v = np.array(x, dtype=float)
@@ -105,7 +109,7 @@ def test_hole_near_subspace_past_the_float_range():
     hole = build_crt_hole(5, 1)
     assert hole.N > 10 ** 600
     x = hole_near_subspace(hole, [[1, 2, 3, 5, 7]], math.inf, 100)
-    assert x is not NotFound
+    assert x is not None
     assert all((xi - x0i) % hole.N == 0 for xi, x0i in zip(x, hole.x0))
     assert hole_near_subspace(hole, [[1, 2, 3, 5, 7]], hole.N, 100) == x
 
@@ -113,12 +117,12 @@ def test_hole_near_subspace_past_the_float_range():
 def test_hole_near_subspace_budget_exhausted():
     hole = build_crt_hole(2, 0)
     V = [[1.0, math.sqrt(2)]]
-    assert hole_near_subspace(hole, V, R=1.0, search_budget=0) is NotFound
+    assert hole_near_subspace(hole, V, R=1.0, search_budget=0) is None
     # x0 of the A=1 hole is off the irrational line, so a vanishing radius
     # cannot be met within a tiny budget
     hole1 = build_crt_hole(2, 1)
     assert hole_near_subspace(hole1, V, R=1e-12,
-                              search_budget=50) is NotFound
+                              search_budget=50) is None
 
 
 @pytest.mark.parametrize("R,V", [(math.nan, [[1.0, 1.41]]),
@@ -137,7 +141,7 @@ def test_hole_near_subspace_rechecks_distance_exactly():
     hole = build_crt_hole(3, 1)
     V = [[1.0, 0.5, 0.25]]
     x = hole_near_subspace(hole, V, R=float(hole.N), search_budget=50)
-    assert x is not NotFound
+    assert x is not None
     v = [Fraction(c) for c in V[0]]
     along = sum(a * b for a, b in zip(x, v))
     exact2 = sum(a * a for a in x) - along ** 2 / sum(c * c for c in v)
@@ -146,7 +150,7 @@ def test_hole_near_subspace_rechecks_distance_exactly():
         R = math.nextafter(R, math.inf)
     while Fraction(R) ** 2 >= exact2:
         R = math.nextafter(R, 0.0)
-    assert hole_near_subspace(hole, V, R, search_budget=50) is NotFound
+    assert hole_near_subspace(hole, V, R, search_budget=50) is None
     R_up = math.nextafter(R, math.inf)
     assert hole_near_subspace(hole, V, R_up, search_budget=50) == x
 
@@ -193,12 +197,6 @@ def test_hole_near_subspace_stops_after_budget_block(monkeypatch, budget,
     monkeypatch.setattr(holes, "SEARCH_BLOCK", 16)
     hole = build_crt_hole(3, 1)
     assert hole_near_subspace(hole, STOP_PLANE, math.inf, budget) == want
-
-
-def test_not_found_is_falsy_singleton():
-    assert not NotFound
-    from quasivis.holes import _NotFoundType
-    assert _NotFoundType() is NotFound
 
 
 def test_scan_empty_ball_z2():

@@ -1,8 +1,10 @@
 """Every name a package module imports is used in that module, every
 private (_name) function or class it defines at module or class level is
-referenced in it, and the third-party packages it imports are the ones
-pyproject.toml declares.  AST scans of src/quasivis/*.py; __init__.py is
-left out of the unused-import scan, since its imports are re-exports."""
+referenced in it, every public top-level function or class is reached from
+the CLI, the acceptance criteria or the benchmark, and the third-party
+packages it imports are the ones pyproject.toml declares.  AST scans of
+src/quasivis/*.py; __init__.py is left out of the unused-import scan and
+of the roots, since its imports are re-exports."""
 
 import ast
 import re
@@ -12,7 +14,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "quasivis"
-PYPROJECT = SRC.parents[1] / "pyproject.toml"
+REPO = SRC.parents[1]
+PYPROJECT = REPO / "pyproject.toml"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -76,6 +79,74 @@ def test_scan_finds_an_unreferenced_private_def():
 @pytest.mark.parametrize("name", sorted(p.name for p in SRC.glob("*.py")))
 def test_no_unreferenced_private_defs(name):
     assert unreferenced_private_defs((SRC / name).read_text()) == []
+
+
+def names_read(tree: ast.AST, strings: bool = False) -> set[str]:
+    """Every name and attribute read in the tree, and with strings=True its
+    string constants too (the benchmark's tracer names its targets so)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def unreached_public_defs(sources, roots: set[str]) -> list[str]:
+    """Public top-level defs and classes of the sources that the root names
+    do not reach.  A name reaches the top-level defs and classes of that
+    name, and they reach every name their bodies read (methods included);
+    the closure is by name, across modules."""
+    reads, public = {}, []
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                reads.setdefault(node.name, set()).update(names_read(node))
+                if not node.name.startswith("_"):
+                    public.append(node.name)
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += reads.get(name, ())
+    return [name for name in public if name not in reached]
+
+
+def test_scan_finds_an_unreached_public_def():
+    package = ("def dead(): pass\n"
+               "def helper(): pass\n"
+               "def command(): return helper()\n"
+               "def traced(): pass\n")
+    roots = names_read(ast.parse("command()\n")) | names_read(
+        ast.parse("TARGETS = [('pkg', 'traced')]\n"), strings=True)
+    assert unreached_public_defs([package], roots) == ["dead"]
+
+
+# Reached by no root but kept: the empirical empty-ball scan stands in for
+# the exact hole certificate of ROADMAP item 6, which deletes both together
+# with scipy.
+UNREACHED_ON_PURPOSE = ["EmptyBallScan", "scan_empty_ball"]
+
+
+def test_every_public_def_is_reached():
+    """Roots: every def in cli.py and every name it reads, every name in
+    tests/test_acceptance.py, and every name and string in perfbench/*.py."""
+    cli = ast.parse((SRC / "cli.py").read_text())
+    roots = names_read(cli) | {node.name for node in cli.body if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    roots |= names_read(ast.parse(
+        (REPO / "tests" / "test_acceptance.py").read_text()))
+    for path in (REPO / "perfbench").glob("*.py"):
+        roots |= names_read(ast.parse(path.read_text()), strings=True)
+    sources = [(SRC / name).read_text() for name in MODULES]
+    assert sorted(unreached_public_defs(sources, roots)) == \
+        UNREACHED_ON_PURPOSE
 
 
 def third_party_imports(source: str) -> set[str]:

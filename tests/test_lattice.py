@@ -13,14 +13,11 @@ from quasivis.lattice import (
     FieldLatticeDesc,
     GridDesc,
     HypothesisFailed,
-    balanced_rescale,
     box_reduced_basis,
     enumerate_field_points_exact,
     enumerate_points,
-    rescaler_matrix,
     schmidt_count_check,
     shortest_independent_bound,
-    unit_rescalers,
 )
 from quasivis.quadfield import field, fundamental_unit, int_array, int_mul
 from quasivis.regions import (
@@ -38,7 +35,7 @@ from quasivis.regions import (
 import region_oracle
 from region_oracle import as_ints
 
-F2, F5 = field(2), field(5)
+F2 = field(2)
 Z2 = GridDesc(basis=np.eye(2), d=2, m=0)
 
 
@@ -119,7 +116,7 @@ def test_polygon_spec_rejects_other_vertex_lists(vertices):
 
 
 def test_unit_scaled_membership():
-    lam = fundamental_unit(F2).value  # 1 + sqrt2
+    lam = fundamental_unit(F2)  # 1 + sqrt2
     w = UnitScaled(base=square_window(1), mult=lam)
     assert w.inv == -lam.conj()  # sqrt2 - 1, since N(lam) = -1
     # w = (1/lam) * [-1,1]^2, half-width sqrt2 - 1 = 0.4142
@@ -132,7 +129,7 @@ def test_unit_scaled_membership():
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 def test_unit_scaled_inverse(d):
-    lam = fundamental_unit(field(d)).value
+    lam = fundamental_unit(field(d))
     for mult in (lam, lam * lam, lam.norm() * lam.conj()):
         assert UnitScaled(square_window(1), mult).inv * mult == 1
 
@@ -306,12 +303,6 @@ def test_field_lattice_covolume():
 def test_covolume_examples():
     assert GridDesc(basis=np.diag([2.0, 3.0]), d=2, m=0).covolume() == \
         pytest.approx(6.0)
-    lat = FieldLatticeDesc(field=F2, d=2)
-    g = F2.sqrt_d
-    from quasivis.cutproject import CPSetDesc, sublattice_Lg
-    desc = CPSetDesc(field=F2, d=2, window=square_window(1))
-    sub = sublattice_Lg(desc, g)
-    assert sub.covolume() == pytest.approx(abs(g.norm()) ** 2 * lat.covolume())
 
 
 def test_exact_enumeration_d1_matches_scan():
@@ -401,36 +392,15 @@ def test_linear_equivariance_diagonal():
 
 
 # ---------------------------------------------------------------------------
-# unit rescalers
-
-
-def test_unit_rescalers_norm_plus_one():
-    g2 = unit_rescalers(FieldLatticeDesc(field=F2, d=2))
-    assert g2.norm() == 1  # lambda^2 since N(lambda) = -1
-    lam = fundamental_unit(F2).value
-    assert g2 == lam * lam
-    g5 = unit_rescalers(FieldLatticeDesc(field=F5, d=2))
-    lam5 = fundamental_unit(F5).value
-    assert g5 == lam5 * lam5
-
-
-def test_rescaler_fixes_lattice():
-    lat = FieldLatticeDesc(field=F5, d=1)
-    g0 = unit_rescalers(lat)
-    a = rescaler_matrix(lat, g0)
-    B = lat.basis_float()
-    # a @ B must be an integer recombination of B: solve and round
-    M = np.linalg.solve(B, a @ B)
-    assert np.allclose(M, np.round(M), atol=1e-9)
-    assert abs(round(np.linalg.det(M))) == 1
-    assert np.linalg.det(a) == pytest.approx(1.0)
+# unit rescaling
 
 
 def test_a0_invariance_point_sets():
     """The a_0 image of the exact point set in a region equals the point
     set in the rescaled region, point for point."""
     lat = FieldLatticeDesc(field=F2, d=1)
-    g0 = unit_rescalers(lat)
+    lam = fundamental_unit(F2)
+    g0 = lam * lam  # totally positive, since N(lambda) = -1
     phys = Box.cube(3, 1)
     internal = Box.cube(2, 1)
     pts = set(xs[0] for xs in enumerate_field_points_exact(lat, phys, internal))
@@ -440,23 +410,6 @@ def test_a0_invariance_point_sets():
     pts_scaled = set(xs[0] for xs in enumerate_field_points_exact(
         lat, scaled_phys, scaled_int))
     assert {g0 * x for x in pts} == pts_scaled
-
-
-def test_balanced_rescale():
-    lat = FieldLatticeDesc(field=F2, d=2)
-    region = Product(Box.cube(1000, 2), Box.cube(1, 2))
-    res = balanced_rescale(lat, region)
-    g = float(res.g0)
-    ratio = max(res.diam_phys, res.diam_int) / min(res.diam_phys,
-                                                   res.diam_int)
-    assert ratio <= g + 1e-9
-    assert res.k < 0  # shrink the physical factor
-
-
-def test_balanced_rescale_identity_when_balanced():
-    lat = FieldLatticeDesc(field=F2, d=2)
-    region = Product(Box.cube(1, 2), Box.cube(1, 2))
-    assert balanced_rescale(lat, region).k == 0
 
 
 # ---------------------------------------------------------------------------

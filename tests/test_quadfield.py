@@ -183,16 +183,16 @@ def unit_scan_oracle(d):
 
 
 def test_fundamental_unit_paper_value_d5():
-    assert fundamental_unit(F5).value == F5.omega  # (1+sqrt5)/2
+    assert fundamental_unit(F5) == F5.omega  # (1+sqrt5)/2
 
 
 @pytest.mark.parametrize("d", [2, 13])
 def test_fundamental_unit_matches_scan_oracle(d):
-    assert fundamental_unit(field(d)).value == unit_scan_oracle(d)
+    assert fundamental_unit(field(d)) == unit_scan_oracle(d)
 
 
 def test_fundamental_unit_d2_value():
-    assert fundamental_unit(F2).value == F2.element(1, 1)
+    assert fundamental_unit(F2) == F2.element(1, 1)
 
 
 @pytest.mark.parametrize("d", [2, 5, 13, 29, 53])
@@ -200,14 +200,14 @@ def test_unit_minimality_exhaustive(d):
     """No unit strictly between 1 and lambda: any such u would lie in the
     box (1, lambda) x [-1, 1] since |sigma(u)| = 1/|u| < 1."""
     fld = field(d)
-    lam = fundamental_unit(fld).value
+    lam = fundamental_unit(fld)
     between = iter_ring_box(fld, 1, lam, -1, 1,
                             x_lo_open=True, x_hi_open=True)
     assert all(abs(u.norm()) != 1 for u in between)
 
 
 def test_unit_powers_have_unit_norm():
-    lam = fundamental_unit(F2).value
+    lam = fundamental_unit(F2)
     for k in range(1, 11):
         assert abs((lam ** k).norm()) == 1
 
@@ -240,7 +240,7 @@ def test_ideal_hnf_invariance(xs, perm, unit_pow):
     if all(not x for x in xs):
         return
     base = ideal_from_generators(xs)
-    lam = fundamental_unit(F2).value
+    lam = fundamental_unit(F2)
     mixed = list(xs)
     mixed[0] = mixed[0] * lam ** unit_pow
     order = [mixed[i % len(mixed)] for i in perm][:len(mixed)]
@@ -407,7 +407,7 @@ def test_moebius_matches_ideal_oracle_every_pid_field():
     split_k2 = set()  # whether p | g, over the split p with k = 2 met
     for d in sorted(PID_D):
         fld = field(d)
-        lam = fundamental_unit(fld).value
+        lam = fundamental_unit(fld)
         lam_inv = lam.conj() * lam.norm()
         tested = 0
         while tested < PER_FIELD:
@@ -525,14 +525,14 @@ def test_zeta_tol_too_tight():
 
 
 def test_ring_box_d5_hammarhjelm_empty():
-    lam = fundamental_unit(F5).value
+    lam = fundamental_unit(F5)
     assert list(iter_ring_box(F5, 1, lam, -1, 1,
                               x_lo_open=True, x_hi_open=True)) == []
 
 
 def test_ring_box_d3_nonempty():
     f3 = field(3)
-    lam = fundamental_unit(f3).value
+    lam = fundamental_unit(f3)
     assert list(iter_ring_box(f3, 1, lam, -1, 1,
                               x_lo_open=True, x_hi_open=True)) != []
 
@@ -622,7 +622,7 @@ def test_check_hammarhjelm_not_pid():
 def test_witness_is_in_the_box():
     f7 = field(7)
     w = hammarhjelm_witness(f7)
-    lam = fundamental_unit(f7).value
+    lam = fundamental_unit(f7)
     assert w is not None
     assert w.compare(1) > 0 and w < lam
     assert w.conj().compare(-1) >= 0 and w.conj().compare(1) <= 0
