@@ -133,9 +133,23 @@ def iter_raw(desc: CPSetDesc, D, T):
     return enumerate_field_points_exact(desc.lattice, TD, desc.scaled_window())
 
 
-def generate(desc: CPSetDesc, D, T) -> list[CPPoint]:
+class PointSet(tuple):
+    """An immutable tuple of CPPoints that indexes its own rays once."""
+
+    @cached_property
+    def shortest(self) -> dict:
+        """Per ray key, the shortest exact length among the points on it."""
+        out = {}
+        for p in self:
+            key, length = p.ray
+            if key is not None and (key not in out or length < out[key]):
+                out[key] = length
+        return out
+
+
+def generate(desc: CPSetDesc, D, T) -> PointSet:
     """All points of the cut-and-project set inside T*D (exact path)."""
-    return [_make_point(xs) for xs in iter_raw(desc, D, T)]
+    return PointSet(_make_point(xs) for xs in iter_raw(desc, D, T))
 
 
 def visible_fast(desc: CPSetDesc, x: CPPoint) -> bool:
@@ -150,13 +164,14 @@ def visible_fast(desc: CPSetDesc, x: CPPoint) -> bool:
         [q.p for q in xs], [-q.q for q in xs], 2, desc.field.d)
 
 
-def visible_oracle(desc: CPSetDesc, x: CPPoint, points: list[CPPoint],
-                   cover=None) -> bool:
+def visible_oracle(desc: CPSetDesc, x: CPPoint, points, cover=None) -> bool:
     """Definitional visibility: x is visible iff no supplied point lies on the
     open segment from the origin to x, that is on the ray of x and shorter.
-    The caller must supply a point list covering Lambda on that segment
-    (e.g. a generate() result for a star-shaped averaging set containing x);
-    cover=(D, T) with rational T > 0 checks that x lies in T*D."""
+    The caller must supply points covering Lambda on that segment (e.g. a
+    generate() result for a star-shaped averaging set containing x);
+    cover=(D, T) with rational T > 0 checks that x lies in T*D.  The
+    shortest length per ray is indexed once per PointSet; any other
+    sequence of points is wrapped in one first."""
     if x.is_origin:
         return False
     if cover is not None:
@@ -167,8 +182,11 @@ def visible_oracle(desc: CPSetDesc, x: CPPoint, points: list[CPPoint],
         if not D.contains_exact([m * q.p for q in xs], [m * q.q for q in xs],
                                 2 * n, desc.field.d):
             raise InsufficientCover("x outside the covered region")
+    if not isinstance(points, PointSet):
+        points = PointSet(points)
     key, length = x.ray
-    return not any(p.ray[0] == key and p.ray[1] < length for p in points)
+    shortest = points.shortest.get(key)
+    return shortest is None or shortest >= length
 
 
 def integer_coords(xs: tuple[QuadInt, ...]) -> tuple[int, ...]:

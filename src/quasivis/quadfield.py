@@ -368,27 +368,34 @@ class QuadInt:
 
 @lru_cache(maxsize=None)
 def fundamental_unit(fld: FieldDesc) -> QuadInt:
-    """Smallest unit > 1, certified by scanning q = 1, 2, ... in (p+q*sqrt d)/2.
+    """Smallest unit > 1, read off the continued fraction of omega.
 
-    Units > 1 have p, q > 0 and grow with q, so the first solution of
-    p^2 - d q^2 = +-4 (with the parity constraint) is fundamental.
+    Write omega = (P + sqrt d)/Q with (P, Q) = (1, 2) when d = 1 mod 4 and
+    (0, 1) otherwise.  Each step takes a = floor((P + sqrt d)/Q), which is
+    (P + isqrt d) // Q since Q > 0 (from the second step on every complete
+    quotient is reduced), then P' = aQ - P and Q' = (d - P'^2)/Q, an exact
+    division.  The first convergent h/k with N(h - k*omega) = +-1 gives
+    the unit h - k*sigma(omega) > 1, and it is the smallest one (Cohen,
+    GTM 138, 5.7).  The tests compare it with a scan of (p + q*sqrt d)/2
+    by growing q on every field.
     """
-    d = fld.d
-    q = 0
+    d, r = fld.d, isqrt(fld.d)
+    P, Q = (1, 2) if fld.half else (0, 1)
+    conj_omega = fld.omega.conj()
+    h, h_prev, k, k_prev = 1, 0, 0, 1
     while True:
-        q += 1
-        dq2 = d * q * q
-        for target in (dq2 - 4, dq2 + 4):
-            if target <= 0:
-                continue
-            p = isqrt(target)
-            if p * p != target:
-                continue
-            if not fld.half and (p % 2 or q % 2):
-                continue
-            if fld.half and (p - q) % 2:
-                continue
-            return QuadInt.from_pq(fld, p, q)
+        a = (P + r) // Q
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+        unit = h - k * conj_omega
+        if abs(unit.norm()) == 1:
+            return unit
+        P = a * Q - P
+        Q, rem = divmod(d - P * P, Q)
+        if rem:
+            raise ArithmeticError(
+                f"continued fraction of omega in Q(sqrt({d})): "
+                f"Q does not divide d - P^2")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,13 @@ from .quadfield import (QuadInt, int_lin, int_mul, over_common_den,
 OUT, IN, BOUNDARY = 0, 1, 2
 
 
+def _rational(value) -> Fraction:
+    """Fraction(value); a bool is no number, though Python counts it one."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value}")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box; per-side open/closed flags, one per axis (closed
@@ -44,12 +51,14 @@ class Box:
 
     @staticmethod
     def cube(half_width, dim: int) -> "Box":
-        h = Fraction(half_width)
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"dim must be an integer >= 1, got {dim}")
+        h = _rational(half_width)
         return Box(tuple((-h, h) for _ in range(dim)))
 
     @staticmethod
     def make(bounds, lo_open=None, hi_open=None) -> "Box":
-        bs = tuple((Fraction(lo), Fraction(hi)) for lo, hi in bounds)
+        bs = tuple((_rational(lo), _rational(hi)) for lo, hi in bounds)
         return Box(bs, tuple(lo_open or ()), tuple(hi_open or ()))
 
     @property
@@ -117,7 +126,7 @@ class Ball:
 
     @staticmethod
     def make(center, r2) -> "Ball":
-        return Ball(tuple(Fraction(c) for c in center), Fraction(r2))
+        return Ball(tuple(_rational(c) for c in center), _rational(r2))
 
     @property
     def dim(self) -> int:
@@ -185,7 +194,7 @@ class Polygon:
 
     @staticmethod
     def make(vertices) -> "Polygon":
-        vs = tuple((Fraction(x), Fraction(y)) for x, y in vertices)
+        vs = tuple((_rational(x), _rational(y)) for x, y in vertices)
         return Polygon(vs)
 
     @property
@@ -361,8 +370,9 @@ REGION_KEYS = {"box": {"bounds", "lo_open", "hi_open"},
 def region_from_spec(spec: dict):
     """Build a region from a JSON-style spec dict.  Rejected: an unknown kind,
     a key the kind does not hold, an empty region (a non-positive half_width
-    or r2, a box side with lo > hi), box open flags that are not booleans or
-    not one per bound, a polygon not strictly convex in ccw order."""
+    or r2, a box side with lo > hi), a boolean where a number belongs, a
+    cube dim that is no integer >= 1, box open flags that are not booleans
+    or not one per bound, a polygon not strictly convex in ccw order."""
     kind = spec["kind"]
     if kind not in REGION_KEYS:
         raise ValueError(f"unknown region kind {kind!r}")

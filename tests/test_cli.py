@@ -240,6 +240,13 @@ TWO_VERTICES = {"kind": "polygon", "vertices": [[1, 0], [-1, 0]]}
     ("density", {**DENSITY_CFG, "averaging": {
         "kind": "box", "bounds": [[-1, 1], [-1, 1]],
         "lo_open": ["false", "false"], "hi_open": ["false", "false"]}}),
+    # JSON booleans where a region reads a number
+    ("random", {**RANDOM_CFG,
+                "window": {"kind": "cube", "half_width": 1, "dim": True}}),
+    ("density", {**DENSITY_CFG, "averaging": {
+        "kind": "box", "bounds": [[-1, True], [-1, 1]]}}),
+    ("density", {**DENSITY_CFG, "window": {"kind": "polygon", "vertices": [
+        [1, 0], [0, True], [-1, 0], [0, -1]]}}),
 ])
 def test_config_errors_past_the_schema(tmp_path, command, bad):
     cfg = write_cfg(tmp_path / "cfg.json", bad)

@@ -10,6 +10,7 @@ from quasivis.cutproject import (
     CPSetDesc,
     InsufficientCover,
     NotHammarhjelm,
+    PointSet,
     _make_point,
     generate,
     integer_coords,
@@ -159,6 +160,42 @@ def test_oracle_equivalence_T15(fld, window_name):
     for p in pts:
         assert visible_fast(desc, p) == visible_oracle(desc, p, pts), \
             p.quad_coords
+
+
+@pytest.mark.parametrize("fld,beta_exp", [(F2, 0), (F5, 0), (F2, -1)])
+def test_oracle_equivalence_T60(fld, beta_exp):
+    """Every point of the square-window set at T = 60, about 12,000 for
+    d = 5: the indexed oracle makes full coverage cheap."""
+    desc = desc_for(fld, beta_exp=beta_exp)
+    pts = generate(desc, D2, 60)
+    assert len(pts) > 1000
+    for p in pts:
+        assert visible_fast(desc, p) == visible_oracle(desc, p, pts), \
+            p.quad_coords
+
+
+@pytest.mark.parametrize("fld", [F2, F5])
+@pytest.mark.parametrize("window_name", ["square", "octagon"])
+def test_oracle_index_matches_plain_list(fld, window_name):
+    window = square_window(1) if window_name == "square" \
+        else octagon_window(1)
+    desc = desc_for(fld, window)
+    pts = generate(desc, D2, 10)
+    assert isinstance(pts, PointSet)
+    plain = list(pts)
+    verdicts = [visible_oracle(desc, p, pts) for p in pts]
+    assert verdicts == [visible_oracle(desc, p, plain) for p in pts]
+    assert False in verdicts and True in verdicts
+
+
+def test_point_set_indexes_once_and_is_immutable():
+    pts = generate(desc_for(F2), D2, 4)
+    assert pts.shortest is pts.shortest
+    assert len(pts.shortest) < len(pts)  # rays holding several points
+    with pytest.raises(TypeError):
+        pts[0] = pts[1]
+    with pytest.raises(AttributeError):
+        pts.append(pts[0])
 
 
 # open at both ends of the first axis, closed on the second
