@@ -1,16 +1,23 @@
 """Float-path lattice-point counting: one pure-numpy kernel that slices the
-integer preimage box into lines along its last coordinate.
+integer preimage box into lines along one coordinate.
 
-Fix a prefix (u_1..u_{n-1}).  Every coordinate of x = B u, computed in
-floats as the pointwise test computes it, is monotone in u_n, so the u_n
-whose image lies in the tol-widened box form one interval.  The kernel
-estimates its ends by division and settles each end with the pointwise
-test, so every count is the count that testing every box point would give,
-yet no point between the two ends is visited.  A line's points that are not
-near a face (the open, tol-shrunk box) form an interval too, barring a
-coordinate that falls exactly on the float lo - tol or hi + tol; the
-boundary tally is the difference of the two interval lengths.  Primitive
-counts take Moebius over the divisors of the prefix gcd.
+Fix a prefix (the other coordinates).  Every coordinate of x = B u,
+computed in floats as the pointwise test computes it, is monotone in the
+line coordinate u_n, so the u_n whose image lies in the tol-widened box form
+one interval.  The kernel estimates its ends by division and settles each
+end with the pointwise test, so every count is the count that testing every
+box point would give, yet no point between the two ends is visited.  Lines
+left empty by the settle are dropped; only the others reach the interior
+settle and the Moebius step.  A line's points that are not near a face (the
+open, tol-shrunk box) form an interval too, barring a coordinate that falls
+exactly on the float lo - tol or hi + tol; the boundary tally is the
+difference of the two interval lengths.  Primitive counts take Moebius over
+the divisors of the prefix gcd; a gcd-1 prefix needs no divisor table.
+
+Counting takes the longest preimage range as the line, which makes the
+fewest prefixes: the count, the boundary tally and the prefix gcd do not
+depend on coordinate order.  Listing keeps the last coordinate as the line,
+so its points come in lexicographic order.
 
 The kernel is deterministic and order-independent (integer accumulators).
 """
@@ -63,25 +70,29 @@ def _coprime_counts(g: np.ndarray, a: np.ndarray, z: np.ndarray):
     """Number of u_n in [a, z] with gcd(g, u_n) = 1, summed over prefixes.
 
     g holds gcd(prefix) per prefix; a and z are (k, m): k intervals on each
-    of the m lines.  Returns the k sums.  A zero prefix leaves only
-    u_n = +-1; otherwise Moebius over the squarefree divisors e of g gives
-    sum mu(e) * (floor(z/e) - floor((a-1)/e))."""
+    of the m lines.  Returns the k sums.  A gcd-1 prefix counts every u_n, a
+    zero prefix only u_n = +-1.  For g > 1, Moebius over the squarefree
+    divisors e of g gives sum mu(e) * (floor(z/e) - floor((a-1)/e)), summed
+    over one flat row per (prefix, e)."""
     z = np.maximum(z, a - 1)
-    total = np.where(g == 0, ((a <= -1) & (-1 <= z)).astype(np.int64)
-                     + ((a <= 1) & (1 <= z)), 0).sum(axis=-1)
-    live = g > 0
-    gs, owner = np.unique(g[live], return_inverse=True)
-    if not len(gs):
+    total = (z - a + 1)[:, g == 1].sum(axis=-1)
+    pm1 = ((a <= -1) & (-1 <= z)).astype(np.int64) + ((a <= 1) & (1 <= z))
+    total += pm1[:, g == 0].sum(axis=-1)
+    many = np.flatnonzero(g > 1)
+    if not len(many):
         return total
+    gs, owner = np.unique(g[many], return_inverse=True)
     tables = [_mobius_divisors(int(x)) for x in gs]
-    # One row of divisors per distinct gcd, padded with mu = 0.
-    e = np.ones((len(gs), max(map(len, tables))), dtype=np.int64)
-    mu = np.zeros_like(e)
-    for i, t in enumerate(tables):
-        e[i, :len(t)], mu[i, :len(t)] = zip(*t)
-    e, mu = e[owner], mu[owner]
-    a, z = a[:, live, None], z[:, live, None]
-    return total + (mu * (z // e - (a - 1) // e)).sum(axis=(1, 2))
+    sizes = np.array([len(t) for t in tables])
+    table = np.array([row for t in tables for row in t], dtype=np.int64)
+    # Prefix i takes the sizes[owner[i]] rows of its gcd's table, which
+    # start at first[owner[i]].
+    first, reps = np.cumsum(sizes) - sizes, sizes[owner]
+    offset = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    e, mu = table[np.repeat(first[owner], reps) + offset].T
+    cols = np.repeat(many, reps)
+    a, z = a[:, cols], z[:, cols]
+    return total + (mu * (z // e - (a - 1) // e)).sum(axis=-1)
 
 
 class _Lines:
@@ -167,8 +178,8 @@ class _Lines:
 
     def lines(self):
         """Yield (P, a, z) per chunk of prefixes in lexicographic order: the
-        prefixes P (m x n-1) and, per prefix, the ends a..z of the u_n whose
-        image lies in the tol-widened box (a > z when there is none)."""
+        prefixes P (m x n-1) whose line meets the tol-widened box and, per
+        prefix, the ends a <= z of the u_n whose image lies in it."""
         if np.any(self.hi_u < self.lo_u):
             return
         size = math.prod(int(h) - int(l) + 1
@@ -190,8 +201,10 @@ class _Lines:
                 off = ~self.inside(X, self.flat)
                 a[off], z[off] = hi_n + 1, lo_n - 1
             first, last = np.full(len(P), lo_n), np.full(len(P), hi_n)
-            yield (P, *self._settle(P, a, z, self._entered, self._not_left,
-                                    first, last))
+            a, z = self._settle(P, a, z, self._entered, self._not_left,
+                                first, last)
+            hit = a <= z
+            yield P[hit], a[hit], z[hit]
 
     def interior(self, P, a, z):
         """The ends of each line's points with inside & ~near (the open,
@@ -202,8 +215,7 @@ class _Lines:
         if self.flat.any():
             # A row constant along the line and near a face makes the
             # whole line near: skip the walk.
-            live = np.flatnonzero(a <= z)
-            hit = live[self.near(self.image(P[live], a[live]), self.flat)]
+            hit = self.near(self.image(P, a), self.flat)
             a, z = a.copy(), z.copy()
             a[hit], z[hit] = last[hit] + 1, first[hit] - 1
         return self._settle(P, a, z, self._inner, self._inner, first, last)
@@ -218,7 +230,12 @@ def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
     all-zero vector is excluded).  Raises ValueError when the integer box
     has more points than int64 can index.
     """
-    scan = _Lines(basis, lo_u, hi_u, lo_x, hi_x, tol)
+    lo_u, hi_u = np.asarray(lo_u), np.asarray(hi_u)
+    # The longest range as the line (the last coordinate), for the fewest
+    # prefixes.
+    order = np.argsort(hi_u - lo_u, kind="stable")
+    scan = _Lines(np.asarray(basis)[:, order], lo_u[order], hi_u[order],
+                  lo_x, hi_x, tol)
     count = interior = 0
     for P, a, z in scan.lines():
         ai, zi = scan.interior(P, a, z)
@@ -226,7 +243,7 @@ def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
             g = np.gcd.reduce(np.abs(P), axis=1)
             c, i = _coprime_counts(g, np.stack([a, ai]), np.stack([z, zi]))
         else:
-            c = np.maximum(z - a + 1, 0).sum()
+            c = (z - a + 1).sum()
             i = np.maximum(zi - ai + 1, 0).sum()
         count += int(c)
         interior += int(i)
@@ -240,7 +257,7 @@ def collect_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
     scan = _Lines(basis, lo_u, hi_u, lo_x, hi_x, tol)
     us = [np.empty((0, scan.basis.shape[1]), dtype=np.int64)]
     for P, a, z in scan.lines():
-        lens = np.maximum(z - a + 1, 0)
+        lens = z - a + 1
         U = np.empty((int(lens.sum()), P.shape[1] + 1), dtype=np.int64)
         U[:, :-1] = np.repeat(P, lens, axis=0)
         U[:, -1] = np.arange(len(U)) + np.repeat(a - np.cumsum(lens) + lens,
@@ -255,16 +272,22 @@ def integer_preimage_box(basis_inv: np.ndarray,
                          bbox: list[tuple[float, float]]):
     """Integer bounds covering the preimage of a bounding box: map all box
     corners through the inverse basis and pad by 1 against float
-    rounding."""
+    rounding.  Raises ValueError when a bound is not finite or lies outside
+    int64, where the cast would wrap."""
     n = basis_inv.shape[0]
     corners = []
     for mask in range(1 << n):
         c = [bbox[j][1] if mask >> j & 1 else bbox[j][0] for j in range(n)]
         corners.append(c)
-    pre = np.array(corners, dtype=np.float64) @ basis_inv.T
-    lo = np.floor(pre.min(axis=0)).astype(np.int64) - 1
-    hi = np.ceil(pre.max(axis=0)).astype(np.int64) + 1
-    return lo, hi
+    with np.errstate(invalid="ignore"):  # inf * 0 is rejected below
+        pre = np.array(corners, dtype=np.float64) @ basis_inv.T
+    lo, hi = np.floor(pre.min(axis=0)), np.ceil(pre.max(axis=0))
+    # The floats past -2^63 and below 2^63 are at least 1024 inside int64,
+    # which leaves room for the padding.
+    if not (np.all(lo > -2.0 ** 63) and np.all(hi < 2.0 ** 63)):
+        raise ValueError(f"integer preimage bounds {lo.tolist()}.."
+                         f"{hi.tolist()} are not finite int64 values")
+    return lo.astype(np.int64) - 1, hi.astype(np.int64) + 1
 
 
 def backend_name() -> str:

@@ -211,13 +211,15 @@ def test_criterion_09_strict_inclusion():
         assert strict_inclusion_witness(desc, D2, 10)
 
 
-def _schmidt_max_ratio(n, n_lattices, boxes_per_lattice):
+def _schmidt_worst_ratios(n, n_lattices, boxes_per_lattice):
+    """Per lattice, the worst discrepancy ratio over its boxes."""
     c, T0 = 3.0, 12.0
-    worst = 0.0
+    ratios = []
     for i in range(n_lattices):
         rng = np.random.default_rng(1000 * n + i)
         basis = np.eye(n) + 0.2 * rng.standard_normal((n, n))
         grid = GridDesc(basis=basis, d=n, m=0)
+        worst = 0.0
         for _ in range(boxes_per_lattice):
             centers = rng.uniform(-4, 4, n)
             halves = rng.uniform(0.5, 2.0, n)
@@ -229,14 +231,17 @@ def _schmidt_max_ratio(n, n_lattices, boxes_per_lattice):
                       for cc, h in zip(centers, halves)]
             rep = schmidt_count_check(grid, Box.make(bounds), c=c, T0=T0)
             worst = max(worst, rep.ratio)
-    return worst
+        ratios.append(worst)
+    return ratios
 
 
 def test_criterion_10_schmidt_bound_stability():
     with criterion(10, "Schmidt discrepancy ratio stable under doubling "
                        "the trial count, n in {2,3,4}"):
         for n in (2, 3, 4):
-            c1 = _schmidt_max_ratio(n, 10, 100)
-            c2 = _schmidt_max_ratio(n, 20, 100)
+            # Each lattice's boxes depend on its own seed only, so the
+            # first 10 of the 20 lattices are the 10-lattice trials.
+            ratios = _schmidt_worst_ratios(n, 20, 100)
+            c1, c2 = max(ratios[:10]), max(ratios)
             assert 0 < c1 <= c2  # the base trials are a subset
             assert c2 <= 2.0 * c1, (n, c1, c2)

@@ -234,6 +234,8 @@ TWO_VERTICES = {"kind": "polygon", "vertices": [[1, 0], [-1, 0]]}
         "kind": "box", "bounds": [[-1, 1], [-1, 1]], "lo_open": []}}),
     # a preimage box past int64, rejected before anything is allocated
     ("random", {**RANDOM_CFG, "T_grid": [1e9]}),
+    # preimage bounds past int64, which once wrapped to an empty box
+    ("random", {**RANDOM_CFG, "T_grid": [1e30]}),
     # a key the kind does not hold; open flags that are not booleans
     ("density", {**DENSITY_CFG,
                  "window": {"kind": "square", "half_widht": 2}}),

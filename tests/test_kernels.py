@@ -75,6 +75,14 @@ def face_cases():
     # The zero prefix, whose line holds primitive points only at +-1.
     cases.append(("zero-prefix", np.eye(3), np.full(3, -3), np.full(3, 3),
                   np.full(3, -2.0), np.full(3, 2.0), True))
+    # Longest preimage range first or in the middle, so the count takes a
+    # line other than the last coordinate.
+    basis = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 1.0, 1.0]])
+    for label, w, primitive in (("long-first", [7, 2, 3], False),
+                                ("long-middle", [2, 7, 3], True)):
+        cases.append((label, basis, -np.array(w), np.array(w),
+                      np.array([-4.0, -3.0, -5.0]),
+                      np.array([3.0, 2.0, 4.0]), primitive))
     # A box thinner than 2*tol: every point in it is near a face.
     cases.append(("thin", np.array([[1.0, 2.0], [-1.0, 1.0]]),
                   np.full(2, -6), np.full(2, 6), np.array([1.0, -4.0]),
@@ -115,6 +123,81 @@ def test_box_past_int64_raises():
         kernels.count_lattice_points_in_box(
             np.eye(8), np.zeros(8), np.full(8, 299), np.full(8, -0.5),
             np.full(8, 0.5))
+
+
+def stretched_case(rng, n, j):
+    """A random case whose preimage box is longest in coordinate j."""
+    basis = np.eye(n) + 0.15 * rng.standard_normal((n, n))
+    lo_x = rng.uniform(-2, 0, n)
+    hi_x = lo_x + rng.uniform(1, 2, n)
+    hi_x[j] += 8
+    lo_u, hi_u = kernels.integer_preimage_box(
+        np.linalg.inv(basis), list(zip(lo_x, hi_x)))
+    return basis, lo_u, hi_u, lo_x, hi_x
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_longest_range_in_every_position(monkeypatch, n):
+    """The count takes the longest preimage range as its line, wherever
+    that range sits, and still equals the pointwise count."""
+    lines = []
+
+    class Spy(kernels._Lines):
+        def __init__(self, basis, lo_u, hi_u, *rest):
+            lines.append(np.asarray(hi_u) - np.asarray(lo_u))
+            super().__init__(basis, lo_u, hi_u, *rest)
+
+    monkeypatch.setattr(kernels, "_Lines", Spy)
+    rng = np.random.default_rng(11 + n)
+    for j in range(n):
+        basis, lo_u, hi_u, lo_x, hi_x = stretched_case(rng, n, j)
+        sizes = hi_u - lo_u
+        assert np.flatnonzero(sizes == sizes.max()).tolist() == [j]
+        for primitive in (False, True):
+            want = reference_count(basis, lo_u, hi_u, lo_x, hi_x, 1e-9,
+                                   primitive)
+            got = kernels.count_lattice_points_in_box(
+                basis, lo_u, hi_u, lo_x, hi_x, primitive=primitive)
+            assert got == want, (j, primitive)
+            assert lines[-1][-1] == sizes[j]
+
+
+def coprime_brute(g, a, z):
+    return sum(math.gcd(g, u) == 1 for u in range(a, z + 1))
+
+
+def test_coprime_counts_match_brute_force():
+    rng = np.random.default_rng(5)
+    gs = [0, 1, 2, 4, 6, 30, 30030] + rng.integers(2, 10**6, 9).tolist()
+    spans = [(3, 1), (5, 4), (-9, -2), (-7, 7), (-1, 1), (0, 0), (-30, -30),
+             (1, 1), (-5, 0), (0, 6), (-40, 45)]
+    a = np.array([[lo for lo, _ in spans]] * len(gs)).T
+    z = np.array([[hi for _, hi in spans]] * len(gs)).T
+    for _ in range(6):  # random intervals, some empty
+        lo = rng.integers(-60, 60, len(gs))
+        a = np.vstack([a, lo])
+        z = np.vstack([z, lo + rng.integers(-3, 70, len(gs))])
+    for cols in ([0], [1], [5, 6], list(range(len(gs)))):
+        g = np.array(gs)[cols]
+        got = kernels._coprime_counts(g, a[:, cols], z[:, cols])
+        want = [sum(coprime_brute(int(gi), int(ai), int(zi))
+                    for gi, ai, zi in zip(g, ar, zr))
+                for ar, zr in zip(a[:, cols], z[:, cols])]
+        assert got.tolist() == want, cols
+
+
+def test_preimage_bounds_past_int64_raise():
+    """A float bound outside int64 must not wrap around; the box
+    (-1e19, 1e19) x (-1, 1) once came back with lo > hi and counted
+    (0, 0)."""
+    for bbox in ([(-1e19, 1e19), (-1, 1)], [(-1, 1), (-1, 1e19)],
+                 [(-1e19, 1), (-1, 1)], [(math.nan, 1), (-1, 1)],
+                 [(-1, math.inf), (-1, 1)]):
+        with pytest.raises(ValueError, match="int64"):
+            kernels.integer_preimage_box(np.eye(2), bbox)
+    lo, hi = kernels.integer_preimage_box(np.eye(2), [(-2.0 ** 62, 2.0 ** 62),
+                                                      (-1, 1)])
+    assert lo.tolist() == [-2 ** 62 - 1, -2] and hi.tolist() == [2 ** 62 + 1, 2]
 
 
 def test_primitive_excludes_origin():
