@@ -234,8 +234,6 @@ TWO_VERTICES = {"kind": "polygon", "vertices": [[1, 0], [-1, 0]]}
         "kind": "box", "bounds": [[-1, 1], [-1, 1]], "lo_open": []}}),
     # a preimage box past int64, rejected before anything is allocated
     ("random", {**RANDOM_CFG, "T_grid": [1e9]}),
-    # preimage bounds past int64, which once wrapped to an empty box
-    ("random", {**RANDOM_CFG, "T_grid": [1e30]}),
     # a key the kind does not hold; open flags that are not booleans
     ("density", {**DENSITY_CFG,
                  "window": {"kind": "square", "half_widht": 2}}),
@@ -249,6 +247,8 @@ TWO_VERTICES = {"kind": "polygon", "vertices": [[1, 0], [-1, 0]]}
         "kind": "box", "bounds": [[-1, True], [-1, 1]]}}),
     ("density", {**DENSITY_CFG, "window": {"kind": "polygon", "vertices": [
         [1, 0], [0, True], [-1, 0], [0, -1]]}}),
+    # preimage bounds past int64, which once wrapped to an empty box
+    ("random", {**RANDOM_CFG, "T_grid": [1e30]}),
 ])
 def test_config_errors_past_the_schema(tmp_path, command, bad):
     cfg = write_cfg(tmp_path / "cfg.json", bad)
