@@ -14,6 +14,7 @@ from . import kernels
 from .cutproject import CPSetDesc
 from .lattice import box_reduced_basis, field_point_arrays
 from .quadfield import (
+    ZETA_TOL,
     as_scalar,
     dedekind_zeta_highprec,
     divisible_by,
@@ -35,13 +36,14 @@ class DegenerateFit(ValueError):
     pass
 
 
-def riemann_zeta(s: int, tol: float = 1e-9) -> float:
+def riemann_zeta(s: int) -> float:
     """zeta(s) for integer s >= 2 by partial sums; the tail is replaced by
-    the midpoint of its integral-test bracket, leaving error below tol."""
+    the midpoint of its integral-test bracket, leaving error below
+    ZETA_TOL."""
     if s < 2:
         raise ValueError("s must be >= 2")
     N = 16
-    while s / 2 * N ** (-s) > tol:
+    while s / 2 * N ** (-s) > ZETA_TOL:
         N *= 2
     n = np.arange(1, N + 1, dtype=np.float64)
     partial = float(np.sum(n ** (-float(s))))
@@ -80,16 +82,14 @@ class CountReport:
 CountReport.CSV_HEADER = ",".join(f.name for f in fields(CountReport))
 
 
-def predicted_density_hammarhjelm(desc: CPSetDesc,
-                                  tol: float = 1e-9) -> float:
+def predicted_density_hammarhjelm(desc: CPSetDesc) -> float:
     """Density of the visible points of Lambda(beta*W, L) per unit volume of
     physical space: (1 - lambda^(-d)) * (vol(beta*W)/covol(L)) / zeta_K(d)."""
     desc.require_hammarhjelm()
     lam_inv_d = float(desc.unit_power(-desc.d))
     vol_w = desc.scaled_window().volume()
-    covol = desc.lattice.covolume()
-    z = dedekind_zeta_highprec(desc.field, desc.d, tol)
-    return (1.0 - lam_inv_d) * (vol_w / covol) / z
+    z = dedekind_zeta_highprec(desc.field, desc.d)
+    return (1.0 - lam_inv_d) * (vol_w / desc.covolume()) / z
 
 
 def _norm_cutoff(desc: CPSetDesc, D, T) -> int:
@@ -137,7 +137,7 @@ def moebius_count_primitive(desc: CPSetDesc, D, T,
     fld = desc.field
     if points is None:
         _, P, Q, keep = field_point_arrays(
-            desc.lattice, D.scaled(Fraction(T)), desc.scaled_window())
+            fld, D.scaled(Fraction(T)), desc.scaled_window())
         points = P[keep], Q[keep]
     P, Q = points
     G = _norm_gcd(fld.d, P, Q)
@@ -204,7 +204,7 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
     inclusion-exclusion sums: the outer one over this same set of points,
     the inner one over its own enumeration of the beta/lambda set."""
     desc.require_hammarhjelm()
-    _, P, Q, keep = field_point_arrays(desc.lattice, D.scaled(Fraction(T)),
+    _, P, Q, keep = field_point_arrays(desc.field, D.scaled(Fraction(T)),
                                        desc.scaled_window())
     P, Q = P[keep], Q[keep]
     outer = P, Q
@@ -231,7 +231,7 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
     if predicted is None:
         predicted = predicted_density_hammarhjelm(desc)
     vol_td = D.scaled(Fraction(T)).volume()
-    m_t = desc.scaled_window().volume() * vol_td / desc.lattice.covolume()
+    m_t = desc.scaled_window().volume() * vol_td / desc.covolume()
     rel = abs(count_vis / vol_td - predicted) / predicted
     return CountReport(T=float(T), count_vis=count_vis, count_pr=count_pr,
                        count_all=count_all, vol_TD=vol_td, M_T=m_t,
@@ -267,8 +267,7 @@ def rate_fit(reports: list[CountReport]) -> RateFit:
 
 
 def random_lattice_experiment(n: int, d: int, window: Box, omega: Box,
-                              T_list, samples: int, seed: int,
-                              tol: float = 1e-9) -> dict:
+                              T_list, samples: int, seed: int) -> dict:
     """Counts of primitive integer vectors u (gcd over Z equal 1) with
     g*u in (T*Omega) x W for iid Gaussian g normalized to |det| = 1.
 
@@ -294,14 +293,17 @@ def random_lattice_experiment(n: int, d: int, window: Box, omega: Box,
         bbox += [(float(lo), float(hi)) for lo, hi in window.bbox()]
         lo_x = np.array([b[0] for b in bbox])
         hi_x = np.array([b[1] for b in bbox])
-        vol = float(np.prod(hi_x - lo_x))
         widths = hi_x - lo_x
+        vol = math.prod(widths.tolist())
+        if vol == math.inf:
+            raise ValueError(f"T={T} puts the volume of T*omega x window "
+                             f"past the float range")
         results = []
         for g0 in bases:
             g = box_reduced_basis(g0, widths)
             lo_u, hi_u = kernels.integer_preimage_box(np.linalg.inv(g), bbox)
             results.append(kernels.count_lattice_points_in_box(
-                g, lo_u, hi_u, lo_x, hi_x, tol=tol, primitive=True))
+                g, lo_u, hi_u, lo_x, hi_x, primitive=True))
         densities = [cnt / vol for cnt, _ in results]
         boundary = sum(bnd for _, bnd in results)
         total_count += sum(cnt for cnt, _ in results)

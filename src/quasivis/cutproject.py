@@ -15,7 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import FieldLatticeDesc, enumerate_field_points_exact
+from . import kernels
+from .lattice import box_reduced_basis, enumerate_field_points_exact
 from .quadfield import (
     FieldDesc,
     QuadInt,
@@ -44,9 +45,10 @@ class CPSetDesc:
     window: object
     beta_exp: int = 0
 
-    @property
-    def lattice(self) -> FieldLatticeDesc:
-        return FieldLatticeDesc(field=self.field, d=self.d)
+    def covolume(self) -> float:
+        """Covolume of the d-fold Minkowski lattice: each block (1, omega;
+        1, sigma(omega)) has |det| = sqrt(disc)."""
+        return math.sqrt(self.field.disc ** self.d)
 
     def unit_power(self, k: int) -> QuadInt:
         """lambda^k for any integer k; 1/lambda = N(lambda)*sigma(lambda)."""
@@ -67,17 +69,16 @@ class CPSetDesc:
         """The closed window (1/lambda)*beta*W of the visibility test."""
         return self.scaled_window(extra_exp=-1)
 
-    def is_hammarhjelm(self) -> bool:
-        return self._hammarhjelm
-
     @cached_property
-    def _hammarhjelm(self) -> bool:
+    def is_hammarhjelm(self) -> bool:
+        """A PID field that passes the unit-box test, with a centrally
+        symmetric window; decided once per description."""
         return (self.field.is_pid
                 and self.window.is_centrally_symmetric()
                 and check_hammarhjelm(self.field))
 
     def require_hammarhjelm(self):
-        if not self._hammarhjelm:
+        if not self.is_hammarhjelm:
             raise NotHammarhjelm(
                 f"d={self.field.d} with this window is not a Hammarhjelm example")
 
@@ -115,9 +116,6 @@ class CPPoint:
         g = math.gcd(n, *nums) * (1 if n > 0 else -1)
         return (k, xk.sign(), n // g, *(c // g for c in nums)), abs(xk)
 
-    def norm_phys(self) -> float:
-        return math.hypot(*self.coords_phys)
-
 
 def _make_point(xs: tuple[QuadInt, ...]) -> CPPoint:
     return CPPoint(
@@ -125,12 +123,6 @@ def _make_point(xs: tuple[QuadInt, ...]) -> CPPoint:
         coords_phys=tuple(float(x) for x in xs),
         coords_int=tuple(x.conj_float() for x in xs),
     )
-
-
-def iter_raw(desc: CPSetDesc, D, T):
-    """Yield quad-coordinate tuples of Lambda(beta*W, L) inside T*D."""
-    TD = D.scaled(Fraction(T))
-    return enumerate_field_points_exact(desc.lattice, TD, desc.scaled_window())
 
 
 class PointSet(tuple):
@@ -149,7 +141,8 @@ class PointSet(tuple):
 
 def generate(desc: CPSetDesc, D, T) -> PointSet:
     """All points of the cut-and-project set inside T*D (exact path)."""
-    return PointSet(_make_point(xs) for xs in iter_raw(desc, D, T))
+    return PointSet(_make_point(xs) for xs in enumerate_field_points_exact(
+        desc.field, D.scaled(Fraction(T)), desc.scaled_window()))
 
 
 def visible_fast(desc: CPSetDesc, x: CPPoint) -> bool:
@@ -205,7 +198,7 @@ def strict_inclusion_witness(desc: CPSetDesc, D, T) -> list[CPPoint]:
     visibility (fast characterization on Hammarhjelm examples, else the
     definitional oracle)."""
     pts = generate(desc, D, T)
-    hamm = desc.is_hammarhjelm()
+    hamm = desc.is_hammarhjelm
     out = []
     for p in pts:
         if p.is_origin:
@@ -222,26 +215,22 @@ def strict_inclusion_witness(desc: CPSetDesc, D, T) -> list[CPPoint]:
     return out
 
 
-def strict_inclusion_witness_random(basis: np.ndarray, window, D, T: float,
-                                    tol: float = 1e-9):
+def strict_inclusion_witness_random(basis: np.ndarray, window, D, T: float):
     """Float-path witness search for a lattice basis in R^n: returns the
     points of Lambda(W, L_vis) \\ Lambda(W, L)_vis found in T*D, along with
-    the total number of points examined."""
-    from . import kernels
-
-    n = basis.shape[0]
+    the total number of points examined; points within kernels.TOL of the
+    origin are not examined."""
     dphys = D.dim
     bbox = [(float(lo) * T, float(hi) * T) for lo, hi in D.bbox()] + \
         [(float(lo), float(hi)) for lo, hi in window.bbox()]
     lo_x = np.array([b[0] for b in bbox])
     hi_x = np.array([b[1] for b in bbox])
-    from .lattice import box_reduced_basis
     basis = box_reduced_basis(basis, hi_x - lo_x)
     lo_u, hi_u = kernels.integer_preimage_box(np.linalg.inv(basis), bbox)
     U, X, _ = kernels.collect_lattice_points_in_box(
-        basis, lo_u, hi_u, lo_x, hi_x, tol=tol)
+        basis, lo_u, hi_u, lo_x, hi_x)
     phys = X[:, :dphys]
-    keep = np.linalg.norm(phys, axis=1) > tol
+    keep = np.linalg.norm(phys, axis=1) > kernels.TOL
     U, phys = U[keep], phys[keep]
     norms = np.linalg.norm(phys, axis=1)
     dirs = phys / norms[:, None]
@@ -269,19 +258,19 @@ def strict_inclusion_witness_random(basis: np.ndarray, window, D, T: float,
     return witnesses, len(U)
 
 
-def points_to_csv(points: list[CPPoint], visible: list[bool] | None = None) -> str:
+def points_to_csv(points: list[CPPoint], visible: list[bool]) -> str:
     d = len(points[0].quad_coords) if points else 0
     cols = [f"a{i+1},b{i+1}" for i in range(d)]
     cols += [f"phys{i+1}" for i in range(d)]
     cols += [f"int{i+1}" for i in range(d)]
     header = ",".join(cols) + ",visible\n"
     lines = [header]
-    for k, p in enumerate(points):
+    for p, vis in zip(points, visible):
         row = []
         for x in p.quad_coords:
             row += [str(x.a), str(x.b)]
         row += [f"{v:.12g}" for v in p.coords_phys]
         row += [f"{v:.12g}" for v in p.coords_int]
-        row.append("" if visible is None else str(int(visible[k])))
+        row.append(str(int(vis)))
         lines.append(",".join(row) + "\n")
     return "".join(lines)

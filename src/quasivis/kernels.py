@@ -3,14 +3,14 @@ integer preimage box into lines along one coordinate.
 
 Fix a prefix (the other coordinates).  Every coordinate of x = B u,
 computed in floats as the pointwise test computes it, is monotone in the
-line coordinate u_n, so the u_n whose image lies in the tol-widened box form
-one interval.  The kernel estimates its ends by division and settles each
+line coordinate u_n, so the u_n whose image lies in the box widened by TOL
+form one interval.  The kernel estimates its ends by division and settles each
 end with the pointwise test, so every count is the count that testing every
 box point would give, yet no point between the two ends is visited.  Lines
 left empty by the settle are dropped; only the others reach the interior
 settle and the Moebius step.  A line's points that are not near a face (the
-open, tol-shrunk box) form an interval too, barring a coordinate that falls
-exactly on the float lo - tol or hi + tol; the boundary tally is the
+open box shrunk by TOL) form an interval too, barring a coordinate that
+falls exactly on the float lo - TOL or hi + TOL; the boundary tally is the
 difference of the two interval lengths.  Primitive counts take Moebius over
 the divisors of the prefix gcd; a gcd-1 prefix needs no divisor table.
 
@@ -30,6 +30,9 @@ import numpy as np
 
 from .quadfield import factorint
 
+# The float boundary tolerance: a point within TOL of a face counts as
+# inside and is tallied as boundary-ambiguous.
+TOL = 1e-9
 _CHUNK = 1 << 18
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -99,14 +102,13 @@ class _Lines:
     """One box query cut into lines of constant prefix (u_1..u_{n-1}),
     with the pointwise predicates the lines are settled against."""
 
-    def __init__(self, basis, lo_u, hi_u, lo_x, hi_x, tol):
+    def __init__(self, basis, lo_u, hi_u, lo_x, hi_x):
         self.basis = np.ascontiguousarray(basis, dtype=np.float64)
         self.lo_u = np.asarray(lo_u, dtype=np.int64)
         self.hi_u = np.asarray(hi_u, dtype=np.int64)
         self.lo_x = np.asarray(lo_x, dtype=np.float64)
         self.hi_x = np.asarray(hi_x, dtype=np.float64)
-        self.tol = float(tol)
-        self.lo_w, self.hi_w = self.lo_x - self.tol, self.hi_x + self.tol
+        self.lo_w, self.hi_w = self.lo_x - TOL, self.hi_x + TOL
         b = self.basis[:, -1]
         rising, falling, self.flat = b > 0, b < 0, b == 0
         self.slope = np.where(self.flat, 1.0, b)
@@ -138,11 +140,11 @@ class _Lines:
 
     def near(self, X, rows=slice(None)):
         X = X[:, rows]
-        return np.any((np.abs(X - self.lo_x[rows]) <= self.tol)
-                      | (np.abs(X - self.hi_x[rows]) <= self.tol), axis=1)
+        return np.any((np.abs(X - self.lo_x[rows]) <= TOL)
+                      | (np.abs(X - self.hi_x[rows]) <= TOL), axis=1)
 
     def _inner(self, X):
-        """The pointwise test of the open, tol-shrunk box."""
+        """The pointwise test of the open box shrunk by TOL."""
         return self.inside(X) & ~self.near(X)
 
     def _entered(self, X):
@@ -178,7 +180,7 @@ class _Lines:
 
     def lines(self):
         """Yield (P, a, z) per chunk of prefixes in lexicographic order: the
-        prefixes P (m x n-1) whose line meets the tol-widened box and, per
+        prefixes P (m x n-1) whose line meets the widened box and, per
         prefix, the ends a <= z of the u_n whose image lies in it."""
         if np.any(self.hi_u < self.lo_u):
             return
@@ -207,8 +209,8 @@ class _Lines:
             yield P[hit], a[hit], z[hit]
 
     def interior(self, P, a, z):
-        """The ends of each line's points with inside & ~near (the open,
-        tol-shrunk box).  That test is not monotone along the line, but its
+        """The ends of each line's points with inside & ~near (the open box
+        shrunk by TOL).  That test is not monotone along the line, but its
         points form an interval inside a..z, so settling from a and z walks
         in to the interval's ends."""
         first, last = a, z
@@ -222,9 +224,11 @@ class _Lines:
 
 
 def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
-                                tol: float = 1e-9, primitive: bool = False):
+                                primitive: bool = False):
     """Count integer vectors u in [lo_u, hi_u] with basis @ u inside the
-    box [lo_x, hi_x]; returns (count, boundary_ambiguous_count).
+    box [lo_x, hi_x] widened by TOL; returns (count,
+    boundary_ambiguous_count), the second counting those within TOL of a
+    face.
 
     With primitive=True only gcd-1 integer vectors are counted (and the
     all-zero vector is excluded).  Raises ValueError when the integer box
@@ -235,7 +239,7 @@ def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
     # prefixes.
     order = np.argsort(hi_u - lo_u, kind="stable")
     scan = _Lines(np.asarray(basis)[:, order], lo_u[order], hi_u[order],
-                  lo_x, hi_x, tol)
+                  lo_x, hi_x)
     count = interior = 0
     for P, a, z in scan.lines():
         ai, zi = scan.interior(P, a, z)
@@ -250,11 +254,10 @@ def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
     return count, count - interior
 
 
-def collect_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
-                                  tol: float = 1e-9):
+def collect_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x):
     """As count_lattice_points_in_box but materializes (preimages, points,
     boundary flags) in canonical lexicographic preimage order."""
-    scan = _Lines(basis, lo_u, hi_u, lo_x, hi_x, tol)
+    scan = _Lines(basis, lo_u, hi_u, lo_x, hi_x)
     us = [np.empty((0, scan.basis.shape[1]), dtype=np.int64)]
     for P, a, z in scan.lines():
         lens = z - a + 1

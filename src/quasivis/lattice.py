@@ -1,6 +1,7 @@
-"""Lattices and grids in R^n: Minkowski-embedded field lattices, point
-enumeration in convex regions (exact and float paths), covolume and
-Schmidt-style counting checks."""
+"""Lattices and grids in R^n: exact enumeration of the points of O_K^dim
+with physical and internal parts in two regions, float-path enumeration of
+grid points in convex regions (points within kernels.TOL of the boundary
+flagged), covolume and Schmidt-style counting checks."""
 
 from __future__ import annotations
 
@@ -69,42 +70,11 @@ class GridDesc:
         return out
 
 
-@dataclass(frozen=True)
-class FieldLatticeDesc:
-    """The lattice of (x_1..x_d, sigma(x_1)..sigma(x_d)), x_i in O_K."""
-
-    field: FieldDesc
-    d: int
-
-    @property
-    def n(self) -> int:
-        return 2 * self.d
-
-    def covolume(self) -> float:
-        # each Minkowski block (1, omega; 1, sigma(omega)) has |det| = sqrt(disc)
-        return math.sqrt(self.covolume_sq())
-
-    def covolume_sq(self) -> int:
-        """Exact square of the covolume: disc^d."""
-        return self.field.disc ** self.d
-
-    def basis_float(self) -> np.ndarray:
-        """Columns ordered (a_1, b_1, ..., a_d, b_d); rows phys then int."""
-        om = self.field.omega
-        B = np.zeros((self.n, self.n))
-        for i in range(self.d):
-            B[i, 2 * i] = 1.0
-            B[i, 2 * i + 1] = float(om)
-            B[self.d + i, 2 * i] = 1.0
-            B[self.d + i, 2 * i + 1] = om.conj_float()
-        return B
-
-
-def enumerate_points(grid: GridDesc, region, tol: float = 1e-9):
+def enumerate_points(grid: GridDesc, region):
     """All grid points in the region (float path).
 
     Returns (preimages int array, points float array, boundary flags),
-    sorted lexicographically by preimage.  Points within tol of the
+    sorted lexicographically by preimage.  Points within kernels.TOL of the
     region boundary are included and flagged.
     """
     bbox = [(float(lo), float(hi)) for lo, hi in region.bbox()]
@@ -113,23 +83,23 @@ def enumerate_points(grid: GridDesc, region, tol: float = 1e-9):
     lo_x = np.array([b[0] for b in bbox])
     hi_x = np.array([b[1] for b in bbox])
     U, X, _ = kernels.collect_lattice_points_in_box(
-        grid.basis, lo_u, hi_u, lo_x, hi_x, tol=tol)
-    status = region.contains_float(X, tol)
+        grid.basis, lo_u, hi_u, lo_x, hi_x)
+    status = region.contains_float(X)
     keep = status != 0
     return U[keep], X[keep], status[keep] == BOUNDARY
 
 
-def field_point_arrays(lat: FieldLatticeDesc, phys_region, int_region):
-    """Exact filter of lattice points with physical part in phys_region and
-    internal part in int_region (regions with rational data).  Returns the
-    per-axis candidates (from Minkowski boxes), the integer arrays P, Q of
-    every combination in itertools.product order, x_i = (P[:, i] +
+def field_point_arrays(fld: FieldDesc, phys_region, int_region):
+    """Exact filter of the points x of O_K^dim (dim the regions' dimension)
+    with physical part x in phys_region and internal part sigma(x) in
+    int_region (regions with rational data).  Returns the per-axis
+    candidates (from Minkowski boxes), the integer arrays P, Q of every
+    combination in itertools.product order, x_i = (P[:, i] +
     Q[:, i]*sqrt(d))/2, and the mask keep of those in both regions."""
-    fld = lat.field
     axes = [list(iter_ring_box(fld, *phys, *internal)) for phys, internal
             in zip(phys_region.bbox(), int_region.bbox())]
     # row i of idx: the axis-i candidate of each combination, product order
-    idx = np.indices([len(a) for a in axes]).reshape(lat.d, -1)
+    idx = np.indices([len(a) for a in axes]).reshape(len(axes), -1)
     P = np.stack([int_array([x.p for x in a])[k]
                   for a, k in zip(axes, idx)], axis=-1)
     Q = np.stack([int_array([x.q for x in a])[k]
@@ -140,10 +110,9 @@ def field_point_arrays(lat: FieldLatticeDesc, phys_region, int_region):
     return axes, P, Q, keep
 
 
-def enumerate_field_points_exact(lat: FieldLatticeDesc, phys_region,
-                                 int_region):
+def enumerate_field_points_exact(fld: FieldDesc, phys_region, int_region):
     """The points field_point_arrays keeps, as QuadInt tuples in its order."""
-    axes, _, _, keep = field_point_arrays(lat, phys_region, int_region)
+    axes, _, _, keep = field_point_arrays(fld, phys_region, int_region)
     yield from itertools.compress(itertools.product(*axes), keep)
 
 
@@ -196,8 +165,8 @@ class SchmidtReport:
     T0: float
 
 
-def schmidt_count_check(grid: GridDesc, region, c: float, T0: float,
-                        tol: float = 1e-9) -> SchmidtReport:
+def schmidt_count_check(grid: GridDesc, region, c: float,
+                        T0: float) -> SchmidtReport:
     """Check |#(S cap L) - vol(S)/covol(L)| against the bound shape
     c * T0^(n-1); hypotheses are verified, not assumed."""
     if region.diameter() > T0 + 1e-9:
@@ -206,7 +175,7 @@ def schmidt_count_check(grid: GridDesc, region, c: float, T0: float,
         raise HypothesisFailed(f"no {grid.n} independent vectors of length <= T0")
     if shortest_independent_bound(grid, grid.n - 1) > c + 1e-9:
         raise HypothesisFailed(f"no {grid.n - 1} independent vectors of length <= c")
-    U, X, _ = enumerate_points(grid, region, tol=tol)
+    U, X, _ = enumerate_points(grid, region)
     count = len(U)
     expected = region.volume() / grid.covolume()
     disc = abs(count - expected)

@@ -180,9 +180,6 @@ class FieldDesc:
     def __repr__(self) -> str:
         return f"FieldDesc(d={self.d})"
 
-    def element(self, a: int, b: int = 0) -> "QuadInt":
-        return QuadInt(self, a, b)
-
     @property
     def omega(self) -> "QuadInt":
         return QuadInt(self, 0, 1)
@@ -191,12 +188,6 @@ class FieldDesc:
     def omega_square(self) -> tuple[int, int]:
         """(k, t) with omega^2 = k + t*omega."""
         return ((self.d - 1) // 4, 1) if self.half else (self.d, 0)
-
-    @property
-    def sqrt_d(self) -> "QuadInt":
-        if self.half:
-            return QuadInt(self, -1, 2)
-        return QuadInt(self, 0, 1)
 
 
 @lru_cache(maxsize=None)
@@ -617,6 +608,10 @@ def zeta_hurwitz(fld: FieldDesc, s: int) -> float:
 
 
 N_MAX_BUDGET = 2_000_000
+# The agreement the zeta values of a density prediction are held to: the two
+# high-precision routes of dedekind_zeta_highprec (relative), and the
+# integral-test tail of counting.riemann_zeta (absolute).
+ZETA_TOL = 1e-9
 
 
 def dedekind_zeta(fld: FieldDesc, s: int, tol: float) -> tuple[float, float]:
@@ -644,13 +639,12 @@ def dedekind_zeta(fld: FieldDesc, s: int, tol: float) -> tuple[float, float]:
     return direct, direct_err
 
 
-def dedekind_zeta_highprec(fld: FieldDesc, s: int,
-                           tol: float = 1e-9) -> float:
+def dedekind_zeta_highprec(fld: FieldDesc, s: int) -> float:
     """High-precision value via two independent L-series routes that must
-    agree to tol relative."""
-    v1, e1 = zeta_lseries(fld, s, tol * 0.1)
+    agree to ZETA_TOL relative."""
+    v1, e1 = zeta_lseries(fld, s, ZETA_TOL * 0.1)
     v2 = zeta_hurwitz(fld, s)
-    if abs(v1 - v2) > tol * abs(v2):
+    if abs(v1 - v2) > ZETA_TOL * abs(v2):
         raise ArithmeticError(f"zeta high-precision routes disagree: {v1} vs {v2}")
     return v2
 

@@ -7,8 +7,9 @@ point, or integer arrays of one shape for a batch (the transpose of (N, dim)
 arrays).  The region's data is brought to integers over one denominator
 once, and every bound becomes the exact sign of an integer A + B*sqrt(d)
 (plain ints for one point; for a batch int64 under a proven magnitude
-bound, Python ints past it).  Float-path membership reports points within
-`tol` of the boundary separately so their influence can be bounded.
+bound, Python ints past it).  Float-path membership (`contains_float`, on
+`Box` and `Ball`) reports points within kernels.TOL of the boundary
+separately so their influence can be bounded.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .kernels import TOL
 from .quadfield import (QuadInt, int_lin, int_mul, over_common_den,
                         quad_sign_array)
 
@@ -84,11 +86,12 @@ class Box:
             inside &= (s > 0) if self.hi_open[i] else (s >= 0)
         return inside
 
-    def contains_float(self, x: np.ndarray, tol: float) -> np.ndarray:
+    def contains_float(self, x: np.ndarray) -> np.ndarray:
         lo = np.array([float(b[0]) for b in self.bounds])
         hi = np.array([float(b[1]) for b in self.bounds])
-        inside = np.all((x >= lo - tol) & (x <= hi + tol), axis=-1)
-        near = np.any((np.abs(x - lo) <= tol) | (np.abs(x - hi) <= tol), axis=-1)
+        inside = np.all((x >= lo - TOL) & (x <= hi + TOL), axis=-1)
+        near = np.any((np.abs(x - lo) <= TOL) | (np.abs(x - hi) <= TOL),
+                      axis=-1)
         return np.where(inside, np.where(near, BOUNDARY, IN), OUT)
 
     def bbox(self) -> list[tuple[Fraction, Fraction]]:
@@ -151,12 +154,12 @@ class Ball:
                             int_lin([(-R, SB)]), d)
         return s >= 0
 
-    def contains_float(self, x: np.ndarray, tol: float) -> np.ndarray:
+    def contains_float(self, x: np.ndarray) -> np.ndarray:
         c = np.array([float(v) for v in self.center])
         r = math.sqrt(float(self.r2))
         dist = np.linalg.norm(x - c, axis=-1)
-        inside = dist <= r + tol
-        near = np.abs(dist - r) <= tol
+        inside = dist <= r + TOL
+        near = np.abs(dist - r) <= TOL
         return np.where(inside, np.where(near, BOUNDARY, IN), OUT)
 
     def bbox(self):

@@ -139,8 +139,8 @@ def primes_above(fld: FieldDesc, p: int) -> list[IdealHNF]:
     tr, nm = fld.omega.trace(), fld.omega.norm()
     roots = [r for r in range(p) if (r * r - tr * r + nm) % p == 0]
     if not roots:
-        return [principal_ideal(fld.element(p))]
-    out = [ideal_from_generators([fld.element(p), fld.element(-r, 1)])
+        return [principal_ideal(QuadInt(fld, p))]
+    out = [ideal_from_generators([QuadInt(fld, p), QuadInt(fld, -r, 1)])
            for r in roots]
     assert all(P.norm() == p for P in out)
     return out

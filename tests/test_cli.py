@@ -249,6 +249,8 @@ TWO_VERTICES = {"kind": "polygon", "vertices": [[1, 0], [-1, 0]]}
         [1, 0], [0, True], [-1, 0], [0, -1]]}}),
     # preimage bounds past int64, which once wrapped to an empty box
     ("random", {**RANDOM_CFG, "T_grid": [1e30]}),
+    # a box volume past the float range, which once ended in a NaN
+    ("random", {**RANDOM_CFG, "T_grid": [1e300]}),
 ])
 def test_config_errors_past_the_schema(tmp_path, command, bad):
     cfg = write_cfg(tmp_path / "cfg.json", bad)
@@ -258,6 +260,8 @@ def test_config_errors_past_the_schema(tmp_path, command, bad):
     assert res.output.startswith("config error:")
     assert len(res.output.splitlines()) == 1
     assert not isinstance(res.exception, (KeyError, ValueError))
+    if bad.get("T_grid") == [1e300]:
+        assert "T=1e+300" in res.output
 
 
 CUBE1 = {"kind": "cube", "half_width": 1, "dim": 1}

@@ -26,7 +26,6 @@ from quasivis.cutproject import (
     CPSetDesc,
     NotHammarhjelm,
     generate,
-    iter_raw,
     visible_fast,
 )
 from quasivis.lattice import field_point_arrays
@@ -106,7 +105,8 @@ def test_moebius_equals_direct(fld, beta_exp, T):
 def test_norm_cutoff_bounds_every_master_norm(fld, beta_exp, window, T):
     desc = CPSetDesc(field=fld, d=2, window=window, beta_exp=beta_exp)
     cutoff = _norm_cutoff(desc, D2, T)
-    norms = [abs(x.norm()) for xs in iter_raw(desc, D2, T) for x in xs if x]
+    norms = [abs(x.norm()) for p in generate(desc, D2, T)
+             for x in p.quad_coords if x]
     assert norms and max(norms) <= cutoff
 
 
@@ -114,8 +114,8 @@ def ideal_route_count(desc, D, T):
     """The Moebius sum by ideals, the route the integer-array sum replaced:
     the distinct ideals generated by the nonzero points, and per g with
     mu(g) != 0 the multiplicity of those that g's ideal contains."""
-    ideal_mult = Counter(ideal_from_generators(list(xs))
-                         for xs in iter_raw(desc, D, T) if any(xs))
+    ideal_mult = Counter(ideal_from_generators(list(p.quad_coords))
+                         for p in generate(desc, D, T) if not p.is_origin)
     cutoff = _norm_cutoff(desc, D, T)
     total = 0
     for g in iter_ring_box(desc.field, 1,
@@ -155,7 +155,7 @@ def test_moebius_matches_ideal_route(d, dim, window, T, beta_exp):
 def test_moebius_reused_outer_set_equals_fresh_enumeration(fld, window):
     desc = CPSetDesc(field=fld, d=2, window=WINDOWS[window])
     T = 15
-    _, P, Q, keep = field_point_arrays(desc.lattice, D2.scaled(T),
+    _, P, Q, keep = field_point_arrays(desc.field, D2.scaled(T),
                                        desc.scaled_window())
     fresh = moebius_count_primitive(desc, D2, T)
     assert moebius_count_primitive(desc, D2, T,
@@ -170,9 +170,9 @@ def test_moebius_reused_outer_set_equals_fresh_enumeration(fld, window):
 def test_visible_count_moebius_enumerates_outer_set_once(monkeypatch):
     calls = []
 
-    def counting_arrays(lat, phys, internal):
+    def counting_arrays(fld, phys, internal):
         calls.append(internal)
-        return field_point_arrays(lat, phys, internal)
+        return field_point_arrays(fld, phys, internal)
 
     monkeypatch.setattr(counting, "field_point_arrays", counting_arrays)
     desc = desc_for(F5)

@@ -1,5 +1,7 @@
 """Byte-for-byte regression against the recorded artifacts in golden/: the
-plot of configs/plot.json, the `check-hc 2 100` table, the holes
+plot of configs/plot.json, the field plots `plot --field d` for d = 2, 5
+(half-integer ring) and 94 (lambda past the plotted range, so the unit box
+is clipped), the `check-hc 2 100` table, the holes
 near-subspace search, the random-lattice experiment of
 configs/random.json at seed 7 (`random --config configs/random.json
 --seed 7`), two density sweeps with `--method both`, each from the
@@ -37,6 +39,15 @@ def test_plot_artifacts(tmp_path):
     for name in ("points.csv", "points.svg"):
         assert (tmp_path / name).read_bytes() == \
             (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("d", [2, 5, 94])
+def test_field_plot(tmp_path, d):
+    res = runner.invoke(main, ["plot", "--field", str(d),
+                               "--out", str(tmp_path)])
+    assert res.exit_code == EXIT_OK, res.output
+    name = f"field_d{d}.svg"
+    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_check_hc_table():

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from quasivis.cutproject import CPSetDesc
 from quasivis.lattice import (
-    FieldLatticeDesc,
     GridDesc,
     HypothesisFailed,
     box_reduced_basis,
@@ -19,7 +18,13 @@ from quasivis.lattice import (
     schmidt_count_check,
     shortest_independent_bound,
 )
-from quasivis.quadfield import field, fundamental_unit, int_array, int_mul
+from quasivis.quadfield import (
+    QuadInt,
+    field,
+    fundamental_unit,
+    int_array,
+    int_mul,
+)
 from quasivis.regions import (
     Ball,
     Box,
@@ -138,7 +143,7 @@ def test_unit_scaled_inverse(d):
 def test_unit_scaled_rejects_non_unit_or_negative(a, b):
     """In Q(sqrt2), 2, 1 + 2*sqrt2 and 0 are no units; -1 and 1 - sqrt2
     are units below zero."""
-    mult = F2.element(a, b)
+    mult = QuadInt(F2, a, b)
     with pytest.raises(ValueError):
         UnitScaled(square_window(1), mult)
 
@@ -146,7 +151,7 @@ def test_unit_scaled_rejects_non_unit_or_negative(a, b):
 def test_float_membership_boundary_flags():
     b = Box.cube(1, 2)
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.1, 0.0], [1.0 - 1e-12, 0.5]])
-    status = b.contains_float(pts, 1e-9)
+    status = b.contains_float(pts)
     assert list(status) == [1, 2, 0, 2]
 
 
@@ -292,12 +297,28 @@ def test_enumerate_empty_region():
     assert len(U) == 0
 
 
-def test_field_lattice_covolume():
-    lat = FieldLatticeDesc(field=F2, d=2)
-    assert lat.covolume() == pytest.approx(8.0)  # sqrt(disc)^d = sqrt(8)^2
-    assert lat.covolume_sq() == 64
-    g = GridDesc(basis=lat.basis_float(), d=2, m=2)
-    assert g.covolume() == pytest.approx(8.0)
+def minkowski_basis(fld, dim):
+    """The float basis of the dim-fold Minkowski lattice of (x, sigma(x)):
+    columns (a_1, b_1, ..., a_dim, b_dim) for x_i = a_i + b_i*omega, rows
+    physical then internal."""
+    omega = QuadInt(fld, 0, 1)
+    B = np.zeros((2 * dim, 2 * dim))
+    for i in range(dim):
+        B[i, 2 * i], B[i, 2 * i + 1] = 1.0, float(omega)
+        B[dim + i, 2 * i], B[dim + i, 2 * i + 1] = 1.0, omega.conj_float()
+    return B
+
+
+@pytest.mark.parametrize("d", [2, 5, 13])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_covolume_matches_float_determinant(d, dim):
+    """CPSetDesc.covolume, sqrt(disc)^dim, against the determinant of the
+    float Minkowski basis."""
+    desc = CPSetDesc(field=field(d), d=dim, window=Box.cube(1, dim))
+    det = GridDesc(basis=minkowski_basis(field(d), dim), d=dim, m=dim)
+    assert desc.covolume() == pytest.approx(det.covolume(), rel=1e-12)
+    if (d, dim) == (2, 2):
+        assert desc.covolume() == 8.0  # sqrt(8)^2
 
 
 def test_covolume_examples():
@@ -306,13 +327,12 @@ def test_covolume_examples():
 
 
 def test_exact_enumeration_d1_matches_scan():
-    lat = FieldLatticeDesc(field=F2, d=1)
     got = {xs[0] for xs in enumerate_field_points_exact(
-        lat, Box.make([(0, 2)]), Box.make([(-1, 1)]))}
+        F2, Box.make([(0, 2)]), Box.make([(-1, 1)]))}
     want = set()
     for a in range(-10, 11):
         for b in range(-10, 11):
-            x = F2.element(a, b)
+            x = QuadInt(F2, a, b)
             if x.compare(0) >= 0 and x.compare(2) <= 0 and \
                     x.conj().compare(-1) >= 0 and x.conj().compare(1) <= 0:
                 want.add(x)
@@ -344,7 +364,7 @@ def scan_axis(fld, reach=12):
     bounds above with room to spare; the scan's edge is never reached."""
     out = []
     for a, b in itertools.product(range(-reach, reach + 1), repeat=2):
-        x = fld.element(a, b)
+        x = QuadInt(fld, a, b)
         if abs(float(x)) <= 3.5 and abs(x.conj_float()) <= 3:
             assert max(abs(a), abs(b)) < reach
             out.append(x)
@@ -358,7 +378,6 @@ def scan_axis(fld, reach=12):
 def test_exact_enumeration_matches_scalar_scan(d, phys_name, window_name,
                                                extra_exp):
     fld = field(d)
-    lat = FieldLatticeDesc(field=fld, d=2)
     phys = ENUM_PHYS[phys_name]
     window = CPSetDesc(field=fld, d=2, window=ENUM_WINDOWS[window_name]
                        ).scaled_window(extra_exp=extra_exp)
@@ -367,7 +386,7 @@ def test_exact_enumeration_matches_scalar_scan(d, phys_name, window_name,
             if region_oracle.contains(phys, tuple(x.as_pair() for x in xs), d)
             and region_oracle.contains(
                 window, tuple(x.conj().as_pair() for x in xs), d)}
-    got = list(enumerate_field_points_exact(lat, phys, window))
+    got = list(enumerate_field_points_exact(fld, phys, window))
     assert want and len(got) == len(set(got))
     assert set(got) == want
 
@@ -398,17 +417,16 @@ def test_linear_equivariance_diagonal():
 def test_a0_invariance_point_sets():
     """The a_0 image of the exact point set in a region equals the point
     set in the rescaled region, point for point."""
-    lat = FieldLatticeDesc(field=F2, d=1)
     lam = fundamental_unit(F2)
     g0 = lam * lam  # totally positive, since N(lambda) = -1
     phys = Box.cube(3, 1)
     internal = Box.cube(2, 1)
-    pts = set(xs[0] for xs in enumerate_field_points_exact(lat, phys, internal))
+    pts = set(xs[0] for xs in enumerate_field_points_exact(F2, phys, internal))
     inv = g0.conj()  # norm 1: inverse is the conjugate
     scaled_phys = UnitScaled(base=phys, mult=inv)
     scaled_int = UnitScaled(base=internal, mult=g0)
     pts_scaled = set(xs[0] for xs in enumerate_field_points_exact(
-        lat, scaled_phys, scaled_int))
+        F2, scaled_phys, scaled_int))
     assert {g0 * x for x in pts} == pts_scaled
 
 

@@ -56,7 +56,7 @@ F2, F5, F13 = field(2), field(5), field(13)
 
 
 def sqrt2():
-    return F2.sqrt_d
+    return QuadInt(F2, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +64,17 @@ def sqrt2():
 
 
 def test_norm_examples():
-    assert F2.element(3, 1).norm() == 7          # (3+sqrt2)(3-sqrt2)
-    assert F2.element(1, 1).norm() == -1
+    assert QuadInt(F2, 3, 1).norm() == 7          # (3+sqrt2)(3-sqrt2)
+    assert QuadInt(F2, 1, 1).norm() == -1
     assert F5.omega.norm() == -1                 # (1+sqrt5)/2
 
 
 def test_exact_compare_examples():
-    x = F2.element(1, 1)  # 1 + sqrt2
+    x = QuadInt(F2, 1, 1)  # 1 + sqrt2
     assert x.compare(2) > 0
     assert x.compare(3) < 0
     assert F5.omega.compare(1) > 0
-    assert F2.element(1).compare(1) == 0
+    assert QuadInt(F2, 1).compare(1) == 0
 
 
 def test_quad_sign_boundaries():
@@ -225,7 +225,7 @@ def test_fundamental_unit_matches_scan_oracle(d):
 
 
 def test_fundamental_unit_d2_value():
-    assert fundamental_unit(F2) == F2.element(1, 1)
+    assert fundamental_unit(F2) == QuadInt(F2, 1, 1)
 
 
 @pytest.mark.parametrize("d", [2, 5, 13, 29, 53])
@@ -250,20 +250,20 @@ def test_unit_powers_have_unit_norm():
 
 
 def test_ideal_from_generators_examples():
-    assert ideal_from_generators([sqrt2(), F2.element(2)]).norm() == 2
-    assert ideal_from_generators([F2.element(1, 1), F2.element(3)]).norm() == 1
-    assert ideal_from_generators([F5.element(1)]).norm() == 1
+    assert ideal_from_generators([sqrt2(), QuadInt(F2, 2)]).norm() == 2
+    assert ideal_from_generators([QuadInt(F2, 1, 1), QuadInt(F2, 3)]).norm() == 1
+    assert ideal_from_generators([QuadInt(F5, 1)]).norm() == 1
 
 
 def test_ideal_from_generators_all_zero():
     with pytest.raises(AllZero):
-        ideal_from_generators([F2.element(0), F2.element(0)])
+        ideal_from_generators([QuadInt(F2, 0), QuadInt(F2, 0)])
 
 
 def test_gcd_is_one_examples():
-    assert not gcd_is_one([sqrt2(), F2.element(2)])
-    assert gcd_is_one([F2.element(1, 1), F2.element(3)])
-    assert gcd_is_one([F2.element(1), F2.element(0), F2.element(0)])
+    assert not gcd_is_one([sqrt2(), QuadInt(F2, 2)])
+    assert gcd_is_one([QuadInt(F2, 1, 1), QuadInt(F2, 3)])
+    assert gcd_is_one([QuadInt(F2, 1), QuadInt(F2, 0), QuadInt(F2, 0)])
 
 
 @settings(max_examples=150)
@@ -368,7 +368,7 @@ def test_primes_above_every_pid_field():
         for p in filter(_is_prime, range(300)):
             typ = splitting_type(fld, p)
             Ps = primes_above(fld, p)
-            P_p = principal_ideal(fld.element(p))
+            P_p = principal_ideal(QuadInt(fld, p))
             if typ == "inert":
                 assert Ps == [P_p], (d, p)
                 continue
@@ -379,19 +379,19 @@ def test_primes_above_every_pid_field():
 
 
 def test_factor_ideal_examples():
-    fac2 = factor_ideal(principal_ideal(F2.element(2)))
+    fac2 = factor_ideal(principal_ideal(QuadInt(F2, 2)))
     assert len(fac2) == 1
     (p, e), = fac2
     assert p.norm() == 2 and e == 2      # 2 ramifies in Q(sqrt2)
-    fac5 = factor_ideal(principal_ideal(F5.element(2)))
+    fac5 = factor_ideal(principal_ideal(QuadInt(F5, 2)))
     (p, e), = fac5
     assert p.norm() == 4 and e == 1      # 2 inert in Q(sqrt5)
-    assert len(factor_ideal(principal_ideal(F2.element(1)))) == 0
+    assert len(factor_ideal(principal_ideal(QuadInt(F2, 1)))) == 0
 
 
 def test_factor_ideal_reconstructs():
     for a, b in [(6, 0), (5, 1), (7, 3), (12, 4)]:
-        I = principal_ideal(F2.element(a, b))
+        I = principal_ideal(QuadInt(F2, a, b))
         assert factor_ideal(I).product() == I
 
 
@@ -425,10 +425,10 @@ MOEBIUS_CASES = [
 def test_moebius_examples():
     """Each rule for mu = 0, and mu = +-1 next to it."""
     for d, a, b, mu in MOEBIUS_CASES:
-        g = field(d).element(a, b)
+        g = QuadInt(field(d), a, b)
         assert moebius(g) == mu == ideal_moebius(principal_ideal(g)), g
     with pytest.raises(ValueError):
-        moebius(F2.element(0))
+        moebius(QuadInt(F2, 0))
 
 
 def test_moebius_matches_ideal_oracle_every_pid_field():
@@ -444,7 +444,7 @@ def test_moebius_matches_ideal_oracle_every_pid_field():
         lam_inv = lam.conj() * lam.norm()
         tested = 0
         while tested < PER_FIELD:
-            g = fld.element(rng.randint(-150, 150), rng.randint(-150, 150))
+            g = QuadInt(fld, rng.randint(-150, 150), rng.randint(-150, 150))
             n = abs(g.norm())
             if not 0 < n <= NMAX:
                 continue
@@ -462,7 +462,7 @@ def test_moebius_matches_ideal_oracle_every_pid_field():
 
 
 def _divisors(I):
-    divs = [principal_ideal(I.field.element(1))]
+    divs = [principal_ideal(QuadInt(I.field, 1))]
     for p, e in factor_ideal(I):
         out = []
         for d0 in divs:
@@ -481,7 +481,7 @@ def test_moebius_divisor_sum_vanishes(fld):
     seen = set()
     for a in range(-12, 13):
         for b in range(-12, 13):
-            x = fld.element(a, b)
+            x = QuadInt(fld, a, b)
             if not x or abs(x.norm()) > 500 or abs(x.norm()) == 1:
                 continue
             I = principal_ideal(x)
@@ -585,7 +585,7 @@ def _ring_box_bound(fld, rng):
     if kind == 0:
         return Fraction(rng.randint(-40, 40), rng.randint(1, 3))
     if kind == 1:
-        return fld.element(rng.randint(-15, 15), rng.randint(-8, 8))
+        return QuadInt(fld, rng.randint(-15, 15), rng.randint(-8, 8))
     return (Fraction(rng.randint(-20, 20), rng.randint(1, 3)),
             Fraction(rng.randint(-20, 20), rng.choice([2, 3, 7])))
 
@@ -629,7 +629,7 @@ def test_ring_box_matches_direct_scan(fld):
         assert not (mask[[0, -1]].any() or mask[:, [0, -1]].any())
         near = []
         for ai, bi in zip(a[mask], b[mask]):
-            x = fld.element(int(ai), int(bi))
+            x = QuadInt(fld, int(ai), int(bi))
             near.append((x, (_cmp(x, xlo), _cmp(x, xhi)),
                          (_cmp(x.conj(), ylo), _cmp(x.conj(), yhi))))
         for flags in itertools.product([False, True], repeat=2):
