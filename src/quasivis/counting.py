@@ -118,9 +118,7 @@ def _norm_gcd(d: int, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return G
 
 
-def moebius_count_primitive(desc: CPSetDesc, D, T,
-                            beta_exp: int | None = None, *,
-                            points=None) -> int:
+def moebius_count_primitive(desc: CPSetDesc, D, T, *, points=None) -> int:
     """Primitive-point count by inclusion-exclusion over unit-class
     representatives g in [1, lambda) with mu(g) != 0:
     sum_g mu(g) * #(nonzero points of Lambda(beta*W, L_g) in T*D).
@@ -131,8 +129,6 @@ def moebius_count_primitive(desc: CPSetDesc, D, T,
     point's G has an empty term and is skipped before its mu is computed;
     the others are tested on the points with N(g) | G only.  Terms beyond
     the certified norm cutoff are provably empty."""
-    if beta_exp is not None:
-        desc = replace(desc, beta_exp=beta_exp)
     desc.require_hammarhjelm()
     fld = desc.field
     if points is None:
@@ -190,8 +186,8 @@ def _in_inner_box(desc: CPSetDesc, P: np.ndarray,
     return inside
 
 
-def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
-                  predicted: float | None = None) -> CountReport:
+def visible_count(desc: CPSetDesc, D, T, method: str = "direct", *,
+                  predicted: float) -> CountReport:
     """Classify one window of the cut-and-project set and assemble a report.
 
     A point is visible iff its coordinate gcd is one and its conjugate lies
@@ -202,7 +198,8 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
     and identity_ok records that the two agree on every point.
     method='moebius' additionally checks both primitive counts against
     inclusion-exclusion sums: the outer one over this same set of points,
-    the inner one over its own enumeration of the beta/lambda set."""
+    the inner one over its own enumeration of the beta/lambda set.
+    predicted is the density that rel_error compares the count against."""
     desc.require_hammarhjelm()
     _, P, Q, keep = field_point_arrays(desc.field, D.scaled(Fraction(T)),
                                        desc.scaled_window())
@@ -224,12 +221,10 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct",
     count_vis = count_pr - count_pr_inner
     if method == "moebius":
         m_outer = moebius_count_primitive(desc, D, T, points=outer)
-        m_inner = moebius_count_primitive(desc, D, T,
-                                          beta_exp=desc.beta_exp - 1)
+        m_inner = moebius_count_primitive(
+            replace(desc, beta_exp=desc.beta_exp - 1), D, T)
         identity_ok = identity_ok and m_outer == count_pr \
             and m_inner == count_pr_inner
-    if predicted is None:
-        predicted = predicted_density_hammarhjelm(desc)
     vol_td = D.scaled(Fraction(T)).volume()
     m_t = desc.scaled_window().volume() * vol_td / desc.covolume()
     rel = abs(count_vis / vol_td - predicted) / predicted
@@ -278,6 +273,20 @@ def random_lattice_experiment(n: int, d: int, window: Box, omega: Box,
         raise ValueError("the random experiment needs box regions")
     if window.dim != m or omega.dim != d:
         raise ValueError("omega and window dimensions must be d and n - d")
+    boxes = []
+    for T in T_list:
+        bbox = [(float(lo) * T, float(hi) * T) for lo, hi in omega.bbox()]
+        bbox += [(float(lo), float(hi)) for lo, hi in window.bbox()]
+        widths = [hi - lo for lo, hi in bbox]
+        vol = math.prod(widths)
+        # box_reduced_basis scales the Gram entries of a sample by 1/w^2,
+        # which these widths keep in [2^-800, 2^800], inside the float range
+        if not (0 < vol < math.inf
+                and all(2.0 ** -400 <= w <= 2.0 ** 400 for w in widths)):
+            raise ValueError(f"T={T} gives the box T*omega x window the "
+                             f"widths {widths}; each must lie in [2^-400, "
+                             f"2^400] and their product in (0, inf)")
+        boxes.append((T, bbox, np.array(widths), vol))
     rng = np.random.default_rng(seed)
     bases = []
     for _ in range(samples):
@@ -288,22 +297,15 @@ def random_lattice_experiment(n: int, d: int, window: Box, omega: Box,
     per_T = []
     total_count = 0
     total_boundary = 0
-    for T in T_list:
-        bbox = [(float(lo) * T, float(hi) * T) for lo, hi in omega.bbox()]
-        bbox += [(float(lo), float(hi)) for lo, hi in window.bbox()]
+    for T, bbox, widths, vol in boxes:
         lo_x = np.array([b[0] for b in bbox])
         hi_x = np.array([b[1] for b in bbox])
-        widths = hi_x - lo_x
-        vol = math.prod(widths.tolist())
-        if vol == math.inf:
-            raise ValueError(f"T={T} puts the volume of T*omega x window "
-                             f"past the float range")
         results = []
         for g0 in bases:
             g = box_reduced_basis(g0, widths)
             lo_u, hi_u = kernels.integer_preimage_box(np.linalg.inv(g), bbox)
             results.append(kernels.count_lattice_points_in_box(
-                g, lo_u, hi_u, lo_x, hi_x, primitive=True))
+                g, lo_u, hi_u, lo_x, hi_x))
         densities = [cnt / vol for cnt, _ in results]
         boundary = sum(bnd for _, bnd in results)
         total_count += sum(cnt for cnt, _ in results)

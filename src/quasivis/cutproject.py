@@ -31,10 +31,6 @@ class NotHammarhjelm(ValueError):
     pass
 
 
-class InsufficientCover(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CPSetDesc:
     """Description of a cut-and-project set Lambda(beta*W, L) with
@@ -157,24 +153,16 @@ def visible_fast(desc: CPSetDesc, x: CPPoint) -> bool:
         [q.p for q in xs], [-q.q for q in xs], 2, desc.field.d)
 
 
-def visible_oracle(desc: CPSetDesc, x: CPPoint, points, cover=None) -> bool:
+def visible_oracle(desc: CPSetDesc, x: CPPoint, points) -> bool:
     """Definitional visibility: x is visible iff no supplied point lies on the
     open segment from the origin to x, that is on the ray of x and shorter.
     The caller must supply points covering Lambda on that segment (e.g. a
-    generate() result for a star-shaped averaging set containing x);
-    cover=(D, T) with rational T > 0 checks that x lies in T*D.  The
-    shortest length per ray is indexed once per PointSet; any other
+    generate() result for a star-shaped averaging set containing x); desc
+    names the set, and the test reads only the points.  The shortest
+    length per ray is indexed once per PointSet; any other
     sequence of points is wrapped in one first."""
     if x.is_origin:
         return False
-    if cover is not None:
-        D, T = cover
-        # x = (p + q*sqrt(d))/2 lies in T*D iff m*x/n lies in D, T = n/m
-        n, m = T.as_integer_ratio()
-        xs = x.quad_coords
-        if not D.contains_exact([m * q.p for q in xs], [m * q.q for q in xs],
-                                2 * n, desc.field.d):
-            raise InsufficientCover("x outside the covered region")
     if not isinstance(points, PointSet):
         points = PointSet(points)
     key, length = x.ray

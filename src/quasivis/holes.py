@@ -1,6 +1,6 @@
 """Certified holes in the visible points: CRT construction of gcd-holes in
-Z^n, budgeted search for hole translates near a subspace, and empirical
-empty-ball scanning in generated point sets."""
+Z^n, their exact verification, and a budgeted search for hole translates
+near a subspace."""
 
 from __future__ import annotations
 
@@ -157,42 +157,3 @@ def _dist2_to_span(x, V) -> Fraction:
             ortho.append((u, dot(u, u)))
     r = reject([Fraction(v) for v in x], ortho)
     return dot(r, r)
-
-
-@dataclass(frozen=True)
-class EmptyBallScan:
-    radius: float
-    center: tuple
-    grid_step: float
-    label: str = "empirical"
-
-
-def scan_empty_ball(points, region, r_grid, grid_step: float = 0.5
-                    ) -> EmptyBallScan:
-    """Grid-search the largest radius in r_grid such that some ball of that
-    radius inside the region misses every supplied point.  Empirical
-    evidence only; not a certification of a hole of the full point set."""
-    from scipy.spatial import cKDTree
-    r_grid = sorted(float(r) for r in r_grid)
-    bbox = [(float(lo), float(hi)) for lo, hi in region.bbox()]
-    inradius = min((hi - lo) / 2 for lo, hi in bbox)
-    coords = np.array([getattr(p, "coords_phys", p) for p in points],
-                      dtype=np.float64)
-    center0 = tuple((lo + hi) / 2 for lo, hi in bbox)
-    if len(coords) == 0:
-        return EmptyBallScan(radius=inradius, center=center0,
-                             grid_step=grid_step)
-    axes = [np.arange(lo, hi + grid_step / 2, grid_step) for lo, hi in bbox]
-    centers = np.stack(np.meshgrid(*axes, indexing="ij"),
-                       axis=-1).reshape(-1, len(bbox))
-    margin = np.min(np.stack(
-        [np.minimum(centers[:, i] - lo, hi - centers[:, i])
-         for i, (lo, hi) in enumerate(bbox)], axis=1), axis=1)
-    dists, _ = cKDTree(coords).query(centers)
-    best_r, best_c = 0.0, center0
-    for r in r_grid:
-        ok = (margin >= r) & (dists > r)
-        if ok.any():
-            i = int(np.argmax(dists * ok))
-            best_r, best_c = r, tuple(centers[i])
-    return EmptyBallScan(radius=best_r, center=best_c, grid_step=grid_step)

@@ -11,8 +11,9 @@ left empty by the settle are dropped; only the others reach the interior
 settle and the Moebius step.  A line's points that are not near a face (the
 open box shrunk by TOL) form an interval too, barring a coordinate that
 falls exactly on the float lo - TOL or hi + TOL; the boundary tally is the
-difference of the two interval lengths.  Primitive counts take Moebius over
-the divisors of the prefix gcd; a gcd-1 prefix needs no divisor table.
+difference of the two interval lengths.  Only primitive vectors are
+counted, by Moebius over the divisors of the prefix gcd; a gcd-1 prefix
+needs no divisor table.  Listing returns every vector of the lines.
 
 Counting takes the longest preimage range as the line, which makes the
 fewest prefixes: the count, the boundary tally and the prefix gcd do not
@@ -223,16 +224,12 @@ class _Lines:
         return self._settle(P, a, z, self._inner, self._inner, first, last)
 
 
-def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
-                                primitive: bool = False):
-    """Count integer vectors u in [lo_u, hi_u] with basis @ u inside the
-    box [lo_x, hi_x] widened by TOL; returns (count,
-    boundary_ambiguous_count), the second counting those within TOL of a
-    face.
-
-    With primitive=True only gcd-1 integer vectors are counted (and the
-    all-zero vector is excluded).  Raises ValueError when the integer box
-    has more points than int64 can index.
+def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x):
+    """Count the primitive integer vectors u (coordinate gcd 1, so not the
+    zero vector) in [lo_u, hi_u] with basis @ u inside the box [lo_x, hi_x]
+    widened by TOL; returns (count, boundary_ambiguous_count), the second
+    counting those within TOL of a face.  Raises ValueError when the
+    integer box has more points than int64 can index.
     """
     lo_u, hi_u = np.asarray(lo_u), np.asarray(hi_u)
     # The longest range as the line (the last coordinate), for the fewest
@@ -243,20 +240,18 @@ def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x,
     count = interior = 0
     for P, a, z in scan.lines():
         ai, zi = scan.interior(P, a, z)
-        if primitive:
-            g = np.gcd.reduce(np.abs(P), axis=1)
-            c, i = _coprime_counts(g, np.stack([a, ai]), np.stack([z, zi]))
-        else:
-            c = (z - a + 1).sum()
-            i = np.maximum(zi - ai + 1, 0).sum()
+        g = np.gcd.reduce(np.abs(P), axis=1)
+        c, i = _coprime_counts(g, np.stack([a, ai]), np.stack([z, zi]))
         count += int(c)
         interior += int(i)
     return count, count - interior
 
 
 def collect_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x):
-    """As count_lattice_points_in_box but materializes (preimages, points,
-    boundary flags) in canonical lexicographic preimage order."""
+    """Every integer vector u in [lo_u, hi_u], primitive or not, with
+    basis @ u inside the box [lo_x, hi_x] widened by TOL: (preimages,
+    points, flags of those within TOL of a face) in lexicographic preimage
+    order."""
     scan = _Lines(basis, lo_u, hi_u, lo_x, hi_x)
     us = [np.empty((0, scan.basis.shape[1]), dtype=np.int64)]
     for P, a, z in scan.lines():

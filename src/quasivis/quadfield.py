@@ -295,9 +295,6 @@ class QuadInt:
         p, q = self.p, self.q
         return (p * p - self.field.d * q * q) // 4
 
-    def trace(self) -> int:
-        return self.p
-
     # -- order and embeddings ----------------------------------------------
     def sign(self) -> int:
         return quad_sign(self.p, self.q, self.field.d)

@@ -46,9 +46,10 @@ class _Mapper:
 
 
 def svg_scatter(points, visible) -> str:
-    """Scatter of the physical coordinates (first two components); visible
-    points are filled, invisible ones hollow.  Deterministic output."""
-    coords = [getattr(p, "coords_phys", p)[:2] for p in points]
+    """Scatter of the physical coordinates (first two components) of the
+    CPPoints; visible points are filled, invisible ones hollow.
+    Deterministic output."""
+    coords = [p.coords_phys[:2] for p in points]
     out = _header(None)
     mp = _Mapper([c[0] for c in coords], [c[1] for c in coords])
     # axes through the origin when in range

@@ -136,7 +136,7 @@ def primes_above(fld: FieldDesc, p: int) -> list[IdealHNF]:
 
     Dedekind-Kummer: omega is a root of x^2 - tr*x + nm, and each root r of
     it mod p gives the prime (p, omega - r); with no root, p is inert."""
-    tr, nm = fld.omega.trace(), fld.omega.norm()
+    tr, nm = fld.omega.p, fld.omega.norm()  # p = omega + sigma(omega)
     roots = [r for r in range(p) if (r * r - tr * r + nm) % p == 0]
     if not roots:
         return [principal_ideal(QuadInt(fld, p))]

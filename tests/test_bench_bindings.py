@@ -33,10 +33,10 @@ def _resolve(path: str):
     return obj
 
 
-def _worker_references() -> set[str]:
-    """Dotted paths of the package names worker.py imports, and of the
+def quasivis_references(source: str) -> set[str]:
+    """Dotted paths of the package names the source imports, and of the
     attributes it reads off them (cutproject.generate, ...)."""
-    tree = ast.parse((BENCH / "worker.py").read_text())
+    tree = ast.parse(source)
     local = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -69,7 +69,7 @@ def test_tracer_target_resolves(module, attr, layer, kind):
 
 
 def test_worker_references_resolve():
-    refs = _worker_references()
+    refs = quasivis_references((BENCH / "worker.py").read_text())
     assert {"quasivis.cutproject.generate", "quasivis.cutproject.visible_fast",
             "quasivis.cutproject.visible_oracle",
             "quasivis.regions.region_from_spec",

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -458,6 +459,28 @@ def test_random_seed_override_changes_output(tmp_path):
     a = json.loads((tmp_path / "a" / "random.json").read_text())
     b = json.loads((tmp_path / "b" / "random.json").read_text())
     assert a["result"]["per_T"] != b["result"]["per_T"]
+
+
+@pytest.mark.parametrize("region", [
+    {"omega": {"kind": "box", "bounds": [[0, 0], [-1, 1]]}},
+    {"window": {"kind": "cube", "half_width": 1e-200, "dim": 1}},
+], ids=["zero-width", "thin"])
+def test_random_degenerate_box_rejected(tmp_path, monkeypatch, region):
+    """A zero width, and a width whose scaled basis leaves the float range,
+    are one config error naming the box, raised before a sample is drawn:
+    once both ended in a NaN after numpy RuntimeWarnings."""
+    monkeypatch.setattr("numpy.random.default_rng", None)
+    cfg = write_cfg(tmp_path / "cfg.json", {**RANDOM_CFG, **region})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["random", "--config", cfg,
+                                   "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert res.output.startswith("config error: T=12 gives the box "
+                                 "T*omega x window the widths")
+    assert len(res.output.splitlines()) == 1
+    assert not [w for w in caught if w.category is RuntimeWarning]
+    assert not (tmp_path / "o").exists()
 
 
 def test_version_flag():

@@ -270,7 +270,7 @@ def test_visible_count_identity_and_sandwich():
 
 
 def test_visible_count_zero_below_first_point():
-    rep = visible_count(desc_for(F2), D2, Fraction(1, 4))
+    rep = visible_count(desc_for(F2), D2, Fraction(1, 4), predicted=1.0)
     assert rep.count_vis == 0 and rep.count_pr == 0
     assert rep.count_all == 1  # the origin
 
@@ -285,7 +285,7 @@ def test_visible_count_one_gcd_test_per_point(monkeypatch):
 
     monkeypatch.setattr(counting, "ideal_norms", counting_ideal_norms)
     desc = desc_for(F2)
-    rep = visible_count(desc, D2, 12)
+    rep = visible_count(desc, D2, 12, predicted=1.0)
     assert rep.identity_ok
     assert calls == [rep.count_all]  # one call over every point, origin too
 
@@ -358,8 +358,8 @@ def test_visible_count_matches_per_point_decisions(d, window, beta_exp, T):
 def test_counts_independent_of_float_guard(monkeypatch):
     """Exact-path counts must not depend on any tolerance knob."""
     desc = desc_for(F2)
-    r1 = visible_count(desc, D2, 12)
-    r2 = visible_count(desc, D2, 12)
+    r1 = visible_count(desc, D2, 12, predicted=1.0)
+    r2 = visible_count(desc, D2, 12, predicted=1.0)
     assert (r1.count_vis, r1.count_pr, r1.count_all) == \
         (r2.count_vis, r2.count_pr, r2.count_all)
     assert r1.boundary_ambiguous == 0

@@ -8,7 +8,6 @@ import pytest
 
 from quasivis.cutproject import (
     CPSetDesc,
-    InsufficientCover,
     NotHammarhjelm,
     PointSet,
     _make_point,
@@ -286,17 +285,6 @@ def test_oracle_origin():
     assert origin.ray == (None, None)
     assert not visible_oracle(desc, origin, [origin, x])
     assert visible_oracle(desc, x, [origin, x])
-
-
-def test_oracle_cover_check():
-    desc = desc_for(F2)
-    inside = _make_point((QuadInt(F2, 4), QuadInt(F2, -3, 1)))  # (4, -3 + sqrt2)
-    outside = _make_point((QuadInt(F2, 4), QuadInt(F2, 4, 1)))  # (4, 4 + sqrt2)
-    pts = [inside, outside]
-    assert visible_oracle(desc, inside, pts, cover=(D2, 5))
-    with pytest.raises(InsufficientCover):
-        visible_oracle(desc, outside, pts, cover=(D2, 5))
-    assert visible_oracle(desc, outside, pts)
 
 
 def test_strict_inclusion_witness_nonempty_hammarhjelm():

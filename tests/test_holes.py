@@ -1,5 +1,4 @@
-"""Certified gcd-holes via CRT, translate search near a subspace, and the
-empirical empty-ball scan."""
+"""Certified gcd-holes via CRT and translate search near a subspace."""
 
 import json
 import math
@@ -14,10 +13,8 @@ from quasivis.holes import (
     NotInResidueClass,
     build_crt_hole,
     hole_near_subspace,
-    scan_empty_ball,
     verify_hole,
 )
-from quasivis.regions import Box
 
 
 @pytest.mark.parametrize("n,A", [(2, 0), (2, 1), (3, 1)])
@@ -197,39 +194,3 @@ def test_hole_near_subspace_stops_after_budget_block(monkeypatch, budget,
     monkeypatch.setattr(holes, "SEARCH_BLOCK", 16)
     hole = build_crt_hole(3, 1)
     assert hole_near_subspace(hole, STOP_PLANE, math.inf, budget) == want
-
-
-def test_scan_empty_ball_z2():
-    pts = [(float(a), float(b)) for a in range(0, 101) for b in range(0, 101)
-           if math.gcd(a, b) == 1]
-    scan = scan_empty_ball(pts, Box.make([(0, 100), (0, 100)]),
-                           r_grid=[0.5, 1.0, 1.5, 2.0, 3.0], grid_step=0.5)
-    # a hole box of invisible points yields an empty ball of radius > 1
-    assert scan.radius >= 1.0
-    cx, cy = scan.center
-    assert 0 <= cx <= 100 and 0 <= cy <= 100
-    for a in range(0, 101):
-        for b in range(0, 101):
-            if math.gcd(a, b) == 1:
-                assert (a - cx) ** 2 + (b - cy) ** 2 > scan.radius ** 2
-
-
-def test_scan_empty_ball_no_points_gives_inradius():
-    scan = scan_empty_ball([], Box.make([(0, 10), (0, 4)]), r_grid=[1, 2, 5])
-    assert scan.radius == 2.0
-
-
-def test_scan_empty_ball_monotone_in_region_size():
-    def visible(a, b):
-        return math.gcd(a, b) == 1
-
-    small = [(float(a), float(b)) for a in range(51) for b in range(51)
-             if visible(a, b)]
-    large = [(float(a), float(b)) for a in range(201) for b in range(201)
-             if visible(a, b)]
-    grid = [0.5 * k for k in range(1, 12)]
-    r_small = scan_empty_ball(small, Box.make([(0, 50), (0, 50)]),
-                              grid).radius
-    r_large = scan_empty_ball(large, Box.make([(0, 200), (0, 200)]),
-                              grid).radius
-    assert r_large >= r_small > 0

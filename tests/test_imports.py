@@ -6,7 +6,8 @@ a reached class is read by name there, every parameter default is
 overridden by some caller, and the third-party
 packages it imports are the ones pyproject.toml declares.  AST scans of
 src/quasivis/*.py; __init__.py is left out of the unused-import scan and
-of the roots, since its imports are re-exports."""
+of the roots, since its imports are re-exports.  The reachability checks
+have no exemption list: code that no root needs is deleted."""
 
 import ast
 import re
@@ -14,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_bench_bindings import quasivis_references
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "quasivis"
 REPO = SRC.parents[1]
@@ -83,19 +85,32 @@ def test_no_unreferenced_private_defs(name):
     assert unreferenced_private_defs((SRC / name).read_text()) == []
 
 
-def names_read(tree: ast.AST, strings: bool = False) -> set[str]:
-    """Every name and attribute read in the tree, and with strings=True its
-    string constants too (the benchmark's tracer names its targets so)."""
+def names_read(tree: ast.AST) -> set[str]:
+    """Every name and attribute read in the tree."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif strings and isinstance(node, ast.Constant) \
-                and isinstance(node.value, str):
-            out.add(node.value)
     return out
+
+
+def bench_roots(source: str) -> set[str]:
+    """The package names a benchmark script reads: each part of the names
+    it imports from quasivis and of the attribute chains it reads off them,
+    and the attribute names of a top-level TARGETS list of (module,
+    attribute, ...) tuples, by which the tracer wraps functions.  Names it
+    reads off anything else (args.trace) are not the package's."""
+    roots = set()
+    for ref in quasivis_references(source):
+        roots |= set(ref.split(".")[1:])
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS"
+                for t in node.targets):
+            roots |= {target[1] for target in ast.literal_eval(node.value)}
+    return roots
 
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -153,8 +168,8 @@ def test_scan_finds_an_unreached_public_def():
                "def helper(): pass\n"
                "def command(): return helper()\n"
                "def traced(): pass\n")
-    roots = names_read(ast.parse("command()\n")) | names_read(
-        ast.parse("TARGETS = [('pkg', 'traced')]\n"), strings=True)
+    roots = names_read(ast.parse("command()\n")) | bench_roots(
+        "TARGETS = [('quasivis.pkg', 'traced', 'pkg.traced', 'func')]\n")
     assert unreached_public_defs([package], roots) == ["dead"]
 
 
@@ -172,6 +187,23 @@ def test_scan_finds_an_unread_public_method():
                "def command(): return Shape().area()\n")
     roots = names_read(ast.parse("command()\nprint(x.name)\n"))
     assert unread_public_methods([package], roots) == ["Shape.unused"]
+
+
+def test_bench_roots_skip_names_read_off_other_objects():
+    """args.trace in a benchmark script does not read Shape.trace."""
+    package = ("class Shape:\n"
+               "    def trace(self): pass\n"
+               "    def area(self): pass\n"
+               "def command(): return Shape()\n")
+    bench = ("from quasivis import shapes\n"
+             "TARGETS = [\n"
+             "    ('quasivis.shapes', 'area', 'shapes.area', 'class')]\n"
+             "def main(args):\n"
+             "    if args.trace:\n"
+             "        shapes.command()\n")
+    roots = bench_roots(bench)
+    assert roots == {"shapes", "command", "area"}
+    assert unread_public_methods([package], roots) == ["Shape.trace"]
 
 
 def unset_defaults(sources, callers, reached: set[str]) -> list[str]:
@@ -239,40 +271,27 @@ def test_scan_finds_an_unset_default():
         ["count(tol)", "Plot.make(pad)", "Plot.draw(title)"]
 
 
-# Reached by no root but kept: the empirical empty-ball scan stands in for
-# the exact hole certificate of ROADMAP item 6, which deletes both together
-# with scipy.
-UNREACHED_ON_PURPOSE = ["EmptyBallScan", "scan_empty_ball"]
-
-
 def package_roots() -> set[str]:
     """Every def in cli.py and every name it reads, every name in
-    tests/test_acceptance.py, and every name and string in perfbench/*.py."""
+    tests/test_acceptance.py, and the bench_roots of perfbench/*.py."""
     cli = ast.parse((SRC / "cli.py").read_text())
     roots = names_read(cli) | {node.name for node in cli.body
                                if isinstance(node, DEFS)}
     roots |= names_read(ast.parse(
         (REPO / "tests" / "test_acceptance.py").read_text()))
     for path in (REPO / "perfbench").glob("*.py"):
-        roots |= names_read(ast.parse(path.read_text()), strings=True)
+        roots |= bench_roots(path.read_text())
     return roots
 
 
 def test_every_public_def_is_reached():
     sources = [(SRC / name).read_text() for name in MODULES]
-    assert sorted(unreached_public_defs(sources, package_roots())) == \
-        UNREACHED_ON_PURPOSE
+    assert unreached_public_defs(sources, package_roots()) == []
 
 
 def test_every_public_method_is_read():
     sources = [(SRC / name).read_text() for name in MODULES]
     assert unread_public_methods(sources, package_roots()) == []
-
-
-# Set by tests only: the cover check of the definitional oracle, which no
-# root passes (the benchmark and strict_inclusion_witness hand the oracle a
-# generate() result that covers every point's segment by construction).
-UNSET_ON_PURPOSE = ["visible_oracle(cover)"]
 
 
 def test_every_default_is_overridden():
@@ -282,7 +301,7 @@ def test_every_default_is_overridden():
     callers = sources + [(REPO / "tests" / "test_acceptance.py").read_text()]
     callers += [path.read_text() for path in (REPO / "perfbench").glob("*.py")]
     reached = reached_names(sources, package_roots())
-    assert unset_defaults(sources, callers, reached) == UNSET_ON_PURPOSE
+    assert unset_defaults(sources, callers, reached) == []
 
 
 def third_party_imports(source: str) -> set[str]:
