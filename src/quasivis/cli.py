@@ -233,7 +233,8 @@ def cmd_plot(config_path, field_d, out):
     with _config_errors():
         desc, D = _desc_from_config(cfg)
     pts = cutproject.generate(desc, D, Fraction(str(cfg["T"])))
-    vis = [cutproject.visible_fast(desc, p) for p in pts]
+    primitive, inner = cutproject.classify(desc, *pts.arrays)
+    vis = primitive & ~inner
     (out_dir / "points.svg").write_text(svgplot.svg_scatter(pts, vis))
     (out_dir / "points.csv").write_text(cutproject.points_to_csv(pts, vis))
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .cutproject import CPSetDesc
+from .cutproject import CPSetDesc, classify
 from .lattice import box_reduced_basis, field_point_arrays
 from .quadfield import (
     ZETA_TOL,
@@ -20,7 +20,6 @@ from .quadfield import (
     divisible_by,
     floor_quad,
     fundamental_unit,
-    ideal_norms,
     int_lin,
     int_mul,
     iter_ring_box,
@@ -108,11 +107,11 @@ def _norm_cutoff(desc: CPSetDesc, D, T) -> int:
 
 
 def _norm_gcd(d: int, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Per row of integer arrays P, Q of shape (N, k), the gcd over i of
+    """Per column of integer arrays P, Q of shape (k, N), the gcd over i of
     |N(x_i)| = |p_i^2 - d*q_i^2|/4 for x_i = (p_i + q_i*sqrt(d))/2; 0 for a
-    zero row."""
-    G = np.zeros(len(P), dtype=np.int64)
-    for p, q in zip(P.T, Q.T):
+    zero column."""
+    G = np.zeros(P.shape[1], dtype=np.int64)
+    for p, q in zip(P, Q):
         n = int_lin([(1, int_mul(p, p)), (-d, int_mul(q, q))]) // 4
         G = np.gcd(G, np.abs(n))
     return G
@@ -123,8 +122,8 @@ def moebius_count_primitive(desc: CPSetDesc, D, T, *, points=None) -> int:
     representatives g in [1, lambda) with mu(g) != 0:
     sum_g mu(g) * #(nonzero points of Lambda(beta*W, L_g) in T*D).
 
-    points, if given, is the (P, Q) pair of integer arrays of that set (as
-    field_point_arrays filters it); otherwise the set is enumerated here.
+    points, if given, is the (P, Q) pair of axis-first integer arrays of
+    that set (field_point_arrays' columns); otherwise it is enumerated here.
     g | x implies N(g) | G(x) = gcd_i N(x_i), so a g whose norm divides no
     point's G has an empty term and is skipped before its mu is computed;
     the others are tested on the points with N(g) | G only.  Terms beyond
@@ -134,13 +133,13 @@ def moebius_count_primitive(desc: CPSetDesc, D, T, *, points=None) -> int:
     if points is None:
         _, P, Q, keep = field_point_arrays(
             fld, D.scaled(Fraction(T)), desc.scaled_window())
-        points = P[keep], Q[keep]
+        points = P[:, keep], Q[:, keep]
     P, Q = points
     G = _norm_gcd(fld.d, P, Q)
-    # the nonzero rows sorted by G, so that each value of G is one slice
+    # the nonzero columns sorted by G, so that each value of G is one slice
     nonzero = np.flatnonzero(G)
     order = nonzero[np.argsort(G[nonzero], kind="stable")]
-    (A, B), G = omega_coords(fld, P[order], Q[order]), G[order]
+    (A, B), G = omega_coords(fld, P[:, order], Q[:, order]), G[order]
     G_values, starts = np.unique(G, return_index=True)
     slices = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(G)])]
     lam = fundamental_unit(fld)
@@ -159,26 +158,26 @@ def moebius_count_primitive(desc: CPSetDesc, D, T, *, points=None) -> int:
         mu = moebius(g)
         if mu == 0:
             continue
-        rows = np.r_[tuple(slices[j] for j in groups)]
-        total += mu * int(divisible_by(g, A[rows].T, B[rows].T).sum())
+        cols = np.r_[tuple(slices[j] for j in groups)]
+        total += mu * int(divisible_by(g, A[:, cols], B[:, cols]).sum())
     return total
 
 
 def _in_inner_box(desc: CPSetDesc, P: np.ndarray,
                   Q: np.ndarray) -> np.ndarray:
-    """Fast route for a box window W: sigma(x) = (P + Q*sqrt(d))/2 lies in
-    lambda^(beta_exp-1)*W iff mult*sigma(x) lies in W, mult =
-    lambda^(1-beta_exp), tested in integers against the box bounds over one
-    common denominator L."""
+    """Fast route for a box window W: sigma(x) = (P + Q*sqrt(d))/2, one
+    column per point, lies in lambda^(beta_exp-1)*W iff mult*sigma(x) lies
+    in W, mult = lambda^(1-beta_exp), tested in integers against the box
+    bounds over one common denominator L."""
     box, d = desc.window, desc.field.d
     mult = desc.unit_power(1 - desc.beta_exp)
     bounds = [b for lohi in box.bounds for b in lohi]
     L = math.lcm(*(b.denominator for b in bounds))
-    inside = np.ones(len(P), dtype=bool)
+    inside = np.ones(P.shape[1], dtype=bool)
     for i, (lo, hi) in enumerate(box.bounds):
         # 4*L*mult*sigma(x_i) = A + B*sqrt(d), with mult = (p + q*sqrt(d))/2
-        A = int_lin([(L * mult.p, P[:, i]), (L * mult.q * d, Q[:, i])])
-        B = int_lin([(L * mult.q, P[:, i]), (L * mult.p, Q[:, i])])
+        A = int_lin([(L * mult.p, P[i]), (L * mult.q * d, Q[i])])
+        B = int_lin([(L * mult.q, P[i]), (L * mult.p, Q[i])])
         s = quad_sign_array(int_lin([(1, A)], -int(4 * L * lo)), B, d)
         inside &= (s > 0) if box.lo_open[i] else (s >= 0)
         s = quad_sign_array(int_lin([(-1, A)], int(4 * L * hi)), -B, d)
@@ -190,37 +189,25 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct", *,
                   predicted: float) -> CountReport:
     """Classify one window of the cut-and-project set and assemble a report.
 
-    A point is visible iff its coordinate gcd is one and its conjugate lies
-    outside the closed inner window.  Both run on integer arrays: the gcd
-    as one batch of ideal norms over the whole set (the origin has norm 0),
-    the inner window through the generic region code (contains_exact);
-    for a box window the integer fast route decides it again independently,
-    and identity_ok records that the two agree on every point.
+    classify decides every point at once; for a box window the integer
+    fast route decides the inner window again on the primitive points
+    independently, and identity_ok records that the two agree on each.
     method='moebius' additionally checks both primitive counts against
     inclusion-exclusion sums: the outer one over this same set of points,
     the inner one over its own enumeration of the beta/lambda set.
     predicted is the density that rel_error compares the count against."""
-    desc.require_hammarhjelm()
     _, P, Q, keep = field_point_arrays(desc.field, D.scaled(Fraction(T)),
                                        desc.scaled_window())
-    P, Q = P[keep], Q[keep]
-    outer = P, Q
-    count_all = len(P)
-    primitive = ideal_norms(desc.field,
-                            *omega_coords(desc.field, P.T, Q.T)) == 1
-    count_pr = int(primitive.sum())
-    # sigma(x) = (p - q*sqrt(d))/2 for x = (p + q*sqrt(d))/2
-    P, Q = P[primitive], -Q[primitive]
-    inner = desc.inner_window.contains_exact(P.T, Q.T, 2, desc.field.d)
-    identity_ok = True
-    if isinstance(desc.window, Box):
-        fast = _in_inner_box(desc, P, Q)
-        identity_ok = bool(np.array_equal(fast, inner))
-        inner = fast
-    count_pr_inner = int(inner.sum())
+    P, Q = P[:, keep], Q[:, keep]
+    primitive, inner = classify(desc, P, Q)
+    count_pr, count_pr_inner = int(primitive.sum()), int(inner.sum())
+    # a box window's fast route decides sigma(x) = (p - q*sqrt(d))/2 again
+    identity_ok = not isinstance(desc.window, Box) or bool(np.array_equal(
+        _in_inner_box(desc, P[:, primitive], -Q[:, primitive]),
+        inner[primitive]))
     count_vis = count_pr - count_pr_inner
     if method == "moebius":
-        m_outer = moebius_count_primitive(desc, D, T, points=outer)
+        m_outer = moebius_count_primitive(desc, D, T, points=(P, Q))
         m_inner = moebius_count_primitive(
             replace(desc, beta_exp=desc.beta_exp - 1), D, T)
         identity_ok = identity_ok and m_outer == count_pr \
@@ -229,7 +216,7 @@ def visible_count(desc: CPSetDesc, D, T, method: str = "direct", *,
     m_t = desc.scaled_window().volume() * vol_td / desc.covolume()
     rel = abs(count_vis / vol_td - predicted) / predicted
     return CountReport(T=float(T), count_vis=count_vis, count_pr=count_pr,
-                       count_all=count_all, vol_TD=vol_td, M_T=m_t,
+                       count_all=P.shape[1], vol_TD=vol_td, M_T=m_t,
                        predicted=predicted, rel_error=rel,
                        count_pr_inner=count_pr_inner,
                        identity_ok=identity_ok)

@@ -2,7 +2,7 @@
 exact visibility classification and strict-inclusion witnesses.
 
 Visibility is decided two independent ways, both in exact arithmetic: the
-fast gcd/window characterization on Hammarhjelm examples, and the
+fast gcd/window characterization on Hammarhjelm examples (classify), and the
 definitional oracle, which keys each point by its exact open ray from the
 origin and compares exact lengths along it."""
 
@@ -23,6 +23,9 @@ from .quadfield import (
     check_hammarhjelm,
     fundamental_unit,
     gcd_is_one,
+    ideal_norms,
+    int_array,
+    omega_coords,
 )
 from .regions import UnitScaled
 
@@ -82,8 +85,6 @@ class CPSetDesc:
 @dataclass(frozen=True)
 class CPPoint:
     quad_coords: tuple
-    coords_phys: tuple
-    coords_int: tuple
 
     @property
     def is_origin(self) -> bool:
@@ -113,16 +114,14 @@ class CPPoint:
         return (k, xk.sign(), n // g, *(c // g for c in nums)), abs(xk)
 
 
-def _make_point(xs: tuple[QuadInt, ...]) -> CPPoint:
-    return CPPoint(
-        quad_coords=xs,
-        coords_phys=tuple(float(x) for x in xs),
-        coords_int=tuple(x.conj_float() for x in xs),
-    )
-
-
 class PointSet(tuple):
-    """An immutable tuple of CPPoints that indexes its own rays once."""
+    """An immutable tuple of CPPoints in dim coordinates that indexes its
+    rays and builds its (P, Q) arrays once."""
+
+    def __new__(cls, points, dim: int):
+        self = super().__new__(cls, points)
+        self.dim = dim
+        return self
 
     @cached_property
     def shortest(self) -> dict:
@@ -134,16 +133,39 @@ class PointSet(tuple):
                 out[key] = length
         return out
 
+    @cached_property
+    def arrays(self) -> tuple:
+        """(P, Q) of shape (dim, N), the layout of field_point_arrays:
+        column j holds point j, x_i = (P[i] + Q[i]*sqrt(d))/2."""
+        axes = [[p.quad_coords[i] for p in self] for i in range(self.dim)]
+        return (int_array([[x.p for x in a] for a in axes]),
+                int_array([[x.q for x in a] for a in axes]))
+
 
 def generate(desc: CPSetDesc, D, T) -> PointSet:
     """All points of the cut-and-project set inside T*D (exact path)."""
-    return PointSet(_make_point(xs) for xs in enumerate_field_points_exact(
-        desc.field, D.scaled(Fraction(T)), desc.scaled_window()))
+    return PointSet((CPPoint(xs) for xs in enumerate_field_points_exact(
+        desc.field, D.scaled(Fraction(T)), desc.scaled_window())), desc.d)
+
+
+def classify(desc: CPSetDesc, P: np.ndarray, Q: np.ndarray) -> tuple:
+    """Hammarhjelm's characterization on the points x_i = (P[i] +
+    Q[i]*sqrt(d))/2, one column each: masks of the points whose coordinates
+    generate O_K (not the origin) and of the primitive ones with sigma(x) in
+    the closed window (1/lambda)*beta*W.  Visible is primitive & ~inner."""
+    desc.require_hammarhjelm()
+    fld = desc.field
+    primitive = ideal_norms(fld, *omega_coords(fld, P, Q)) == 1
+    inner = np.zeros_like(primitive)
+    # sigma(x) = (p - q*sqrt(d))/2 for x = (p + q*sqrt(d))/2
+    inner[primitive] = desc.inner_window.contains_exact(
+        P[:, primitive], -Q[:, primitive], 2, fld.d)
+    return primitive, inner
 
 
 def visible_fast(desc: CPSetDesc, x: CPPoint) -> bool:
-    """Visibility via the Hammarhjelm characterization: coordinate gcd is a
-    unit and the conjugate vector avoids the closed window (1/lambda)*beta*W."""
+    """classify's reference, one point at a time: coordinate gcd is a unit
+    and the conjugate vector avoids the closed window (1/lambda)*beta*W."""
     desc.require_hammarhjelm()
     xs = x.quad_coords
     if not gcd_is_one(list(xs)):  # the origin has ideal norm 0
@@ -164,43 +186,23 @@ def visible_oracle(desc: CPSetDesc, x: CPPoint, points) -> bool:
     if x.is_origin:
         return False
     if not isinstance(points, PointSet):
-        points = PointSet(points)
+        points = PointSet(points, len(x.quad_coords))
     key, length = x.ray
     shortest = points.shortest.get(key)
     return shortest is None or shortest >= length
 
 
-def integer_coords(xs: tuple[QuadInt, ...]) -> tuple[int, ...]:
-    out = []
-    for x in xs:
-        out.append(x.a)
-        out.append(x.b)
-    return tuple(out)
-
-
 def strict_inclusion_witness(desc: CPSetDesc, D, T) -> list[CPPoint]:
-    """Points of Lambda(W, L_vis) inside T*D that are invisible in Lambda.
-
-    A lattice point y is visible in L iff its integer coordinate vector is
-    primitive over Z; the projected point is then checked against Lambda
-    visibility (fast characterization on Hammarhjelm examples, else the
-    definitional oracle)."""
+    """Points of Lambda(W, L_vis) inside T*D that are invisible in Lambda
+    (classify's verdict, so desc must be a Hammarhjelm example): a lattice
+    point y is visible in L iff its integer coordinate vector, the
+    omega-coordinates of x, is primitive over Z."""
     pts = generate(desc, D, T)
-    hamm = desc.is_hammarhjelm
-    out = []
-    for p in pts:
-        if p.is_origin:
-            continue
-        u = integer_coords(p.quad_coords)
-        if math.gcd(*u) != 1:
-            continue  # y not visible in L
-        if hamm:
-            vis = visible_fast(desc, p)
-        else:
-            vis = visible_oracle(desc, p, pts)
-        if not vis:
-            out.append(p)
-    return out
+    P, Q = pts.arrays
+    primitive, inner = classify(desc, P, Q)
+    z_primitive = np.gcd.reduce(
+        np.concatenate(omega_coords(desc.field, P, Q)), axis=0) == 1
+    return [p for p, w in zip(pts, z_primitive & (inner | ~primitive)) if w]
 
 
 def strict_inclusion_witness_random(basis: np.ndarray, window, D, T: float):
@@ -254,11 +256,8 @@ def points_to_csv(points: list[CPPoint], visible: list[bool]) -> str:
     header = ",".join(cols) + ",visible\n"
     lines = [header]
     for p, vis in zip(points, visible):
-        row = []
-        for x in p.quad_coords:
-            row += [str(x.a), str(x.b)]
-        row += [f"{v:.12g}" for v in p.coords_phys]
-        row += [f"{v:.12g}" for v in p.coords_int]
-        row.append(str(int(vis)))
+        xs = p.quad_coords
+        row = ([f"{x.a},{x.b}" for x in xs] + [f"{float(x):.12g}" for x in xs]
+               + [f"{x.conj_float():.12g}" for x in xs] + [str(int(vis))])
         lines.append(",".join(row) + "\n")
     return "".join(lines)

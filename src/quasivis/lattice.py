@@ -93,20 +93,18 @@ def field_point_arrays(fld: FieldDesc, phys_region, int_region):
     """Exact filter of the points x of O_K^dim (dim the regions' dimension)
     with physical part x in phys_region and internal part sigma(x) in
     int_region (regions with rational data).  Returns the per-axis
-    candidates (from Minkowski boxes), the integer arrays P, Q of every
-    combination in itertools.product order, x_i = (P[:, i] +
-    Q[:, i]*sqrt(d))/2, and the mask keep of those in both regions."""
+    candidates (from Minkowski boxes), integer arrays P, Q of shape (dim, N)
+    with one column per combination in itertools.product order, x_i =
+    (P[i] + Q[i]*sqrt(d))/2, and the mask keep of those in both regions."""
     axes = [list(iter_ring_box(fld, *phys, *internal)) for phys, internal
             in zip(phys_region.bbox(), int_region.bbox())]
     # row i of idx: the axis-i candidate of each combination, product order
     idx = np.indices([len(a) for a in axes]).reshape(len(axes), -1)
-    P = np.stack([int_array([x.p for x in a])[k]
-                  for a, k in zip(axes, idx)], axis=-1)
-    Q = np.stack([int_array([x.q for x in a])[k]
-                  for a, k in zip(axes, idx)], axis=-1)
+    P = np.stack([int_array([x.p for x in a])[k] for a, k in zip(axes, idx)])
+    Q = np.stack([int_array([x.q for x in a])[k] for a, k in zip(axes, idx)])
     # x = (p + q*sqrt(d))/2 and its conjugate (p - q*sqrt(d))/2
-    keep = (phys_region.contains_exact(P.T, Q.T, 2, fld.d)
-            & int_region.contains_exact(P.T, -Q.T, 2, fld.d))
+    keep = (phys_region.contains_exact(P, Q, 2, fld.d)
+            & int_region.contains_exact(P, -Q, 2, fld.d))
     return axes, P, Q, keep
 
 

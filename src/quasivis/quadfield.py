@@ -106,7 +106,7 @@ _INT64_LIMIT = 1 << 62
 
 
 def _max_abs(x: np.ndarray) -> int:
-    return int(np.abs(x).max(initial=0))
+    return max(int(x.max(initial=0)), -int(x.min(initial=0)))
 
 
 def _exact_dtype(bound: int):
@@ -131,7 +131,7 @@ def int_lin(terms, const: int = 0) -> np.ndarray:
     dt = _exact_dtype(max(bound, *mags, *(abs(c) for c, _ in terms)))
     out = np.full(terms[0][1].shape, const, dtype=dt)
     for c, x in terms:
-        out += c * x.astype(dt)
+        out += c * x.astype(dt, copy=False)
     return out
 
 
@@ -141,7 +141,7 @@ def int_mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x * y
     mx, my = _max_abs(x), _max_abs(y)
     dt = _exact_dtype(max(mx * my, mx, my))  # a zero factor bounds no input
-    return x.astype(dt) * y.astype(dt)
+    return x.astype(dt, copy=False) * y.astype(dt, copy=False)
 
 
 def quad_sign_array(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:

@@ -15,6 +15,7 @@ separately so their influence can be bounded.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -370,12 +371,21 @@ REGION_KEYS = {"box": {"bounds", "lo_open", "hi_open"},
                "product": {"left", "right"}}
 
 
+def _past_float_range(value) -> bool:
+    """Whether a number in value (a number or nested lists) lies past the
+    float range, where volumes and the float path cannot follow it."""
+    if isinstance(value, (list, tuple)):
+        return any(map(_past_float_range, value))
+    return isinstance(value, (int, float)) and abs(value) > sys.float_info.max
+
+
 def region_from_spec(spec: dict):
     """Build a region from a JSON-style spec dict.  Rejected: an unknown kind,
-    a key the kind does not hold, an empty region (a non-positive half_width
-    or r2, a box side with lo > hi), a boolean where a number belongs, a
-    cube dim that is no integer >= 1, box open flags that are not booleans
-    or not one per bound, a polygon not strictly convex in ccw order."""
+    a key the kind does not hold, a number past the float range, an empty
+    region (a non-positive half_width or r2, a box side with lo > hi), a
+    boolean where a number belongs, a cube dim that is no integer >= 1, box
+    open flags that are not booleans or not one per bound, a polygon not
+    strictly convex in ccw order."""
     kind = spec["kind"]
     if kind not in REGION_KEYS:
         raise ValueError(f"unknown region kind {kind!r}")
@@ -383,6 +393,10 @@ def region_from_spec(spec: dict):
     if unknown:
         raise ValueError(f"a {kind} region holds no key "
                          + ", ".join(map(repr, unknown)))
+    for key, value in spec.items():
+        if _past_float_range(value):
+            raise ValueError(f"{key!r} of a {kind} region holds a number "
+                             f"past the float range")
     if kind == "box":
         box = Box.make(spec["bounds"],
                        spec.get("lo_open"), spec.get("hi_open"))

@@ -49,7 +49,7 @@ def svg_scatter(points, visible) -> str:
     """Scatter of the physical coordinates (first two components) of the
     CPPoints; visible points are filled, invisible ones hollow.
     Deterministic output."""
-    coords = [p.coords_phys[:2] for p in points]
+    coords = [tuple(map(float, p.quad_coords[:2])) for p in points]
     out = _header(None)
     mp = _Mapper([c[0] for c in coords], [c[1] for c in coords])
     # axes through the origin when in range
@@ -61,7 +61,7 @@ def svg_scatter(points, visible) -> str:
         out.append(f'<line x1="{PAD}" y1="{_fmt(oy)}" '
                    f'x2="{SIZE - PAD}" y2="{_fmt(oy)}" stroke="#cccccc"/>')
     for (x, y), vis in zip(coords, visible):
-        sx, sy = mp(float(x), float(y))
+        sx, sy = mp(x, y)
         if vis:
             out.append(f'<circle cx="{_fmt(sx)}" cy="{_fmt(sy)}" '
                        f'r="{RADIUS}" fill="black"/>')

@@ -252,6 +252,15 @@ TWO_VERTICES = {"kind": "polygon", "vertices": [[1, 0], [-1, 0]]}
     ("random", {**RANDOM_CFG, "T_grid": [1e30]}),
     # a box volume past the float range, which once ended in a NaN
     ("random", {**RANDOM_CFG, "T_grid": [1e300]}),
+    # a region number past the float range, which once raised
+    # OverflowError (density, random) or ran without end (plot)
+    ("density", {**DENSITY_CFG,
+                 "window": {"kind": "square", "half_width": 10 ** 400}}),
+    ("random", {**RANDOM_CFG,
+                "window": {"kind": "cube", "half_width": 10 ** 400,
+                           "dim": 1}}),
+    ("plot", {**PLOT_CFG,
+              "window": {"kind": "square", "half_width": 10 ** 400}}),
 ])
 def test_config_errors_past_the_schema(tmp_path, command, bad):
     cfg = write_cfg(tmp_path / "cfg.json", bad)

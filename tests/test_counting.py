@@ -6,10 +6,9 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from quasivis import counting
+from quasivis import counting, cutproject
 from quasivis.counting import (
     CountReport,
     DegenerateFit,
@@ -25,6 +24,7 @@ from quasivis.counting import (
 from quasivis.cutproject import (
     CPSetDesc,
     NotHammarhjelm,
+    classify,
     generate,
     visible_fast,
 )
@@ -159,11 +159,11 @@ def test_moebius_reused_outer_set_equals_fresh_enumeration(fld, window):
                                        desc.scaled_window())
     fresh = moebius_count_primitive(desc, D2, T)
     assert moebius_count_primitive(desc, D2, T,
-                                   points=(P[keep], Q[keep])) == fresh
+                                   points=(P[:, keep], Q[:, keep])) == fresh
     # the same sum on Python ints, as past the int64 guard
     assert moebius_count_primitive(
-        desc, D2, T, points=(P[keep].astype(object),
-                             Q[keep].astype(object))) == fresh
+        desc, D2, T, points=(P[:, keep].astype(object),
+                             Q[:, keep].astype(object))) == fresh
     assert fresh == visible_count(desc, D2, T, predicted=1.0).count_pr
 
 
@@ -218,8 +218,9 @@ def test_norm_gcd_and_divisibility_past_int64(d, g, scale):
     fld = field(d)
     g = QuadInt(fld, *g)
     rows = _rows(fld, random.Random(d * 1000 + g.a * 10 + g.b), g, 6, scale)
-    P = int_array([[x.p for x in row] for row in rows])
-    Q = int_array([[x.q for x in row] for row in rows])
+    # one column per row of coordinates
+    P = int_array([[row[i].p for row in rows] for i in range(2)])
+    Q = int_array([[row[i].q for row in rows] for i in range(2)])
     G = _norm_gcd(d, P, Q)
     assert G.dtype == object
     assert list(G) == [math.gcd(*(abs(x.norm()) for x in row))
@@ -227,7 +228,7 @@ def test_norm_gcd_and_divisibility_past_int64(d, g, scale):
     # the HNF ideal (g) of the oracle decides divisibility independently
     ideal = principal_ideal(g)
     want = [all(ideal.contains(x) for x in row) for row in rows]
-    got = divisible_by(g, *omega_coords(fld, P.T, Q.T))
+    got = divisible_by(g, *omega_coords(fld, P, Q))
     assert list(got) == want
     assert [divisible_by(g, [x.a for x in row], [x.b for x in row])
             for row in rows] == want
@@ -243,8 +244,8 @@ def test_norm_gcd_of_zero_row_and_zero_coordinate():
     rows = [(QuadInt(fld, 0), QuadInt(fld, 0)),
             (QuadInt(fld, 0), QuadInt(fld, 3, 1)),
             (QuadInt(fld, 2), QuadInt(fld, 0, 2))]
-    P = int_array([[x.p for x in row] for row in rows])
-    Q = int_array([[x.q for x in row] for row in rows])
+    P = int_array([[row[i].p for row in rows] for i in range(2)])
+    Q = int_array([[row[i].q for row in rows] for i in range(2)])
     assert list(_norm_gcd(2, P, Q)) == [0, 7, 4]
 
 
@@ -276,14 +277,13 @@ def test_visible_count_zero_below_first_point():
 
 
 def test_visible_count_one_gcd_test_per_point(monkeypatch):
-    import quasivis.counting as counting
     calls = []
 
     def counting_ideal_norms(fld, A, B):
         calls.append(len(A[0]))
         return ideal_norms(fld, A, B)
 
-    monkeypatch.setattr(counting, "ideal_norms", counting_ideal_norms)
+    monkeypatch.setattr(cutproject, "ideal_norms", counting_ideal_norms)
     desc = desc_for(F2)
     rep = visible_count(desc, D2, 12, predicted=1.0)
     assert rep.identity_ok
@@ -350,9 +350,15 @@ def test_visible_count_matches_per_point_decisions(d, window, beta_exp, T):
     rep = visible_count(desc, D, T, predicted=1.0)
     assert rep.identity_ok
     assert rep.count_all == len(pts)
-    assert rep.count_pr == sum(1 for p in pts if not p.is_origin
-                               and gcd_is_one(list(p.quad_coords)))
-    assert rep.count_vis == sum(visible_fast(desc, p) for p in pts)
+    primitive = [not p.is_origin and gcd_is_one(list(p.quad_coords))
+                 for p in pts]
+    visible = [visible_fast(desc, p) for p in pts]
+    assert rep.count_pr == sum(primitive)
+    assert rep.count_vis == sum(visible)
+    # the batch masks, point by point
+    got_primitive, inner = classify(desc, *pts.arrays)
+    assert got_primitive.tolist() == primitive
+    assert (got_primitive & ~inner).tolist() == visible
 
 
 def test_counts_independent_of_float_guard(monkeypatch):

@@ -9,10 +9,10 @@ import pytest
 from quasivis.cutproject import (
     CPSetDesc,
     NotHammarhjelm,
+    CPPoint,
     PointSet,
-    _make_point,
+    classify,
     generate,
-    integer_coords,
     points_to_csv,
     strict_inclusion_witness,
     strict_inclusion_witness_random,
@@ -223,7 +223,7 @@ def test_oracle_smallest_on_ray_visible():
     desc = desc_for(F2)
     pts = generate(desc, D2, 8)
     nonzero = [p for p in pts if not p.is_origin]
-    p = min(nonzero, key=lambda q: math.hypot(*q.coords_phys))
+    p = min(nonzero, key=lambda q: math.hypot(*map(float, q.quad_coords)))
     if visible_fast(desc, p):
         assert visible_oracle(desc, p, pts)
 
@@ -232,8 +232,8 @@ def test_oracle_smallest_on_ray_visible():
 def test_oracle_multiple_blocks(fld):
     """x blocks 2x, and 2x does not block x."""
     desc = desc_for(fld)
-    x = _make_point((QuadInt(fld, 1, 1), QuadInt(fld, 3, 0)))
-    x2 = _make_point(tuple(2 * c for c in x.quad_coords))
+    x = CPPoint((QuadInt(fld, 1, 1), QuadInt(fld, 3, 0)))
+    x2 = CPPoint(tuple(2 * c for c in x.quad_coords))
     pts = [x, x2]
     assert visible_oracle(desc, x, pts)
     assert not visible_oracle(desc, x2, pts)
@@ -242,8 +242,8 @@ def test_oracle_multiple_blocks(fld):
 @pytest.mark.parametrize("fld", [F2, F5])
 def test_oracle_opposite_point_does_not_block(fld):
     desc = desc_for(fld)
-    x = _make_point((QuadInt(fld, 2, 1), QuadInt(fld, -1, 1)))
-    minus_x = _make_point(tuple(-c for c in x.quad_coords))
+    x = CPPoint((QuadInt(fld, 2, 1), QuadInt(fld, -1, 1)))
+    minus_x = CPPoint(tuple(-c for c in x.quad_coords))
     assert x.ray[0] != minus_x.ray[0]
     assert visible_oracle(desc, x, [minus_x, x])
     assert visible_oracle(desc, minus_x, [minus_x, x])
@@ -256,8 +256,8 @@ def test_oracle_unit_multiple_blocks(fld):
     desc = desc_for(fld)
     lam = fundamental_unit(fld)
     lam_inv2 = lam.conj() ** 2  # lambda^-2, whatever the norm of lambda
-    y = _make_point((QuadInt(fld, 1, 0), QuadInt(fld, 0, 1)))
-    x = _make_point(tuple(c * lam * lam for c in y.quad_coords))
+    y = CPPoint((QuadInt(fld, 1, 0), QuadInt(fld, 0, 1)))
+    x = CPPoint(tuple(c * lam * lam for c in y.quad_coords))
     assert tuple(c * lam_inv2 for c in x.quad_coords) == y.quad_coords
     assert x.ray[0] == y.ray[0]
     assert not visible_oracle(desc, x, [x, y])
@@ -266,10 +266,10 @@ def test_oracle_unit_multiple_blocks(fld):
 
 def test_oracle_first_coordinate_zero():
     desc = CPSetDesc(field=F5, d=3, window=Box.cube(1, 3))
-    x = _make_point((QuadInt(F5, 0), QuadInt(F5, 0, 1), QuadInt(F5, 2)))
-    x3 = _make_point(tuple(3 * c for c in x.quad_coords))
-    off = _make_point((QuadInt(F5, 0), QuadInt(F5, 0, 1), QuadInt(F5, 3)))
-    front = _make_point((QuadInt(F5, 1), QuadInt(F5, 0, 1), QuadInt(F5, 2)))
+    x = CPPoint((QuadInt(F5, 0), QuadInt(F5, 0, 1), QuadInt(F5, 2)))
+    x3 = CPPoint(tuple(3 * c for c in x.quad_coords))
+    off = CPPoint((QuadInt(F5, 0), QuadInt(F5, 0, 1), QuadInt(F5, 3)))
+    front = CPPoint((QuadInt(F5, 1), QuadInt(F5, 0, 1), QuadInt(F5, 2)))
     assert x.ray[0][0] == 1
     pts = [x, x3, off, front]
     assert not visible_oracle(desc, x3, pts)
@@ -280,8 +280,8 @@ def test_oracle_first_coordinate_zero():
 
 def test_oracle_origin():
     desc = desc_for(F2)
-    origin = _make_point((QuadInt(F2, 0), QuadInt(F2, 0)))
-    x = _make_point((QuadInt(F2, 1), QuadInt(F2, 0, 1)))
+    origin = CPPoint((QuadInt(F2, 0), QuadInt(F2, 0)))
+    x = CPPoint((QuadInt(F2, 1), QuadInt(F2, 0, 1)))
     assert origin.ray == (None, None)
     assert not visible_oracle(desc, origin, [origin, x])
     assert visible_oracle(desc, x, [origin, x])
@@ -292,8 +292,40 @@ def test_strict_inclusion_witness_nonempty_hammarhjelm():
     w = strict_inclusion_witness(desc, D2, 10)
     assert w
     for p in w:
-        assert math.gcd(*integer_coords(p.quad_coords)) == 1
+        assert math.gcd(*(c for x in p.quad_coords for c in (x.a, x.b))) == 1
         assert not visible_fast(desc, p)
+
+
+@pytest.mark.parametrize("fld", [F2, F5])
+@pytest.mark.parametrize("window_name", ["square", "octagon"])
+def test_strict_inclusion_witness_is_the_per_point_definition(fld,
+                                                              window_name):
+    """The witnesses are the points with Z-primitive omega-coordinates that
+    visible_fast calls invisible, in generate's order."""
+    window = square_window(1) if window_name == "square" \
+        else octagon_window(1)
+    desc = desc_for(fld, window)
+    want = [p for p in generate(desc, D2, 10)
+            if math.gcd(*(c for x in p.quad_coords for c in (x.a, x.b))) == 1
+            and not visible_fast(desc, p)]
+    assert want
+    assert strict_inclusion_witness(desc, D2, 10) == want
+
+
+def test_classify_empty_point_set():
+    """An averaging set that misses every point still has (dim, 0) arrays."""
+    desc, far = desc_for(F2), Box.make([(5, 6), (5, 6)])
+    pts = generate(desc, far, Fraction(1, 2))
+    assert len(pts) == 0 and pts.arrays[0].shape == (2, 0)
+    primitive, inner = classify(desc, *pts.arrays)
+    assert primitive.shape == inner.shape == (0,)
+    assert strict_inclusion_witness(desc, far, Fraction(1, 2)) == []
+
+
+def test_strict_inclusion_witness_needs_hammarhjelm():
+    desc = desc_for(field(3))  # Q(sqrt3) fails the unit-box test
+    with pytest.raises(NotHammarhjelm):
+        strict_inclusion_witness(desc, D2, 4)
 
 
 def test_strict_inclusion_witness_small_T_empty():

@@ -5,8 +5,9 @@ the CLI, the acceptance criteria or the benchmark, every public method of
 a reached class is read by name there, every parameter default is
 overridden by some caller, and the third-party
 packages it imports are the ones pyproject.toml declares.  AST scans of
-src/quasivis/*.py; __init__.py is left out of the unused-import scan and
-of the roots, since its imports are re-exports.  The reachability checks
+src/quasivis/*.py, and of tests/*.py for unused imports; __init__.py is
+left out of the unused-import scan and of the roots, since its imports are
+re-exports.  The reachability checks
 have no exemption list: code that no root needs is deleted."""
 
 import ast
@@ -21,6 +22,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "quasivis"
 REPO = SRC.parents[1]
 PYPROJECT = REPO / "pyproject.toml"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+TEST_FILES = sorted(p.name for p in TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -64,6 +67,11 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("name", MODULES)
 def test_no_unused_imports(name):
     assert unused_imports((SRC / name).read_text()) == []
+
+
+@pytest.mark.parametrize("name", TEST_FILES)
+def test_no_unused_imports_in_tests(name):
+    assert unused_imports((TESTS / name).read_text()) == []
 
 
 def test_scan_finds_an_unreferenced_private_def():
