@@ -19,6 +19,7 @@ from .quadfield import (
     field,
     fundamental_unit,
     hammarhjelm_witness,
+    ring_box_size,
 )
 from .regions import region_from_spec
 
@@ -93,12 +94,13 @@ def _config_errors():
     """Exit with EXIT_CONFIG when building objects from a checked config
     fails: an unknown region kind, a missing key, a d that is not
     squarefree in [2, 100], regions of the wrong kind or dimension, a field
-    that is not a Hammarhjelm example, a random-lattice box too large to
+    that is not a Hammarhjelm example, a window whose volume lies past the
+    float range, a T whose ring box or random-lattice box is too large to
     index in int64; or when an argument click does not type is rejected,
     such as a --subspace of the wrong length or a NaN --radius."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
 
@@ -134,6 +136,19 @@ def _desc_from_config(cfg: dict):
                          f"dim={desc.d}")
     desc.require_hammarhjelm()
     return desc, D
+
+
+def _require_indexable(desc, D, T):
+    """Reject a T at which the exact enumeration could not end: one whose
+    ring box along some axis of T*D x window holds more candidates than
+    int64 can index, the bound the kernel applies too."""
+    for (x_lo, x_hi), (y_lo, y_hi) in zip(D.scaled(Fraction(str(T))).bbox(),
+                                          desc.scaled_window().bbox()):
+        if ring_box_size(desc.field, x_lo, x_hi, y_lo,
+                         y_hi) > kernels.INT64_MAX:
+            raise ValueError(f"T={T} gives an axis of T*averaging x window "
+                             f"more ring-box candidates than int64 can "
+                             f"index")
 
 
 @click.group()
@@ -179,8 +194,10 @@ def cmd_density(config_path, out, method):
         cfg["method"] = method
     with _config_errors():
         desc, D = _desc_from_config(cfg)
+        predicted = counting.predicted_density_hammarhjelm(desc)
+        for T in cfg["T_grid"]:
+            _require_indexable(desc, D, T)
     use_moebius = cfg.get("method", "direct") in ("moebius", "both")
-    predicted = counting.predicted_density_hammarhjelm(desc)
     reports = []
     for T in cfg["T_grid"]:
         rep = counting.visible_count(
@@ -232,6 +249,7 @@ def cmd_plot(config_path, field_d, out):
     cfg = _load_config(config_path, PLOT_KEYS)
     with _config_errors():
         desc, D = _desc_from_config(cfg)
+        _require_indexable(desc, D, cfg["T"])
     pts = cutproject.generate(desc, D, Fraction(str(cfg["T"])))
     primitive, inner = cutproject.classify(desc, *pts.arrays)
     vis = primitive & ~inner

@@ -4,13 +4,18 @@ integer preimage box into lines along one coordinate.
 Fix a prefix (the other coordinates).  Every coordinate of x = B u,
 computed in floats as the pointwise test computes it, is monotone in the
 line coordinate u_n, so the u_n whose image lies in the box widened by TOL
-form one interval.  The kernel estimates its ends by division and settles each
-end with the pointwise test, so every count is the count that testing every
-box point would give, yet no point between the two ends is visited.  Lines
-left empty by the settle are dropped; only the others reach the interior
-settle and the Moebius step.  A line's points that are not near a face (the
-open box shrunk by TOL) form an interval too, barring a coordinate that
-falls exactly on the float lo - TOL or hi + TOL; the boundary tally is the
+form one interval.  The kernel estimates its ends by division and certifies
+each end by a proven rounding margin: when the estimate lies farther from
+the integers around it than any rounding of the pointwise test or of the
+estimate can reach, the pointwise test must agree with it.  Only the ends
+the margin cannot decide are settled with the pointwise test, so every
+count is the count that testing every box point would give, yet no point
+between the two ends is visited.  Empty lines are dropped; only the others
+reach the interior and the Moebius step.  A line's points that are not near
+a face (the open box shrunk by TOL) form an interval too, barring a
+coordinate that falls exactly on the float lo - TOL or hi + TOL; its ends
+are the line's own when both lie deeper inside every face than TOL plus the
+margin, and are settled pointwise otherwise.  The boundary tally is the
 difference of the two interval lengths.  Only primitive vectors are
 counted, by Moebius over the divisors of the prefix gcd; a gcd-1 prefix
 needs no divisor table.  Listing returns every vector of the lines.
@@ -26,6 +31,7 @@ The kernel is deterministic and order-independent (integer accumulators).
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -35,7 +41,10 @@ from .quadfield import factorint
 # inside and is tallied as boundary-ambiguous.
 TOL = 1e-9
 _CHUNK = 1 << 18
-_INT64_MAX = int(np.iinfo(np.int64).max)
+INT64_MAX = int(np.iinfo(np.int64).max)
+# Twice the unit roundoff 2^-53: the factor of the margin that certifies a
+# line end (_Lines.__init__ derives it).
+_MARGIN = 2.0 ** -52
 
 
 def _np_int_grid(lo: np.ndarray, hi: np.ndarray):
@@ -112,7 +121,7 @@ class _Lines:
         self.lo_w, self.hi_w = self.lo_x - TOL, self.hi_x + TOL
         b = self.basis[:, -1]
         rising, falling, self.flat = b > 0, b < 0, b == 0
-        self.slope = np.where(self.flat, 1.0, b)
+        slope = np.where(self.flat, 1.0, b)
         # Per row, the face a line crosses on its way in (the lower one where
         # the row rises along the line, the upper one where it falls) and on
         # its way out; a flat row has both faces on both sides.
@@ -121,10 +130,52 @@ class _Lines:
                       np.where(rising, inf, self.hi_w))
         self.exit = (np.where(rising, -inf, self.lo_w),
                      np.where(falling, inf, self.hi_w))
-        self.enter_at = np.where(rising, self.lo_w,
-                                 np.where(falling, self.hi_w, -inf))
-        self.leave_at = np.where(rising, self.hi_w,
-                                 np.where(falling, self.lo_w, inf))
+        enter_at = np.where(rising, self.lo_w,
+                            np.where(falling, self.hi_w, -inf))
+        leave_at = np.where(rising, self.hi_w,
+                            np.where(falling, self.lo_w, inf))
+        # lines() estimates, per row, the u_n at which the row enters and
+        # the one at which it leaves as (face - c)/slope, c the prefix part
+        # of the row, by one product for both.
+        self.prefix = np.concatenate([self.basis[:, :-1]] * 2)
+        self.faces = np.concatenate([enter_at, leave_at])
+        self.slopes = np.concatenate([slope, slope])
+        # The margin, in units of u_n.  With eps = 2^-53, gamma_k =
+        # k*eps/(1 - k*eps) and U_j the largest |u_j| of the box: while
+        # every |u_j| <= 2^53, so that u casts to float exactly, the
+        # pointwise x_i = sum_j b_ij u_j, summed in any order, with or
+        # without FMA, errs by at most gamma_n*(S_i + |b_in|*U_n), S_i =
+        # sum_{j<n} |b_ij|*U_j.  An estimate errs from the true crossing by
+        # at most gamma_{n-1}*S_i/|b_in| (its prefix part) plus
+        # 1.01*gamma_2*|estimate| (its subtraction and division), and
+        # |estimate| <= U_n + 1 + |gap| at the ends tested.  The near test
+        # adds the roundings of lo - TOL and of x - lo, at most
+        # eps*(W_i + 3*TOL) with W_i = max(|lo_i|, |hi_i|), and subnormal
+        # products at most n*2^-1075.  margin_i is at least twice the sum of
+        # these bounds with |gap| left out; the factor 2 covers that part
+        # (under 2.1*eps*|gap|) and the rounding of the gaps and of margin_i
+        # itself.  So a gap past margin_i puts the end on the side of the
+        # face that the estimate puts it on, whatever the pointwise test's
+        # rounding.
+        n = self.basis.shape[1]
+        reach = np.maximum(np.abs(self.lo_u.astype(np.float64)),
+                           np.abs(self.hi_u.astype(np.float64)))
+        span = (2 * (np.abs(self.basis[:, :-1]) @ reach[:-1])
+                + np.maximum(np.abs(self.lo_x), np.abs(self.hi_x))
+                + 4 * TOL + 2.0 ** -1000)
+        margin = _MARGIN * (n + 3) * (span / np.abs(slope) + reach[-1] + 2)
+        if reach.max() > 2.0 ** 53:
+            margin[:] = np.inf  # the cast rounds: settle every end
+        # An end passes the pointwise test where its gap to every row's
+        # estimate clears the margin, and its neighbour outside fails it
+        # where some row's gap falls short of 1 by the margin.  The ends
+        # a..z are the interior's too where every gap clears the margin and
+        # 2*TOL more: their images then lie deeper than TOL inside every
+        # face.  A flat row's estimates are -inf and inf, so its gaps are
+        # inf; lines() tests flat rows pointwise.
+        self.clear = np.concatenate([margin, margin])
+        self.short = 1 - self.clear
+        self.deep = self.clear + np.concatenate([2 * TOL / np.abs(slope)] * 2)
 
     def image(self, P, u):
         """The images of the points (P[i], u[..., i]), one per row: u is one
@@ -137,12 +188,14 @@ class _Lines:
 
     def inside(self, X, rows=slice(None)):
         X = X[:, rows]
-        return np.all((X >= self.lo_w[rows]) & (X <= self.hi_w[rows]), axis=1)
+        return reduce(np.logical_and,
+                      ((X >= self.lo_w[rows]) & (X <= self.hi_w[rows])).T)
 
     def near(self, X, rows=slice(None)):
         X = X[:, rows]
-        return np.any((np.abs(X - self.lo_x[rows]) <= TOL)
-                      | (np.abs(X - self.hi_x[rows]) <= TOL), axis=1)
+        return reduce(np.logical_or,
+                      ((np.abs(X - self.lo_x[rows]) <= TOL)
+                       | (np.abs(X - self.hi_x[rows]) <= TOL)).T)
 
     def _inner(self, X):
         """The pointwise test of the open box shrunk by TOL."""
@@ -150,11 +203,13 @@ class _Lines:
 
     def _entered(self, X):
         """The entry faces of inside; non-decreasing in u_n."""
-        return np.all((X >= self.entry[0]) & (X <= self.entry[1]), axis=1)
+        return reduce(np.logical_and,
+                      ((X >= self.entry[0]) & (X <= self.entry[1])).T)
 
     def _not_left(self, X):
         """The exit faces of inside; non-increasing in u_n."""
-        return np.all((X >= self.exit[0]) & (X <= self.exit[1]), axis=1)
+        return reduce(np.logical_and,
+                      ((X >= self.exit[0]) & (X <= self.exit[1])).T)
 
     def _settle(self, P, a, z, ok_a, ok_z, first, last):
         """Move the ends a..z of each line to the first u_n in [first, last]
@@ -180,48 +235,68 @@ class _Lines:
         return a, z
 
     def lines(self):
-        """Yield (P, a, z) per chunk of prefixes in lexicographic order: the
-        prefixes P (m x n-1) whose line meets the widened box and, per
-        prefix, the ends a <= z of the u_n whose image lies in it."""
+        """Yield (P, a, z, deep) per chunk of prefixes in lexicographic
+        order: the prefixes P (m x n-1) whose line meets the widened box,
+        per prefix the ends a <= z of the u_n whose image lies in it, and
+        the flags of the lines whose interior (see interior) has the same
+        ends.  The ends the margin cannot certify are settled pointwise."""
         if np.any(self.hi_u < self.lo_u):
             return
         size = math.prod(int(h) - int(l) + 1
                          for l, h in zip(self.lo_u, self.hi_u))
-        if size > _INT64_MAX:
+        if size > INT64_MAX:
             raise ValueError(f"integer box of {size} points cannot be "
                              f"indexed in int64")
         lo_n, hi_n = int(self.lo_u[-1]), int(self.hi_u[-1])
+        rows = len(self.flat)
         for P in _np_int_grid(self.lo_u[:-1], self.hi_u[:-1]):
-            c = P @ self.basis[:, :-1].T
-            enter = ((self.enter_at - c) / self.slope).max(axis=1)
-            leave = ((self.leave_at - c) / self.slope).min(axis=1)
-            a = np.clip(np.ceil(enter), lo_n, hi_n + 1)
-            z = np.clip(np.floor(leave), lo_n - 1, hi_n)
+            est = (self.faces - P @ self.prefix.T) / self.slopes
+            enter, leave = est[:, :rows], est[:, rows:]
+            a = np.clip(np.ceil(reduce(np.maximum, enter.T)), lo_n, hi_n + 1)
+            z = np.clip(np.floor(reduce(np.minimum, leave.T)), lo_n - 1, hi_n)
+            # Per row, how far a lies past its entry and z short of its exit.
+            gap = np.concatenate([a[:, None] - enter, leave - z[:, None]], 1)
+            clear, short = (gap > self.clear).T, (gap < self.short).T
+            sure = ((reduce(np.logical_and, clear[:rows]) | (a > hi_n))
+                    & (reduce(np.logical_or, short[:rows]) | (a <= lo_n))
+                    & (reduce(np.logical_and, clear[rows:]) | (z < lo_n))
+                    & (reduce(np.logical_or, short[rows:]) | (z >= hi_n)))
+            deep = reduce(np.logical_and, (gap > self.deep).T)
             a, z = a.astype(np.int64), z.astype(np.int64)
             if self.flat.any():
                 # Rows constant along the line: test them once per line.
                 X = self.image(P, np.clip(a, lo_n, hi_n))
                 off = ~self.inside(X, self.flat)
                 a[off], z[off] = hi_n + 1, lo_n - 1
-            first, last = np.full(len(P), lo_n), np.full(len(P), hi_n)
-            a, z = self._settle(P, a, z, self._entered, self._not_left,
-                                first, last)
+                sure |= off
+            todo = np.flatnonzero(~sure)
+            if len(todo):
+                a[todo], z[todo] = self._settle(
+                    P[todo], a[todo], z[todo], self._entered, self._not_left,
+                    np.full(len(todo), lo_n), np.full(len(todo), hi_n))
+                deep[todo] = False
             hit = a <= z
-            yield P[hit], a[hit], z[hit]
+            yield P[hit], a[hit], z[hit], deep[hit]
 
-    def interior(self, P, a, z):
+    def interior(self, P, a, z, deep):
         """The ends of each line's points with inside & ~near (the open box
-        shrunk by TOL).  That test is not monotone along the line, but its
-        points form an interval inside a..z, so settling from a and z walks
-        in to the interval's ends."""
-        first, last = a, z
+        shrunk by TOL): a and z on the deep lines, settled on the others.
+        That test is not monotone along the line, but its points form an
+        interval inside a..z, so settling from a and z walks in to the
+        interval's ends."""
+        ai, zi = a.copy(), z.copy()
         if self.flat.any():
             # A row constant along the line and near a face makes the
             # whole line near: skip the walk.
             hit = self.near(self.image(P, a), self.flat)
-            a, z = a.copy(), z.copy()
-            a[hit], z[hit] = last[hit] + 1, first[hit] - 1
-        return self._settle(P, a, z, self._inner, self._inner, first, last)
+            ai[hit], zi[hit] = z[hit] + 1, a[hit] - 1
+            deep = deep | hit
+        todo = np.flatnonzero(~deep)
+        if len(todo):
+            ai[todo], zi[todo] = self._settle(
+                P[todo], ai[todo], zi[todo], self._inner, self._inner,
+                a[todo], z[todo])
+        return ai, zi
 
 
 def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x):
@@ -238,9 +313,11 @@ def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x):
     scan = _Lines(np.asarray(basis)[:, order], lo_u[order], hi_u[order],
                   lo_x, hi_x)
     count = interior = 0
-    for P, a, z in scan.lines():
-        ai, zi = scan.interior(P, a, z)
-        g = np.gcd.reduce(np.abs(P), axis=1)
+    for P, a, z, deep in scan.lines():
+        ai, zi = scan.interior(P, a, z, deep)
+        # gcd(0, x) = |x|: the fold over no column leaves the empty
+        # prefix's 0
+        g = reduce(np.gcd, P.T, np.zeros(len(P), dtype=np.int64))
         c, i = _coprime_counts(g, np.stack([a, ai]), np.stack([z, zi]))
         count += int(c)
         interior += int(i)
@@ -254,7 +331,7 @@ def collect_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x):
     order."""
     scan = _Lines(basis, lo_u, hi_u, lo_x, hi_x)
     us = [np.empty((0, scan.basis.shape[1]), dtype=np.int64)]
-    for P, a, z in scan.lines():
+    for P, a, z, _ in scan.lines():
         lens = z - a + 1
         U = np.empty((int(lens.sum()), P.shape[1] + 1), dtype=np.int64)
         U[:, :-1] = np.repeat(P, lens, axis=0)

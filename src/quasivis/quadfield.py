@@ -697,6 +697,20 @@ def iter_ring_box(fld: FieldDesc, x_lo, x_hi, y_lo, y_hi,
             yield QuadInt.from_pq(fld, p, q)
 
 
+def ring_box_size(fld: FieldDesc, x_lo, x_hi, y_lo, y_hi) -> int:
+    """An upper bound on the (p, q) pairs iter_ring_box walks for the box
+    (bounds as there): p = x + sigma(x) and q*sqrt(d) = x - sigma(x) each
+    range over an interval as wide as w, the sum of the box's two widths,
+    so p takes at most floor(w) + 1 values and q floor(w/sqrt(d)) + 1."""
+    d = fld.d
+    w = [hi - lo for lohi in ((x_lo, x_hi), (y_lo, y_hi))
+         for lo, hi in zip(*map(as_scalar, lohi))]
+    (a, b), L = over_common_den([w[0] + w[2], w[1] + w[3]])
+    # w = (a + b*sqrt(d))/L and w/sqrt(d) = (b*d + a*sqrt(d))/(L*d)
+    return (max(floor_quad(a, b, L, d) + 1, 0)
+            * max(floor_quad(b * d, a, L * d, d) + 1, 0))
+
+
 def hammarhjelm_witness(fld: FieldDesc) -> QuadInt | None:
     """First ring element in the open-x box (1, lambda) x [-1, 1], or None."""
     if not fld.is_pid:

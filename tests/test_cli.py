@@ -261,6 +261,14 @@ TWO_VERTICES = {"kind": "polygon", "vertices": [[1, 0], [-1, 0]]}
                            "dim": 1}}),
     ("plot", {**PLOT_CFG,
               "window": {"kind": "square", "half_width": 10 ** 400}}),
+    # a window inside the float range whose volume is past it, which once
+    # raised OverflowError
+    ("density", {**DENSITY_CFG,
+                 "window": {"kind": "square", "half_width": 1e200}}),
+    # a T whose ring box cannot be indexed in int64, where the exact
+    # enumeration once ran without end
+    ("plot", {**PLOT_CFG, "T": 1e200}),
+    ("density", {**DENSITY_CFG, "T_grid": [5, 1e200]}),
 ])
 def test_config_errors_past_the_schema(tmp_path, command, bad):
     cfg = write_cfg(tmp_path / "cfg.json", bad)
@@ -272,6 +280,8 @@ def test_config_errors_past_the_schema(tmp_path, command, bad):
     assert not isinstance(res.exception, (KeyError, ValueError))
     if bad.get("T_grid") == [1e300]:
         assert "T=1e+300" in res.output
+    if 1e200 in (bad.get("T"), *bad.get("T_grid", ())):
+        assert "T=1e+200" in res.output
 
 
 CUBE1 = {"kind": "cube", "half_width": 1, "dim": 1}

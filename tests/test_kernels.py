@@ -253,3 +253,88 @@ def test_mobius_divisors_match_brute_force():
     for g in range(1, N + 1):
         want = [(e, mu[e]) for e in range(1, g + 1) if g % e == 0 and mu[e]]
         assert sorted(kernels._mobius_divisors(g)) == want, g
+
+
+def exact_face_cases(rng, count):
+    """Boxes of at most 200,000 points whose images land on the faces the
+    pointwise test compares against.  Half are dyadic: bases with entries
+    in Z, Z/2 or Z/4 and quarter-integer faces, so images are exact and the
+    estimates land on integers.  Half are decimal: bases in Z/10 and faces
+    in Z/10 moved inward by TOL, so the widened faces lo - TOL and hi + TOL
+    fall on images up to rounding, and only the rounding decides them."""
+    cases = []
+    while len(cases) < count:
+        n = int(rng.integers(2, 5))
+        decimal = len(cases) % 2
+        den = 10 if decimal else rng.choice([1, 2, 4])
+        basis = rng.integers(-9, 10, (n, n)) / den
+        if abs(np.linalg.det(basis)) < 0.1:
+            continue
+        lo_x = rng.integers(-30, 10, n) / (10 if decimal else 4)
+        hi_x = lo_x + rng.integers(0, 40, n) / (10 if decimal else 4)
+        if decimal:
+            lo_x, hi_x = lo_x + 1e-9, hi_x - 1e-9
+        lo_u, hi_u = kernels.integer_preimage_box(
+            np.linalg.inv(basis), list(zip(lo_x, hi_x)))
+        if np.prod(hi_u - lo_u + 1) <= 200_000:
+            cases.append((basis, lo_u, hi_u, lo_x, hi_x))
+    return cases
+
+
+def kernel_outputs(case):
+    """The count, its boundary tally, and the listing of a case."""
+    return (kernels.count_lattice_points_in_box(*case),
+            kernels.collect_lattice_points_in_box(*case))
+
+
+def test_margin_changes_no_result(monkeypatch):
+    """Certifying the line ends by the rounding margin gives the outputs of
+    settling every end pointwise (an infinite margin certifies none), on
+    random, face and exact-face cases.  The exact-face ones need the settle,
+    and their decimal half is where a margin too small to cover the rounding
+    changes an output."""
+    rng = np.random.default_rng(23)
+    cases = [random_case(rng, n) for n in (2, 3, 4) for _ in range(10)]
+    cases += [c[1:6] for c in face_cases()]
+    exact = exact_face_cases(rng, 200)
+    settled = []
+
+    def spy(self, P, a, *rest):
+        settled.append(len(a))
+        return settle(self, P, a, *rest)
+
+    settle = kernels._Lines._settle
+    monkeypatch.setattr(kernels._Lines, "_settle", spy)
+    got = [kernel_outputs(c) for c in cases + exact]
+    assert sum(settled) > 0
+    monkeypatch.setattr(kernels, "_MARGIN", math.inf)
+    for case, (count, (U, X, near)) in zip(cases + exact, got):
+        want_count, (want_U, want_X, want_near) = kernel_outputs(case)
+        assert count == want_count
+        assert np.array_equal(U, want_U) and np.array_equal(near, want_near)
+        assert np.array_equal(X, want_X)
+
+
+def test_coordinates_past_2_53_settle_every_end(monkeypatch):
+    """A coordinate past 2^53 does not cast to float exactly, so no end is
+    certified: every line goes to the settle, and the count is the
+    settle-everything one, which is the pointwise count."""
+    basis = np.array([[0.5, 0.25], [0.0, 1.0]])
+    lo_u, hi_u = np.array([2 ** 53 - 20, 1]), np.array([2 ** 53 + 20, 4])
+    lo_x, hi_x = np.array([2.0 ** 52 - 5.5, 0.5]), np.array([2.0 ** 52 + 7,
+                                                              4.5])
+    settled = []
+
+    def spy(self, P, a, z, ok_a, *rest):
+        settled.append((ok_a.__name__, len(a)))
+        return settle(self, P, a, z, ok_a, *rest)
+
+    settle = kernels._Lines._settle
+    monkeypatch.setattr(kernels._Lines, "_settle", spy)
+    got = kernels.count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x)
+    assert settled[0] == ("_entered", 4)
+    assert 0 < got[0] < 4 * 41
+    assert got == reference_count(basis, lo_u, hi_u, lo_x, hi_x, 1e-9, True)
+    monkeypatch.setattr(kernels, "_MARGIN", math.inf)
+    assert got == kernels.count_lattice_points_in_box(basis, lo_u, hi_u,
+                                                      lo_x, hi_x)
