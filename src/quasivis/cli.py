@@ -194,17 +194,19 @@ def cmd_density(config_path, out, method):
         cfg["method"] = method
     with _config_errors():
         desc, D = _desc_from_config(cfg)
+        try:
+            desc.scaled_window().volume()
+        except OverflowError:
+            raise ValueError(f"the volume of the {cfg['window']['kind']} "
+                             f"window lies past the float range") from None
         predicted = counting.predicted_density_hammarhjelm(desc)
         for T in cfg["T_grid"]:
             _require_indexable(desc, D, T)
     use_moebius = cfg.get("method", "direct") in ("moebius", "both")
-    reports = []
-    for T in cfg["T_grid"]:
-        rep = counting.visible_count(
-            desc, D, Fraction(str(T)),
-            method="moebius" if use_moebius else "direct",
-            predicted=predicted)
-        reports.append(rep)
+    reports = counting.visible_count(
+        desc, D, [Fraction(str(T)) for T in cfg["T_grid"]],
+        method="moebius" if use_moebius else "direct", predicted=predicted)
+    for rep in reports:
         click.echo(rep.csv_row())
     header = _header(cfg, "exact")
     out_dir = Path(out)

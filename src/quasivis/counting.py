@@ -185,41 +185,74 @@ def _in_inner_box(desc: CPSetDesc, P: np.ndarray,
     return inside
 
 
-def visible_count(desc: CPSetDesc, D, T, method: str = "direct", *,
-                  predicted: float) -> CountReport:
-    """Classify one window of the cut-and-project set and assemble a report.
+def visible_count(desc: CPSetDesc, D, T_grid, method: str = "direct", *,
+                  predicted: float) -> list[CountReport]:
+    """Classify the set in T*D for every T of T_grid and assemble one report
+    per T, in grid order.
 
-    classify decides every point at once; for a box window the integer
-    fast route decides the inner window again on the primitive points
-    independently, and identity_ok records that the two agree on each.
-    method='moebius' additionally checks both primitive counts against
-    inclusion-exclusion sums: the outer one over this same set of points,
-    the inner one over its own enumeration of the beta/lambda set.
-    predicted is the density that rel_error compares the count against."""
-    _, P, Q, keep = field_point_arrays(desc.field, D.scaled(Fraction(T)),
-                                       desc.scaled_window())
-    P, Q = P[:, keep], Q[:, keep]
-    primitive, inner = classify(desc, P, Q)
-    count_pr, count_pr_inner = int(primitive.sum()), int(inner.sum())
-    # a box window's fast route decides sigma(x) = (p - q*sqrt(d))/2 again
-    identity_ok = not isinstance(desc.window, Box) or bool(np.array_equal(
-        _in_inner_box(desc, P[:, primitive], -Q[:, primitive]),
-        inner[primitive]))
-    count_vis = count_pr - count_pr_inner
-    if method == "moebius":
-        m_outer = moebius_count_primitive(desc, D, T, points=(P, Q))
-        m_inner = moebius_count_primitive(
-            replace(desc, beta_exp=desc.beta_exp - 1), D, T)
-        identity_ok = identity_ok and m_outer == count_pr \
-            and m_inner == count_pr_inner
-    vol_td = D.scaled(Fraction(T)).volume()
-    m_t = desc.scaled_window().volume() * vol_td / desc.covolume()
-    rel = abs(count_vis / vol_td - predicted) / predicted
-    return CountReport(T=float(T), count_vis=count_vis, count_pr=count_pr,
-                       count_all=P.shape[1], vol_TD=vol_td, M_T=m_t,
-                       predicted=predicted, rel_error=rel,
-                       count_pr_inner=count_pr_inner,
-                       identity_ok=identity_ok)
+    The Ts are served in groups from one enumeration each, over the box hull
+    of their bounding boxes T*bbox(D): all of them when bbox(D) holds the
+    origin (the hull is then T_max*bbox(D)), otherwise each T alone, since a
+    hull of boxes off the origin can be far larger than the sets it serves.
+    classify decides every point of a hull once, and T*D takes its points
+    by contains_exact.  For a box window the integer fast route decides the
+    inner window again on the primitive points independently, and
+    identity_ok records that the two agree on each primitive point of T*D.
+    method='moebius' additionally checks both primitive counts at each T
+    against inclusion-exclusion sums: the outer one over the same points,
+    the inner one over the beta/lambda set, enumerated once per hull on its
+    own.  predicted is the density that rel_error compares the counts
+    against."""
+    fld = desc.field
+    Ts = [Fraction(T) for T in T_grid]
+    regions = [D.scaled(T) for T in Ts]
+    if Ts and all(lo <= 0 <= hi for lo, hi in D.bbox()):
+        groups = [range(len(Ts))]
+    else:
+        groups = [[i] for i in range(len(Ts))]
+    inner_desc = replace(desc, beta_exp=desc.beta_exp - 1)
+    vol_w = desc.scaled_window().volume()
+    reports = [None] * len(Ts)
+    for group in groups:
+        hull = Box(tuple(
+            (min(lo for lo, _ in axis), max(hi for _, hi in axis))
+            for axis in zip(*(regions[i].bbox() for i in group))))
+        _, P, Q, keep = field_point_arrays(fld, hull, desc.scaled_window())
+        P, Q = P[:, keep], Q[:, keep]
+        primitive, inner = classify(desc, P, Q)
+        # a box window's fast route decides sigma(x) = (p - q*sqrt(d))/2
+        # again on every primitive point
+        agree = np.ones_like(primitive)
+        if isinstance(desc.window, Box):
+            agree[primitive] = _in_inner_box(
+                desc, P[:, primitive], -Q[:, primitive]) == inner[primitive]
+        if method == "moebius":
+            _, Pi, Qi, keep = field_point_arrays(
+                fld, hull, inner_desc.scaled_window())
+            Pi, Qi = Pi[:, keep], Qi[:, keep]
+        for i in group:
+            T, region = Ts[i], regions[i]
+            m = region.contains_exact(P, Q, 2, fld.d)
+            count_pr = int((primitive & m).sum())
+            count_pr_inner = int((inner & m).sum())
+            identity_ok = bool(agree[m].all())
+            if method == "moebius":
+                mi = region.contains_exact(Pi, Qi, 2, fld.d)
+                m_outer = moebius_count_primitive(
+                    desc, D, T, points=(P[:, m], Q[:, m]))
+                m_inner = moebius_count_primitive(
+                    inner_desc, D, T, points=(Pi[:, mi], Qi[:, mi]))
+                identity_ok = identity_ok and m_outer == count_pr \
+                    and m_inner == count_pr_inner
+            count_vis = count_pr - count_pr_inner
+            vol_td = region.volume()
+            reports[i] = CountReport(
+                T=float(T), count_vis=count_vis, count_pr=count_pr,
+                count_all=int(m.sum()), vol_TD=vol_td,
+                M_T=vol_w * vol_td / desc.covolume(), predicted=predicted,
+                rel_error=abs(count_vis / vol_td - predicted) / predicted,
+                count_pr_inner=count_pr_inner, identity_ok=identity_ok)
+    return reports
 
 
 @dataclass

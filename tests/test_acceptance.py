@@ -125,8 +125,8 @@ def test_criterion_04_moebius_identity():
             for beta_exp in (0, -1):
                 desc = desc_for(fld, beta_exp=beta_exp)
                 for T in (5, 10, 20, 50, 100):
-                    direct = visible_count(desc, D2, T,
-                                           predicted=1.0).count_pr
+                    direct = visible_count(desc, D2, [T],
+                                           predicted=1.0)[0].count_pr
                     assert moebius_count_primitive(desc, D2, T) == direct, \
                         (fld.d, beta_exp, T)
 
@@ -135,8 +135,8 @@ def test_criterion_04_moebius_identity():
 def density_sweep():
     desc = desc_for(F2)
     predicted = predicted_density_hammarhjelm(desc)
-    reports = [visible_count(desc, D2, T, predicted=predicted)
-               for T in (50, 100, 180, 300, 400, 500)]
+    reports = visible_count(desc, D2, [50, 100, 180, 300, 400, 500],
+                            predicted=predicted)
     return desc, predicted, reports
 
 

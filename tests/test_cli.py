@@ -90,6 +90,18 @@ def test_density_outputs_and_rerun_identical(tmp_path):
     assert csv.startswith("# tool: quasivis\n")
 
 
+def test_density_stdout_rows_are_csv_rows_in_grid_order(tmp_path):
+    grid = [10, 5, 7.5, 10]
+    cfg = write_cfg(tmp_path / "cfg.json", {**DENSITY_CFG, "T_grid": grid})
+    res = runner.invoke(main, ["density", "--config", cfg, "--out",
+                               str(tmp_path / "o")])
+    assert res.exit_code == EXIT_OK, res.output
+    csv = (tmp_path / "o" / "density.csv").read_text().splitlines()
+    rows = [line for line in csv if not line.startswith("#")][1:]
+    assert res.output.splitlines() == rows
+    assert [float(row.split(",")[0]) for row in rows] == grid
+
+
 def test_density_method_override(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json",
                     {**DENSITY_CFG, "method": "direct"})
@@ -269,6 +281,9 @@ TWO_VERTICES = {"kind": "polygon", "vertices": [[1, 0], [-1, 0]]}
     # enumeration once ran without end
     ("plot", {**PLOT_CFG, "T": 1e200}),
     ("density", {**DENSITY_CFG, "T_grid": [5, 1e200]}),
+    # an octagon window whose volume is past the float range
+    ("density", {**DENSITY_CFG,
+                 "window": {"kind": "octagon", "half_width": 1e200}}),
 ])
 def test_config_errors_past_the_schema(tmp_path, command, bad):
     cfg = write_cfg(tmp_path / "cfg.json", bad)
@@ -282,6 +297,10 @@ def test_config_errors_past_the_schema(tmp_path, command, bad):
         assert "T=1e+300" in res.output
     if 1e200 in (bad.get("T"), *bad.get("T_grid", ())):
         assert "T=1e+200" in res.output
+    if bad.get("window", {}).get("half_width") == 1e200:
+        kind = bad["window"]["kind"]
+        assert res.output == (f"config error: the volume of the {kind} "
+                              f"window lies past the float range\n")
 
 
 CUBE1 = {"kind": "cube", "half_width": 1, "dim": 1}

@@ -46,6 +46,7 @@ from ideal_oracle import ideal_from_generators, ideal_moebius, principal_ideal
 
 F2, F5 = field(2), field(5)
 D2 = Box.cube(1, 2)
+SIX_T_GRID = [4, 6, Fraction(33, 4), 10, 12, 14]
 
 
 def desc_for(fld, beta_exp=0):
@@ -84,7 +85,7 @@ def direct_primitive_count(desc, D, T):
     """Points of the set in T*D whose coordinates generate the unit ideal,
     from visible_count's one batch of ideal norms; its two inner-window
     routes must agree."""
-    rep = visible_count(desc, D, T, predicted=1.0)
+    rep, = visible_count(desc, D, [T], predicted=1.0)
     assert rep.identity_ok
     return rep.count_pr
 
@@ -164,7 +165,7 @@ def test_moebius_reused_outer_set_equals_fresh_enumeration(fld, window):
     assert moebius_count_primitive(
         desc, D2, T, points=(P[:, keep].astype(object),
                              Q[:, keep].astype(object))) == fresh
-    assert fresh == visible_count(desc, D2, T, predicted=1.0).count_pr
+    assert fresh == visible_count(desc, D2, [T], predicted=1.0)[0].count_pr
 
 
 def test_visible_count_moebius_enumerates_outer_set_once(monkeypatch):
@@ -176,9 +177,11 @@ def test_visible_count_moebius_enumerates_outer_set_once(monkeypatch):
 
     monkeypatch.setattr(counting, "field_point_arrays", counting_arrays)
     desc = desc_for(F5)
-    rep = visible_count(desc, D2, 12, method="moebius", predicted=1.0)
-    assert rep.identity_ok
-    # one outer set, shared with the direct count; one beta-1 inner set
+    reps = visible_count(desc, D2, SIX_T_GRID, method="moebius",
+                         predicted=1.0)
+    assert all(rep.identity_ok for rep in reps)
+    # for the whole grid: one outer set, shared with the direct count; one
+    # beta-1 inner set
     assert calls == [desc.scaled_window(), desc.scaled_window(extra_exp=-1)]
 
 
@@ -260,8 +263,7 @@ def test_visible_count_identity_and_sandwich():
     desc = desc_for(F2)
     pred = predicted_density_hammarhjelm(desc)
     prev = 0
-    for T in (5, 10, 20, 30):
-        rep = visible_count(desc, D2, T, predicted=pred)
+    for rep in visible_count(desc, D2, [5, 10, 20, 30], predicted=pred):
         assert rep.identity_ok
         assert rep.count_vis == rep.count_pr - rep.count_pr_inner
         assert 0 <= rep.count_vis <= rep.count_pr <= rep.count_all
@@ -271,23 +273,31 @@ def test_visible_count_identity_and_sandwich():
 
 
 def test_visible_count_zero_below_first_point():
-    rep = visible_count(desc_for(F2), D2, Fraction(1, 4), predicted=1.0)
+    rep, = visible_count(desc_for(F2), D2, [Fraction(1, 4)], predicted=1.0)
     assert rep.count_vis == 0 and rep.count_pr == 0
     assert rep.count_all == 1  # the origin
 
 
 def test_visible_count_one_gcd_test_per_point(monkeypatch):
-    calls = []
+    calls, arrays = [], []
 
     def counting_ideal_norms(fld, A, B):
         calls.append(len(A[0]))
         return ideal_norms(fld, A, B)
 
+    def counting_arrays(fld, phys, internal):
+        arrays.append(phys)
+        return field_point_arrays(fld, phys, internal)
+
     monkeypatch.setattr(cutproject, "ideal_norms", counting_ideal_norms)
+    monkeypatch.setattr(counting, "field_point_arrays", counting_arrays)
     desc = desc_for(F2)
-    rep = visible_count(desc, D2, 12, predicted=1.0)
-    assert rep.identity_ok
-    assert calls == [rep.count_all]  # one call over every point, origin too
+    reps = visible_count(desc, D2, SIX_T_GRID, predicted=1.0)
+    assert all(rep.identity_ok for rep in reps)
+    # one enumeration of the hull T_max*D, and one call over every point of
+    # it, origin too
+    assert arrays == [D2.scaled(max(SIX_T_GRID))]
+    assert calls == [max(rep.count_all for rep in reps)]
 
 
 # (count_all, count_pr, count_pr_inner, count_vis) as computed by the
@@ -327,7 +337,7 @@ WINDOWS = {"square": square_window(1), "octagon": octagon_window(1),
 def test_visible_count_pinned(d, window, beta_exp, T, counts):
     desc = CPSetDesc(field=field(d), d=2, window=WINDOWS[window],
                      beta_exp=beta_exp)
-    rep = visible_count(desc, D2, Fraction(T), predicted=1.0)
+    rep, = visible_count(desc, D2, [Fraction(T)], predicted=1.0)
     assert rep.identity_ok
     assert (rep.count_all, rep.count_pr, rep.count_pr_inner,
             rep.count_vis) == counts
@@ -347,7 +357,7 @@ def test_visible_count_matches_per_point_decisions(d, window, beta_exp, T):
     desc = CPSetDesc(field=field(d), d=W.dim, window=W, beta_exp=beta_exp)
     D = Box.cube(1, W.dim)
     pts = generate(desc, D, T)
-    rep = visible_count(desc, D, T, predicted=1.0)
+    rep, = visible_count(desc, D, [T], predicted=1.0)
     assert rep.identity_ok
     assert rep.count_all == len(pts)
     primitive = [not p.is_origin and gcd_is_one(list(p.quad_coords))
@@ -361,11 +371,55 @@ def test_visible_count_matches_per_point_decisions(d, window, beta_exp, T):
     assert (got_primitive & ~inner).tolist() == visible
 
 
+# unsorted, with a repeated T and one off the integers
+SWEEP_GRID = [12, 5, Fraction(33, 4), 12, 3]
+
+
+def assert_sweep_is_single_calls(desc, D, method):
+    sweep = visible_count(desc, D, SWEEP_GRID, method, predicted=0.5)
+    assert [rep.T for rep in sweep] == [float(T) for T in SWEEP_GRID]
+    assert sweep == [visible_count(desc, D, [T], method, predicted=0.5)[0]
+                     for T in SWEEP_GRID]
+    assert all(rep.identity_ok for rep in sweep)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("window", ["square", "octagon", "disc"])
+@pytest.mark.parametrize("beta_exp", [0, -1])
+@pytest.mark.parametrize("method", ["direct", "moebius"])
+def test_sweep_equals_single_T_calls(d, window, beta_exp, method):
+    desc = CPSetDesc(field=field(d), d=2, window=WINDOWS[window],
+                     beta_exp=beta_exp)
+    assert_sweep_is_single_calls(desc, D2, method)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("method", ["direct", "moebius"])
+def test_sweep_off_the_origin_enumerates_per_T(monkeypatch, d, method):
+    """An averaging box whose bounding box misses the origin serves each T
+    from its own enumeration: the hull of all of them would be far larger
+    than the sets it serves."""
+    D = Box.make([(1, 2), (Fraction(1, 2), Fraction(3, 2))])
+    desc = CPSetDesc(field=field(d), d=2, window=square_window(1))
+    assert_sweep_is_single_calls(desc, D, method)
+    arrays = []
+
+    def counting_arrays(fld, phys, internal):
+        arrays.append(phys)
+        return field_point_arrays(fld, phys, internal)
+
+    monkeypatch.setattr(counting, "field_point_arrays", counting_arrays)
+    visible_count(desc, D, SWEEP_GRID, method, predicted=0.5)
+    per_T = [D.scaled(T) for T in SWEEP_GRID]
+    assert arrays == (per_T if method == "direct" else
+                      [box for box in per_T for _ in range(2)])
+
+
 def test_counts_independent_of_float_guard(monkeypatch):
     """Exact-path counts must not depend on any tolerance knob."""
     desc = desc_for(F2)
-    r1 = visible_count(desc, D2, 12, predicted=1.0)
-    r2 = visible_count(desc, D2, 12, predicted=1.0)
+    r1, = visible_count(desc, D2, [12], predicted=1.0)
+    r2, = visible_count(desc, D2, [12], predicted=1.0)
     assert (r1.count_vis, r1.count_pr, r1.count_all) == \
         (r2.count_vis, r2.count_pr, r2.count_all)
     assert r1.boundary_ambiguous == 0
