@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -94,10 +95,11 @@ def _config_errors():
     """Exit with EXIT_CONFIG when building objects from a checked config
     fails: an unknown region kind, a missing key, a d that is not
     squarefree in [2, 100], regions of the wrong kind or dimension, a field
-    that is not a Hammarhjelm example, a window whose volume lies past the
-    float range, a T whose ring box or random-lattice box is too large to
-    index in int64; or when an argument click does not type is rejected,
-    such as a --subspace of the wrong length or a NaN --radius."""
+    that is not a Hammarhjelm example, a window or averaging set whose
+    volume is 0 or past the float range, a T whose ring boxes or
+    random-lattice box are too large to index in int64; or when an
+    argument click does not type is rejected, such as a --subspace of the
+    wrong length or a NaN --radius."""
     try:
         yield
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -140,15 +142,16 @@ def _desc_from_config(cfg: dict):
 
 def _require_indexable(desc, D, T):
     """Reject a T at which the exact enumeration could not end: one whose
-    ring box along some axis of T*D x window holds more candidates than
-    int64 can index, the bound the kernel applies too."""
-    for (x_lo, x_hi), (y_lo, y_hi) in zip(D.scaled(Fraction(str(T))).bbox(),
-                                          desc.scaled_window().bbox()):
-        if ring_box_size(desc.field, x_lo, x_hi, y_lo,
-                         y_hi) > kernels.INT64_MAX:
-            raise ValueError(f"T={T} gives an axis of T*averaging x window "
-                             f"more ring-box candidates than int64 can "
-                             f"index")
+    per-axis ring boxes of T*D x window hold more candidate combinations,
+    the product the enumeration indexes, than int64 can index, the bound
+    the kernel applies to its integer box too."""
+    size = math.prod(ring_box_size(desc.field, *phys, *internal)
+                     for phys, internal in zip(
+                         D.scaled(Fraction(str(T))).bbox(),
+                         desc.scaled_window().bbox()))
+    if size > kernels.INT64_MAX:
+        raise ValueError(f"T={T} gives T*averaging x window more ring-box "
+                         f"candidates than int64 can index")
 
 
 @click.group()
@@ -194,11 +197,16 @@ def cmd_density(config_path, out, method):
         cfg["method"] = method
     with _config_errors():
         desc, D = _desc_from_config(cfg)
-        try:
-            desc.scaled_window().volume()
-        except OverflowError:
-            raise ValueError(f"the volume of the {cfg['window']['kind']} "
-                             f"window lies past the float range") from None
+        for key, role, region in (("window", "window", desc.scaled_window()),
+                                  ("averaging", "averaging set", D)):
+            try:
+                volume = region.volume()
+            except OverflowError:
+                raise ValueError(f"the volume of the {cfg[key]['kind']} "
+                                 f"{role} lies past the float range") from None
+            if volume == 0:
+                raise ValueError(f"the {cfg[key]['kind']} {role} has "
+                                 f"volume 0")
         predicted = counting.predicted_density_hammarhjelm(desc)
         for T in cfg["T_grid"]:
             _require_indexable(desc, D, T)

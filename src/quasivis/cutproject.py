@@ -27,7 +27,7 @@ from .quadfield import (
     int_array,
     omega_coords,
 )
-from .regions import UnitScaled
+from .regions import Box, UnitScaled
 
 
 class NotHammarhjelm(ValueError):
@@ -209,7 +209,10 @@ def strict_inclusion_witness_random(basis: np.ndarray, window, D, T: float):
     """Float-path witness search for a lattice basis in R^n: returns the
     points of Lambda(W, L_vis) \\ Lambda(W, L)_vis found in T*D, along with
     the total number of points examined; points within kernels.TOL of the
-    origin are not examined."""
+    origin are not examined.  D and the window are boxes, searched as they
+    are."""
+    if not isinstance(window, Box) or not isinstance(D, Box):
+        raise ValueError("the witness search needs box regions")
     dphys = D.dim
     bbox = [(float(lo) * T, float(hi) * T) for lo, hi in D.bbox()] + \
         [(float(lo), float(hi)) for lo, hi in window.bbox()]

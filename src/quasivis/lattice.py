@@ -1,7 +1,6 @@
 """Lattices and grids in R^n: exact enumeration of the points of O_K^dim
-with physical and internal parts in two regions, float-path enumeration of
-grid points in convex regions (points within kernels.TOL of the boundary
-flagged), covolume and Schmidt-style counting checks."""
+with physical and internal parts in two regions, covolume and
+Schmidt-style counting checks of grid points in boxes (float path)."""
 
 from __future__ import annotations
 
@@ -14,22 +13,19 @@ import numpy as np
 
 from . import kernels
 from .quadfield import FieldDesc, int_array, iter_ring_box
-from .regions import BOUNDARY
+from .regions import Box
 
 
 class HypothesisFailed(ValueError):
     def __init__(self, which: str):
         super().__init__(f"Schmidt hypothesis failed: {which}")
-        self.which = which
 
 
 @dataclass(frozen=True)
 class GridDesc:
-    """Grid basis * Z^n with an R^d x R^m splitting."""
+    """Grid basis * Z^n in R^n."""
 
     basis: np.ndarray
-    d: int
-    m: int
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=np.float64)
@@ -39,7 +35,7 @@ class GridDesc:
 
     @property
     def n(self) -> int:
-        return self.d + self.m
+        return self.basis.shape[1]
 
     def covolume(self) -> float:
         return abs(np.linalg.det(self.basis))
@@ -68,25 +64,6 @@ class GridDesc:
                 if len(chosen) == n:
                     break
         return out
-
-
-def enumerate_points(grid: GridDesc, region):
-    """All grid points in the region (float path).
-
-    Returns (preimages int array, points float array, boundary flags),
-    sorted lexicographically by preimage.  Points within kernels.TOL of the
-    region boundary are included and flagged.
-    """
-    bbox = [(float(lo), float(hi)) for lo, hi in region.bbox()]
-    inv = np.linalg.inv(grid.basis)
-    lo_u, hi_u = kernels.integer_preimage_box(inv, bbox)
-    lo_x = np.array([b[0] for b in bbox])
-    hi_x = np.array([b[1] for b in bbox])
-    U, X, _ = kernels.collect_lattice_points_in_box(
-        grid.basis, lo_u, hi_u, lo_x, hi_x)
-    status = region.contains_float(X)
-    keep = status != 0
-    return U[keep], X[keep], status[keep] == BOUNDARY
 
 
 def field_point_arrays(fld: FieldDesc, phys_region, int_region):
@@ -163,19 +140,26 @@ class SchmidtReport:
     T0: float
 
 
-def schmidt_count_check(grid: GridDesc, region, c: float,
+def schmidt_count_check(grid: GridDesc, box: Box, c: float,
                         T0: float) -> SchmidtReport:
     """Check |#(S cap L) - vol(S)/covol(L)| against the bound shape
-    c * T0^(n-1); hypotheses are verified, not assumed."""
-    if region.diameter() > T0 + 1e-9:
+    c * T0^(n-1) for a box S; hypotheses are verified, not assumed.  The
+    count is the kernel's listing of the grid points in S widened by
+    kernels.TOL."""
+    if not isinstance(box, Box):
+        raise ValueError("the Schmidt check needs a box region")
+    if box.diameter() > T0 + 1e-9:
         raise HypothesisFailed("diameter exceeds T0")
     if shortest_independent_bound(grid, grid.n) > T0 + 1e-9:
         raise HypothesisFailed(f"no {grid.n} independent vectors of length <= T0")
     if shortest_independent_bound(grid, grid.n - 1) > c + 1e-9:
         raise HypothesisFailed(f"no {grid.n - 1} independent vectors of length <= c")
-    U, X, _ = enumerate_points(grid, region)
+    bbox = [(float(lo), float(hi)) for lo, hi in box.bbox()]
+    lo_u, hi_u = kernels.integer_preimage_box(np.linalg.inv(grid.basis), bbox)
+    U, _, _ = kernels.collect_lattice_points_in_box(
+        grid.basis, lo_u, hi_u, *np.array(bbox).T)
     count = len(U)
-    expected = region.volume() / grid.covolume()
+    expected = box.volume() / grid.covolume()
     disc = abs(count - expected)
     bound = c * T0 ** (grid.n - 1)
     return SchmidtReport(count=count, expected=expected, discrepancy=disc,

@@ -7,9 +7,7 @@ point, or integer arrays of one shape for a batch (the transpose of (N, dim)
 arrays).  The region's data is brought to integers over one denominator
 once, and every bound becomes the exact sign of an integer A + B*sqrt(d)
 (plain ints for one point; for a batch int64 under a proven magnitude
-bound, Python ints past it).  Float-path membership (`contains_float`, on
-`Box` and `Ball`) reports points within kernels.TOL of the boundary
-separately so their influence can be bounded.
+bound, Python ints past it).
 """
 
 from __future__ import annotations
@@ -20,15 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-import numpy as np
-
-from .kernels import TOL
 from .quadfield import (QuadInt, int_lin, int_mul, over_common_den,
                         quad_sign_array)
-
-
-# status codes for float membership
-OUT, IN, BOUNDARY = 0, 1, 2
 
 
 def _rational(value) -> Fraction:
@@ -86,14 +77,6 @@ class Box:
                 int_lin([(-L, P[i])], den * nums[2 * i + 1]), -B, d)
             inside &= (s > 0) if self.hi_open[i] else (s >= 0)
         return inside
-
-    def contains_float(self, x: np.ndarray) -> np.ndarray:
-        lo = np.array([float(b[0]) for b in self.bounds])
-        hi = np.array([float(b[1]) for b in self.bounds])
-        inside = np.all((x >= lo - TOL) & (x <= hi + TOL), axis=-1)
-        near = np.any((np.abs(x - lo) <= TOL) | (np.abs(x - hi) <= TOL),
-                      axis=-1)
-        return np.where(inside, np.where(near, BOUNDARY, IN), OUT)
 
     def bbox(self) -> list[tuple[Fraction, Fraction]]:
         return [b for b in self.bounds]
@@ -155,14 +138,6 @@ class Ball:
                             int_lin([(-R, SB)]), d)
         return s >= 0
 
-    def contains_float(self, x: np.ndarray) -> np.ndarray:
-        c = np.array([float(v) for v in self.center])
-        r = math.sqrt(float(self.r2))
-        dist = np.linalg.norm(x - c, axis=-1)
-        inside = dist <= r + TOL
-        near = np.abs(dist - r) <= TOL
-        return np.where(inside, np.where(near, BOUNDARY, IN), OUT)
-
     def bbox(self):
         r = _frac_sqrt_upper(self.r2)
         return [(c - r, c + r) for c in self.center]
@@ -179,14 +154,12 @@ class Ball:
     def is_centrally_symmetric(self) -> bool:
         return all(c == 0 for c in self.center)
 
-    def diameter(self) -> float:
-        return 2 * math.sqrt(float(self.r2))
-
 
 def _frac_sqrt_upper(x: Fraction) -> Fraction:
-    """Rational upper bound for sqrt(x)."""
+    """Rational upper bound for sqrt(x), x >= 0: ceil(sqrt(n*den))/den for
+    x = n/den, so sqrt(x) itself when that is a rational over den."""
     n, dden = x.numerator, x.denominator
-    s = math.isqrt(n * dden) + 1
+    s = math.isqrt(n * dden - 1) + 1 if n else 0
     return Fraction(s, dden)
 
 
@@ -260,11 +233,6 @@ class Polygon:
     def is_centrally_symmetric(self) -> bool:
         vs = set(self.vertices)
         return all((-x, -y) in vs for x, y in self.vertices)
-
-    def diameter(self) -> float:
-        vs = [(float(x), float(y)) for x, y in self.vertices]
-        return max(math.hypot(a[0] - b[0], a[1] - b[1])
-                   for a in vs for b in vs)
 
 
 @dataclass(frozen=True)

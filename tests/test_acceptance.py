@@ -218,7 +218,7 @@ def _schmidt_worst_ratios(n, n_lattices, boxes_per_lattice):
     for i in range(n_lattices):
         rng = np.random.default_rng(1000 * n + i)
         basis = np.eye(n) + 0.2 * rng.standard_normal((n, n))
-        grid = GridDesc(basis=basis, d=n, m=0)
+        grid = GridDesc(basis=basis)
         worst = 0.0
         for _ in range(boxes_per_lattice):
             centers = rng.uniform(-4, 4, n)

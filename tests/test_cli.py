@@ -13,12 +13,17 @@ import pytest
 from click.testing import CliRunner
 
 import quasivis
+from quasivis import lattice
 from quasivis.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_OK,
     main,
 )
+from quasivis.cutproject import CPSetDesc
+from quasivis.kernels import INT64_MAX
+from quasivis.quadfield import field, ring_box_size
+from quasivis.regions import Box, square_window
 
 runner = CliRunner()
 
@@ -206,6 +211,7 @@ CW_SQUARE = {"kind": "polygon", "vertices": [[1, 0], [0, -1], [-1, 0], [0, 1]]}
 NONCONVEX_HEXAGON = {"kind": "polygon", "vertices": [
     [3, 0], [1, 1], [0, 3], [-3, 0], [-1, -1], [0, -3]]}
 TWO_VERTICES = {"kind": "polygon", "vertices": [[1, 0], [-1, 0]]}
+FLAT_BOX = {"kind": "box", "bounds": [[0, 0], [-1, 1]]}
 
 
 @pytest.mark.parametrize("command,bad", [
@@ -284,6 +290,10 @@ TWO_VERTICES = {"kind": "polygon", "vertices": [[1, 0], [-1, 0]]}
     # an octagon window whose volume is past the float range
     ("density", {**DENSITY_CFG,
                  "window": {"kind": "octagon", "half_width": 1e200}}),
+    # a window or averaging set of volume 0, which once ended in a
+    # ZeroDivisionError
+    ("density", {**DENSITY_CFG, "averaging": FLAT_BOX}),
+    ("density", {**DENSITY_CFG, "window": FLAT_BOX}),
 ])
 def test_config_errors_past_the_schema(tmp_path, command, bad):
     cfg = write_cfg(tmp_path / "cfg.json", bad)
@@ -301,6 +311,10 @@ def test_config_errors_past_the_schema(tmp_path, command, bad):
         kind = bad["window"]["kind"]
         assert res.output == (f"config error: the volume of the {kind} "
                               f"window lies past the float range\n")
+    for key, role in (("window", "window"), ("averaging", "averaging set")):
+        if bad.get(key) == FLAT_BOX:
+            assert res.output == (f"config error: the box {role} has "
+                                  f"volume 0\n")
 
 
 CUBE1 = {"kind": "cube", "half_width": 1, "dim": 1}
@@ -519,6 +533,32 @@ def test_random_degenerate_box_rejected(tmp_path, monkeypatch, region):
     assert len(res.output.splitlines()) == 1
     assert not [w for w in caught if w.category is RuntimeWarning]
     assert not (tmp_path / "o").exists()
+
+
+def test_plot_T_past_the_product_bound_rejected(tmp_path, monkeypatch):
+    """At T = 1e6 each axis of T*averaging x window holds fewer ring-box
+    candidates than int64 can index, but their product, which the
+    enumeration indexes, holds more: one config error naming T, raised
+    before the enumeration starts."""
+    # PLOT_CFG's set: the square window and the averaging cube, both of
+    # half-width 1, in Q(sqrt2)^2
+    desc = CPSetDesc(field=field(2), d=2, window=square_window(1))
+    sizes = [ring_box_size(desc.field, *phys, *internal)
+             for phys, internal in zip(Box.cube(10 ** 6, 2).bbox(),
+                                       desc.scaled_window().bbox())]
+    assert max(sizes) <= INT64_MAX < math.prod(sizes)
+
+    def unreachable(*args):
+        raise AssertionError("the enumeration was reached")
+
+    monkeypatch.setattr(lattice, "field_point_arrays", unreachable)
+    cfg = write_cfg(tmp_path / "cfg.json", {**PLOT_CFG, "T": 1e6})
+    res = runner.invoke(main, ["plot", "--config", cfg,
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_CONFIG, res.output
+    assert res.output == ("config error: T=1000000.0 gives T*averaging x "
+                          "window more ring-box candidates than int64 can "
+                          "index\n")
 
 
 def test_version_flag():

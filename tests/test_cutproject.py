@@ -20,7 +20,13 @@ from quasivis.cutproject import (
     visible_oracle,
 )
 from quasivis.quadfield import QuadInt, field, fundamental_unit
-from quasivis.regions import Box, octagon_window, square_window
+from quasivis.regions import (
+    Ball,
+    Box,
+    disc_window,
+    octagon_window,
+    square_window,
+)
 
 F2, F5 = field(2), field(5)
 D2 = Box.cube(1, 2)
@@ -342,6 +348,18 @@ def test_strict_inclusion_random_lattices_empty():
             g, Box.cube(1, 1), Box.cube(1, 2), T=20.0)
         assert w == []
         assert examined > 100
+
+
+@pytest.mark.parametrize("window,D", [
+    (Box.cube(1, 1), disc_window(1)),
+    (Ball.make((0,), 1), Box.cube(1, 2)),
+], ids=["disc-D", "ball-window"])
+def test_strict_inclusion_random_needs_boxes(window, D):
+    """The float search reads the regions as boxes, so it takes boxes only:
+    a disc D was once searched as its bounding square."""
+    g = np.eye(3)
+    with pytest.raises(ValueError, match="needs box regions"):
+        strict_inclusion_witness_random(g, window, D, T=20.0)
 
 
 @pytest.mark.parametrize("d", [2, 3])  # N(lambda) = -1 and +1

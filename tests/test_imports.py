@@ -4,7 +4,8 @@ referenced in it, every public top-level function or class is reached from
 the CLI, the acceptance criteria or the benchmark, every public method of
 a reached class is read by name there, every parameter default is
 overridden by some caller, and the third-party
-packages it imports are the ones pyproject.toml declares.  AST scans of
+packages it imports are the ones pyproject.toml declares; regions imports
+from the package only quadfield, and no numpy.  AST scans of
 src/quasivis/*.py, and of tests/*.py for unused imports; __init__.py is
 left out of the unused-import scan and of the roots, since its imports are
 re-exports.  The reachability checks
@@ -346,3 +347,37 @@ def test_imports_match_declared_dependencies():
     used = set().union(*(third_party_imports(p.read_text())
                          for p in SRC.glob("*.py")))
     assert used == declared_dependencies(PYPROJECT.read_text())
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules the module imports, anywhere in it: x for
+    `from .x import ...`, `from . import x` and `from quasivis.x import
+    ...`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0:
+            if module.split(".")[0] != "quasivis":
+                continue
+            module = module.partition(".")[2]
+        names |= ({module.split(".")[0]} if module
+                  else {a.name for a in node.names})
+    return names
+
+
+def test_scan_finds_package_imports():
+    assert package_imports(
+        "import numpy as np\nfrom fractions import Fraction\n"
+        "from . import kernels\nfrom .quadfield import QuadInt\n"
+        "from quasivis.lattice import GridDesc\n") \
+        == {"kernels", "quadfield", "lattice"}
+
+
+def test_regions_is_exact_geometry_only():
+    """regions builds on quadfield alone and imports no numpy, so no float
+    path (the counting kernel, its TOL) reaches the exact geometry."""
+    source = (SRC / "regions.py").read_text()
+    assert package_imports(source) == {"quadfield"}
+    assert "numpy" not in third_party_imports(source)

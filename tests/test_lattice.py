@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasivis.cutproject import CPSetDesc
+from quasivis.kernels import (collect_lattice_points_in_box,
+                              integer_preimage_box)
 from quasivis.lattice import (
     GridDesc,
     HypothesisFailed,
     box_reduced_basis,
     enumerate_field_points_exact,
-    enumerate_points,
     schmidt_count_check,
     shortest_independent_bound,
 )
@@ -41,7 +42,7 @@ import region_oracle
 from region_oracle import as_ints
 
 F2 = field(2)
-Z2 = GridDesc(basis=np.eye(2), d=2, m=0)
+Z2 = GridDesc(basis=np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +66,17 @@ def test_ball_exact_membership_quadratic_point():
     assert ball.contains_exact(*as_ints((half2, half2)), 2)
     just_out = (Fraction(1, 100) , Fraction(1, 2))
     assert not ball.contains_exact(*as_ints((just_out, half2)), 2)
+
+
+@pytest.mark.parametrize("r2", [1, 4, Fraction(1, 4), 2, Fraction(7, 3)])
+def test_ball_bbox_is_the_ceiling_over_the_denominator(r2):
+    """The bbox half-width is s/den for r2 = n/den and the least s with
+    sqrt(n*den) <= s: the radius itself when r2 is a rational square."""
+    n, den = Fraction(r2).numerator, Fraction(r2).denominator
+    lo, hi = disc_window(r2).bbox()[0]
+    s = hi * den
+    assert lo == -hi and s.denominator == 1
+    assert (s - 1) ** 2 < n * den <= s ** 2
 
 
 def test_polygon_octagon_symmetry_and_area():
@@ -146,13 +158,6 @@ def test_unit_scaled_rejects_non_unit_or_negative(a, b):
     mult = QuadInt(F2, a, b)
     with pytest.raises(ValueError):
         UnitScaled(square_window(1), mult)
-
-
-def test_float_membership_boundary_flags():
-    b = Box.cube(1, 2)
-    pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.1, 0.0], [1.0 - 1e-12, 0.5]])
-    status = b.contains_float(pts)
-    assert list(status) == [1, 2, 0, 2]
 
 
 # Membership, for a batch and for each point alone, against the Fraction
@@ -284,19 +289,6 @@ def test_contains_exact_batch_huge_coordinates(name, d, data):
 # enumeration
 
 
-def test_enumerate_unit_disc_z2():
-    U, X, bnd = enumerate_points(Z2, disc_window(1))
-    assert len(U) == 5
-    assert sorted(map(tuple, U)) == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
-
-
-def test_enumerate_empty_region():
-    # [1/3, 2/3] x [0, 1] holds no integer first coordinate
-    U, X, _ = enumerate_points(Z2, Box.make([(Fraction(1, 3), Fraction(2, 3)),
-                                             (0, 1)]))
-    assert len(U) == 0
-
-
 def minkowski_basis(fld, dim):
     """The float basis of the dim-fold Minkowski lattice of (x, sigma(x)):
     columns (a_1, b_1, ..., a_dim, b_dim) for x_i = a_i + b_i*omega, rows
@@ -315,14 +307,14 @@ def test_covolume_matches_float_determinant(d, dim):
     """CPSetDesc.covolume, sqrt(disc)^dim, against the determinant of the
     float Minkowski basis."""
     desc = CPSetDesc(field=field(d), d=dim, window=Box.cube(1, dim))
-    det = GridDesc(basis=minkowski_basis(field(d), dim), d=dim, m=dim)
+    det = GridDesc(basis=minkowski_basis(field(d), dim))
     assert desc.covolume() == pytest.approx(det.covolume(), rel=1e-12)
     if (d, dim) == (2, 2):
         assert desc.covolume() == 8.0  # sqrt(8)^2
 
 
 def test_covolume_examples():
-    assert GridDesc(basis=np.diag([2.0, 3.0]), d=2, m=0).covolume() == \
+    assert GridDesc(basis=np.diag([2.0, 3.0])).covolume() == \
         pytest.approx(6.0)
 
 
@@ -391,7 +383,18 @@ def test_exact_enumeration_matches_scalar_scan(d, phys_name, window_name,
     assert set(got) == want
 
 
+def box_listing(basis, box):
+    """The kernel's listing of the points basis @ u in the box, over the
+    integer box integer_preimage_box covers it with."""
+    bbox = [(float(lo), float(hi)) for lo, hi in box.bbox()]
+    lo_u, hi_u = integer_preimage_box(np.linalg.inv(basis), bbox)
+    return collect_lattice_points_in_box(basis, lo_u, hi_u,
+                                         *np.array(bbox).T)
+
+
 def test_linear_equivariance_diagonal():
+    """Scaling the grid by a diagonal map and the box with it lists the
+    same preimages, at the scaled points."""
     rng = np.random.default_rng(5)
     for _ in range(10):
         scale = rng.uniform(0.5, 2.0, size=2)
@@ -401,9 +404,8 @@ def test_linear_equivariance_diagonal():
                          (Fraction(-1) * Fraction(str(round(scale[1], 6))),
                           Fraction(2) * Fraction(str(round(scale[1], 6))))])
         s = np.array([float(round(v, 6)) for v in scale])
-        gl = GridDesc(basis=np.diag(s), d=2, m=0)
-        U1, X1, _ = enumerate_points(gl, gbox)
-        U2, X2, _ = enumerate_points(Z2, box)
+        U1, X1, _ = box_listing(np.diag(s), gbox)
+        U2, X2, _ = box_listing(np.eye(2), box)
         assert sorted(map(tuple, U1)) == sorted(map(tuple, U2))
         assert np.allclose(sorted(map(tuple, X1)),
                            [tuple(s * u) for u in sorted(map(tuple, U2))],
@@ -477,9 +479,14 @@ def test_schmidt_hypothesis_failures():
         schmidt_count_check(Z2, small, c=0.5, T0=1.0)  # no short basis <= c
 
 
+def test_schmidt_needs_a_box():
+    with pytest.raises(ValueError, match="needs a box"):
+        schmidt_count_check(Z2, disc_window(1), c=2.0, T0=4.0)
+
+
 def test_schmidt_one_dimensional_grid():
     # n - 1 = 0 short vectors are asked for: the empty set satisfies that
-    line = GridDesc(basis=np.eye(1), d=1, m=0)
+    line = GridDesc(basis=np.eye(1))
     rep = schmidt_count_check(line, Box.make([(F(-5, 4), F(5, 4))]),
                               c=2.0, T0=4.0)
     assert rep.count == 3
@@ -516,8 +523,7 @@ def test_independent_lengths_match_scalar_scan(n):
     # from the per-vector ones in the last bits
     for i in range(20):
         rng = np.random.default_rng(1000 * n + i)
-        grid = GridDesc(basis=np.eye(n) + 0.2 * rng.standard_normal((n, n)),
-                        d=n, m=0)
+        grid = GridDesc(basis=np.eye(n) + 0.2 * rng.standard_normal((n, n)))
         assert len(grid.independent_lengths) == n
         for count in range(n + 2):
             want = reference_independent_bound(grid, count)
