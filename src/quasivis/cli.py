@@ -261,7 +261,7 @@ def cmd_plot(config_path, field_d, out):
         desc, D = _desc_from_config(cfg)
         _require_indexable(desc, D, cfg["T"])
     pts = cutproject.generate(desc, D, Fraction(str(cfg["T"])))
-    primitive, inner = cutproject.classify(desc, *pts.arrays)
+    primitive, inner = cutproject.classify(desc, pts.grid)
     vis = primitive & ~inner
     (out_dir / "points.svg").write_text(svgplot.svg_scatter(pts, vis))
     (out_dir / "points.csv").write_text(cutproject.points_to_csv(pts, vis))

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import kernels
 from .cutproject import CPSetDesc, classify
-from .lattice import box_reduced_basis, field_point_arrays
+from .lattice import AxisGrid, box_reduced_basis, field_point_arrays
 from .quadfield import (
     ZETA_TOL,
     as_scalar,
@@ -123,7 +123,8 @@ def moebius_count_primitive(desc: CPSetDesc, D, T, *, points=None) -> int:
     sum_g mu(g) * #(nonzero points of Lambda(beta*W, L_g) in T*D).
 
     points, if given, is the (P, Q) pair of axis-first integer arrays of
-    that set (field_point_arrays' columns); otherwise it is enumerated here.
+    that set (the columns of field_point_arrays' grid); otherwise it is
+    enumerated here.
     g | x implies N(g) | G(x) = gcd_i N(x_i), so a g whose norm divides no
     point's G has an empty term and is skipped before its mu is computed;
     the others are tested on the points with N(g) | G only.  Terms beyond
@@ -131,9 +132,9 @@ def moebius_count_primitive(desc: CPSetDesc, D, T, *, points=None) -> int:
     desc.require_hammarhjelm()
     fld = desc.field
     if points is None:
-        _, P, Q, keep = field_point_arrays(
+        _, grid = field_point_arrays(
             fld, D.scaled(Fraction(T)), desc.scaled_window())
-        points = P[:, keep], Q[:, keep]
+        points = grid.columns()
     P, Q = points
     G = _norm_gcd(fld.d, P, Q)
     # the nonzero columns sorted by G, so that each value of G is one slice
@@ -163,26 +164,28 @@ def moebius_count_primitive(desc: CPSetDesc, D, T, *, points=None) -> int:
     return total
 
 
-def _in_inner_box(desc: CPSetDesc, P: np.ndarray,
-                  Q: np.ndarray) -> np.ndarray:
-    """Fast route for a box window W: sigma(x) = (P + Q*sqrt(d))/2, one
-    column per point, lies in lambda^(beta_exp-1)*W iff mult*sigma(x) lies
-    in W, mult = lambda^(1-beta_exp), tested in integers against the box
-    bounds over one common denominator L."""
+def _in_inner_box(desc: CPSetDesc, grid: AxisGrid) -> np.ndarray:
+    """Fast route for a box window W, per column x of the grid: sigma(x)
+    lies in lambda^(beta_exp-1)*W iff mult*sigma(x) lies in W, mult =
+    lambda^(1-beta_exp), tested in integers against the box bounds over one
+    common denominator L, once per axis candidate."""
     box, d = desc.window, desc.field.d
     mult = desc.unit_power(1 - desc.beta_exp)
     bounds = [b for lohi in box.bounds for b in lohi]
     L = math.lcm(*(b.denominator for b in bounds))
-    inside = np.ones(P.shape[1], dtype=bool)
+    axis_masks = []
     for i, (lo, hi) in enumerate(box.bounds):
-        # 4*L*mult*sigma(x_i) = A + B*sqrt(d), with mult = (p + q*sqrt(d))/2
-        A = int_lin([(L * mult.p, P[i]), (L * mult.q * d, Q[i])])
-        B = int_lin([(L * mult.q, P[i]), (L * mult.p, Q[i])])
+        # sigma(x_i) = (P - Q*sqrt(d))/2, and 4*L*mult*sigma(x_i) = A +
+        # B*sqrt(d), with mult = (p + q*sqrt(d))/2
+        P, Q = grid.p[i], -grid.q[i]
+        A = int_lin([(L * mult.p, P), (L * mult.q * d, Q)])
+        B = int_lin([(L * mult.q, P), (L * mult.p, Q)])
         s = quad_sign_array(int_lin([(1, A)], -int(4 * L * lo)), B, d)
-        inside &= (s > 0) if box.lo_open[i] else (s >= 0)
+        inside = (s > 0) if box.lo_open[i] else (s >= 0)
         s = quad_sign_array(int_lin([(-1, A)], int(4 * L * hi)), -B, d)
         inside &= (s > 0) if box.hi_open[i] else (s >= 0)
-    return inside
+        axis_masks.append(inside)
+    return grid.gather(axis_masks)
 
 
 def visible_count(desc: CPSetDesc, D, T_grid, method: str = "direct", *,
@@ -195,14 +198,17 @@ def visible_count(desc: CPSetDesc, D, T_grid, method: str = "direct", *,
     origin (the hull is then T_max*bbox(D)), otherwise each T alone, since a
     hull of boxes off the origin can be far larger than the sets it serves.
     classify decides every point of a hull once, and T*D takes its points
-    by contains_exact.  For a box window the integer fast route decides the
-    inner window again on the primitive points independently, and
-    identity_ok records that the two agree on each primitive point of T*D.
-    method='moebius' additionally checks both primitive counts at each T
-    against inclusion-exclusion sums: the outer one over the same points,
-    the inner one over the beta/lambda set, enumerated once per hull on its
-    own.  predicted is the density that rel_error compares the counts
-    against."""
+    by exact membership.  Every region test (the hull's two filters, the
+    inner window, each T*D) runs once per axis candidate and is gathered
+    through the grid when its region is a product of 1-D sets (a box, a
+    unit-scaled box); a Ball, a Polygon or a product holding one is tested
+    on the columns.  For a box window the integer fast route decides the
+    inner window again, per axis on its own, and identity_ok records that
+    the two agree on each primitive point of T*D.  method='moebius'
+    additionally checks both primitive counts at each T against
+    inclusion-exclusion sums: the outer one over the same points, the inner
+    one over the beta/lambda set, enumerated once per hull on its own.
+    predicted is the density that rel_error compares the counts against."""
     fld = desc.field
     Ts = [Fraction(T) for T in T_grid]
     regions = [D.scaled(T) for T in Ts]
@@ -217,31 +223,28 @@ def visible_count(desc: CPSetDesc, D, T_grid, method: str = "direct", *,
         hull = Box(tuple(
             (min(lo for lo, _ in axis), max(hi for _, hi in axis))
             for axis in zip(*(regions[i].bbox() for i in group))))
-        _, P, Q, keep = field_point_arrays(fld, hull, desc.scaled_window())
-        P, Q = P[:, keep], Q[:, keep]
-        primitive, inner = classify(desc, P, Q)
-        # a box window's fast route decides sigma(x) = (p - q*sqrt(d))/2
-        # again on every primitive point
+        _, grid = field_point_arrays(fld, hull, desc.scaled_window())
+        primitive, inner = classify(desc, grid)
+        # a box window's fast route decides sigma(x) again on every
+        # primitive point
         agree = np.ones_like(primitive)
         if isinstance(desc.window, Box):
-            agree[primitive] = _in_inner_box(
-                desc, P[:, primitive], -Q[:, primitive]) == inner[primitive]
+            agree = ~primitive | (_in_inner_box(desc, grid) == inner)
         if method == "moebius":
-            _, Pi, Qi, keep = field_point_arrays(
+            _, inner_grid = field_point_arrays(
                 fld, hull, inner_desc.scaled_window())
-            Pi, Qi = Pi[:, keep], Qi[:, keep]
         for i in group:
             T, region = Ts[i], regions[i]
-            m = region.contains_exact(P, Q, 2, fld.d)
+            m = grid.mask(region, fld.d)
             count_pr = int((primitive & m).sum())
             count_pr_inner = int((inner & m).sum())
             identity_ok = bool(agree[m].all())
             if method == "moebius":
-                mi = region.contains_exact(Pi, Qi, 2, fld.d)
                 m_outer = moebius_count_primitive(
-                    desc, D, T, points=(P[:, m], Q[:, m]))
+                    desc, D, T, points=grid.columns(m))
                 m_inner = moebius_count_primitive(
-                    inner_desc, D, T, points=(Pi[:, mi], Qi[:, mi]))
+                    inner_desc, D, T, points=inner_grid.columns(
+                        inner_grid.mask(region, fld.d)))
                 identity_ok = identity_ok and m_outer == count_pr \
                     and m_inner == count_pr_inner
             count_vis = count_pr - count_pr_inner

@@ -16,7 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .lattice import box_reduced_basis, enumerate_field_points_exact
+from .lattice import (AxisGrid, box_reduced_basis,
+                      enumerate_field_points_exact)
 from .quadfield import (
     FieldDesc,
     QuadInt,
@@ -116,7 +117,7 @@ class CPPoint:
 
 class PointSet(tuple):
     """An immutable tuple of CPPoints in dim coordinates that indexes its
-    rays and builds its (P, Q) arrays once."""
+    rays and builds its identity AxisGrid once."""
 
     def __new__(cls, points, dim: int):
         self = super().__new__(cls, points)
@@ -134,12 +135,11 @@ class PointSet(tuple):
         return out
 
     @cached_property
-    def arrays(self) -> tuple:
-        """(P, Q) of shape (dim, N), the layout of field_point_arrays:
-        column j holds point j, x_i = (P[i] + Q[i]*sqrt(d))/2."""
+    def grid(self) -> AxisGrid:
+        """The identity AxisGrid of the points: column j is point j."""
         axes = [[p.quad_coords[i] for p in self] for i in range(self.dim)]
-        return (int_array([[x.p for x in a] for a in axes]),
-                int_array([[x.q for x in a] for a in axes]))
+        return AxisGrid.of_columns(int_array([[x.p for x in a] for a in axes]),
+                                   int_array([[x.q for x in a] for a in axes]))
 
 
 def generate(desc: CPSetDesc, D, T) -> PointSet:
@@ -148,18 +148,19 @@ def generate(desc: CPSetDesc, D, T) -> PointSet:
         desc.field, D.scaled(Fraction(T)), desc.scaled_window())), desc.d)
 
 
-def classify(desc: CPSetDesc, P: np.ndarray, Q: np.ndarray) -> tuple:
-    """Hammarhjelm's characterization on the points x_i = (P[i] +
-    Q[i]*sqrt(d))/2, one column each: masks of the points whose coordinates
-    generate O_K (not the origin) and of the primitive ones with sigma(x) in
-    the closed window (1/lambda)*beta*W.  Visible is primitive & ~inner."""
+def classify(desc: CPSetDesc, grid: AxisGrid) -> tuple:
+    """Hammarhjelm's characterization on the columns of an AxisGrid: masks
+    of the points whose coordinates generate O_K (not the origin) and of
+    the primitive ones with sigma(x) in the closed window
+    (1/lambda)*beta*W.  Visible is primitive & ~inner.  The ideal norms are
+    per column; a window that is a product of 1-D sets (a box) is decided
+    once per axis candidate, any other on the primitive columns."""
     desc.require_hammarhjelm()
     fld = desc.field
-    primitive = ideal_norms(fld, *omega_coords(fld, P, Q)) == 1
+    primitive = ideal_norms(fld, *omega_coords(fld, *grid.columns())) == 1
     inner = np.zeros_like(primitive)
-    # sigma(x) = (p - q*sqrt(d))/2 for x = (p + q*sqrt(d))/2
-    inner[primitive] = desc.inner_window.contains_exact(
-        P[:, primitive], -Q[:, primitive], 2, fld.d)
+    inner[primitive] = grid.mask(desc.inner_window, fld.d, conjugate=True,
+                                 cols=primitive)
     return primitive, inner
 
 
@@ -198,8 +199,8 @@ def strict_inclusion_witness(desc: CPSetDesc, D, T) -> list[CPPoint]:
     point y is visible in L iff its integer coordinate vector, the
     omega-coordinates of x, is primitive over Z."""
     pts = generate(desc, D, T)
-    P, Q = pts.arrays
-    primitive, inner = classify(desc, P, Q)
+    P, Q = pts.grid.columns()
+    primitive, inner = classify(desc, pts.grid)
     z_primitive = np.gcd.reduce(
         np.concatenate(omega_coords(desc.field, P, Q)), axis=0) == 1
     return [p for p, w in zip(pts, z_primitive & (inner | ~primitive)) if w]

@@ -1,6 +1,7 @@
 """Lattices and grids in R^n: exact enumeration of the points of O_K^dim
-with physical and internal parts in two regions, covolume and
-Schmidt-style counting checks of grid points in boxes (float path)."""
+with physical and internal parts in two regions, as per-axis candidates and
+an index grid (AxisGrid), covolume and Schmidt-style counting checks of
+grid points in boxes (float path)."""
 
 from __future__ import annotations
 
@@ -8,12 +9,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
 from .quadfield import FieldDesc, int_array, iter_ring_box
-from .regions import Box
+from .regions import Box, axis_factors
 
 
 class HypothesisFailed(ValueError):
@@ -66,29 +68,78 @@ class GridDesc:
         return out
 
 
+class AxisGrid(NamedTuple):
+    """Points of O_K^dim in grid form.  Axis i has the candidates
+    (p[i] + q[i]*sqrt(d))/2, integer arrays, and column j of the index grid
+    idx, shape (dim, N), is the point whose coordinate i is candidate
+    idx[i, j] of axis i.  A plain column set is the grid whose index is
+    arange(N) on every axis (of_columns)."""
+
+    p: list
+    q: list
+    idx: np.ndarray
+
+    @staticmethod
+    def of_columns(P, Q) -> "AxisGrid":
+        """The grid of the columns x_i = (P[i] + Q[i]*sqrt(d))/2."""
+        N = P.shape[1]
+        return AxisGrid(list(P), list(Q),
+                        np.broadcast_to(np.arange(N), (len(P), N)))
+
+    def columns(self, cols=slice(None)) -> tuple:
+        """(P, Q) of shape (dim, N') for the selected columns (all by
+        default; an index or a mask)."""
+        idx = self.idx[:, cols]
+        return (np.stack([a[k] for a, k in zip(self.p, idx)]),
+                np.stack([a[k] for a, k in zip(self.q, idx)]))
+
+    def gather(self, axis_masks, cols=slice(None)) -> np.ndarray:
+        """Per selected column, the AND of its candidates' axis masks."""
+        idx = self.idx[:, cols]
+        out = np.ones(idx.shape[1], dtype=bool)
+        for mask, k in zip(axis_masks, idx):
+            out &= mask[k]
+        return out
+
+    def mask(self, region, d: int, *, conjugate: bool = False,
+             cols=slice(None)) -> np.ndarray:
+        """Exact membership in region of the selected columns x, or of
+        sigma(x) = (P - Q*sqrt(d))/2 when conjugate.  A region that is a
+        product of 1-D sets (regions.axis_factors) tests each axis's
+        candidates once and gathers; any other region tests the columns."""
+        factors = axis_factors(region)
+        if factors is None:
+            P, Q = self.columns(cols)
+            return region.contains_exact(P, -Q if conjugate else Q, 2, d)
+        qs = [-q for q in self.q] if conjugate else self.q
+        return self.gather([f.contains_exact([p], [q], 2, d) for f, p, q
+                            in zip(factors, self.p, qs)], cols)
+
+
 def field_point_arrays(fld: FieldDesc, phys_region, int_region):
     """Exact filter of the points x of O_K^dim (dim the regions' dimension)
     with physical part x in phys_region and internal part sigma(x) in
     int_region (regions with rational data).  Returns the per-axis
-    candidates (from Minkowski boxes), integer arrays P, Q of shape (dim, N)
-    with one column per combination in itertools.product order, x_i =
-    (P[i] + Q[i]*sqrt(d))/2, and the mask keep of those in both regions."""
+    candidates (QuadInts, from Minkowski boxes) and the AxisGrid of the
+    points kept, columns in itertools.product order.  Both regions are
+    decided per axis when they are products of 1-D sets (boxes, unit-scaled
+    boxes, products of those), otherwise on every column of the hull."""
     axes = [list(iter_ring_box(fld, *phys, *internal)) for phys, internal
             in zip(phys_region.bbox(), int_region.bbox())]
     # row i of idx: the axis-i candidate of each combination, product order
-    idx = np.indices([len(a) for a in axes]).reshape(len(axes), -1)
-    P = np.stack([int_array([x.p for x in a])[k] for a, k in zip(axes, idx)])
-    Q = np.stack([int_array([x.q for x in a])[k] for a, k in zip(axes, idx)])
-    # x = (p + q*sqrt(d))/2 and its conjugate (p - q*sqrt(d))/2
-    keep = (phys_region.contains_exact(P, Q, 2, fld.d)
-            & int_region.contains_exact(P, -Q, 2, fld.d))
-    return axes, P, Q, keep
+    grid = AxisGrid([int_array([x.p for x in a]) for a in axes],
+                    [int_array([x.q for x in a]) for a in axes],
+                    np.indices([len(a) for a in axes]).reshape(len(axes), -1))
+    keep = (grid.mask(phys_region, fld.d)
+            & grid.mask(int_region, fld.d, conjugate=True))
+    return axes, grid._replace(idx=grid.idx[:, keep])
 
 
 def enumerate_field_points_exact(fld: FieldDesc, phys_region, int_region):
     """The points field_point_arrays keeps, as QuadInt tuples in its order."""
-    axes, _, _, keep = field_point_arrays(fld, phys_region, int_region)
-    yield from itertools.compress(itertools.product(*axes), keep)
+    axes, grid = field_point_arrays(fld, phys_region, int_region)
+    yield from zip(*(map(a.__getitem__, k.tolist())
+                     for a, k in zip(axes, grid.idx)))
 
 
 def box_reduced_basis(basis: np.ndarray, widths: np.ndarray) -> np.ndarray:

@@ -302,6 +302,24 @@ class UnitScaled:
         return self.base.volume() * float(self.inv) ** self.dim
 
 
+def axis_factors(region):
+    """The 1-D regions, one per axis, whose product is region, when it is
+    one: a Box splits into its sides, each with its own open flags, a
+    UnitScaled region into the unit-scaled factors of its base, a Product
+    into the factors of its parts.  None for any other region (a Ball, a
+    Polygon, a product holding one), whose membership is no per-axis test."""
+    if isinstance(region, Box):
+        return [Box((b,), (lo,), (hi,)) for b, lo, hi
+                in zip(region.bounds, region.lo_open, region.hi_open)]
+    if isinstance(region, UnitScaled):
+        base = axis_factors(region.base)
+        return base and [UnitScaled(b, region.mult) for b in base]
+    if isinstance(region, Product):
+        left, right = axis_factors(region.left), axis_factors(region.right)
+        return left and right and left + right
+    return None
+
+
 def square_window(half_width=1) -> Box:
     return Box.cube(half_width, 2)
 

@@ -1,11 +1,14 @@
 """Density counting: Moebius/direct equivalence, the visible-count identity,
 rate fitting and the random-lattice experiment."""
 
+import json
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quasivis import counting, cutproject
@@ -40,7 +43,14 @@ from quasivis.quadfield import (
     iter_ring_box,
     omega_coords,
 )
-from quasivis.regions import Box, disc_window, octagon_window, square_window
+from quasivis.regions import (
+    Ball,
+    Box,
+    UnitScaled,
+    disc_window,
+    octagon_window,
+    square_window,
+)
 
 from ideal_oracle import ideal_from_generators, ideal_moebius, principal_ideal
 
@@ -156,15 +166,14 @@ def test_moebius_matches_ideal_route(d, dim, window, T, beta_exp):
 def test_moebius_reused_outer_set_equals_fresh_enumeration(fld, window):
     desc = CPSetDesc(field=fld, d=2, window=WINDOWS[window])
     T = 15
-    _, P, Q, keep = field_point_arrays(desc.field, D2.scaled(T),
-                                       desc.scaled_window())
+    _, grid = field_point_arrays(desc.field, D2.scaled(T),
+                                 desc.scaled_window())
+    P, Q = grid.columns()
     fresh = moebius_count_primitive(desc, D2, T)
-    assert moebius_count_primitive(desc, D2, T,
-                                   points=(P[:, keep], Q[:, keep])) == fresh
+    assert moebius_count_primitive(desc, D2, T, points=(P, Q)) == fresh
     # the same sum on Python ints, as past the int64 guard
     assert moebius_count_primitive(
-        desc, D2, T, points=(P[:, keep].astype(object),
-                             Q[:, keep].astype(object))) == fresh
+        desc, D2, T, points=(P.astype(object), Q.astype(object))) == fresh
     assert fresh == visible_count(desc, D2, [T], predicted=1.0)[0].count_pr
 
 
@@ -183,6 +192,64 @@ def test_visible_count_moebius_enumerates_outer_set_once(monkeypatch):
     # for the whole grid: one outer set, shared with the direct count; one
     # beta-1 inner set
     assert calls == [desc.scaled_window(), desc.scaled_window(extra_exp=-1)]
+
+
+def record_membership(monkeypatch, classes):
+    """Per region class, the (rows, columns) of every contains_exact call;
+    and the longest axis candidate list of counting's enumerations."""
+    calls = {cls.__name__: [] for cls in classes}
+    axis_lengths = []
+    for cls in classes:
+        def recorded(self, P, Q, den, d, _inner=cls.contains_exact,
+                     _log=calls[cls.__name__]):
+            _log.append((len(P), max(np.size(row) for row in P)))
+            return _inner(self, P, Q, den, d)
+        monkeypatch.setattr(cls, "contains_exact", recorded)
+
+    def recorded_arrays(fld, phys, internal):
+        axes, grid = field_point_arrays(fld, phys, internal)
+        axis_lengths.append(max(map(len, axes)))
+        return axes, grid
+
+    monkeypatch.setattr(counting, "field_point_arrays", recorded_arrays)
+    return calls, axis_lengths
+
+
+def test_box_sweep_tests_axis_candidates_only(monkeypatch):
+    """On the shipped box x box sweep (d = 2, square window, cube D) at
+    T <= 20, with the Moebius checks, every box and unit-scaled box test
+    sees one axis's candidates, never the columns of the hull."""
+    calls, axis_lengths = record_membership(monkeypatch, [Box, UnitScaled])
+    T_grid = [5, 8, Fraction(25, 2), 15, 18, 20]
+    reps = visible_count(desc_for(F2), D2, T_grid, method="moebius",
+                         predicted=1.0)
+    assert all(rep.identity_ok for rep in reps)
+    longest = max(axis_lengths)
+    assert calls["Box"] and calls["UnitScaled"]
+    for rows, size in calls["Box"] + calls["UnitScaled"]:
+        assert rows == 1 and size <= longest
+    # the hull has far more columns than any axis has candidates
+    assert max(rep.count_all for rep in reps) > 10 * longest
+
+
+def test_disc_window_falls_back_to_columns(monkeypatch):
+    """The disc golden: the window (a Ball) is tested on the columns, the
+    box averaging set still per axis, and the reports equal the golden."""
+    golden = Path(__file__).parent / "golden" / "density_d2_disc"
+    cfg = json.loads((golden / "config.json").read_text())
+    calls, axis_lengths = record_membership(monkeypatch, [Box, Ball])
+    desc = CPSetDesc(field=field(cfg["d"]), d=cfg["dim"],
+                     window=disc_window(cfg["window"]["r2"]))
+    want = json.loads((golden / "density.json").read_text())
+    reps = visible_count(desc, Box.cube(1, cfg["dim"]), cfg["T_grid"],
+                         method="moebius",
+                         predicted=want["predicted_density"])
+    assert [rep.to_json() for rep in reps] == want["reports"]
+    longest = max(axis_lengths)
+    assert calls["Ball"] and all(rows == 2 for rows, _ in calls["Ball"])
+    assert max(size for _, size in calls["Ball"]) > longest
+    assert all(rows == 1 and size <= longest
+               for rows, size in calls["Box"])
 
 
 def _rows(fld, rng, g, size, scale):
@@ -366,7 +433,7 @@ def test_visible_count_matches_per_point_decisions(d, window, beta_exp, T):
     assert rep.count_pr == sum(primitive)
     assert rep.count_vis == sum(visible)
     # the batch masks, point by point
-    got_primitive, inner = classify(desc, *pts.arrays)
+    got_primitive, inner = classify(desc, pts.grid)
     assert got_primitive.tolist() == primitive
     assert (got_primitive & ~inner).tolist() == visible
 

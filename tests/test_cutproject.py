@@ -319,11 +319,11 @@ def test_strict_inclusion_witness_is_the_per_point_definition(fld,
 
 
 def test_classify_empty_point_set():
-    """An averaging set that misses every point still has (dim, 0) arrays."""
+    """An averaging set that misses every point still has a (dim, 0) grid."""
     desc, far = desc_for(F2), Box.make([(5, 6), (5, 6)])
     pts = generate(desc, far, Fraction(1, 2))
-    assert len(pts) == 0 and pts.arrays[0].shape == (2, 0)
-    primitive, inner = classify(desc, *pts.arrays)
+    assert len(pts) == 0 and pts.grid.columns()[0].shape == (2, 0)
+    primitive, inner = classify(desc, pts.grid)
     assert primitive.shape == inner.shape == (0,)
     assert strict_inclusion_witness(desc, far, Fraction(1, 2)) == []
 

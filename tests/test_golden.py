@@ -4,11 +4,14 @@ plot of configs/plot.json, the field plots `plot --field d` for d = 2, 5
 is clipped), the `check-hc 2 100` table, the holes
 near-subspace search, the random-lattice experiment of
 configs/random.json at seed 7 (`random --config configs/random.json
---seed 7`), two density sweeps with `--method both`, each from the
+--seed 7`), three density sweeps with `--method both`, each from the
 config.json beside its outputs in golden/density_*/: d=5 with an octagon
 window and d=2 with a disc window, whose outer sets (Polygon, Ball) and
-inner Moebius sets (UnitScaled) go through the exact joint filter of
-field-point enumeration, and the shipped sweep `density --config
+inner Moebius sets (UnitScaled) are tested on the columns of the hull,
+and d=5 with a box window open on both sides of axis 0 and a box
+averaging set off the origin, half-open on axis 1, whose every region
+test runs per axis (density_d5_open_box, recorded when every region
+test ran on the columns), and the shipped sweep `density --config
 configs/density.json --method direct` up to T=500 in
 golden/density_shipped/.  The same sweep with `--method both` is pinned in
 golden/density_shipped_both/, and the sweep of
@@ -74,7 +77,8 @@ def test_random_experiment(tmp_path):
         (GOLDEN / "random.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["density_d5_octagon", "density_d2_disc"])
+@pytest.mark.parametrize("name", ["density_d5_octagon", "density_d2_disc",
+                                  "density_d5_open_box"])
 def test_density_both_methods(tmp_path, name):
     res = runner.invoke(main, ["density", "--config",
                                str(GOLDEN / name / "config.json"),

@@ -12,6 +12,7 @@ from quasivis.cutproject import CPSetDesc
 from quasivis.kernels import (collect_lattice_points_in_box,
                               integer_preimage_box)
 from quasivis.lattice import (
+    AxisGrid,
     GridDesc,
     HypothesisFailed,
     box_reduced_basis,
@@ -20,6 +21,7 @@ from quasivis.lattice import (
     shortest_independent_bound,
 )
 from quasivis.quadfield import (
+    PID_D,
     QuadInt,
     field,
     fundamental_unit,
@@ -32,6 +34,7 @@ from quasivis.regions import (
     Polygon,
     Product,
     UnitScaled,
+    axis_factors,
     disc_window,
     octagon_window,
     region_from_spec,
@@ -529,3 +532,94 @@ def test_independent_lengths_match_scalar_scan(n):
             want = reference_independent_bound(grid, count)
             got = shortest_independent_bound(grid, count)
             assert got == pytest.approx(want, rel=1e-12), (i, count)
+
+
+# -- Per-axis region tests on a grid --------------------------------------
+
+PER_AXIS = settings(derandomize=True, max_examples=150, deadline=None)
+
+# halves, so that the points p/2 with q = 0 often land on a bound
+halves = st.integers(-6, 6).map(lambda n: Fraction(n, 2))
+
+
+@st.composite
+def boxes(draw, dim):
+    bounds = [sorted(draw(st.tuples(halves, halves))) for _ in range(dim)]
+    flags = st.lists(st.booleans(), min_size=dim, max_size=dim)
+    return Box.make(bounds, draw(flags), draw(flags))
+
+
+@st.composite
+def grid_regions(draw, d, dim):
+    """A region of one of the kinds the density sweep meets: separable
+    (a box, a unit-scaled box, a product of boxes) or not (a ball, a
+    polygon, a product holding a polygon)."""
+    kind = draw(st.sampled_from(["box", "unit_scaled", "product", "ball",
+                                 "polygon"]))
+    if kind == "box":
+        return draw(boxes(dim))
+    if kind == "unit_scaled":
+        k = draw(st.integers(-2, 2))
+        lam = fundamental_unit(field(d))
+        unit = lam ** k if k >= 0 else (lam.norm() * lam.conj()) ** -k
+        return UnitScaled(draw(boxes(dim)), unit)
+    if kind == "product":
+        k = draw(st.integers(1, dim - 1))
+        return Product(draw(boxes(k)), draw(boxes(dim - k)))
+    if kind == "ball":
+        return Ball.make(draw(st.lists(halves, min_size=dim, max_size=dim)),
+                         draw(st.integers(1, 40).map(lambda n: Fraction(n, 4))))
+    poly = octagon_window(draw(st.integers(1, 8).map(lambda n: Fraction(n, 2))))
+    return poly if dim == 2 else Product(poly, draw(boxes(1)))
+
+
+@PER_AXIS
+@given(data=st.data())
+def test_grid_mask_equals_column_membership(data):
+    """The mask of a grid, per axis candidate for a separable region and on
+    the gathered columns otherwise, is contains_exact on the full columns,
+    for x and for sigma(x); so is the mask of the identity grid."""
+    d = data.draw(st.sampled_from(sorted(PID_D)))
+    dim = data.draw(st.sampled_from([2, 3]))
+    region = data.draw(grid_regions(d, dim))
+    sizes = data.draw(st.lists(st.integers(0, 6), min_size=dim,
+                               max_size=dim))
+    ints = st.integers(-6, 6)
+    p = [int_array(data.draw(st.lists(ints, min_size=n, max_size=n)))
+         for n in sizes]
+    q = [int_array(data.draw(st.lists(st.just(0) | st.integers(-3, 3),
+                                      min_size=n, max_size=n)))
+         for n in sizes]
+    N = data.draw(st.integers(0, 30)) if all(sizes) else 0
+    idx = np.array([data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                       min_size=N, max_size=N))
+                    for n in sizes],
+                   dtype=np.intp).reshape(dim, N)
+    grid = AxisGrid(p, q, idx)
+    P, Q = grid.columns()
+    assert P.shape == Q.shape == (dim, N)
+    identity = AxisGrid.of_columns(P, Q)
+    for conjugate in (False, True):
+        want = region.contains_exact(P, -Q if conjugate else Q, 2, d)
+        for g in (grid, identity):
+            got = g.mask(region, d, conjugate=conjugate)
+            assert got.dtype == bool and got.tolist() == want.tolist()
+        cols = np.arange(N) % 2 == 0
+        assert grid.mask(region, d, conjugate=conjugate,
+                         cols=cols).tolist() == want[cols].tolist()
+
+
+def test_axis_factors_split_only_products_of_intervals():
+    box = Box.make([(-1, 2), (0, 3)], [True, False], [False, True])
+    sides = axis_factors(box)
+    assert sides == [Box.make([(-1, 2)], [True], [False]),
+                     Box.make([(0, 3)], [False], [True])]
+    lam = fundamental_unit(F2)
+    assert axis_factors(UnitScaled(box, lam)) == [UnitScaled(s, lam)
+                                                  for s in sides]
+    assert axis_factors(Product(box, Box.cube(1, 1))) == \
+        sides + [Box.cube(1, 1)]
+    for region in (disc_window(1), octagon_window(1),
+                   UnitScaled(octagon_window(1), lam),
+                   Product(Box.cube(1, 1), octagon_window(1))):
+        assert axis_factors(region) is None
