@@ -117,41 +117,54 @@ def _norm_gcd(d: int, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return G
 
 
-def moebius_count_primitive(desc: CPSetDesc, D, T, *, points=None) -> int:
-    """Primitive-point count by inclusion-exclusion over unit-class
-    representatives g in [1, lambda) with mu(g) != 0:
-    sum_g mu(g) * #(nonzero points of Lambda(beta*W, L_g) in T*D).
+def _sweep(desc: CPSetDesc, D, Ts):
+    """Per group of the Ts (Fractions) that share one enumeration, in grid
+    order, yield (group, grid, masks): the group's indices, the AxisGrid of
+    the set over the box hull of their sets' bboxes, and per T the mask of
+    its columns in T*D, made as it is read.  All Ts form one group when
+    bbox(D) holds the origin, else each T is one: a hull of boxes off the
+    origin can be far larger than the sets it serves."""
+    regions = [D.scaled(T) for T in Ts]
+    if Ts and all(lo <= 0 <= hi for lo, hi in D.bbox()):
+        groups = [range(len(Ts))]
+    else:
+        groups = [[i] for i in range(len(Ts))]
+    for group in groups:
+        # not T_max*bbox(D): a Ball's bbox rounds up at each T on its own
+        hull = Box(tuple(
+            (min(lo for lo, _ in axis), max(hi for _, hi in axis))
+            for axis in zip(*(regions[i].bbox() for i in group))))
+        _, grid = field_point_arrays(desc.field, hull, desc.scaled_window())
+        yield group, grid, (grid.mask(regions[i], desc.field.d)
+                            for i in group)
 
-    points, if given, is the (P, Q) pair of axis-first integer arrays of
-    that set (the columns of field_point_arrays' grid); otherwise it is
-    enumerated here.
+
+def _moebius_sums(desc: CPSetDesc, D, Ts, grid: AxisGrid, masks) -> list:
+    """Per T of Ts, with its mask m over the columns of grid, the sum
+    sum_g mu(g) * #(nonzero columns in m that g divides) over unit-class
+    representatives g in [1, lambda) with mu(g) != 0.
+
     g | x implies N(g) | G(x) = gcd_i N(x_i), so a g whose norm divides no
-    point's G has an empty term and is skipped before its mu is computed;
-    the others are tested on the points with N(g) | G only.  Terms beyond
-    the certified norm cutoff are provably empty."""
-    desc.require_hammarhjelm()
+    column's G has an empty term and is skipped before its mu is computed;
+    the others are tested on the columns with N(g) | G only, once for every
+    mask.  The norm cutoff is taken at the largest T: terms past a smaller
+    T's cutoff are provably empty for that T."""
     fld = desc.field
-    if points is None:
-        _, grid = field_point_arrays(
-            fld, D.scaled(Fraction(T)), desc.scaled_window())
-        points = grid.columns()
-    P, Q = points
+    P, Q = grid.columns()
     G = _norm_gcd(fld.d, P, Q)
     # the nonzero columns sorted by G, so that each value of G is one slice
     nonzero = np.flatnonzero(G)
     order = nonzero[np.argsort(G[nonzero], kind="stable")]
     (A, B), G = omega_coords(fld, P[:, order], Q[:, order]), G[order]
+    M = np.stack([m[order] for m in masks])
     G_values, starts = np.unique(G, return_index=True)
     slices = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(G)])]
     lam = fundamental_unit(fld)
-    cutoff = _norm_cutoff(desc, D, T)
-    total = 0
+    cutoff = _norm_cutoff(desc, D, max(Ts))
+    totals = M.sum(axis=1)  # g = 1, the only unit in [1, lambda)
     for g in iter_ring_box(fld, 1, lam, -cutoff, cutoff, x_hi_open=True):
         n = abs(g.norm())
-        if n > cutoff:
-            continue
-        if n == 1:  # g = 1, the only unit in [1, lambda)
-            total += len(G)
+        if n == 1 or n > cutoff:
             continue
         groups = np.flatnonzero(G_values % n == 0)
         if not len(groups):
@@ -160,8 +173,21 @@ def moebius_count_primitive(desc: CPSetDesc, D, T, *, points=None) -> int:
         if mu == 0:
             continue
         cols = np.r_[tuple(slices[j] for j in groups)]
-        total += mu * int(divisible_by(g, A[:, cols], B[:, cols]).sum())
-    return total
+        totals += mu * M[:, cols[divisible_by(g, A[:, cols], B[:, cols])]] \
+            .sum(axis=1)
+    return [int(t) for t in totals]
+
+
+def moebius_count_primitive(desc: CPSetDesc, D, T_grid) -> list[int]:
+    """Primitive-point count of the set in T*D for every T of T_grid, in
+    grid order: sum_g mu(g) * #(nonzero points of Lambda(beta*W, L_g) in
+    T*D) over unit-class representatives g in [1, lambda) with mu(g) != 0,
+    one enumeration and one g-walk per group of _sweep."""
+    desc.require_hammarhjelm()
+    Ts = [Fraction(T) for T in T_grid]
+    return [total for group, grid, masks in _sweep(desc, D, Ts)
+            for total in _moebius_sums(desc, D, [Ts[i] for i in group],
+                                       grid, masks)]
 
 
 def _in_inner_box(desc: CPSetDesc, grid: AxisGrid) -> np.ndarray:
@@ -193,37 +219,21 @@ def visible_count(desc: CPSetDesc, D, T_grid, method: str = "direct", *,
     """Classify the set in T*D for every T of T_grid and assemble one report
     per T, in grid order.
 
-    The Ts are served in groups from one enumeration each, over the box hull
-    of their bounding boxes T*bbox(D): all of them when bbox(D) holds the
-    origin (the hull is then T_max*bbox(D)), otherwise each T alone, since a
-    hull of boxes off the origin can be far larger than the sets it serves.
-    classify decides every point of a hull once, and T*D takes its points
-    by exact membership.  Every region test (the hull's two filters, the
-    inner window, each T*D) runs once per axis candidate and is gathered
-    through the grid when its region is a product of 1-D sets (a box, a
-    unit-scaled box); a Ball, a Polygon or a product holding one is tested
-    on the columns.  For a box window the integer fast route decides the
-    inner window again, per axis on its own, and identity_ok records that
-    the two agree on each primitive point of T*D.  method='moebius'
-    additionally checks both primitive counts at each T against
-    inclusion-exclusion sums: the outer one over the same points, the inner
-    one over the beta/lambda set, enumerated once per hull on its own.
-    predicted is the density that rel_error compares the counts against."""
-    fld = desc.field
+    The Ts are served in _sweep's groups: classify decides every point of
+    a group's hull once, and T*D takes its points by its mask.  For a box
+    window the integer fast route decides the inner window again, per axis
+    on its own, and identity_ok records that the two agree on each
+    primitive point of T*D.  method='moebius' also checks both primitive
+    counts at each T against inclusion-exclusion sums, one g-walk per
+    group: the outer one on the same grid and masks, the inner one over the
+    beta/lambda set.  rel_error compares the counts with predicted."""
     Ts = [Fraction(T) for T in T_grid]
-    regions = [D.scaled(T) for T in Ts]
-    if Ts and all(lo <= 0 <= hi for lo, hi in D.bbox()):
-        groups = [range(len(Ts))]
-    else:
-        groups = [[i] for i in range(len(Ts))]
-    inner_desc = replace(desc, beta_exp=desc.beta_exp - 1)
+    if method == "moebius":
+        m_inner = moebius_count_primitive(
+            replace(desc, beta_exp=desc.beta_exp - 1), D, Ts)
     vol_w = desc.scaled_window().volume()
-    reports = [None] * len(Ts)
-    for group in groups:
-        hull = Box(tuple(
-            (min(lo for lo, _ in axis), max(hi for _, hi in axis))
-            for axis in zip(*(regions[i].bbox() for i in group))))
-        _, grid = field_point_arrays(fld, hull, desc.scaled_window())
+    reports = []
+    for group, grid, masks in _sweep(desc, D, Ts):
         primitive, inner = classify(desc, grid)
         # a box window's fast route decides sigma(x) again on every
         # primitive point
@@ -231,30 +241,24 @@ def visible_count(desc: CPSetDesc, D, T_grid, method: str = "direct", *,
         if isinstance(desc.window, Box):
             agree = ~primitive | (_in_inner_box(desc, grid) == inner)
         if method == "moebius":
-            _, inner_grid = field_point_arrays(
-                fld, hull, inner_desc.scaled_window())
-        for i in group:
-            T, region = Ts[i], regions[i]
-            m = grid.mask(region, fld.d)
+            masks = list(masks)
+            m_outer = _moebius_sums(desc, D, [Ts[i] for i in group],
+                                    grid, masks)
+        for j, (i, m) in enumerate(zip(group, masks)):
             count_pr = int((primitive & m).sum())
             count_pr_inner = int((inner & m).sum())
             identity_ok = bool(agree[m].all())
             if method == "moebius":
-                m_outer = moebius_count_primitive(
-                    desc, D, T, points=grid.columns(m))
-                m_inner = moebius_count_primitive(
-                    inner_desc, D, T, points=inner_grid.columns(
-                        inner_grid.mask(region, fld.d)))
-                identity_ok = identity_ok and m_outer == count_pr \
-                    and m_inner == count_pr_inner
+                identity_ok = identity_ok and m_outer[j] == count_pr \
+                    and m_inner[i] == count_pr_inner
             count_vis = count_pr - count_pr_inner
-            vol_td = region.volume()
-            reports[i] = CountReport(
-                T=float(T), count_vis=count_vis, count_pr=count_pr,
+            vol_td = D.scaled(Ts[i]).volume()
+            reports.append(CountReport(
+                T=float(Ts[i]), count_vis=count_vis, count_pr=count_pr,
                 count_all=int(m.sum()), vol_TD=vol_td,
                 M_T=vol_w * vol_td / desc.covolume(), predicted=predicted,
                 rel_error=abs(count_vis / vol_td - predicted) / predicted,
-                count_pr_inner=count_pr_inner, identity_ok=identity_ok)
+                count_pr_inner=count_pr_inner, identity_ok=identity_ok))
     return reports
 
 

@@ -159,8 +159,8 @@ def classify(desc: CPSetDesc, grid: AxisGrid) -> tuple:
     fld = desc.field
     primitive = ideal_norms(fld, *omega_coords(fld, *grid.columns())) == 1
     inner = np.zeros_like(primitive)
-    inner[primitive] = grid.mask(desc.inner_window, fld.d, conjugate=True,
-                                 cols=primitive)
+    inner[primitive] = grid._replace(idx=grid.idx[:, primitive]).mask(
+        desc.inner_window, fld.d, conjugate=True)
     return primitive, inner
 
 

@@ -86,34 +86,30 @@ class AxisGrid(NamedTuple):
         return AxisGrid(list(P), list(Q),
                         np.broadcast_to(np.arange(N), (len(P), N)))
 
-    def columns(self, cols=slice(None)) -> tuple:
-        """(P, Q) of shape (dim, N') for the selected columns (all by
-        default; an index or a mask)."""
-        idx = self.idx[:, cols]
-        return (np.stack([a[k] for a, k in zip(self.p, idx)]),
-                np.stack([a[k] for a, k in zip(self.q, idx)]))
+    def columns(self) -> tuple:
+        """(P, Q) of shape (dim, N), the coordinates of every column."""
+        return (np.stack([a[k] for a, k in zip(self.p, self.idx)]),
+                np.stack([a[k] for a, k in zip(self.q, self.idx)]))
 
-    def gather(self, axis_masks, cols=slice(None)) -> np.ndarray:
-        """Per selected column, the AND of its candidates' axis masks."""
-        idx = self.idx[:, cols]
-        out = np.ones(idx.shape[1], dtype=bool)
-        for mask, k in zip(axis_masks, idx):
+    def gather(self, axis_masks) -> np.ndarray:
+        """Per column, the AND of its candidates' axis masks."""
+        out = np.ones(self.idx.shape[1], dtype=bool)
+        for mask, k in zip(axis_masks, self.idx):
             out &= mask[k]
         return out
 
-    def mask(self, region, d: int, *, conjugate: bool = False,
-             cols=slice(None)) -> np.ndarray:
-        """Exact membership in region of the selected columns x, or of
-        sigma(x) = (P - Q*sqrt(d))/2 when conjugate.  A region that is a
-        product of 1-D sets (regions.axis_factors) tests each axis's
-        candidates once and gathers; any other region tests the columns."""
+    def mask(self, region, d: int, *, conjugate: bool = False) -> np.ndarray:
+        """Exact membership in region of the columns x, or of sigma(x) =
+        (P - Q*sqrt(d))/2 when conjugate.  A region that is a product of
+        1-D sets (regions.axis_factors) tests each axis's candidates once
+        and gathers; any other region tests the columns."""
         factors = axis_factors(region)
         if factors is None:
-            P, Q = self.columns(cols)
+            P, Q = self.columns()
             return region.contains_exact(P, -Q if conjugate else Q, 2, d)
         qs = [-q for q in self.q] if conjugate else self.q
         return self.gather([f.contains_exact([p], [q], 2, d) for f, p, q
-                            in zip(factors, self.p, qs)], cols)
+                            in zip(factors, self.p, qs)])
 
 
 def field_point_arrays(fld: FieldDesc, phys_region, int_region):

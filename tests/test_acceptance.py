@@ -127,8 +127,8 @@ def test_criterion_04_moebius_identity():
                 for T in (5, 10, 20, 50, 100):
                     direct = visible_count(desc, D2, [T],
                                            predicted=1.0)[0].count_pr
-                    assert moebius_count_primitive(desc, D2, T) == direct, \
-                        (fld.d, beta_exp, T)
+                    assert moebius_count_primitive(desc, D2, [T]) == \
+                        [direct], (fld.d, beta_exp, T)
 
 
 @pytest.fixture(scope="module")

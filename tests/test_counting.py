@@ -105,8 +105,8 @@ def direct_primitive_count(desc, D, T):
 @pytest.mark.parametrize("T", [5, 10, 20])
 def test_moebius_equals_direct(fld, beta_exp, T):
     desc = desc_for(fld, beta_exp)
-    assert moebius_count_primitive(desc, D2, T) == \
-        direct_primitive_count(desc, D2, T)
+    assert moebius_count_primitive(desc, D2, [T]) == \
+        [direct_primitive_count(desc, D2, T)]
 
 
 @pytest.mark.parametrize("fld", [F2, F5])
@@ -157,24 +157,68 @@ def test_moebius_matches_ideal_route(d, dim, window, T, beta_exp):
     desc = CPSetDesc(field=field(d), d=dim, window=WINDOWS[window],
                      beta_exp=beta_exp)
     D = Box.cube(1, dim)
-    assert moebius_count_primitive(desc, D, T) == \
-        ideal_route_count(desc, D, T)
+    assert moebius_count_primitive(desc, D, [T]) == \
+        [ideal_route_count(desc, D, T)]
 
 
 @pytest.mark.parametrize("fld", [F2, F5])
 @pytest.mark.parametrize("window", ["square", "octagon"])
-def test_moebius_reused_outer_set_equals_fresh_enumeration(fld, window):
+def test_moebius_sums_on_python_ints(fld, window):
+    """One group's sum on the grid's int64 arrays and on the same arrays
+    as Python ints, as past the int64 guard, agree with the direct count."""
     desc = CPSetDesc(field=fld, d=2, window=WINDOWS[window])
-    T = 15
-    _, grid = field_point_arrays(desc.field, D2.scaled(T),
-                                 desc.scaled_window())
-    P, Q = grid.columns()
-    fresh = moebius_count_primitive(desc, D2, T)
-    assert moebius_count_primitive(desc, D2, T, points=(P, Q)) == fresh
-    # the same sum on Python ints, as past the int64 guard
-    assert moebius_count_primitive(
-        desc, D2, T, points=(P.astype(object), Q.astype(object))) == fresh
-    assert fresh == visible_count(desc, D2, [T], predicted=1.0)[0].count_pr
+    Ts = [Fraction(33, 4), 15, 5]
+    (_, grid, masks), = counting._sweep(desc, D2, Ts)
+    masks = list(masks)
+    ints = counting._moebius_sums(desc, D2, Ts, grid, masks)
+    as_object = grid._replace(p=[a.astype(object) for a in grid.p],
+                              q=[a.astype(object) for a in grid.q])
+    assert counting._moebius_sums(desc, D2, Ts, as_object, masks) == ints
+    assert ints == [rep.count_pr for rep in
+                    visible_count(desc, D2, Ts, predicted=1.0)]
+
+
+# T = 1 keeps only the g = 1 term; the others straddle norm cutoffs
+ONE_WALK_GRID = [Fraction(33, 4), 1, 5, 3, Fraction(13, 2)]
+OFF_ORIGIN_D = Box.make([(1, 2), (Fraction(1, 2), Fraction(3, 2))])
+
+
+@pytest.mark.parametrize("d", [2, 5, 13])
+@pytest.mark.parametrize("beta_exp", [0, -1])
+@pytest.mark.parametrize("window", ["square", "octagon", "disc"])
+@pytest.mark.parametrize("D", [D2, OFF_ORIGIN_D], ids=["cube", "off"])
+def test_moebius_one_walk_per_group_is_exact(d, beta_exp, window, D):
+    """The sums of a whole T grid, one g-walk per group with the cutoff of
+    its largest T, equal the one-T sums and the direct counts."""
+    desc = CPSetDesc(field=field(d), d=2, window=WINDOWS[window],
+                     beta_exp=beta_exp)
+    assert len({_norm_cutoff(desc, D, T) for T in ONE_WALK_GRID}) > 2
+    counts = moebius_count_primitive(desc, D, ONE_WALK_GRID)
+    assert counts == [moebius_count_primitive(desc, D, [T])[0]
+                      for T in ONE_WALK_GRID]
+    assert counts == [rep.count_pr for rep in visible_count(
+        desc, D, ONE_WALK_GRID, predicted=1.0)]
+    # the first two rows differ, so a mixed-up row order would show
+    assert counts[0] != counts[1]
+
+
+@pytest.mark.parametrize("D,cutoffs", [(D2, 2), (OFF_ORIGIN_D, 12)],
+                         ids=["cube", "off"])
+def test_sweep_takes_one_norm_cutoff_per_group(monkeypatch, D, cutoffs):
+    """The six-T box sweep with the Moebius check takes one norm cutoff per
+    group and set: the outer and the inner one for a D about the origin,
+    both at every T off it."""
+    calls = []
+
+    def counted(desc, D, T):
+        calls.append(T)
+        return _norm_cutoff(desc, D, T)
+
+    monkeypatch.setattr(counting, "_norm_cutoff", counted)
+    reps = visible_count(desc_for(F2), D, SIX_T_GRID, method="moebius",
+                         predicted=1.0)
+    assert all(rep.identity_ok for rep in reps)
+    assert len(calls) == cutoffs
 
 
 def test_visible_count_moebius_enumerates_outer_set_once(monkeypatch):
@@ -189,9 +233,9 @@ def test_visible_count_moebius_enumerates_outer_set_once(monkeypatch):
     reps = visible_count(desc, D2, SIX_T_GRID, method="moebius",
                          predicted=1.0)
     assert all(rep.identity_ok for rep in reps)
-    # for the whole grid: one outer set, shared with the direct count; one
-    # beta-1 inner set
-    assert calls == [desc.scaled_window(), desc.scaled_window(extra_exp=-1)]
+    # for the whole grid: one beta-1 inner set; one outer set, shared with
+    # the direct count
+    assert calls == [desc.scaled_window(extra_exp=-1), desc.scaled_window()]
 
 
 def record_membership(monkeypatch, classes):
@@ -322,8 +366,8 @@ def test_norm_gcd_of_zero_row_and_zero_coordinate():
 def test_moebius_tiny_T_only_unit_term():
     desc = desc_for(F2)
     # at T=1 the cutoff excludes every non-unit g
-    assert moebius_count_primitive(desc, D2, 1) == \
-        direct_primitive_count(desc, D2, 1)
+    assert moebius_count_primitive(desc, D2, [1]) == \
+        [direct_primitive_count(desc, D2, 1)]
 
 
 def test_visible_count_identity_and_sandwich():
@@ -478,8 +522,28 @@ def test_sweep_off_the_origin_enumerates_per_T(monkeypatch, d, method):
     monkeypatch.setattr(counting, "field_point_arrays", counting_arrays)
     visible_count(desc, D, SWEEP_GRID, method, predicted=0.5)
     per_T = [D.scaled(T) for T in SWEEP_GRID]
-    assert arrays == (per_T if method == "direct" else
-                      [box for box in per_T for _ in range(2)])
+    # the inner sets first, with the Moebius check
+    assert arrays == (per_T if method == "direct" else per_T + per_T)
+
+
+# bbox(D) rounds the radius sqrt(2) up to 2, so it holds the origin and the
+# Ts form one group, though the ball misses the origin
+OFF_CENTRE_BALL = Ball.make((Fraction(3, 2), 0), 2)
+
+
+@pytest.mark.parametrize("method", ["direct", "moebius"])
+def test_sweep_hull_holds_a_small_T_of_an_off_centre_ball(method):
+    """The hull of a group holds every T*D of it: 40*bbox(D) starts at
+    x = 3 and misses the whole ball at T = 1, which lies in x < 3."""
+    desc = desc_for(F2)
+    Ts = [1, 40]
+    reps = visible_count(desc, OFF_CENTRE_BALL, Ts, method, predicted=1.0)
+    assert reps == [visible_count(desc, OFF_CENTRE_BALL, [T], method,
+                                  predicted=1.0)[0] for T in Ts]
+    assert reps[0].count_all > 0
+    assert all(rep.identity_ok for rep in reps)
+    assert moebius_count_primitive(desc, OFF_CENTRE_BALL, Ts) == \
+        [rep.count_pr for rep in reps]
 
 
 def test_counts_independent_of_float_guard(monkeypatch):

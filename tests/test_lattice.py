@@ -604,9 +604,6 @@ def test_grid_mask_equals_column_membership(data):
         for g in (grid, identity):
             got = g.mask(region, d, conjugate=conjugate)
             assert got.dtype == bool and got.tolist() == want.tolist()
-        cols = np.arange(N) % 2 == 0
-        assert grid.mask(region, d, conjugate=conjugate,
-                         cols=cols).tolist() == want[cols].tolist()
 
 
 def test_axis_factors_split_only_products_of_intervals():
