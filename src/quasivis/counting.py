@@ -182,7 +182,8 @@ def moebius_count_primitive(desc: CPSetDesc, D, T_grid) -> list[int]:
     """Primitive-point count of the set in T*D for every T of T_grid, in
     grid order: sum_g mu(g) * #(nonzero points of Lambda(beta*W, L_g) in
     T*D) over unit-class representatives g in [1, lambda) with mu(g) != 0,
-    one enumeration and one g-walk per group of _sweep."""
+    one enumeration and one g-walk per group of _sweep: the one-set count,
+    on a grid of its own, not visible_count's."""
     desc.require_hammarhjelm()
     Ts = [Fraction(T) for T in T_grid]
     return [total for group, grid, masks in _sweep(desc, D, Ts)
@@ -224,13 +225,12 @@ def visible_count(desc: CPSetDesc, D, T_grid, method: str = "direct", *,
     window the integer fast route decides the inner window again, per axis
     on its own, and identity_ok records that the two agree on each
     primitive point of T*D.  method='moebius' also checks both primitive
-    counts at each T against inclusion-exclusion sums, one g-walk per
-    group: the outer one on the same grid and masks, the inner one over the
-    beta/lambda set.  rel_error compares the counts with predicted."""
+    counts at each T against inclusion-exclusion sums, two g-walks per
+    group on its grid: the outer one over every column, the inner one over
+    the beta/lambda set, the columns with sigma(x) in the inner window
+    (which W's central symmetry and convexity put inside beta*W), decided
+    apart from classify.  rel_error compares the counts with predicted."""
     Ts = [Fraction(T) for T in T_grid]
-    if method == "moebius":
-        m_inner = moebius_count_primitive(
-            replace(desc, beta_exp=desc.beta_exp - 1), D, Ts)
     vol_w = desc.scaled_window().volume()
     reports = []
     for group, grid, masks in _sweep(desc, D, Ts):
@@ -241,16 +241,21 @@ def visible_count(desc: CPSetDesc, D, T_grid, method: str = "direct", *,
         if isinstance(desc.window, Box):
             agree = ~primitive | (_in_inner_box(desc, grid) == inner)
         if method == "moebius":
-            masks = list(masks)
-            m_outer = _moebius_sums(desc, D, [Ts[i] for i in group],
-                                    grid, masks)
+            masks, group_Ts = list(masks), [Ts[i] for i in group]
+            m_outer = _moebius_sums(desc, D, group_Ts, grid, masks)
+            within = grid.mask(desc.inner_window, desc.field.d,
+                               conjugate=True)
+            m_inner = _moebius_sums(
+                replace(desc, beta_exp=desc.beta_exp - 1), D, group_Ts,
+                grid._replace(idx=grid.idx[:, within]),
+                [m[within] for m in masks])
         for j, (i, m) in enumerate(zip(group, masks)):
             count_pr = int((primitive & m).sum())
             count_pr_inner = int((inner & m).sum())
             identity_ok = bool(agree[m].all())
             if method == "moebius":
                 identity_ok = identity_ok and m_outer[j] == count_pr \
-                    and m_inner[i] == count_pr_inner
+                    and m_inner[j] == count_pr_inner
             count_vis = count_pr - count_pr_inner
             vol_td = D.scaled(Ts[i]).volume()
             reports.append(CountReport(

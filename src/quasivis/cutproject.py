@@ -221,7 +221,7 @@ def strict_inclusion_witness_random(basis: np.ndarray, window, D, T: float):
     hi_x = np.array([b[1] for b in bbox])
     basis = box_reduced_basis(basis, hi_x - lo_x)
     lo_u, hi_u = kernels.integer_preimage_box(np.linalg.inv(basis), bbox)
-    U, X, _ = kernels.collect_lattice_points_in_box(
+    U, X = kernels.collect_lattice_points_in_box(
         basis, lo_u, hi_u, lo_x, hi_x)
     phys = X[:, :dphys]
     keep = np.linalg.norm(phys, axis=1) > kernels.TOL
@@ -252,8 +252,8 @@ def strict_inclusion_witness_random(basis: np.ndarray, window, D, T: float):
     return witnesses, len(U)
 
 
-def points_to_csv(points: list[CPPoint], visible: list[bool]) -> str:
-    d = len(points[0].quad_coords) if points else 0
+def points_to_csv(points: PointSet, visible: list[bool]) -> str:
+    d = points.dim
     cols = [f"a{i+1},b{i+1}" for i in range(d)]
     cols += [f"phys{i+1}" for i in range(d)]
     cols += [f"int{i+1}" for i in range(d)]

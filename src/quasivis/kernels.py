@@ -327,8 +327,7 @@ def count_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x):
 def collect_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x):
     """Every integer vector u in [lo_u, hi_u], primitive or not, with
     basis @ u inside the box [lo_x, hi_x] widened by TOL: (preimages,
-    points, flags of those within TOL of a face) in lexicographic preimage
-    order."""
+    points) in lexicographic preimage order."""
     scan = _Lines(basis, lo_u, hi_u, lo_x, hi_x)
     us = [np.empty((0, scan.basis.shape[1]), dtype=np.int64)]
     for P, a, z, _ in scan.lines():
@@ -339,8 +338,7 @@ def collect_lattice_points_in_box(basis, lo_u, hi_u, lo_x, hi_x):
                                                  lens)
         us.append(U)
     U = np.concatenate(us)
-    X = _image(U, scan.basis)
-    return U, X, scan.near(X)
+    return U, _image(U, scan.basis)
 
 
 def integer_preimage_box(basis_inv: np.ndarray,

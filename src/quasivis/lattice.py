@@ -203,7 +203,7 @@ def schmidt_count_check(grid: GridDesc, box: Box, c: float,
         raise HypothesisFailed(f"no {grid.n - 1} independent vectors of length <= c")
     bbox = [(float(lo), float(hi)) for lo, hi in box.bbox()]
     lo_u, hi_u = kernels.integer_preimage_box(np.linalg.inv(grid.basis), bbox)
-    U, _, _ = kernels.collect_lattice_points_in_box(
+    U, _ = kernels.collect_lattice_points_in_box(
         grid.basis, lo_u, hi_u, *np.array(bbox).T)
     count = len(U)
     expected = box.volume() / grid.covolume()

@@ -413,6 +413,19 @@ def test_plot_points_deterministic(tmp_path):
     assert csv.splitlines()[0] == "a1,b1,a2,b2,phys1,phys2,int1,int2,visible"
 
 
+def test_plot_of_no_points_writes_the_header(tmp_path):
+    """At T = 0.01 the averaging box [1, 2]^2 holds no point: points.csv
+    is still the full header, with no rows."""
+    averaging = {"kind": "box", "bounds": [[1, 2], [1, 2]]}
+    cfg = write_cfg(tmp_path / "cfg.json",
+                    {**PLOT_CFG, "averaging": averaging, "T": 0.01})
+    res = runner.invoke(main, ["plot", "--config", cfg, "--out",
+                               str(tmp_path)])
+    assert res.exit_code == EXIT_OK, res.output
+    assert (tmp_path / "points.csv").read_text() == \
+        "a1,b1,a2,b2,phys1,phys2,int1,int2,visible\n"
+
+
 def test_plot_field(tmp_path):
     res = runner.invoke(main, ["plot", "--field", "5", "--out",
                                str(tmp_path)])

@@ -5,6 +5,7 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -183,10 +184,19 @@ ONE_WALK_GRID = [Fraction(33, 4), 1, 5, 3, Fraction(13, 2)]
 OFF_ORIGIN_D = Box.make([(1, 2), (Fraction(1, 2), Fraction(3, 2))])
 
 
-@pytest.mark.parametrize("d", [2, 5, 13])
-@pytest.mark.parametrize("beta_exp", [0, -1])
-@pytest.mark.parametrize("window", ["square", "octagon", "disc"])
-@pytest.mark.parametrize("D", [D2, OFF_ORIGIN_D], ids=["cube", "off"])
+def one_walk_cases(test):
+    """Parametrize a test over d, beta_exp, the window and D."""
+    for mark in [
+            pytest.mark.parametrize("D", [D2, OFF_ORIGIN_D],
+                                    ids=["cube", "off"]),
+            pytest.mark.parametrize("window", ["square", "octagon", "disc"]),
+            pytest.mark.parametrize("beta_exp", [0, -1]),
+            pytest.mark.parametrize("d", [2, 5, 13])]:
+        test = mark(test)
+    return test
+
+
+@one_walk_cases
 def test_moebius_one_walk_per_group_is_exact(d, beta_exp, window, D):
     """The sums of a whole T grid, one g-walk per group with the cutoff of
     its largest T, equal the one-T sums and the direct counts."""
@@ -200,6 +210,53 @@ def test_moebius_one_walk_per_group_is_exact(d, beta_exp, window, D):
         desc, D, ONE_WALK_GRID, predicted=1.0)]
     # the first two rows differ, so a mixed-up row order would show
     assert counts[0] != counts[1]
+
+
+@one_walk_cases
+def test_inner_moebius_sum_equals_the_beta_lambda_set_count(d, beta_exp,
+                                                            window, D):
+    """The inner sum visible_count takes from the outer grid's columns in
+    the inner window equals the beta/lambda set's own enumeration and
+    sum."""
+    desc = CPSetDesc(field=field(d), d=2, window=WINDOWS[window],
+                     beta_exp=beta_exp)
+    reps = visible_count(desc, D, ONE_WALK_GRID, method="moebius",
+                         predicted=1.0)
+    assert all(rep.identity_ok for rep in reps)
+    assert [rep.count_pr_inner for rep in reps] == moebius_count_primitive(
+        replace(desc, beta_exp=beta_exp - 1), D, ONE_WALK_GRID)
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_inner_moebius_sum_catches_a_mislabelled_column(monkeypatch, d):
+    """classify marking one visible column inner is caught by the inner
+    Moebius sum exactly at the Ts whose T*D holds it: the disc window has
+    no fast route, so the direct count misses it, and the sum's rows do
+    not come from classify's inner mask."""
+    desc = CPSetDesc(field=field(d), d=2, window=disc_window(1))
+    Ts = [5, 3, Fraction(33, 4)]
+    marked = []
+
+    def mislabelled(desc, grid):
+        primitive, inner = classify(desc, grid)
+        P, Q = grid.columns()
+        in_3D, in_5D = (D2.scaled(T).contains_exact(P, Q, 2, d)
+                        for T in (3, 5))
+        j = np.flatnonzero(primitive & ~inner & ~in_3D & in_5D)[0]
+        marked.append((P[:, j], Q[:, j]))
+        inner = inner.copy()
+        inner[j] = True
+        return primitive, inner
+
+    monkeypatch.setattr(counting, "classify", mislabelled)
+    assert all(rep.identity_ok
+               for rep in visible_count(desc, D2, Ts, predicted=1.0))
+    reps = visible_count(desc, D2, Ts, method="moebius", predicted=1.0)
+    P, Q = marked[-1]
+    holds = [bool(D2.scaled(T).contains_exact(P[:, None], Q[:, None], 2,
+                                              d)[0]) for T in Ts]
+    assert holds == [True, False, True]
+    assert [rep.identity_ok for rep in reps] == [not h for h in holds]
 
 
 @pytest.mark.parametrize("D,cutoffs", [(D2, 2), (OFF_ORIGIN_D, 12)],
@@ -233,9 +290,9 @@ def test_visible_count_moebius_enumerates_outer_set_once(monkeypatch):
     reps = visible_count(desc, D2, SIX_T_GRID, method="moebius",
                          predicted=1.0)
     assert all(rep.identity_ok for rep in reps)
-    # for the whole grid: one beta-1 inner set; one outer set, shared with
-    # the direct count
-    assert calls == [desc.scaled_window(extra_exp=-1), desc.scaled_window()]
+    # for the whole grid: one outer set, shared with the direct count and
+    # both Moebius sums
+    assert calls == [desc.scaled_window()]
 
 
 def record_membership(monkeypatch, classes):
@@ -521,9 +578,9 @@ def test_sweep_off_the_origin_enumerates_per_T(monkeypatch, d, method):
 
     monkeypatch.setattr(counting, "field_point_arrays", counting_arrays)
     visible_count(desc, D, SWEEP_GRID, method, predicted=0.5)
-    per_T = [D.scaled(T) for T in SWEEP_GRID]
-    # the inner sets first, with the Moebius check
-    assert arrays == (per_T if method == "direct" else per_T + per_T)
+    # one enumeration per T with either method: the Moebius check reads
+    # the same grids
+    assert arrays == [D.scaled(T) for T in SWEEP_GRID]
 
 
 # bbox(D) rounds the radius sqrt(2) up to 2, so it holds the origin and the

@@ -25,16 +25,22 @@ def reference_count(basis, lo_u, hi_u, lo_x, hi_x, tol, primitive):
     return count, boundary
 
 
+def near_face(X, lo_x, hi_x):
+    """Flags of the listed points within kernels.TOL of a face."""
+    return np.any((np.abs(X - lo_x) <= kernels.TOL)
+                  | (np.abs(X - hi_x) <= kernels.TOL), axis=1)
+
+
 def kernel_count(basis, lo_u, hi_u, lo_x, hi_x, primitive):
     """reference_count's answer from the package: the kernel's count of the
-    primitive vectors, or the number of vectors the listing returns and its
-    boundary tally."""
+    primitive vectors, or the number of vectors the listing returns and how
+    many of them lie within TOL of a face."""
     if primitive:
         return kernels.count_lattice_points_in_box(basis, lo_u, hi_u, lo_x,
                                                    hi_x)
-    U, _, near = kernels.collect_lattice_points_in_box(basis, lo_u, hi_u,
-                                                       lo_x, hi_x)
-    return len(U), int(near.sum())
+    U, X = kernels.collect_lattice_points_in_box(basis, lo_u, hi_u, lo_x,
+                                                 hi_x)
+    return len(U), int(near_face(X, lo_x, hi_x).sum())
 
 
 def random_case(rng, n):
@@ -211,7 +217,7 @@ def test_empty_integer_range():
     basis = np.eye(2)
     assert kernels.count_lattice_points_in_box(
         basis, [2, 2], [1, 1], np.zeros(2), np.ones(2)) == (0, 0)
-    U, X, b = kernels.collect_lattice_points_in_box(
+    U, X = kernels.collect_lattice_points_in_box(
         basis, [2, 2], [1, 1], np.zeros(2), np.ones(2))
     assert len(U) == 0
 
@@ -221,8 +227,9 @@ def test_collect_matches_count_and_order():
     basis, lo_u, hi_u, lo_x, hi_x = random_case(rng, 2)
     cnt, bnd = kernels.count_lattice_points_in_box(
         basis, lo_u, hi_u, lo_x, hi_x)
-    U, X, b = kernels.collect_lattice_points_in_box(
+    U, X = kernels.collect_lattice_points_in_box(
         basis, lo_u, hi_u, lo_x, hi_x)
+    b = near_face(X, lo_x, hi_x)
     primitive = np.gcd.reduce(np.abs(U), axis=1) == 1
     assert int(primitive.sum()) == cnt and int(b[primitive].sum()) == bnd
     assert [tuple(u) for u in U] == sorted(tuple(u) for u in U)
@@ -308,11 +315,10 @@ def test_margin_changes_no_result(monkeypatch):
     got = [kernel_outputs(c) for c in cases + exact]
     assert sum(settled) > 0
     monkeypatch.setattr(kernels, "_MARGIN", math.inf)
-    for case, (count, (U, X, near)) in zip(cases + exact, got):
-        want_count, (want_U, want_X, want_near) = kernel_outputs(case)
+    for case, (count, (U, X)) in zip(cases + exact, got):
+        want_count, (want_U, want_X) = kernel_outputs(case)
         assert count == want_count
-        assert np.array_equal(U, want_U) and np.array_equal(near, want_near)
-        assert np.array_equal(X, want_X)
+        assert np.array_equal(U, want_U) and np.array_equal(X, want_X)
 
 
 def test_coordinates_past_2_53_settle_every_end(monkeypatch):

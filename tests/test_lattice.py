@@ -407,8 +407,8 @@ def test_linear_equivariance_diagonal():
                          (Fraction(-1) * Fraction(str(round(scale[1], 6))),
                           Fraction(2) * Fraction(str(round(scale[1], 6))))])
         s = np.array([float(round(v, 6)) for v in scale])
-        U1, X1, _ = box_listing(np.diag(s), gbox)
-        U2, X2, _ = box_listing(np.eye(2), box)
+        U1, X1 = box_listing(np.diag(s), gbox)
+        U2, X2 = box_listing(np.eye(2), box)
         assert sorted(map(tuple, U1)) == sorted(map(tuple, U2))
         assert np.allclose(sorted(map(tuple, X1)),
                            [tuple(s * u) for u in sorted(map(tuple, U2))],
