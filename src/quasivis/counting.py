@@ -8,13 +8,13 @@ import math
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from . import kernels
 from .cutproject import CPSetDesc, classify
 from .lattice import AxisGrid, box_reduced_basis, field_point_arrays
 from .quadfield import (
-    ZETA_TOL,
     as_scalar,
     dedekind_zeta_highprec,
     divisible_by,
@@ -35,22 +35,6 @@ class DegenerateFit(ValueError):
     pass
 
 
-def riemann_zeta(s: int) -> float:
-    """zeta(s) for integer s >= 2 by partial sums; the tail is replaced by
-    the midpoint of its integral-test bracket, leaving error below
-    ZETA_TOL."""
-    if s < 2:
-        raise ValueError("s must be >= 2")
-    N = 16
-    while s / 2 * N ** (-s) > ZETA_TOL:
-        N *= 2
-    n = np.arange(1, N + 1, dtype=np.float64)
-    partial = float(np.sum(n ** (-float(s))))
-    lo = (N + 1) ** (1 - s) / (s - 1)
-    hi = N ** (1 - s) / (s - 1)
-    return partial + (lo + hi) / 2
-
-
 @dataclass
 class CountReport:
     """One (T, counts, prediction) record of a density experiment."""
@@ -63,7 +47,6 @@ class CountReport:
     M_T: float
     predicted: float
     rel_error: float
-    boundary_ambiguous: int = 0
     count_pr_inner: int = 0
     identity_ok: bool = True
 
@@ -71,7 +54,7 @@ class CountReport:
         return (f"{self.T:g},{self.count_vis},{self.count_pr},"
                 f"{self.count_all},{self.vol_TD:.12g},{self.M_T:.12g},"
                 f"{self.predicted:.12g},{self.rel_error:.12g},"
-                f"{self.boundary_ambiguous},{self.count_pr_inner},"
+                f"{self.count_pr_inner},"
                 f"{int(self.identity_ok)}")
 
     def to_json(self) -> dict:
@@ -325,7 +308,7 @@ def random_lattice_experiment(n: int, d: int, window: Box, omega: Box,
         g = rng.standard_normal((n, n))
         g /= abs(np.linalg.det(g)) ** (1.0 / n)
         bases.append(g)
-    zn = riemann_zeta(n)
+    zn = float(mpmath.zeta(n))
     per_T = []
     total_count = 0
     total_boundary = 0

@@ -508,30 +508,13 @@ def moebius(g: QuadInt) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Ideal counting and Dedekind zeta
+# Dedekind zeta
 
 
 def _chi_period(fld: FieldDesc) -> np.ndarray:
     q = fld.disc
     return np.array([kronecker_symbol(q, n) if gcd(n, q) == 1 else 0
                      for n in range(q)], dtype=np.int64)
-
-
-def ideal_count_sieve(fld: FieldDesc, N: int) -> np.ndarray:
-    """Array H[0..N] with H[n] = number of ideals of norm n (H[0] = 0)."""
-    chi = _chi_period(fld)
-    q = fld.disc
-    H = np.zeros(N + 1, dtype=np.int64)
-    for m in range(1, N + 1):
-        cm = chi[m % q]
-        if cm:
-            H[m::m] += cm
-    H[0] = 0
-    return H
-
-
-# H_n <= d(n) <= 2*sqrt(n): a proven bound on H_n / sqrt(n) for every field.
-H_BOUND = 2
 
 
 def _chi_partial_max(fld: FieldDesc) -> int:
@@ -546,34 +529,6 @@ def _chi_partial_max(fld: FieldDesc) -> int:
     return best
 
 
-def zeta_direct(fld: FieldDesc, s: int, n_max: int) -> tuple[float, float]:
-    """Truncated sum of H_n / n^s with tail bound
-    H_BOUND * sum_{n>n_max} n^(1/2-s) <= H_BOUND * n_max^(3/2-s) / (s-3/2)."""
-    H = ideal_count_sieve(fld, n_max)
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    value = float(np.sum(H[1:] / n ** s))
-    tail = H_BOUND * n_max ** (1.5 - s) / (s - 1.5)
-    return value, tail
-
-
-def zeta_euler(fld: FieldDesc, s: int, p_max: int) -> tuple[float, float]:
-    """Truncated Euler product over rational primes with Kronecker splitting."""
-    sieve = np.ones(p_max + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(p_max) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = False
-    primes = np.nonzero(sieve)[0]
-    chi = _chi_period(fld)
-    chi_p = chi[primes % fld.disc]
-    ps = primes.astype(np.float64) ** (-s)
-    log_val = -np.sum(np.log1p(-ps)) - np.sum(np.log1p(-chi_p * ps))
-    value = float(np.exp(log_val))
-    # Tail of the log-product, bounded over all integers > p_max.
-    tail_log = 3.0 * p_max ** (1 - s) / (s - 1)
-    return value, value * math.expm1(tail_log)
-
-
 def zeta_lseries(fld: FieldDesc, s: int, tol: float) -> tuple[float, float]:
     """zeta(s) * L(s, chi_disc) with the L-series summed directly and an
     Abel-summation tail bound."""
@@ -586,7 +541,8 @@ def zeta_lseries(fld: FieldDesc, s: int, tol: float) -> tuple[float, float]:
     n = np.arange(1, N + 1)
     L = float(np.sum(chi[n % fld.disc] / n.astype(np.float64) ** s))
     value = zs * L
-    return value, zs * M * float(N) ** (-s)
+    # Abel summation with |S(n) - S(N)| <= 2M bounds the L-tail by 2M/(N+1)^s.
+    return value, 2 * M * zs * (N + 1) ** -s
 
 
 def zeta_hurwitz(fld: FieldDesc, s: int) -> float:
@@ -604,36 +560,8 @@ def zeta_hurwitz(fld: FieldDesc, s: int) -> float:
         return float(mpmath.zeta(s) * L)
 
 
-N_MAX_BUDGET = 2_000_000
-# The agreement the zeta values of a density prediction are held to: the two
-# high-precision routes of dedekind_zeta_highprec (relative), and the
-# integral-test tail of counting.riemann_zeta (absolute).
+# The relative agreement the two routes of dedekind_zeta_highprec are held to.
 ZETA_TOL = 1e-9
-
-
-def dedekind_zeta(fld: FieldDesc, s: int, tol: float) -> tuple[float, float]:
-    """Value of the Dedekind zeta function at integer s >= 2, with a
-    certified error bound below tol; cross-checked between the direct
-    H_n sum and the Euler product, which must agree within 2*tol.  The
-    direct sum may take at most N_MAX_BUDGET terms.
-    """
-    if s < 2:
-        raise ValueError("s must be >= 2")
-    # Find a truncation length meeting tol on the direct path.
-    need = (tol * (s - 1.5) / H_BOUND) ** (1.0 / (1.5 - s))
-    if need > N_MAX_BUDGET:
-        raise TolTooTight(
-            f"direct tail bound needs n_max ~ {need:.3g} > budget {N_MAX_BUDGET}")
-    n_max = max(1000, int(need) + 1)
-    direct, direct_err = zeta_direct(fld, s, n_max)
-    p_max = max(1000, int((12.0 / (tol * (s - 1))) ** (1.0 / (s - 1))) + 1)
-    euler, euler_err = zeta_euler(fld, s, p_max)
-    if euler_err > tol:
-        raise TolTooTight("euler tail bound exceeds tol")
-    if abs(direct - euler) > 2 * tol:
-        raise ArithmeticError(
-            f"zeta cross-check failed: |{direct} - {euler}| > {2 * tol}")
-    return direct, direct_err
 
 
 def dedekind_zeta_highprec(fld: FieldDesc, s: int) -> float:
@@ -644,6 +572,11 @@ def dedekind_zeta_highprec(fld: FieldDesc, s: int) -> float:
     if abs(v1 - v2) > ZETA_TOL * abs(v2):
         raise ArithmeticError(f"zeta high-precision routes disagree: {v1} vs {v2}")
     return v2
+
+
+# No caller in the package; perfbench/tracer.py binds it by name.
+def dedekind_zeta(fld: FieldDesc, s: int) -> float:
+    return dedekind_zeta_highprec(fld, s)
 
 
 # ---------------------------------------------------------------------------

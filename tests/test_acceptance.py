@@ -6,6 +6,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -16,7 +17,6 @@ from quasivis.counting import (
     predicted_density_hammarhjelm,
     random_lattice_experiment,
     rate_fit,
-    riemann_zeta,
     visible_count,
 )
 from quasivis.cutproject import (
@@ -173,7 +173,7 @@ def test_criterion_07_random_lattice_density():
         assert errs[-1] <= 0.03
         assert all(b <= a for a, b in zip(errs, errs[1:]))
         assert res["per_T"][-1]["mean_density"] == \
-            pytest.approx(1 / riemann_zeta(3), rel=0.03)
+            pytest.approx(1 / float(mpmath.zeta(3)), rel=0.03)
         assert res["boundary_fraction"] < 0.001
 
 

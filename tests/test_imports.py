@@ -1,8 +1,10 @@
 """Every name a package module imports is used in that module, every
 private (_name) function or class it defines at module or class level is
 referenced in it, every public top-level function or class is reached from
-the CLI, the acceptance criteria or the benchmark, every public method of
-a reached class is read by name there, every parameter default is
+the CLI, the acceptance criteria or the benchmark (a def that only a
+tracer TARGETS row names is reached, but what its body reads is not
+reached through it), every public method of a reached class is read by
+name there, every parameter default is
 overridden by some caller, and the third-party
 packages it imports are the ones pyproject.toml declares; regions imports
 from the package only quadfield, and no numpy.  AST scans of
@@ -107,19 +109,32 @@ def names_read(tree: ast.AST) -> set[str]:
 
 def bench_roots(source: str) -> set[str]:
     """The package names a benchmark script reads: each part of the names
-    it imports from quasivis and of the attribute chains it reads off them,
-    and the attribute names of a top-level TARGETS list of (module,
-    attribute, ...) tuples, by which the tracer wraps functions.  Names it
-    reads off anything else (args.trace) are not the package's."""
+    it imports from quasivis and of the attribute chains it reads off them.
+    Names it reads off anything else (args.trace) are not the package's."""
     roots = set()
     for ref in quasivis_references(source):
         roots |= set(ref.split(".")[1:])
+    return roots
+
+
+def tracer_targets(source: str) -> set[str]:
+    """The attribute names of a top-level TARGETS list of (module,
+    attribute, ...) tuples, by which the tracer wraps functions."""
+    targets = set()
     for node in ast.parse(source).body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "TARGETS"
                 for t in node.targets):
-            roots |= {target[1] for target in ast.literal_eval(node.value)}
-    return roots
+            targets |= {target[1] for target in ast.literal_eval(node.value)}
+    return targets
+
+
+def tracer_only(sources, roots: set[str], targets: set[str]) -> set[str]:
+    """The tracer targets that neither a root nor the package sources
+    read.  Such a def is reached, but reaches nothing: a name only the
+    tracer binds keeps no other code alive."""
+    return targets - roots - set().union(*(names_read(ast.parse(source))
+                                           for source in sources))
 
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -131,14 +146,16 @@ def top_level_defs(sources) -> list:
             if isinstance(node, DEFS)]
 
 
-def reached_names(sources, roots: set[str]) -> set[str]:
+def reached_names(sources, roots: set[str],
+                  leaves: set[str] = frozenset()) -> set[str]:
     """The closure of the root names: a name reaches the top-level defs and
     classes of that name, and they reach every name their bodies read
-    (methods included); by name, across modules."""
+    (methods included); by name, across modules.  A leaf is reached but
+    reaches nothing."""
     reads = {}
     for node in top_level_defs(sources):
         reads.setdefault(node.name, set()).update(names_read(node))
-    reached, todo = set(), list(roots)
+    reached, todo = set(leaves), list(roots)
     while todo:
         name = todo.pop()
         if name not in reached:
@@ -147,23 +164,26 @@ def reached_names(sources, roots: set[str]) -> set[str]:
     return reached
 
 
-def unreached_public_defs(sources, roots: set[str]) -> list[str]:
+def unreached_public_defs(sources, roots: set[str],
+                          leaves: set[str] = frozenset()) -> list[str]:
     """Public top-level defs and classes of the sources that the root names
-    do not reach."""
-    reached = reached_names(sources, roots)
+    and the leaves do not reach."""
+    reached = reached_names(sources, roots, leaves)
     return [node.name for node in top_level_defs(sources)
             if not node.name.startswith("_") and node.name not in reached]
 
 
-def unread_public_methods(sources, roots: set[str]) -> list[str]:
+def unread_public_methods(sources, roots: set[str],
+                          leaves: set[str] = frozenset()) -> list[str]:
     """Public methods and properties (Class.name) of the reached top-level
     classes whose name neither a root nor the body of a reached top-level
-    def or class reads.  Private methods are the private-def scan's;
-    dunder methods count as reached with their class."""
-    reached = reached_names(sources, roots)
+    def or class reads; a leaf's body reads nothing.  Private methods are
+    the private-def scan's; dunder methods count as reached with their
+    class."""
+    reached = reached_names(sources, roots, leaves)
     read = set(roots)
     for node in top_level_defs(sources):
-        if node.name in reached:
+        if node.name in reached - leaves:
             read |= names_read(node)
     return [f"{node.name}.{item.name}" for node in top_level_defs(sources)
             if isinstance(node, ast.ClassDef) and node.name in reached
@@ -177,9 +197,28 @@ def test_scan_finds_an_unreached_public_def():
                "def helper(): pass\n"
                "def command(): return helper()\n"
                "def traced(): pass\n")
-    roots = names_read(ast.parse("command()\n")) | bench_roots(
+    roots = names_read(ast.parse("command()\n")) | tracer_targets(
         "TARGETS = [('quasivis.pkg', 'traced', 'pkg.traced', 'func')]\n")
     assert unreached_public_defs([package], roots) == ["dead"]
+
+
+def test_scan_tracer_only_def_reaches_nothing():
+    """A def only a TARGETS row names stays, but what only its body reads
+    is unreached; a target the package also reads reaches its body."""
+    package = ("def helper(): pass\n"
+               "def other(): pass\n"
+               "def traced(): return helper()\n"
+               "def wrapped(): return other()\n"
+               "def command(): return wrapped()\n")
+    targets = tracer_targets(
+        "TARGETS = [('quasivis.pkg', 'traced', 'pkg.traced', 'func'),\n"
+        "           ('quasivis.pkg', 'wrapped', 'pkg.wrapped', 'func')]\n")
+    roots = names_read(ast.parse("command()\n"))
+    leaves = tracer_only([package], roots, targets)
+    assert leaves == {"traced"}
+    assert unreached_public_defs([package], roots | targets) == []
+    assert unreached_public_defs([package], roots | targets - leaves,
+                                 leaves) == ["helper"]
 
 
 def test_scan_finds_an_unread_public_method():
@@ -210,7 +249,7 @@ def test_bench_roots_skip_names_read_off_other_objects():
              "def main(args):\n"
              "    if args.trace:\n"
              "        shapes.command()\n")
-    roots = bench_roots(bench)
+    roots = bench_roots(bench) | tracer_targets(bench)
     assert roots == {"shapes", "command", "area"}
     assert unread_public_methods([package], roots) == ["Shape.trace"]
 
@@ -280,27 +319,33 @@ def test_scan_finds_an_unset_default():
         ["count(tol)", "Plot.make(pad)", "Plot.draw(title)"]
 
 
-def package_roots() -> set[str]:
-    """Every def in cli.py and every name it reads, every name in
-    tests/test_acceptance.py, and the bench_roots of perfbench/*.py."""
+def package_roots() -> tuple[set[str], set[str]]:
+    """The roots and the leaves of the package.  The roots: every def in
+    cli.py and every name it reads, every name in tests/test_acceptance.py,
+    the bench_roots of perfbench/*.py and the tracer targets that these or
+    the package read.  The leaves: the tracer_only targets."""
     cli = ast.parse((SRC / "cli.py").read_text())
     roots = names_read(cli) | {node.name for node in cli.body
                                if isinstance(node, DEFS)}
     roots |= names_read(ast.parse(
         (REPO / "tests" / "test_acceptance.py").read_text()))
+    targets = set()
     for path in (REPO / "perfbench").glob("*.py"):
         roots |= bench_roots(path.read_text())
-    return roots
+        targets |= tracer_targets(path.read_text())
+    sources = [(SRC / name).read_text() for name in MODULES]
+    leaves = tracer_only(sources, roots, targets)
+    return roots | targets - leaves, leaves
 
 
 def test_every_public_def_is_reached():
     sources = [(SRC / name).read_text() for name in MODULES]
-    assert unreached_public_defs(sources, package_roots()) == []
+    assert unreached_public_defs(sources, *package_roots()) == []
 
 
 def test_every_public_method_is_read():
     sources = [(SRC / name).read_text() for name in MODULES]
-    assert unread_public_methods(sources, package_roots()) == []
+    assert unread_public_methods(sources, *package_roots()) == []
 
 
 def test_every_default_is_overridden():
@@ -309,7 +354,7 @@ def test_every_default_is_overridden():
     sources = [(SRC / name).read_text() for name in MODULES]
     callers = sources + [(REPO / "tests" / "test_acceptance.py").read_text()]
     callers += [path.read_text() for path in (REPO / "perfbench").glob("*.py")]
-    reached = reached_names(sources, package_roots())
+    reached = reached_names(sources, *package_roots())
     assert unset_defaults(sources, callers, reached) == []
 
 
