@@ -14,7 +14,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, counting, cutproject, holes, kernels, svgplot
+from . import (__version__, counting, cutproject, holes, kernels, lattice,
+               svgplot)
 from .quadfield import (
     PID_D,
     field,
@@ -260,11 +261,15 @@ def cmd_plot(config_path, field_d, out):
     with _config_errors():
         desc, D = _desc_from_config(cfg)
         _require_indexable(desc, D, cfg["T"])
-    pts = cutproject.generate(desc, D, Fraction(str(cfg["T"])))
-    primitive, inner = cutproject.classify(desc, pts.grid)
+    _, grid = lattice.field_point_arrays(
+        desc.field, D.scaled(Fraction(str(cfg["T"]))), desc.scaled_window())
+    primitive, inner = cutproject.classify(desc, grid)
     vis = primitive & ~inner
-    (out_dir / "points.svg").write_text(svgplot.svg_scatter(pts, vis))
-    (out_dir / "points.csv").write_text(cutproject.points_to_csv(pts, vis))
+    P, Q = grid.columns()
+    (out_dir / "points.svg").write_text(
+        svgplot.svg_scatter(desc.field, P, Q, vis))
+    (out_dir / "points.csv").write_text(
+        cutproject.points_to_csv(desc.field, P, Q, vis))
 
 
 @main.command("holes")

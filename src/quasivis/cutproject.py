@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import kernels
+from . import kernels, lattice
 from .lattice import (AxisGrid, box_reduced_basis,
                       enumerate_field_points_exact)
 from .quadfield import (
@@ -25,7 +25,6 @@ from .quadfield import (
     fundamental_unit,
     gcd_is_one,
     ideal_norms,
-    int_array,
     omega_coords,
 )
 from .regions import Box, UnitScaled
@@ -116,13 +115,7 @@ class CPPoint:
 
 
 class PointSet(tuple):
-    """An immutable tuple of CPPoints in dim coordinates that indexes its
-    rays and builds its identity AxisGrid once."""
-
-    def __new__(cls, points, dim: int):
-        self = super().__new__(cls, points)
-        self.dim = dim
-        return self
+    """An immutable tuple of CPPoints that indexes its rays once."""
 
     @cached_property
     def shortest(self) -> dict:
@@ -134,18 +127,11 @@ class PointSet(tuple):
                 out[key] = length
         return out
 
-    @cached_property
-    def grid(self) -> AxisGrid:
-        """The identity AxisGrid of the points: column j is point j."""
-        axes = [[p.quad_coords[i] for p in self] for i in range(self.dim)]
-        return AxisGrid.of_columns(int_array([[x.p for x in a] for a in axes]),
-                                   int_array([[x.q for x in a] for a in axes]))
-
 
 def generate(desc: CPSetDesc, D, T) -> PointSet:
     """All points of the cut-and-project set inside T*D (exact path)."""
-    return PointSet((CPPoint(xs) for xs in enumerate_field_points_exact(
-        desc.field, D.scaled(Fraction(T)), desc.scaled_window())), desc.d)
+    return PointSet(map(CPPoint, enumerate_field_points_exact(
+        desc.field, D.scaled(Fraction(T)), desc.scaled_window())))
 
 
 def classify(desc: CPSetDesc, grid: AxisGrid) -> tuple:
@@ -187,7 +173,7 @@ def visible_oracle(desc: CPSetDesc, x: CPPoint, points) -> bool:
     if x.is_origin:
         return False
     if not isinstance(points, PointSet):
-        points = PointSet(points, len(x.quad_coords))
+        points = PointSet(points)
     key, length = x.ray
     shortest = points.shortest.get(key)
     return shortest is None or shortest >= length
@@ -197,13 +183,16 @@ def strict_inclusion_witness(desc: CPSetDesc, D, T) -> list[CPPoint]:
     """Points of Lambda(W, L_vis) inside T*D that are invisible in Lambda
     (classify's verdict, so desc must be a Hammarhjelm example): a lattice
     point y is visible in L iff its integer coordinate vector, the
-    omega-coordinates of x, is primitive over Z."""
-    pts = generate(desc, D, T)
-    P, Q = pts.grid.columns()
-    primitive, inner = classify(desc, pts.grid)
+    omega-coordinates of x, is primitive over Z.  The witnesses come in
+    generate's order."""
+    axes, grid = lattice.field_point_arrays(
+        desc.field, D.scaled(Fraction(T)), desc.scaled_window())
+    primitive, inner = classify(desc, grid)
     z_primitive = np.gcd.reduce(
-        np.concatenate(omega_coords(desc.field, P, Q)), axis=0) == 1
-    return [p for p, w in zip(pts, z_primitive & (inner | ~primitive)) if w]
+        np.concatenate(omega_coords(desc.field, *grid.columns())), axis=0) == 1
+    witness = grid.idx[:, z_primitive & (inner | ~primitive)]
+    return [CPPoint(tuple(a[k] for a, k in zip(axes, col)))
+            for col in witness.T.tolist()]
 
 
 def strict_inclusion_witness_random(basis: np.ndarray, window, D, T: float):
@@ -252,16 +241,21 @@ def strict_inclusion_witness_random(basis: np.ndarray, window, D, T: float):
     return witnesses, len(U)
 
 
-def points_to_csv(points: PointSet, visible: list[bool]) -> str:
-    d = points.dim
+def points_to_csv(fld: FieldDesc, P, Q, visible) -> str:
+    """One row per column x = (P + Q*sqrt(d))/2: the omega-coordinates a, b
+    of each coordinate, then x and sigma(x) as floats (QuadInt.__float__
+    and conj_float, elementwise), then the visibility flag."""
+    d = len(P)
     cols = [f"a{i+1},b{i+1}" for i in range(d)]
     cols += [f"phys{i+1}" for i in range(d)]
     cols += [f"int{i+1}" for i in range(d)]
     header = ",".join(cols) + ",visible\n"
     lines = [header]
-    for p, vis in zip(points, visible):
-        xs = p.quad_coords
-        row = ([f"{x.a},{x.b}" for x in xs] + [f"{float(x):.12g}" for x in xs]
-               + [f"{x.conj_float():.12g}" for x in xs] + [str(int(vis))])
+    A, B = (zip(*M.tolist()) for M in omega_coords(fld, P, Q))
+    r = math.sqrt(fld.d)
+    X, S = (zip(*M.tolist()) for M in ((P + Q * r) / 2, (P - Q * r) / 2))
+    for a, b, x, s, vis in zip(A, B, X, S, visible):
+        row = ([f"{ai},{bi}" for ai, bi in zip(a, b)]
+               + [f"{v:.12g}" for v in x + s] + [str(int(vis))])
         lines.append(",".join(row) + "\n")
     return "".join(lines)

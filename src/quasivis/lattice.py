@@ -72,19 +72,11 @@ class AxisGrid(NamedTuple):
     """Points of O_K^dim in grid form.  Axis i has the candidates
     (p[i] + q[i]*sqrt(d))/2, integer arrays, and column j of the index grid
     idx, shape (dim, N), is the point whose coordinate i is candidate
-    idx[i, j] of axis i.  A plain column set is the grid whose index is
-    arange(N) on every axis (of_columns)."""
+    idx[i, j] of axis i."""
 
     p: list
     q: list
     idx: np.ndarray
-
-    @staticmethod
-    def of_columns(P, Q) -> "AxisGrid":
-        """The grid of the columns x_i = (P[i] + Q[i]*sqrt(d))/2."""
-        N = P.shape[1]
-        return AxisGrid(list(P), list(Q),
-                        np.broadcast_to(np.arange(N), (len(P), N)))
 
     def columns(self) -> tuple:
         """(P, Q) of shape (dim, N), the coordinates of every column."""

@@ -6,6 +6,8 @@ elements x with |x|, |sigma(x)| <= FIELD_HALF."""
 
 from __future__ import annotations
 
+import math
+
 from .quadfield import FieldDesc, fundamental_unit, iter_ring_box
 
 SIZE = 640
@@ -45,11 +47,12 @@ class _Mapper:
         return sx, sy
 
 
-def svg_scatter(points, visible) -> str:
+def svg_scatter(fld: FieldDesc, P, Q, visible) -> str:
     """Scatter of the physical coordinates (first two components) of the
-    CPPoints; visible points are filled, invisible ones hollow.
-    Deterministic output."""
-    coords = [tuple(map(float, p.quad_coords[:2])) for p in points]
+    columns x = (P + Q*sqrt(d))/2, as QuadInt.__float__ computes them;
+    visible points are filled, invisible ones hollow.  Deterministic
+    output."""
+    coords = list(zip(*((P[:2] + Q[:2] * math.sqrt(fld.d)) / 2).tolist()))
     out = _header(None)
     mp = _Mapper([c[0] for c in coords], [c[1] for c in coords])
     # axes through the origin when in range

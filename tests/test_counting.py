@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from quasivis import counting, cutproject
+from quasivis import counting, cutproject, kernels, quadfield
 from quasivis.counting import (
     CountReport,
     DegenerateFit,
@@ -527,8 +527,14 @@ def test_visible_count_matches_per_point_decisions(d, window, beta_exp, T):
     visible = [visible_fast(desc, p) for p in pts]
     assert rep.count_pr == sum(primitive)
     assert rep.count_vis == sum(visible)
-    # the batch masks, point by point
-    got_primitive, inner = classify(desc, pts.grid)
+    # the batch masks, point by point, on the enumeration's grid, whose
+    # columns are generate's points in order
+    _, grid = field_point_arrays(desc.field, D.scaled(Fraction(T)),
+                                 desc.scaled_window())
+    P, Q = grid.columns()
+    assert P.T.tolist() == [[x.p for x in p.quad_coords] for p in pts]
+    assert Q.T.tolist() == [[x.q for x in p.quad_coords] for p in pts]
+    got_primitive, inner = classify(desc, grid)
     assert got_primitive.tolist() == primitive
     assert (got_primitive & ~inner).tolist() == visible
 
@@ -597,13 +603,18 @@ def test_sweep_hull_holds_a_small_T_of_an_off_centre_ball(method):
         [rep.count_pr for rep in reps]
 
 
-def test_counts_independent_of_float_guard(monkeypatch):
-    """Exact-path counts must not depend on any tolerance knob."""
-    desc = desc_for(F2)
-    r1, = visible_count(desc, D2, [12], predicted=1.0)
-    r2, = visible_count(desc, D2, [12], predicted=1.0)
-    assert (r1.count_vis, r1.count_pr, r1.count_all) == \
-        (r2.count_vis, r2.count_pr, r2.count_all)
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("window", ["square", "octagon"])
+def test_counts_independent_of_float_guard(monkeypatch, d, window):
+    """The exact path's reports, Moebius checks included, are the same when
+    every batch operation falls back to Python ints (an int64 guard of 0)
+    and when the float kernel's boundary tolerance is far off."""
+    desc = CPSetDesc(field=field(d), d=2, window=WINDOWS[window])
+    want = visible_count(desc, D2, [12, 30], "moebius", predicted=1.0)
+    monkeypatch.setattr(quadfield, "_INT64_LIMIT", 0)
+    monkeypatch.setattr(kernels, "TOL", 1e-3)
+    assert visible_count(desc, D2, [12, 30], "moebius",
+                         predicted=1.0) == want
 
 
 def make_report(vol, err):

@@ -19,6 +19,7 @@ from quasivis.cutproject import (
     visible_fast,
     visible_oracle,
 )
+from quasivis.lattice import field_point_arrays
 from quasivis.quadfield import QuadInt, field, fundamental_unit
 from quasivis.regions import (
     Ball,
@@ -321,9 +322,11 @@ def test_strict_inclusion_witness_is_the_per_point_definition(fld,
 def test_classify_empty_point_set():
     """An averaging set that misses every point still has a (dim, 0) grid."""
     desc, far = desc_for(F2), Box.make([(5, 6), (5, 6)])
-    pts = generate(desc, far, Fraction(1, 2))
-    assert len(pts) == 0 and pts.grid.columns()[0].shape == (2, 0)
-    primitive, inner = classify(desc, pts.grid)
+    _, grid = field_point_arrays(desc.field, far.scaled(Fraction(1, 2)),
+                                 desc.scaled_window())
+    assert len(generate(desc, far, Fraction(1, 2))) == 0
+    assert grid.columns()[0].shape == (2, 0)
+    primitive, inner = classify(desc, grid)
     assert primitive.shape == inner.shape == (0,)
     assert strict_inclusion_witness(desc, far, Fraction(1, 2)) == []
 
@@ -388,10 +391,19 @@ def test_beta_scaling_subset():
 
 
 def test_point_dumps():
-    desc = desc_for(F2)
-    pts = generate(desc, D2, 3)
+    """points_to_csv formats the grid's columns as the per-point route
+    formats each CPPoint: a, b, float(x) and conj_float, digit for digit,
+    also in the half-integer ring of Q(sqrt5)."""
+    desc = desc_for(F5, octagon_window(1))
+    pts = generate(desc, D2, 5)
+    _, grid = field_point_arrays(F5, D2.scaled(5), desc.scaled_window())
     vis = [visible_fast(desc, p) for p in pts]
-    csv = points_to_csv(pts, vis)
-    assert csv.splitlines()[0] == \
-        "a1,b1,a2,b2,phys1,phys2,int1,int2,visible"
-    assert len(csv.splitlines()) == len(pts) + 1
+    csv = points_to_csv(F5, *grid.columns(), vis).splitlines()
+    assert csv[0] == "a1,b1,a2,b2,phys1,phys2,int1,int2,visible"
+    assert len(csv) == len(pts) + 1 > 50
+    for row, p, v in zip(csv[1:], pts, vis):
+        xs = p.quad_coords
+        want = ([f"{x.a},{x.b}" for x in xs]
+                + [f"{float(x):.12g}" for x in xs]
+                + [f"{x.conj_float():.12g}" for x in xs] + [str(int(v))])
+        assert row == ",".join(want)

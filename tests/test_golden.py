@@ -1,5 +1,8 @@
 """Byte-for-byte regression against the recorded artifacts in golden/: the
-plot of configs/plot.json, the field plots `plot --field d` for d = 2, 5
+plot of configs/plot.json (square window, box averaging set) and the plot
+of golden/plot_d5_octagon_disc/config.json beside its outputs (d = 5,
+octagon window, disc averaging set, recorded when the plot classified the
+identity grid of its points), the field plots `plot --field d` for d = 2, 5
 (half-integer ring) and 94 (lambda past the plotted range, so the unit box
 is clipped), the `check-hc 2 100` table, the holes
 near-subspace search, the random-lattice experiment of
@@ -16,11 +19,12 @@ configs/density.json --method direct` up to T=500 in
 golden/density_shipped/.  The same sweep with `--method both` is pinned in
 golden/density_shipped_both/, and the sweep of
 golden/density_shipped_d5_both/config.json (the shipped config with d = 5)
-with `--method both` beside that config; CI compares both byte for byte
-after tier-1, since they take several seconds.  After an intended change
-to one of these outputs, re-record it with the same command (`--out
-tests/golden`, or `--out tests/golden/density_*`, or the stdout of
-check-hc) and say in the change which bytes moved and why."""
+with `--method both` beside that config; each takes under a second, and
+CI runs both again as commands to log their wall time and peak RSS.
+After an intended change to one of these outputs, re-record it with the
+same command (`--out tests/golden`, or `--out tests/golden/density_*` or
+`plot_*`, or the stdout of check-hc) and say in the change which bytes
+moved and why."""
 
 from pathlib import Path
 
@@ -35,13 +39,23 @@ CONFIGS = Path(__file__).parent.parent / "configs"
 runner = CliRunner()
 
 
-def test_plot_artifacts(tmp_path):
-    res = runner.invoke(main, ["plot", "--config", str(CONFIGS / "plot.json"),
+def assert_plot_matches(tmp_path, config, golden):
+    res = runner.invoke(main, ["plot", "--config", str(config),
                                "--out", str(tmp_path)])
     assert res.exit_code == EXIT_OK, res.output
     for name in ("points.csv", "points.svg"):
         assert (tmp_path / name).read_bytes() == \
-            (GOLDEN / name).read_bytes(), name
+            (golden / name).read_bytes(), name
+
+
+def test_plot_artifacts(tmp_path):
+    assert_plot_matches(tmp_path, CONFIGS / "plot.json", GOLDEN)
+
+
+def test_plot_octagon_window_disc_averaging(tmp_path):
+    name = "plot_d5_octagon_disc"
+    assert_plot_matches(tmp_path, GOLDEN / name / "config.json",
+                        GOLDEN / name)
 
 
 @pytest.mark.parametrize("d", [2, 5, 94])
@@ -77,23 +91,28 @@ def test_random_experiment(tmp_path):
         (GOLDEN / "random.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", ["density_d5_octagon", "density_d2_disc",
-                                  "density_d5_open_box"])
-def test_density_both_methods(tmp_path, name):
-    res = runner.invoke(main, ["density", "--config",
-                               str(GOLDEN / name / "config.json"),
-                               "--method", "both", "--out", str(tmp_path)])
+def assert_density_matches(tmp_path, config, method, golden):
+    res = runner.invoke(main, ["density", "--config", str(config),
+                               "--method", method, "--out", str(tmp_path)])
     assert res.exit_code == EXIT_OK, res.output
     for out in ("density.csv", "density.json"):
         assert (tmp_path / out).read_bytes() == \
-            (GOLDEN / name / out).read_bytes(), out
+            (golden / out).read_bytes(), out
+
+
+@pytest.mark.parametrize("name", ["density_d5_octagon", "density_d2_disc",
+                                  "density_d5_open_box",
+                                  "density_shipped_d5_both"])
+def test_density_both_methods(tmp_path, name):
+    assert_density_matches(tmp_path, GOLDEN / name / "config.json", "both",
+                           GOLDEN / name)
 
 
 def test_density_shipped_direct(tmp_path):
-    res = runner.invoke(main, ["density", "--config",
-                               str(CONFIGS / "density.json"),
-                               "--method", "direct", "--out", str(tmp_path)])
-    assert res.exit_code == EXIT_OK, res.output
-    for out in ("density.csv", "density.json"):
-        assert (tmp_path / out).read_bytes() == \
-            (GOLDEN / "density_shipped" / out).read_bytes(), out
+    assert_density_matches(tmp_path, CONFIGS / "density.json", "direct",
+                           GOLDEN / "density_shipped")
+
+
+def test_density_shipped_both(tmp_path):
+    assert_density_matches(tmp_path, CONFIGS / "density.json", "both",
+                           GOLDEN / "density_shipped_both")

@@ -598,7 +598,8 @@ def test_grid_mask_equals_column_membership(data):
     grid = AxisGrid(p, q, idx)
     P, Q = grid.columns()
     assert P.shape == Q.shape == (dim, N)
-    identity = AxisGrid.of_columns(P, Q)
+    identity = AxisGrid(list(P), list(Q),
+                        np.broadcast_to(np.arange(N), (dim, N)))
     for conjugate in (False, True):
         want = region.contains_exact(P, -Q if conjugate else Q, 2, d)
         for g in (grid, identity):

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from quasivis import quadfield
 from quasivis.quadfield import (
     NotPID,
     PID_D,
     QuadInt,
+    ZETA_TOL,
     as_scalar,
     TolTooTight,
     check_hammarhjelm,
@@ -509,8 +511,32 @@ def test_count_ideals_matches_slow_oracle(fld):
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_zeta_two_method_agreement(d, s):
     # dedekind_zeta_highprec raises unless the L-series and the Hurwitz
-    # route agree to ZETA_TOL
+    # route agree to the L-series' tail bound
     assert dedekind_zeta_highprec(field(d), s) > 1.0
+
+
+@pytest.mark.parametrize("d", [2, 5, 19, 94])
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+def test_zeta_cross_check_within_tail_bound(d, s):
+    """The two routes agree to the certified tail bound (the margin is
+    widest at d = 19, s = 5) and the Hurwitz value is the one returned."""
+    assert dedekind_zeta_highprec(field(d), s) == zeta_hurwitz(field(d), s)
+
+
+def test_zeta_cross_check_reads_tail_bound(monkeypatch):
+    """A direct sum off by twice its tail bound fails the cross-check,
+    though it lies well within ZETA_TOL relative of the Hurwitz value."""
+    lseries = quadfield.zeta_lseries
+
+    def off_by_twice_the_tail(fld, s, tol):
+        value, tail = lseries(fld, s, tol)
+        return value + 2 * tail, tail
+
+    monkeypatch.setattr(quadfield, "zeta_lseries", off_by_twice_the_tail)
+    v, tail = off_by_twice_the_tail(F2, 2, ZETA_TOL * 0.1)
+    assert abs(v - zeta_hurwitz(F2, 2)) < ZETA_TOL * abs(v)
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        dedekind_zeta_highprec(F2, 2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 13, 94])
