@@ -5,7 +5,7 @@ convergence-rate fitting and the random-lattice 1/zeta(n) experiment."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import mpmath
@@ -15,17 +15,15 @@ from . import kernels
 from .cutproject import CPSetDesc, classify
 from .lattice import AxisGrid, box_reduced_basis, field_point_arrays
 from .quadfield import (
-    as_scalar,
+    FieldDesc,
     dedekind_zeta_highprec,
     divisible_by,
-    floor_quad,
     fundamental_unit,
     int_lin,
     int_mul,
     iter_ring_box,
     moebius,
     omega_coords,
-    over_common_den,
     quad_sign_array,
 )
 from .regions import Box
@@ -51,7 +49,9 @@ class CountReport:
     identity_ok: bool = True
 
     def csv_row(self) -> str:
-        return (f"{self.T:g},{self.count_vis},{self.count_pr},"
+        # T as the shortest form that reads back to it, "10" for 10.0
+        return (f"{repr(self.T).removesuffix('.0')},{self.count_vis},"
+                f"{self.count_pr},"
                 f"{self.count_all},{self.vol_TD:.12g},{self.M_T:.12g},"
                 f"{self.predicted:.12g},{self.rel_error:.12g},"
                 f"{self.count_pr_inner},"
@@ -72,21 +72,6 @@ def predicted_density_hammarhjelm(desc: CPSetDesc) -> float:
     vol_w = desc.scaled_window().volume()
     z = dedekind_zeta_highprec(desc.field, desc.d)
     return (1.0 - lam_inv_d) * (vol_w / desc.covolume()) / z
-
-
-def _norm_cutoff(desc: CPSetDesc, D, T) -> int:
-    """Any g whose sublattice term is nonempty divides a nonzero coordinate
-    x_i with |x_i| <= R_T and |sigma(x_i)| <= R_W, so |N(g)| <= R_T*R_W.
-    Returns floor(R_T*R_W) + 1, computed exactly."""
-    d = desc.field.d
-    r_t = Fraction(T) * max(max(abs(lo), abs(hi)) for lo, hi in D.bbox())
-    # R_T = r/L and each bound of the window (a + b*sqrt(d))/L; the floor
-    # of R_T*|bound| is the larger floor of the two signs
-    (r, *nums), L = over_common_den(
-        [r_t, *(c for lohi in desc.scaled_window().bbox() for bound in lohi
-                for c in as_scalar(bound))])
-    return 1 + max(floor_quad(s * r * a, s * r * b, L * L, d)
-                   for a, b in zip(nums[::2], nums[1::2]) for s in (1, -1))
 
 
 def _norm_gcd(d: int, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -122,17 +107,16 @@ def _sweep(desc: CPSetDesc, D, Ts):
                             for i in group)
 
 
-def _moebius_sums(desc: CPSetDesc, D, Ts, grid: AxisGrid, masks) -> list:
-    """Per T of Ts, with its mask m over the columns of grid, the sum
-    sum_g mu(g) * #(nonzero columns in m that g divides) over unit-class
-    representatives g in [1, lambda) with mu(g) != 0.
+def _moebius_sums(fld: FieldDesc, grid: AxisGrid, masks) -> list:
+    """Per mask m over the columns of grid, the sum sum_g mu(g) *
+    #(nonzero columns in m that g divides) over unit-class representatives
+    g in [1, lambda) with mu(g) != 0.
 
     g | x implies N(g) | G(x) = gcd_i N(x_i), so a g whose norm divides no
     column's G has an empty term and is skipped before its mu is computed;
     the others are tested on the columns with N(g) | G only, once for every
-    mask.  The norm cutoff is taken at the largest T: terms past a smaller
-    T's cutoff are provably empty for that T."""
-    fld = desc.field
+    mask.  So every g with a term has |sigma(g)| <= |N(g)| <= max G, the
+    bound of the walk."""
     P, Q = grid.columns()
     G = _norm_gcd(fld.d, P, Q)
     # the nonzero columns sorted by G, so that each value of G is one slice
@@ -143,7 +127,7 @@ def _moebius_sums(desc: CPSetDesc, D, Ts, grid: AxisGrid, masks) -> list:
     G_values, starts = np.unique(G, return_index=True)
     slices = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(G)])]
     lam = fundamental_unit(fld)
-    cutoff = _norm_cutoff(desc, D, max(Ts))
+    cutoff = int(G[-1]) if len(G) else 0
     totals = M.sum(axis=1)  # g = 1, the only unit in [1, lambda)
     for g in iter_ring_box(fld, 1, lam, -cutoff, cutoff, x_hi_open=True):
         n = abs(g.norm())
@@ -169,9 +153,8 @@ def moebius_count_primitive(desc: CPSetDesc, D, T_grid) -> list[int]:
     on a grid of its own, not visible_count's."""
     desc.require_hammarhjelm()
     Ts = [Fraction(T) for T in T_grid]
-    return [total for group, grid, masks in _sweep(desc, D, Ts)
-            for total in _moebius_sums(desc, D, [Ts[i] for i in group],
-                                       grid, masks)]
+    return [total for _, grid, masks in _sweep(desc, D, Ts)
+            for total in _moebius_sums(desc.field, grid, masks)]
 
 
 def _in_inner_box(desc: CPSetDesc, grid: AxisGrid) -> np.ndarray:
@@ -224,13 +207,12 @@ def visible_count(desc: CPSetDesc, D, T_grid, method: str = "direct", *,
         if isinstance(desc.window, Box):
             agree = ~primitive | (_in_inner_box(desc, grid) == inner)
         if method == "moebius":
-            masks, group_Ts = list(masks), [Ts[i] for i in group]
-            m_outer = _moebius_sums(desc, D, group_Ts, grid, masks)
+            masks = list(masks)
+            m_outer = _moebius_sums(desc.field, grid, masks)
             within = grid.mask(desc.inner_window, desc.field.d,
                                conjugate=True)
             m_inner = _moebius_sums(
-                replace(desc, beta_exp=desc.beta_exp - 1), D, group_Ts,
-                grid._replace(idx=grid.idx[:, within]),
+                desc.field, grid._replace(idx=grid.idx[:, within]),
                 [m[within] for m in masks])
         for j, (i, m) in enumerate(zip(group, masks)):
             count_pr = int((primitive & m).sum())

@@ -232,11 +232,14 @@ def strict_inclusion_witness_random(basis: np.ndarray, window, D, T: float):
         a = phys[shortest].astype(np.longdouble)
         for i in idxs[1:]:
             # genuine ray multiples have a cross product at rounding-error
-            # scale; accidental near-parallels sit orders of magnitude above
+            # scale; accidental near-parallels sit orders of magnitude above.
+            # A point as long as the shortest (a projection that is not
+            # injective) has no point on its open segment.
             b = phys[i].astype(np.longdouble)
             resid = b - (a @ b / (a @ a)) * a
             cross_ok = float(np.sqrt(resid @ resid)) <= 1e-12 * norms[i]
-            if cross_ok and math.gcd(*[int(v) for v in U[i]]) == 1:
+            longer = norms[i] - norms[shortest] > 1e-12 * norms[i]
+            if cross_ok and longer and math.gcd(*[int(v) for v in U[i]]) == 1:
                 witnesses.append((U[i], phys[i]))
     return witnesses, len(U)
 

@@ -239,16 +239,8 @@ class QuadInt:
             return NotImplemented
         return QuadInt(self.field, self.a + other.a, self.b + other.b)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QuadInt(self.field, -self.a, -self.b)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return QuadInt(self.field, self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -330,12 +322,6 @@ class QuadInt:
 
     def __lt__(self, other):
         return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
 
     def __ge__(self, other):
         return self.compare(other) >= 0

@@ -9,14 +9,16 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import quasivis
-from quasivis import lattice
+from quasivis import counting, cutproject, lattice
 from quasivis.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
+    EXIT_IDENTITY,
     EXIT_OK,
     main,
 )
@@ -71,6 +73,13 @@ def test_check_hc_table():
             assert r[4]  # a witness column is populated
 
 
+def test_check_hc_out_csv_is_stdout(tmp_path):
+    res = runner.invoke(main, ["check-hc", "2", "30", "--out",
+                               str(tmp_path / "o")])
+    assert res.exit_code == EXIT_OK, res.output
+    assert (tmp_path / "o" / "check_hc.csv").read_text() == res.stdout
+
+
 def test_check_hc_bad_range():
     res = runner.invoke(main, ["check-hc", "9", "4"])
     assert res.exit_code == EXIT_CONFIG
@@ -96,7 +105,8 @@ def test_density_outputs_and_rerun_identical(tmp_path):
 
 
 def test_density_stdout_rows_are_csv_rows_in_grid_order(tmp_path):
-    grid = [10, 5, 7.5, 10]
+    # the last two share their first 6 significant digits
+    grid = [10, 5, 7.5, 10, 10.015625, 10.0156]
     cfg = write_cfg(tmp_path / "cfg.json", {**DENSITY_CFG, "T_grid": grid})
     res = runner.invoke(main, ["density", "--config", cfg, "--out",
                                str(tmp_path / "o")])
@@ -105,6 +115,29 @@ def test_density_stdout_rows_are_csv_rows_in_grid_order(tmp_path):
     rows = [line for line in csv if not line.startswith("#")][1:]
     assert res.output.splitlines() == rows
     assert [float(row.split(",")[0]) for row in rows] == grid
+
+
+def test_density_identity_violation_exits_with_its_code(tmp_path,
+                                                        monkeypatch):
+    """The box window's fast route disagreeing with classify on one
+    primitive column fails identity_ok: density writes identities_ok false
+    and exits with EXIT_IDENTITY."""
+    fast = counting._in_inner_box
+
+    def flipped(desc, grid):
+        primitive, _ = cutproject.classify(desc, grid)
+        inner = fast(desc, grid).copy()
+        inner[np.flatnonzero(primitive)[0]] ^= True
+        return inner
+
+    monkeypatch.setattr(counting, "_in_inner_box", flipped)
+    cfg = write_cfg(tmp_path / "cfg.json", DENSITY_CFG)
+    res = runner.invoke(main, ["density", "--config", cfg, "--out",
+                               str(tmp_path / "o")])
+    assert res.exit_code == EXIT_IDENTITY, res.output
+    assert res.stderr == "identity violation detected\n"
+    doc = json.loads((tmp_path / "o" / "density.json").read_text())
+    assert doc["identities_ok"] is False
 
 
 def test_density_method_override(tmp_path):

@@ -17,7 +17,6 @@ from quasivis import counting, cutproject, kernels, quadfield
 from quasivis.counting import (
     CountReport,
     DegenerateFit,
-    _norm_cutoff,
     _norm_gcd,
     moebius_count_primitive,
     predicted_density_hammarhjelm,
@@ -104,25 +103,51 @@ def test_moebius_equals_direct(fld, beta_exp, T):
         [direct_primitive_count(desc, D2, T)]
 
 
+def largest_norm_gcd(desc, D, T):
+    """The largest gcd_i |N(x_i)| over the nonzero points of the set in
+    T*D, from QuadInt.norm; 0 for a set with no nonzero point."""
+    return max((math.gcd(*(abs(x.norm()) for x in p.quad_coords))
+                for p in generate(desc, D, T) if not p.is_origin), default=0)
+
+
+def record_walk_bounds(monkeypatch):
+    """The sigma(g) bound of every g-walk counting starts, in order."""
+    bounds = []
+
+    def recorded(fld, x_lo, x_hi, y_lo, y_hi, **kw):
+        bounds.append(y_hi)
+        return iter_ring_box(fld, x_lo, x_hi, y_lo, y_hi, **kw)
+
+    monkeypatch.setattr(counting, "iter_ring_box", recorded)
+    return bounds
+
+
 @pytest.mark.parametrize("fld", [F2, F5])
 @pytest.mark.parametrize("beta_exp", [0, -1])
 @pytest.mark.parametrize("window", [square_window(1), disc_window(1)])
 @pytest.mark.parametrize("T", [3, Fraction(33, 4)])
-def test_norm_cutoff_bounds_every_master_norm(fld, beta_exp, window, T):
+def test_norm_cutoff_bounds_every_master_norm(monkeypatch, fld, beta_exp,
+                                              window, T):
+    """The one-T sum walks g up to the largest G(x) = gcd_i |N(x_i)| of the
+    set, which every g with a term has |sigma(g)| <= |N(g)| below."""
     desc = CPSetDesc(field=fld, d=2, window=window, beta_exp=beta_exp)
-    cutoff = _norm_cutoff(desc, D2, T)
-    norms = [abs(x.norm()) for p in generate(desc, D2, T)
-             for x in p.quad_coords if x]
-    assert norms and max(norms) <= cutoff
+    bounds = record_walk_bounds(monkeypatch)
+    moebius_count_primitive(desc, D2, [T])
+    assert bounds == [largest_norm_gcd(desc, D2, T)]
+    assert bounds[0] > 0
 
 
 def ideal_route_count(desc, D, T):
     """The Moebius sum by ideals, the route the integer-array sum replaced:
     the distinct ideals generated by the nonzero points, and per g with
-    mu(g) != 0 the multiplicity of those that g's ideal contains."""
+    mu(g) != 0 the multiplicity of those that g's ideal contains.  Its own
+    walk is bounded by the largest |N(x_i)| of a nonzero coordinate, which
+    a g dividing x_i cannot pass."""
+    points = [p for p in generate(desc, D, T) if not p.is_origin]
     ideal_mult = Counter(ideal_from_generators(list(p.quad_coords))
-                         for p in generate(desc, D, T) if not p.is_origin)
-    cutoff = _norm_cutoff(desc, D, T)
+                         for p in points)
+    cutoff = max((abs(x.norm()) for p in points for x in p.quad_coords),
+                 default=0)
     total = 0
     for g in iter_ring_box(desc.field, 1,
                            fundamental_unit(desc.field),
@@ -165,15 +190,15 @@ def test_moebius_sums_on_python_ints(fld, window):
     Ts = [Fraction(33, 4), 15, 5]
     (_, grid, masks), = counting._sweep(desc, D2, Ts)
     masks = list(masks)
-    ints = counting._moebius_sums(desc, D2, Ts, grid, masks)
+    ints = counting._moebius_sums(fld, grid, masks)
     as_object = grid._replace(p=[a.astype(object) for a in grid.p],
                               q=[a.astype(object) for a in grid.q])
-    assert counting._moebius_sums(desc, D2, Ts, as_object, masks) == ints
+    assert counting._moebius_sums(fld, as_object, masks) == ints
     assert ints == [rep.count_pr for rep in
                     visible_count(desc, D2, Ts, predicted=1.0)]
 
 
-# T = 1 keeps only the g = 1 term; the others straddle norm cutoffs
+# T = 1 keeps only the g = 1 term; the others straddle walk bounds
 ONE_WALK_GRID = [Fraction(33, 4), 1, 5, 3, Fraction(13, 2)]
 OFF_ORIGIN_D = Box.make([(1, 2), (Fraction(1, 2), Fraction(3, 2))])
 
@@ -192,11 +217,11 @@ def one_walk_cases(test):
 
 @one_walk_cases
 def test_moebius_one_walk_per_group_is_exact(d, beta_exp, window, D):
-    """The sums of a whole T grid, one g-walk per group with the cutoff of
-    its largest T, equal the one-T sums and the direct counts."""
+    """The sums of a whole T grid, one g-walk per group with the bound of
+    its largest G, equal the one-T sums and the direct counts."""
     desc = CPSetDesc(field=field(d), d=2, window=WINDOWS[window],
                      beta_exp=beta_exp)
-    assert len({_norm_cutoff(desc, D, T) for T in ONE_WALK_GRID}) > 2
+    assert len({largest_norm_gcd(desc, D, T) for T in ONE_WALK_GRID}) > 1
     counts = moebius_count_primitive(desc, D, ONE_WALK_GRID)
     assert counts == [moebius_count_primitive(desc, D, [T])[0]
                       for T in ONE_WALK_GRID]
@@ -253,23 +278,24 @@ def test_inner_moebius_sum_catches_a_mislabelled_column(monkeypatch, d):
     assert [rep.identity_ok for rep in reps] == [not h for h in holds]
 
 
-@pytest.mark.parametrize("D,cutoffs", [(D2, 2), (OFF_ORIGIN_D, 12)],
-                         ids=["cube", "off"])
-def test_sweep_takes_one_norm_cutoff_per_group(monkeypatch, D, cutoffs):
-    """The six-T box sweep with the Moebius check takes one norm cutoff per
-    group and set: the outer and the inner one for a D about the origin,
-    both at every T off it."""
-    calls = []
-
-    def counted(desc, D, T):
-        calls.append(T)
-        return _norm_cutoff(desc, D, T)
-
-    monkeypatch.setattr(counting, "_norm_cutoff", counted)
+@pytest.mark.parametrize("D,walks", [(D2, 2), (OFF_ORIGIN_D, 12),
+                                     (octagon_window(1), 2)],
+                         ids=["cube", "off", "octagon"])
+def test_sweep_takes_one_norm_cutoff_per_group(monkeypatch, D, walks):
+    """The six-T sweep with the Moebius check walks g once per group and
+    set: the outer and the inner walk for a D about the origin, both at
+    every T off it.  No walk bound passes floor(R_T*R_W) + 1, the bound on
+    |N(x_i)| for |x_i| <= R_T and |sigma(x_i)| <= R_W = 1 of the group's
+    largest T."""
+    bounds = record_walk_bounds(monkeypatch)
     reps = visible_count(desc_for(F2), D, SIX_T_GRID, method="moebius",
                          predicted=1.0)
     assert all(rep.identity_ok for rep in reps)
-    assert len(calls) == cutoffs
+    assert len(bounds) == walks
+    r = max(max(abs(lo), abs(hi)) for lo, hi in D.bbox())
+    group_T = [max(SIX_T_GRID)] * 2 if walks == 2 else \
+        [T for T in SIX_T_GRID for _ in range(2)]
+    assert all(b <= math.floor(T * r) + 1 for b, T in zip(bounds, group_T))
 
 
 def test_visible_count_moebius_enumerates_outer_set_once(monkeypatch):

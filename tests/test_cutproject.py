@@ -1,6 +1,7 @@
 """Cut-and-project construction and visibility classification."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -351,6 +352,23 @@ def test_strict_inclusion_random_lattices_empty():
             g, Box.cube(1, 1), Box.cube(1, 2), T=20.0)
         assert w == []
         assert examined > 100
+
+
+@pytest.mark.parametrize("T,count", [(3.0, 32), (6.5, 144)])
+def test_strict_inclusion_random_matches_brute_force_on_z3(T, count):
+    """On Z^3 with the physical plane spanned by e1, e2, the points (a, b, c)
+    and (a, b, c') share a physical part, so neither blocks the other.  The
+    witnesses are the primitive points with c = +-1 whose (a, b) has a
+    shorter multiple in the set: gcd(a, b) > 1."""
+    r = int(T)
+    brute = Counter((float(a), float(b)) for a in range(-r, r + 1)
+                    for b in range(-r, r + 1) for c in (-1, 0, 1)
+                    if math.gcd(a, b) > 1 and math.gcd(a, b, c) == 1)
+    assert sum(brute.values()) == count
+    w, examined = strict_inclusion_witness_random(
+        np.eye(3), Box.cube(1, 1), Box.cube(1, 2), T=T)
+    assert examined == 3 * (2 * r + 1) ** 2 - 3
+    assert Counter(tuple(x.tolist()) for _, x in w) == brute
 
 
 @pytest.mark.parametrize("window,D", [

@@ -631,12 +631,19 @@ def test_ring_box_matches_direct_scan(fld):
         A, B = as_scalar(bound)
         return float(A) + float(B) * sqrt_d
 
+    def boxes():
+        for _ in range(40):
+            xlo, xhi = sorted([_ring_box_bound(fld, rng),
+                               _ring_box_bound(fld, rng)], key=approx)
+            ylo, yhi = sorted([_ring_box_bound(fld, rng),
+                               _ring_box_bound(fld, rng)], key=approx)
+            yield xlo, xhi, ylo, yhi
+        # empty boxes, lo above hi in x and in sigma(x)
+        yield Fraction(3, 2), Fraction(1, 2), -1, 1
+        yield -1, 1, Fraction(3, 2), Fraction(1, 2)
+
     on_boundary = 0
-    for _ in range(40):
-        xlo, xhi = sorted([_ring_box_bound(fld, rng),
-                           _ring_box_bound(fld, rng)], key=approx)
-        ylo, yhi = sorted([_ring_box_bound(fld, rng),
-                           _ring_box_bound(fld, rng)], key=approx)
+    for xlo, xhi, ylo, yhi in boxes():
         # a float superset of the box, decided exactly below
         mask = (approx(xlo) - 1 <= fx) & (fx <= approx(xhi) + 1) & \
             (approx(ylo) - 1 <= fs) & (fs <= approx(yhi) + 1)
