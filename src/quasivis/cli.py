@@ -170,8 +170,9 @@ def main():
 def cmd_check_hc(d_min, d_max, out):
     """Classify PID fields in [D_MIN, D_MAX] by the unit-box criterion:
     the Minkowski lattice misses (1, lambda) x [-1, 1]."""
-    if not (2 <= d_min <= d_max):
-        click.echo("need 2 <= d_min <= d_max", err=True)
+    if not (2 <= d_min <= d_max <= 100):
+        click.echo("config error: need 2 <= d_min <= d_max <= 100, the range "
+                   "of the PID table", err=True)
         sys.exit(EXIT_CONFIG)
     lines = ["d,disc,lambda,empty_box,witness"]
     for d in sorted(d for d in PID_D if d_min <= d <= d_max):
@@ -246,6 +247,9 @@ def cmd_density(config_path, out, method):
 def cmd_plot(config_path, field_d, out):
     """Deterministic SVG scatter: points with visibility styling, or a
     Minkowski-embedding field plot with the unit-box overlay."""
+    if (config_path is None) == (field_d is None):
+        click.echo("config error: need one of --config and --field", err=True)
+        sys.exit(EXIT_CONFIG)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if field_d is not None:
@@ -254,9 +258,6 @@ def cmd_plot(config_path, field_d, out):
         svg = svgplot.svg_field_plot(fld)
         (out_dir / f"field_d{field_d}.svg").write_text(svg)
         return
-    if config_path is None:
-        click.echo("need --config or --field", err=True)
-        sys.exit(EXIT_CONFIG)
     cfg = _load_config(config_path, PLOT_KEYS)
     with _config_errors():
         desc, D = _desc_from_config(cfg)

@@ -107,28 +107,28 @@ def _sweep(desc: CPSetDesc, D, Ts):
                             for i in group)
 
 
-def _moebius_sums(fld: FieldDesc, grid: AxisGrid, masks) -> list:
-    """Per mask m over the columns of grid, the sum sum_g mu(g) *
-    #(nonzero columns in m that g divides) over unit-class representatives
-    g in [1, lambda) with mu(g) != 0.
+def _moebius_weights(fld: FieldDesc, grid: AxisGrid) -> np.ndarray:
+    """Per column x of grid, the sum of mu(g) over the unit-class
+    representatives g in [1, lambda) that divide x: 1 when the coordinates
+    of x generate O_K and 0 otherwise, by Moebius inversion, with no use of
+    classify's ideal norms.
 
     g | x implies N(g) | G(x) = gcd_i N(x_i), so a g whose norm divides no
-    column's G has an empty term and is skipped before its mu is computed;
-    the others are tested on the columns with N(g) | G only, once for every
-    mask.  So every g with a term has |sigma(g)| <= |N(g)| <= max G, the
-    bound of the walk."""
-    P, Q = grid.columns()
-    G = _norm_gcd(fld.d, P, Q)
-    # the nonzero columns sorted by G, so that each value of G is one slice
+    column's G has no term and is skipped before its mu is computed; the
+    others are tested on the columns with N(g) | G only.  So every g with a
+    term has |sigma(g)| <= |N(g)| <= max G, the bound of the walk."""
+    G = _norm_gcd(fld.d, *grid.columns())
+    weights = (G != 0).astype(np.int64)  # g = 1, the only unit in [1, lambda)
+    # the nonzero columns sorted by G, so that each value of G is one slice;
+    # only they are gathered again, so the walk holds no (P, Q) of the grid
     nonzero = np.flatnonzero(G)
     order = nonzero[np.argsort(G[nonzero], kind="stable")]
-    (A, B), G = omega_coords(fld, P[:, order], Q[:, order]), G[order]
-    M = np.stack([m[order] for m in masks])
+    G = G[order]
+    A, B = omega_coords(fld, *grid._replace(idx=grid.idx[:, order]).columns())
     G_values, starts = np.unique(G, return_index=True)
     slices = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(G)])]
     lam = fundamental_unit(fld)
     cutoff = int(G[-1]) if len(G) else 0
-    totals = M.sum(axis=1)  # g = 1, the only unit in [1, lambda)
     for g in iter_ring_box(fld, 1, lam, -cutoff, cutoff, x_hi_open=True):
         n = abs(g.norm())
         if n == 1 or n > cutoff:
@@ -140,21 +140,24 @@ def _moebius_sums(fld: FieldDesc, grid: AxisGrid, masks) -> list:
         if mu == 0:
             continue
         cols = np.r_[tuple(slices[j] for j in groups)]
-        totals += mu * M[:, cols[divisible_by(g, A[:, cols], B[:, cols])]] \
-            .sum(axis=1)
-    return [int(t) for t in totals]
+        weights[order[cols[divisible_by(g, A[:, cols], B[:, cols])]]] += mu
+    return weights
 
 
 def moebius_count_primitive(desc: CPSetDesc, D, T_grid) -> list[int]:
     """Primitive-point count of the set in T*D for every T of T_grid, in
-    grid order: sum_g mu(g) * #(nonzero points of Lambda(beta*W, L_g) in
-    T*D) over unit-class representatives g in [1, lambda) with mu(g) != 0,
-    one enumeration and one g-walk per group of _sweep: the one-set count,
-    on a grid of its own, not visible_count's."""
+    grid order: the Moebius weights of T*D's columns summed, that is sum_g
+    mu(g) * #(nonzero points of Lambda(beta*W, L_g) in T*D) over unit-class
+    representatives g in [1, lambda) with mu(g) != 0.  One enumeration and
+    one g-walk per group of _sweep: the one-set count, on a grid of its
+    own, not visible_count's."""
     desc.require_hammarhjelm()
     Ts = [Fraction(T) for T in T_grid]
-    return [total for _, grid, masks in _sweep(desc, D, Ts)
-            for total in _moebius_sums(desc.field, grid, masks)]
+    counts = []
+    for _, grid, masks in _sweep(desc, D, Ts):
+        weights = _moebius_weights(desc.field, grid)
+        counts += [int(weights[m].sum()) for m in masks]
+    return counts
 
 
 def _in_inner_box(desc: CPSetDesc, grid: AxisGrid) -> np.ndarray:
@@ -190,12 +193,13 @@ def visible_count(desc: CPSetDesc, D, T_grid, method: str = "direct", *,
     a group's hull once, and T*D takes its points by its mask.  For a box
     window the integer fast route decides the inner window again, per axis
     on its own, and identity_ok records that the two agree on each
-    primitive point of T*D.  method='moebius' also checks both primitive
-    counts at each T against inclusion-exclusion sums, two g-walks per
-    group on its grid: the outer one over every column, the inner one over
-    the beta/lambda set, the columns with sigma(x) in the inner window
-    (which W's central symmetry and convexity put inside beta*W), decided
-    apart from classify.  rel_error compares the counts with predicted."""
+    primitive point of T*D.  method='moebius' also decides every column
+    again, by one g-walk per group: its Moebius weight must equal its
+    primitive label, and its inner label must equal weight 1 with sigma(x)
+    in the inner window (which W's central symmetry and convexity put
+    inside beta*W), decided apart from classify.  identity_ok records that
+    every column of T*D agrees, which implies equal counts.  rel_error
+    compares the counts with predicted."""
     Ts = [Fraction(T) for T in T_grid]
     vol_w = desc.scaled_window().volume()
     reports = []
@@ -207,20 +211,14 @@ def visible_count(desc: CPSetDesc, D, T_grid, method: str = "direct", *,
         if isinstance(desc.window, Box):
             agree = ~primitive | (_in_inner_box(desc, grid) == inner)
         if method == "moebius":
-            masks = list(masks)
-            m_outer = _moebius_sums(desc.field, grid, masks)
+            weights = _moebius_weights(desc.field, grid)
             within = grid.mask(desc.inner_window, desc.field.d,
                                conjugate=True)
-            m_inner = _moebius_sums(
-                desc.field, grid._replace(idx=grid.idx[:, within]),
-                [m[within] for m in masks])
-        for j, (i, m) in enumerate(zip(group, masks)):
+            agree &= ((weights == primitive)
+                      & (inner == ((weights == 1) & within)))
+        for i, m in zip(group, masks):
             count_pr = int((primitive & m).sum())
             count_pr_inner = int((inner & m).sum())
-            identity_ok = bool(agree[m].all())
-            if method == "moebius":
-                identity_ok = identity_ok and m_outer[j] == count_pr \
-                    and m_inner[j] == count_pr_inner
             count_vis = count_pr - count_pr_inner
             vol_td = D.scaled(Ts[i]).volume()
             reports.append(CountReport(
@@ -228,7 +226,8 @@ def visible_count(desc: CPSetDesc, D, T_grid, method: str = "direct", *,
                 count_all=int(m.sum()), vol_TD=vol_td,
                 M_T=vol_w * vol_td / desc.covolume(), predicted=predicted,
                 rel_error=abs(count_vis / vol_td - predicted) / predicted,
-                count_pr_inner=count_pr_inner, identity_ok=identity_ok))
+                count_pr_inner=count_pr_inner,
+                identity_ok=bool(agree[m].all())))
     return reports
 
 

@@ -85,6 +85,16 @@ def test_check_hc_bad_range():
     assert res.exit_code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("d_min", ["101", "90"])
+def test_check_hc_past_the_pid_table(d_min):
+    """A D_MAX past 100, where the PID table stops, is refused, not cut
+    short to the fields the table holds."""
+    res = runner.invoke(main, ["check-hc", d_min, "200"])
+    assert res.exit_code == EXIT_CONFIG
+    assert res.output.startswith("config error:")
+    assert len(res.output.splitlines()) == 1
+
+
 def test_density_outputs_and_rerun_identical(tmp_path):
     cfg = write_cfg(tmp_path / "cfg.json", DENSITY_CFG)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -469,6 +479,16 @@ def test_plot_field(tmp_path):
 def test_plot_needs_config_or_field():
     res = runner.invoke(main, ["plot"])
     assert res.exit_code == EXIT_CONFIG
+
+
+def test_plot_takes_config_or_field_not_both(tmp_path):
+    cfg = write_cfg(tmp_path / "cfg.json", PLOT_CFG)
+    res = runner.invoke(main, ["plot", "--config", cfg, "--field", "5",
+                               "--out", str(tmp_path / "o")])
+    assert res.exit_code == EXIT_CONFIG
+    assert res.output.startswith("config error:")
+    assert len(res.output.splitlines()) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_holes_ok(tmp_path):

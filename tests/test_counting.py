@@ -181,23 +181,6 @@ def test_moebius_matches_ideal_route(d, dim, window, T, beta_exp):
         [ideal_route_count(desc, D, T)]
 
 
-@pytest.mark.parametrize("fld", [F2, F5])
-@pytest.mark.parametrize("window", ["square", "octagon"])
-def test_moebius_sums_on_python_ints(fld, window):
-    """One group's sum on the grid's int64 arrays and on the same arrays
-    as Python ints, as past the int64 guard, agree with the direct count."""
-    desc = CPSetDesc(field=fld, d=2, window=WINDOWS[window])
-    Ts = [Fraction(33, 4), 15, 5]
-    (_, grid, masks), = counting._sweep(desc, D2, Ts)
-    masks = list(masks)
-    ints = counting._moebius_sums(fld, grid, masks)
-    as_object = grid._replace(p=[a.astype(object) for a in grid.p],
-                              q=[a.astype(object) for a in grid.q])
-    assert counting._moebius_sums(fld, as_object, masks) == ints
-    assert ints == [rep.count_pr for rep in
-                    visible_count(desc, D2, Ts, predicted=1.0)]
-
-
 # T = 1 keeps only the g = 1 term; the others straddle walk bounds
 ONE_WALK_GRID = [Fraction(33, 4), 1, 5, 3, Fraction(13, 2)]
 OFF_ORIGIN_D = Box.make([(1, 2), (Fraction(1, 2), Fraction(3, 2))])
@@ -234,9 +217,8 @@ def test_moebius_one_walk_per_group_is_exact(d, beta_exp, window, D):
 @one_walk_cases
 def test_inner_moebius_sum_equals_the_beta_lambda_set_count(d, beta_exp,
                                                             window, D):
-    """The inner sum visible_count takes from the outer grid's columns in
-    the inner window equals the beta/lambda set's own enumeration and
-    sum."""
+    """The inner counts the Moebius check accepts on the outer grid equal
+    the Moebius counts of the beta/lambda set's own enumeration."""
     desc = CPSetDesc(field=field(d), d=2, window=WINDOWS[window],
                      beta_exp=beta_exp)
     reps = visible_count(desc, D, ONE_WALK_GRID, method="moebius",
@@ -248,10 +230,10 @@ def test_inner_moebius_sum_equals_the_beta_lambda_set_count(d, beta_exp,
 
 @pytest.mark.parametrize("d", [2, 5])
 def test_inner_moebius_sum_catches_a_mislabelled_column(monkeypatch, d):
-    """classify marking one visible column inner is caught by the inner
-    Moebius sum exactly at the Ts whose T*D holds it: the disc window has
-    no fast route, so the direct count misses it, and the sum's rows do
-    not come from classify's inner mask."""
+    """classify marking one visible column inner is caught by the Moebius
+    check exactly at the Ts whose T*D holds it: the disc window has no
+    fast route, so the direct count misses it, and the check's inner
+    window test does not come from classify's inner mask."""
     desc = CPSetDesc(field=field(d), d=2, window=disc_window(1))
     Ts = [5, 3, Fraction(33, 4)]
     marked = []
@@ -278,23 +260,58 @@ def test_inner_moebius_sum_catches_a_mislabelled_column(monkeypatch, d):
     assert [rep.identity_ok for rep in reps] == [not h for h in holds]
 
 
-@pytest.mark.parametrize("D,walks", [(D2, 2), (OFF_ORIGIN_D, 12),
-                                     (octagon_window(1), 2)],
+# at beta = 1 the d = 5 set has no nonzero non-primitive point in 5*D; at
+# beta = lambda it has (2*lambda, 0), with |sigma(2*lambda)| = 2/lambda
+# outside the inner window W
+@pytest.mark.parametrize("d,beta_exp", [(2, 0), (5, 1)])
+def test_moebius_check_catches_two_swapped_primitive_labels(monkeypatch, d,
+                                                            beta_exp):
+    """classify swapping the primitive labels of a primitive and a
+    non-primitive column, both in 5*D but not in 3*D and both outside the
+    inner window, leaves every count as it is.  The Moebius weights catch
+    it at the Ts whose T*D holds the two; the direct count, with no fast
+    route for the disc window, does not."""
+    desc = CPSetDesc(field=field(d), d=2, window=disc_window(1),
+                     beta_exp=beta_exp)
+    Ts = [5, 3, Fraction(33, 4)]
+    want = visible_count(desc, D2, Ts, method="moebius", predicted=1.0)
+    assert all(rep.identity_ok for rep in want)
+
+    def swapped(desc, grid):
+        primitive, inner = classify(desc, grid)
+        P, Q = grid.columns()
+        in_3D, in_5D = (D2.scaled(T).contains_exact(P, Q, 2, d)
+                        for T in (3, 5))
+        outside = ~grid.mask(desc.inner_window, d, conjugate=True)
+        pair = outside & ~in_3D & in_5D  # not in 3*D: not the origin
+        j, k = (np.flatnonzero(pair & label)[0]
+                for label in (primitive, ~primitive))
+        primitive = primitive.copy()
+        primitive[[j, k]] = primitive[[k, j]]
+        return primitive, inner
+
+    monkeypatch.setattr(counting, "classify", swapped)
+    assert visible_count(desc, D2, Ts, predicted=1.0) == want
+    reps = visible_count(desc, D2, Ts, method="moebius", predicted=1.0)
+    assert [replace(rep, identity_ok=True) for rep in reps] == want
+    assert [rep.identity_ok for rep in reps] == [False, True, False]
+
+
+@pytest.mark.parametrize("D,walks", [(D2, 1), (OFF_ORIGIN_D, 6),
+                                     (octagon_window(1), 1)],
                          ids=["cube", "off", "octagon"])
 def test_sweep_takes_one_norm_cutoff_per_group(monkeypatch, D, walks):
-    """The six-T sweep with the Moebius check walks g once per group and
-    set: the outer and the inner walk for a D about the origin, both at
-    every T off it.  No walk bound passes floor(R_T*R_W) + 1, the bound on
-    |N(x_i)| for |x_i| <= R_T and |sigma(x_i)| <= R_W = 1 of the group's
-    largest T."""
+    """The six-T sweep with the Moebius check walks g once per group: once
+    for a D about the origin, once at every T off it.  No walk bound passes
+    floor(R_T*R_W) + 1, the bound on |N(x_i)| for |x_i| <= R_T and
+    |sigma(x_i)| <= R_W = 1 of the group's largest T."""
     bounds = record_walk_bounds(monkeypatch)
     reps = visible_count(desc_for(F2), D, SIX_T_GRID, method="moebius",
                          predicted=1.0)
     assert all(rep.identity_ok for rep in reps)
     assert len(bounds) == walks
     r = max(max(abs(lo), abs(hi)) for lo, hi in D.bbox())
-    group_T = [max(SIX_T_GRID)] * 2 if walks == 2 else \
-        [T for T in SIX_T_GRID for _ in range(2)]
+    group_T = [max(SIX_T_GRID)] if walks == 1 else SIX_T_GRID
     assert all(b <= math.floor(T * r) + 1 for b, T in zip(bounds, group_T))
 
 
@@ -311,7 +328,7 @@ def test_visible_count_moebius_enumerates_outer_set_once(monkeypatch):
                          predicted=1.0)
     assert all(rep.identity_ok for rep in reps)
     # for the whole grid: one outer set, shared with the direct count and
-    # both Moebius sums
+    # the Moebius weights
     assert calls == [desc.scaled_window()]
 
 
@@ -563,6 +580,27 @@ def test_visible_count_matches_per_point_decisions(d, window, beta_exp, T):
     got_primitive, inner = classify(desc, grid)
     assert got_primitive.tolist() == primitive
     assert (got_primitive & ~inner).tolist() == visible
+
+
+@pytest.mark.parametrize("d,window,beta_exp,T", BATCH_SETS)
+def test_moebius_weights_equal_classify(d, window, beta_exp, T):
+    """The Moebius check in dimensions 1, 2 and 3: each column's weight is
+    classify's primitive label, on the grid's int64 arrays and on the same
+    arrays as Python ints, as past the int64 guard."""
+    W = WINDOWS[window]
+    desc = CPSetDesc(field=field(d), d=W.dim, window=W, beta_exp=beta_exp)
+    D = Box.cube(1, W.dim)
+    rep, = visible_count(desc, D, [T], method="moebius", predicted=1.0)
+    assert rep.identity_ok
+    _, grid = field_point_arrays(desc.field, D.scaled(Fraction(T)),
+                                 desc.scaled_window())
+    primitive, _ = classify(desc, grid)
+    as_object = grid._replace(p=[a.astype(object) for a in grid.p],
+                              q=[a.astype(object) for a in grid.q])
+    for g in (grid, as_object):
+        assert counting._moebius_weights(desc.field, g).tolist() == \
+            primitive.astype(int).tolist()
+    assert moebius_count_primitive(desc, D, [T]) == [rep.count_pr]
 
 
 # unsorted, with a repeated T and one off the integers
