@@ -3,7 +3,10 @@
 Elements, units, ideal norms from 2x2 minors and divisibility by g (each
 one body for a point or a set of points), the Moebius function of a
 principal ideal from its norm and the Kronecker symbol, and the Dedekind
-zeta function.  Every correctness-bearing comparison is an
+zeta function: at s = 2 and 4 from the rational zeta_K(1 - s), computed
+by two exact routes (Washington, GTM 83, Thm 4.2; Siegel 1969, Zagier
+1976) that must be equal, otherwise by two series routes that must agree
+to a certified tail bound.  Every correctness-bearing comparison is an
 exact integer sign computation; floats appear only as convenience
 approximations.
 """
@@ -546,15 +549,64 @@ def zeta_hurwitz(fld: FieldDesc, s: int) -> float:
         return float(mpmath.zeta(s) * L)
 
 
-# dedekind_zeta_highprec sums the L-series until its tail bound is at
-# most ZETA_TOL / 10.
+def _bernoulli(n: int) -> list[Fraction]:
+    """B_0, ..., B_n (B_1 = -1/2) from sum_{k<=m} C(m+1, k) B_k = 0."""
+    B = [Fraction(1)]
+    for m in range(1, n + 1):
+        B.append(-sum(math.comb(m + 1, k) * B[k] for k in range(m)) / (m + 1))
+    return B
+
+
+def zeta_bernoulli(fld: FieldDesc, s: int) -> Fraction:
+    """zeta_K(1 - s) = (B_s/s) * (B_{s,chi}/s) for even s (Washington,
+    GTM 83, Thm 4.2), B_{s,chi} = D^(s-1) sum_{a=1}^{D} chi(a) B_s(a/D)
+    expanded as sum_k C(s, k) B_k D^(k-1) sum_a chi(a) a^(s-k)."""
+    D = fld.disc
+    B = _bernoulli(s)
+    chi = _chi_period(fld)
+    power_sums = [sum(int(chi[a % D]) * a ** j for a in range(1, D + 1))
+                  for j in range(s + 1)]
+    B_chi = sum(math.comb(s, k) * B[k] * Fraction(D) ** (k - 1)
+                * power_sums[s - k] for k in range(s + 1))
+    return B[s] / s * B_chi / s
+
+
+def zeta_siegel(fld: FieldDesc, s: int) -> Fraction:
+    """zeta_K(1 - s) = (-B_{2s}/s) * sum sigma_{s-1}((D - b^2)/4) over
+    b^2 < D, b = D mod 2, for s = 2 and 4, where the weight-2s modular
+    forms of SL_2(Z) are one-dimensional (Siegel 1969; Zagier 1976)."""
+    D, k = fld.disc, s - 1
+    total = 0
+    for b in range(-isqrt(D), isqrt(D) + 1):
+        if (D - b) % 2 == 0:
+            total += math.prod((p ** (k * (e + 1)) - 1) // (p ** k - 1)
+                               for p, e in factorint((D - b * b) // 4).items())
+    return -_bernoulli(2 * s)[2 * s] / s * total
+
+
+# dedekind_zeta_highprec takes s = 2 and 4 from the two exact routes
+# (Washington, GTM 83, Thm 4.2; Siegel 1969, Zagier 1976); at every other s
+# it sums the L-series until its tail bound is at most ZETA_TOL / 10.
 ZETA_TOL = 1e-9
 
 
 def dedekind_zeta_highprec(fld: FieldDesc, s: int) -> float:
-    """The Hurwitz route's value, checked against the directly summed
-    L-series: they must agree to that series' certified tail bound plus
-    2^-40 relative for its float summation."""
+    """zeta_K(s).  For s = 2 and 4: the rational zeta_K(1 - s), equal by
+    zeta_bernoulli and zeta_siegel, through the functional equation
+    zeta_K(s) = zeta_K(1 - s) (2 pi)^(2s) sqrt(D) / (4 D^s ((s-1)!)^2),
+    rounded from 40 digits.  Otherwise the Hurwitz route's value, checked
+    against the directly summed L-series: they must agree to that series'
+    certified tail bound plus 2^-40 relative for its float summation."""
+    if s in (2, 4):
+        r, r_siegel = zeta_bernoulli(fld, s), zeta_siegel(fld, s)
+        if r != r_siegel:
+            raise ArithmeticError(
+                f"zeta exact routes disagree: {r} vs {r_siegel}")
+        D = fld.disc
+        with mpmath.workdps(40):
+            return float(mpmath.mpf(r.numerator) / r.denominator
+                         * (2 * mpmath.pi) ** (2 * s) * mpmath.sqrt(D)
+                         / (4 * D ** s * math.factorial(s - 1) ** 2))
     v1, e1 = zeta_lseries(fld, s, ZETA_TOL * 0.1)
     v2 = zeta_hurwitz(fld, s)
     if abs(v1 - v2) > e1 + 2.0 ** -40 * abs(v2):

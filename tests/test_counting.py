@@ -297,6 +297,40 @@ def test_moebius_check_catches_two_swapped_primitive_labels(monkeypatch, d,
     assert [rep.identity_ok for rep in reps] == [False, True, False]
 
 
+@pytest.mark.parametrize("d", [2, 5])
+def test_moebius_check_catches_a_dropped_primitive_label(monkeypatch, d):
+    """classify clearing the primitive label of one column in 5*D but not
+    in 3*D, outside the inner window, is caught by the Moebius check
+    exactly at the Ts whose T*D holds it: its weight 1 no longer equals
+    its label, while its inner label still agrees with the weight, so
+    only the weight-equals-label half of the check sees it."""
+    desc = CPSetDesc(field=field(d), d=2, window=disc_window(1))
+    Ts = [5, 3, Fraction(33, 4)]
+    marked = []
+
+    def dropped(desc, grid):
+        primitive, inner = classify(desc, grid)
+        P, Q = grid.columns()
+        in_3D, in_5D = (D2.scaled(T).contains_exact(P, Q, 2, d)
+                        for T in (3, 5))
+        outside = ~grid.mask(desc.inner_window, d, conjugate=True)
+        j = np.flatnonzero(primitive & ~inner & outside & ~in_3D & in_5D)[0]
+        marked.append((P[:, j], Q[:, j]))
+        primitive = primitive.copy()
+        primitive[j] = False
+        return primitive, inner
+
+    monkeypatch.setattr(counting, "classify", dropped)
+    assert all(rep.identity_ok
+               for rep in visible_count(desc, D2, Ts, predicted=1.0))
+    reps = visible_count(desc, D2, Ts, method="moebius", predicted=1.0)
+    P, Q = marked[-1]
+    holds = [bool(D2.scaled(T).contains_exact(P[:, None], Q[:, None], 2,
+                                              d)[0]) for T in Ts]
+    assert holds == [True, False, True]
+    assert [rep.identity_ok for rep in reps] == [not h for h in holds]
+
+
 @pytest.mark.parametrize("D,walks", [(D2, 1), (OFF_ORIGIN_D, 6),
                                      (octagon_window(1), 1)],
                          ids=["cube", "off", "octagon"])

@@ -36,8 +36,10 @@ from quasivis.quadfield import (
     quad_sign,
     quad_sign_array,
     splitting_type,
+    zeta_bernoulli,
     zeta_hurwitz,
     zeta_lseries,
+    zeta_siegel,
 )
 
 from ideal_oracle import (
@@ -510,22 +512,33 @@ def test_count_ideals_matches_slow_oracle(fld):
 @pytest.mark.parametrize("d", [2, 5, 13, 29, 53])
 @pytest.mark.parametrize("s", [2, 3, 4])
 def test_zeta_two_method_agreement(d, s):
-    # dedekind_zeta_highprec raises unless the L-series and the Hurwitz
-    # route agree to the L-series' tail bound
+    # dedekind_zeta_highprec raises unless its two routes agree: at s = 2
+    # and 4 the Bernoulli and Siegel values of zeta_K(1 - s) as Fractions,
+    # at s = 3 the L-series and the Hurwitz route to the L-series' tail
+    # bound
     assert dedekind_zeta_highprec(field(d), s) > 1.0
 
 
-@pytest.mark.parametrize("d", [2, 5, 19, 94])
-@pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
-def test_zeta_cross_check_within_tail_bound(d, s):
-    """The two routes agree to the certified tail bound (the margin is
-    widest at d = 19, s = 5) and the Hurwitz value is the one returned."""
+# the exact routes at every PID field, and the series pair at s = 2..6
+CROSS_CHECK_CASES = sorted(
+    {(s, d) for s in (2, 3, 4, 5, 6) for d in (2, 5, 19, 94)}
+    | {(s, d) for s in (2, 4) for d in PID_D})
+
+
+@pytest.mark.parametrize("s,d", CROSS_CHECK_CASES)
+def test_zeta_cross_check_within_tail_bound(s, d):
+    """The value returned equals the Hurwitz route's bit for bit: at s = 2
+    and 4 the closed form rounds to the same double, elsewhere the two
+    series agree to the certified tail bound (the margin is widest at
+    d = 19, s = 5) and the Hurwitz value is the one returned."""
     assert dedekind_zeta_highprec(field(d), s) == zeta_hurwitz(field(d), s)
 
 
 def test_zeta_cross_check_reads_tail_bound(monkeypatch):
     """A direct sum off by twice its tail bound fails the cross-check,
-    though it lies well within ZETA_TOL relative of the Hurwitz value."""
+    though it lies well within ZETA_TOL relative of the Hurwitz value.
+    At s = 3 the series pair serves the value; s = 2 and 4 never reach
+    the L-series."""
     lseries = quadfield.zeta_lseries
 
     def off_by_twice_the_tail(fld, s, tol):
@@ -533,8 +546,36 @@ def test_zeta_cross_check_reads_tail_bound(monkeypatch):
         return value + 2 * tail, tail
 
     monkeypatch.setattr(quadfield, "zeta_lseries", off_by_twice_the_tail)
-    v, tail = off_by_twice_the_tail(F2, 2, ZETA_TOL * 0.1)
-    assert abs(v - zeta_hurwitz(F2, 2)) < ZETA_TOL * abs(v)
+    v, tail = off_by_twice_the_tail(F2, 3, ZETA_TOL * 0.1)
+    assert abs(v - zeta_hurwitz(F2, 3)) < ZETA_TOL * abs(v)
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        dedekind_zeta_highprec(F2, 3)
+
+
+# zeta_K(-1) and zeta_K(-3) of Q(sqrt 2) and Q(sqrt 5)
+KNOWN_ZETA_NEG = [(2, 2, Fraction(1, 12)), (2, 4, Fraction(11, 120)),
+                  (5, 2, Fraction(1, 30)), (5, 4, Fraction(1, 60))]
+
+
+@pytest.mark.parametrize("route", [zeta_bernoulli, zeta_siegel],
+                         ids=["bernoulli", "siegel"])
+@pytest.mark.parametrize("d,s,value", KNOWN_ZETA_NEG)
+def test_zeta_exact_route_known_values(route, d, s, value):
+    assert route(field(d), s) == value
+
+
+@pytest.mark.parametrize("d", sorted(PID_D))
+@pytest.mark.parametrize("s", [2, 4])
+def test_zeta_exact_routes_agree(d, s):
+    assert zeta_bernoulli(field(d), s) == zeta_siegel(field(d), s)
+
+
+@pytest.mark.parametrize("route", ["zeta_bernoulli", "zeta_siegel"])
+def test_zeta_exact_routes_disagreement_raises(monkeypatch, route):
+    """Either exact route off by 10^-30 fails the Fraction comparison."""
+    exact = getattr(quadfield, route)
+    monkeypatch.setattr(quadfield, route,
+                        lambda fld, s: exact(fld, s) + Fraction(1, 10**30))
     with pytest.raises(ArithmeticError, match="routes disagree"):
         dedekind_zeta_highprec(F2, 2)
 
