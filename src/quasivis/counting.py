@@ -26,7 +26,7 @@ from .quadfield import (
     omega_coords,
     quad_sign_array,
 )
-from .regions import Box
+from .regions import Box, axis_factors
 
 
 class DegenerateFit(ValueError):
@@ -74,14 +74,14 @@ def predicted_density_hammarhjelm(desc: CPSetDesc) -> float:
     return (1.0 - lam_inv_d) * (vol_w / desc.covolume()) / z
 
 
-def _norm_gcd(d: int, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Per column of integer arrays P, Q of shape (k, N), the gcd over i of
-    |N(x_i)| = |p_i^2 - d*q_i^2|/4 for x_i = (p_i + q_i*sqrt(d))/2; 0 for a
-    zero column."""
-    G = np.zeros(P.shape[1], dtype=np.int64)
-    for p, q in zip(P, Q):
+def _norm_gcd(d: int, grid: AxisGrid) -> np.ndarray:
+    """Per column x of grid, the gcd over i of |N(x_i)| = |p^2 - d*q^2|/4
+    for x_i = (p + q*sqrt(d))/2; 0 for a zero column.  The norms are taken
+    once per axis candidate and gathered through the index grid."""
+    G = np.zeros(grid.idx.shape[1], dtype=np.int64)
+    for p, q, k in zip(grid.p, grid.q, grid.idx):
         n = int_lin([(1, int_mul(p, p)), (-d, int_mul(q, q))]) // 4
-        G = np.gcd(G, np.abs(n))
+        G = np.gcd(G, np.abs(n)[k])
     return G
 
 
@@ -116,15 +116,15 @@ def _moebius_weights(fld: FieldDesc, grid: AxisGrid) -> np.ndarray:
     g | x implies N(g) | G(x) = gcd_i N(x_i), so a g whose norm divides no
     column's G has no term and is skipped before its mu is computed; the
     others are tested on the columns with N(g) | G only.  So every g with a
-    term has |sigma(g)| <= |N(g)| <= max G, the bound of the walk."""
-    G = _norm_gcd(fld.d, *grid.columns())
+    term has |sigma(g)| <= |N(g)| <= max G, the bound of the walk.  g | x
+    iff g | x_i for every i: each g tests each axis candidate once."""
+    G = _norm_gcd(fld.d, grid)
     weights = (G != 0).astype(np.int64)  # g = 1, the only unit in [1, lambda)
-    # the nonzero columns sorted by G, so that each value of G is one slice;
-    # only they are gathered again, so the walk holds no (P, Q) of the grid
+    # the nonzero columns sorted by G, so that each value of G is one slice
     nonzero = np.flatnonzero(G)
     order = nonzero[np.argsort(G[nonzero], kind="stable")]
     G = G[order]
-    A, B = omega_coords(fld, *grid._replace(idx=grid.idx[:, order]).columns())
+    axes = [omega_coords(fld, p, q) for p, q in zip(grid.p, grid.q)]
     G_values, starts = np.unique(G, return_index=True)
     slices = [slice(a, b) for a, b in zip(starts, [*starts[1:], len(G)])]
     lam = fundamental_unit(fld)
@@ -139,8 +139,10 @@ def _moebius_weights(fld: FieldDesc, grid: AxisGrid) -> np.ndarray:
         mu = moebius(g)
         if mu == 0:
             continue
-        cols = np.r_[tuple(slices[j] for j in groups)]
-        weights[order[cols[divisible_by(g, A[:, cols], B[:, cols])]]] += mu
+        cols = order[np.r_[tuple(slices[j] for j in groups)]]
+        divides = grid._replace(idx=grid.idx[:, cols]).gather(
+            [divisible_by(g, [a], [b]) for a, b in axes])
+        weights[cols[divides]] += mu
     return weights
 
 
@@ -161,25 +163,24 @@ def moebius_count_primitive(desc: CPSetDesc, D, T_grid) -> list[int]:
 
 
 def _in_inner_box(desc: CPSetDesc, grid: AxisGrid) -> np.ndarray:
-    """Fast route for a box window W, per column x of the grid: sigma(x)
-    lies in lambda^(beta_exp-1)*W iff mult*sigma(x) lies in W, mult =
-    lambda^(1-beta_exp), tested in integers against the box bounds over one
-    common denominator L, once per axis candidate."""
-    box, d = desc.window, desc.field.d
+    """Fast route for a window W that regions.axis_factors splits into 1-D
+    boxes, per column x: sigma(x) lies in lambda^(beta_exp-1)*W iff
+    mult*sigma(x) lies in W, mult = lambda^(1-beta_exp), tested in integers
+    per side over its bounds' denominator L, once per axis candidate."""
+    d = desc.field.d
     mult = desc.unit_power(1 - desc.beta_exp)
-    bounds = [b for lohi in box.bounds for b in lohi]
-    L = math.lcm(*(b.denominator for b in bounds))
     axis_masks = []
-    for i, (lo, hi) in enumerate(box.bounds):
+    for side, P, Q in zip(axis_factors(desc.window), grid.p, grid.q):
+        (lo, hi), = side.bounds
+        L = math.lcm(lo.denominator, hi.denominator)
         # sigma(x_i) = (P - Q*sqrt(d))/2, and 4*L*mult*sigma(x_i) = A +
         # B*sqrt(d), with mult = (p + q*sqrt(d))/2
-        P, Q = grid.p[i], -grid.q[i]
-        A = int_lin([(L * mult.p, P), (L * mult.q * d, Q)])
-        B = int_lin([(L * mult.q, P), (L * mult.p, Q)])
+        A = int_lin([(L * mult.p, P), (-L * mult.q * d, Q)])
+        B = int_lin([(L * mult.q, P), (-L * mult.p, Q)])
         s = quad_sign_array(int_lin([(1, A)], -int(4 * L * lo)), B, d)
-        inside = (s > 0) if box.lo_open[i] else (s >= 0)
+        inside = (s > 0) if side.lo_open[0] else (s >= 0)
         s = quad_sign_array(int_lin([(-1, A)], int(4 * L * hi)), -B, d)
-        inside &= (s > 0) if box.hi_open[i] else (s >= 0)
+        inside &= (s > 0) if side.hi_open[0] else (s >= 0)
         axis_masks.append(inside)
     return grid.gather(axis_masks)
 
@@ -190,25 +191,24 @@ def visible_count(desc: CPSetDesc, D, T_grid, method: str = "direct", *,
     per T, in grid order.
 
     The Ts are served in _sweep's groups: classify decides every point of
-    a group's hull once, and T*D takes its points by its mask.  For a box
-    window the integer fast route decides the inner window again, per axis
-    on its own, and identity_ok records that the two agree on each
-    primitive point of T*D.  method='moebius' also decides every column
-    again, by one g-walk per group: its Moebius weight must equal its
-    primitive label, and its inner label must equal weight 1 with sigma(x)
-    in the inner window (which W's central symmetry and convexity put
-    inside beta*W), decided apart from classify.  identity_ok records that
-    every column of T*D agrees, which implies equal counts.  rel_error
-    compares the counts with predicted."""
+    a group's hull once, and T*D takes its points by its mask.  For a window
+    that regions.axis_factors splits, the integer fast route decides the
+    inner window again, per axis on its own, and identity_ok records that
+    the two agree on each primitive point of T*D.  method='moebius' also
+    decides every column again, by one g-walk per group: its Moebius weight
+    must equal its primitive label, and its inner label must equal weight 1
+    with sigma(x) in the inner window (which W's central symmetry and
+    convexity put inside beta*W), decided apart from classify.  identity_ok
+    records that every column of T*D agrees, which implies equal counts.
+    rel_error compares the counts with predicted."""
     Ts = [Fraction(T) for T in T_grid]
     vol_w = desc.scaled_window().volume()
     reports = []
     for group, grid, masks in _sweep(desc, D, Ts):
         primitive, inner = classify(desc, grid)
-        # a box window's fast route decides sigma(x) again on every
-        # primitive point
+        # the per-axis fast route decides sigma(x) again on each primitive x
         agree = np.ones_like(primitive)
-        if isinstance(desc.window, Box):
+        if axis_factors(desc.window) is not None:
             agree = ~primitive | (_in_inner_box(desc, grid) == inner)
         if method == "moebius":
             weights = _moebius_weights(desc.field, grid)

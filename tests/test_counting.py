@@ -31,7 +31,7 @@ from quasivis.cutproject import (
     generate,
     visible_fast,
 )
-from quasivis.lattice import field_point_arrays
+from quasivis.lattice import AxisGrid, field_point_arrays
 from quasivis.quadfield import (
     QuadInt,
     divisible_by,
@@ -46,6 +46,7 @@ from quasivis.quadfield import (
 from quasivis.regions import (
     Ball,
     Box,
+    Product,
     UnitScaled,
     disc_window,
     octagon_window,
@@ -228,14 +229,10 @@ def test_inner_moebius_sum_equals_the_beta_lambda_set_count(d, beta_exp,
         replace(desc, beta_exp=beta_exp - 1), D, ONE_WALK_GRID)
 
 
-@pytest.mark.parametrize("d", [2, 5])
-def test_inner_moebius_sum_catches_a_mislabelled_column(monkeypatch, d):
-    """classify marking one visible column inner is caught by the Moebius
-    check exactly at the Ts whose T*D holds it: the disc window has no
-    fast route, so the direct count misses it, and the check's inner
-    window test does not come from classify's inner mask."""
-    desc = CPSetDesc(field=field(d), d=2, window=disc_window(1))
-    Ts = [5, 3, Fraction(33, 4)]
+def mislabel_one_inner_column(monkeypatch, d):
+    """Make counting's classify mark inner one primitive column that is
+    not inner, in 5*D but not in 3*D.  Returns the list each call appends
+    the marked column's (P, Q) to."""
     marked = []
 
     def mislabelled(desc, grid):
@@ -250,13 +247,52 @@ def test_inner_moebius_sum_catches_a_mislabelled_column(monkeypatch, d):
         return primitive, inner
 
     monkeypatch.setattr(counting, "classify", mislabelled)
+    return marked
+
+
+def held_by(column, Ts, d):
+    """Per T of Ts, whether T*D holds the column (P, Q)."""
+    P, Q = column
+    return [bool(D2.scaled(T).contains_exact(P[:, None], Q[:, None], 2,
+                                             d)[0]) for T in Ts]
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_inner_moebius_sum_catches_a_mislabelled_column(monkeypatch, d):
+    """classify marking one visible column inner is caught by the Moebius
+    check exactly at the Ts whose T*D holds it: the disc window has no
+    fast route, so the direct count misses it, and the check's inner
+    window test does not come from classify's inner mask."""
+    desc = CPSetDesc(field=field(d), d=2, window=disc_window(1))
+    Ts = [5, 3, Fraction(33, 4)]
+    marked = mislabel_one_inner_column(monkeypatch, d)
     assert all(rep.identity_ok
                for rep in visible_count(desc, D2, Ts, predicted=1.0))
     reps = visible_count(desc, D2, Ts, method="moebius", predicted=1.0)
-    P, Q = marked[-1]
-    holds = [bool(D2.scaled(T).contains_exact(P[:, None], Q[:, None], 2,
-                                              d)[0]) for T in Ts]
+    holds = held_by(marked[-1], Ts, d)
     assert holds == [True, False, True]
+    assert [rep.identity_ok for rep in reps] == [not h for h in holds]
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_product_window_fast_route_catches_a_mislabelled_column(monkeypatch,
+                                                                d):
+    """A product of two 1-D boxes is the square window, split per axis by
+    regions.axis_factors: its reports equal the square window's under both
+    methods, and its direct count runs the fast route, so classify marking
+    one primitive column inner is caught exactly at the Ts whose T*D holds
+    it."""
+    side = Box.make([(-1, 1)])
+    desc = CPSetDesc(field=field(d), d=2, window=Product(side, side))
+    Ts = [3, 5]
+    for method in ("direct", "moebius"):
+        assert visible_count(desc, D2, Ts, method=method, predicted=1.0) == \
+            visible_count(replace(desc, window=square_window(1)), D2, Ts,
+                          method=method, predicted=1.0)
+    marked = mislabel_one_inner_column(monkeypatch, d)
+    reps = visible_count(desc, D2, Ts, predicted=1.0)
+    holds = held_by(marked[-1], Ts, d)
+    assert holds == [False, True]
     assert [rep.identity_ok for rep in reps] == [not h for h in holds]
 
 
@@ -324,9 +360,7 @@ def test_moebius_check_catches_a_dropped_primitive_label(monkeypatch, d):
     assert all(rep.identity_ok
                for rep in visible_count(desc, D2, Ts, predicted=1.0))
     reps = visible_count(desc, D2, Ts, method="moebius", predicted=1.0)
-    P, Q = marked[-1]
-    holds = [bool(D2.scaled(T).contains_exact(P[:, None], Q[:, None], 2,
-                                              d)[0]) for T in Ts]
+    holds = held_by(marked[-1], Ts, d)
     assert holds == [True, False, True]
     assert [rep.identity_ok for rep in reps] == [not h for h in holds]
 
@@ -404,6 +438,24 @@ def test_box_sweep_tests_axis_candidates_only(monkeypatch):
     assert max(rep.count_all for rep in reps) > 10 * longest
 
 
+@pytest.mark.parametrize("d", [2, 5])
+def test_moebius_walk_reads_no_columns(monkeypatch, d):
+    """The Moebius weights of the square-window set take the norms and the
+    divisibility tests once per axis candidate and gather them: the walk
+    never asks the grid for its columns, and its counts equal the direct
+    ones."""
+    desc = desc_for(field(d))
+    Ts = [5, 12]
+    want = [rep.count_pr for rep in visible_count(desc, D2, Ts,
+                                                  predicted=1.0)]
+
+    def columns(self):
+        raise AssertionError("columns read")
+
+    monkeypatch.setattr(AxisGrid, "columns", columns)
+    assert moebius_count_primitive(desc, D2, Ts) == want
+
+
 def test_disc_window_falls_back_to_columns(monkeypatch):
     """The disc golden: the window (a Ball) is tested on the columns, the
     box averaging set still per axis, and the reports equal the golden."""
@@ -422,6 +474,13 @@ def test_disc_window_falls_back_to_columns(monkeypatch):
     assert max(size for _, size in calls["Ball"]) > longest
     assert all(rows == 1 and size <= longest
                for rows, size in calls["Box"])
+
+
+def identity_grid(P, Q):
+    """The AxisGrid whose column j is column j of P, Q: axis i's candidates
+    are row i, and every column takes candidate j of each axis."""
+    return AxisGrid(list(P), list(Q),
+                    np.tile(np.arange(P.shape[1]), (len(P), 1)))
 
 
 def _rows(fld, rng, g, size, scale):
@@ -463,7 +522,7 @@ def test_norm_gcd_and_divisibility_past_int64(d, g, scale):
     # one column per row of coordinates
     P = int_array([[row[i].p for row in rows] for i in range(2)])
     Q = int_array([[row[i].q for row in rows] for i in range(2)])
-    G = _norm_gcd(d, P, Q)
+    G = _norm_gcd(d, identity_grid(P, Q))
     assert G.dtype == object
     assert list(G) == [math.gcd(*(abs(x.norm()) for x in row))
                        for row in rows]
@@ -488,7 +547,21 @@ def test_norm_gcd_of_zero_row_and_zero_coordinate():
             (QuadInt(fld, 2), QuadInt(fld, 0, 2))]
     P = int_array([[row[i].p for row in rows] for i in range(2)])
     Q = int_array([[row[i].q for row in rows] for i in range(2)])
-    assert list(_norm_gcd(2, P, Q)) == [0, 7, 4]
+    assert list(_norm_gcd(2, identity_grid(P, Q))) == [0, 7, 4]
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_norm_gcd_gathers_repeated_axis_candidates(d):
+    """On an enumerated grid, whose columns share axis candidates, the
+    per-candidate norms gathered through the index grid give each column
+    the gcd of its coordinates' QuadInt norms."""
+    axes, grid = field_point_arrays(field(d), Box.cube(6, 2),
+                                    square_window(1))
+    assert grid.idx.shape[1] > sum(map(len, axes))
+    want = [math.gcd(*(abs(a[k].norm()) for a, k in zip(axes, col)))
+            for col in grid.idx.T.tolist()]
+    assert list(_norm_gcd(d, grid)) == want
+    assert 0 in want and len(set(want)) > 2
 
 
 def test_moebius_tiny_T_only_unit_term():

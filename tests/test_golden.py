@@ -7,7 +7,7 @@ identity grid of its points), the field plots `plot --field d` for d = 2, 5
 is clipped), the `check-hc 2 100` table, the holes
 near-subspace search, the random-lattice experiment of
 configs/random.json at seed 7 (`random --config configs/random.json
---seed 7`), four density sweeps with `--method both`, each from the
+--seed 7`), five density sweeps with `--method both`, each from the
 config.json beside its outputs in golden/density_*/: d=5 with an octagon
 window and d=2 with a disc window, whose outer sets (Polygon, Ball) and
 inner Moebius sets (UnitScaled) are tested on the columns of the hull,
@@ -16,8 +16,10 @@ averaging set off the origin, half-open on axis 1, whose every region
 test runs per axis (density_d5_open_box, recorded when every region
 test ran on the columns), d=2 in dim 3 with cube window and averaging
 set (density_d2_dim3, whose predicted density takes zeta_K(3) from the
-series pair, since zeta_K(2) and zeta_K(4) have a closed form), and the
-shipped sweep `density --config
+series pair, since zeta_K(2) and zeta_K(4) have a closed form), d=2
+with the square window written as a product of two 1-D boxes
+(density_d2_product, recorded when only a Box window took the fast
+route of the inner window), and the shipped sweep `density --config
 configs/density.json --method direct` up to T=500 in
 golden/density_shipped/.  The same sweep with `--method both` is pinned in
 golden/density_shipped_both/, and the sweep of
@@ -106,7 +108,7 @@ def assert_density_matches(tmp_path, config, method, golden):
 @pytest.mark.parametrize("name", ["density_d5_octagon", "density_d2_disc",
                                   "density_d5_open_box",
                                   "density_shipped_d5_both",
-                                  "density_d2_dim3"])
+                                  "density_d2_dim3", "density_d2_product"])
 def test_density_both_methods(tmp_path, name):
     assert_density_matches(tmp_path, GOLDEN / name / "config.json", "both",
                            GOLDEN / name)
