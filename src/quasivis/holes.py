@@ -20,6 +20,8 @@ class NotInResidueClass(ValueError):
 
 # candidates ranked at a time by hole_near_subspace
 SEARCH_BLOCK = 1 << 16
+# the unit roundoff of float64
+EPS = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -94,66 +96,122 @@ def hole_near_subspace(hole: CRTHole, V, R, search_budget: int):
     """Search translates x0 + N*k for one whose hole box approaches the
     subspace V = span(rows of V) within distance R, a float or an int.
 
-    Candidates are a budgeted grid along V with step N, each mapped to its
-    nearest translate by componentwise rounding and ranked in long doubles,
-    SEARCH_BLOCK at a time, until the block in which the count reaches the
-    budget.  The best one is returned as an integer vector only if its
-    exact distance to span(V), taking the floats of V and R at their binary
-    values, is at most R (R = inf accepts any distance); otherwise None."""
+    Candidates are a budgeted grid J along V, in directions from the QR
+    factorization of V, each mapped to the translate with k the half-even
+    rounding of J*Q^T - x0/N (exact, taking Q's floats at their binary
+    values), SEARCH_BLOCK at a time, until the block in which the count
+    reaches the budget.  Each block is ranked by float64 distances in units
+    of N, and every candidate that the ranking's proven error bound cannot
+    rule out is decided by its exact rational distance to span(V), taking
+    the floats of V at their binary values.  The first candidate in grid
+    order of least exact distance is returned as an integer vector if that
+    distance is at most R (R = inf accepts any distance); otherwise None.
+    Linearly dependent rows of V raise ValueError."""
     if not R >= 0:
         raise ValueError(f"radius must be >= 0, got {R}")
     if search_budget <= 0:
         return None
     Vb = np.atleast_2d(np.asarray(V, dtype=np.float64))
-    if Vb.shape[1] != hole.n or not np.isfinite(Vb).all() or not Vb.any():
-        raise ValueError("subspace basis must be finite, nonzero, in R^n")
-    Q64, _ = np.linalg.qr(Vb.T)
-    Q = Q64.astype(np.longdouble)
+    if Vb.shape[1] != hole.n or not np.isfinite(Vb).all():
+        raise ValueError("subspace basis must be finite, in R^n")
+    n, N, x0 = hole.n, hole.N, hole.x0
+    ortho = _gram_schmidt(Vb.tolist())
+    Q, _ = np.linalg.qr(Vb.T)
     r = Q.shape[1]
-    x0 = np.array(hole.x0, dtype=np.longdouble)
-    N = np.longdouble(hole.N)
+    # The exact distance: c^T P c, with P = I - sum_j u_j u_j^T/|u_j|^2 the
+    # projection off span(V) over the Gram-Schmidt rows u_j, written as M/den
+    # with M an integer matrix.  For c = x0 + N*k it is (C + N*F(k))/den,
+    # F(k) = N*k^T M k + g^T k, g = 2*M*x0 and C = x0^T M x0, so the
+    # integers F rank the candidates exactly.
+    P = [[Fraction(i == j) - sum(u[i] * u[j] / uu for u, uu in ortho)
+          for j in range(n)] for i in range(n)]
+    den = math.lcm(*(p.denominator for row in P for p in row))
+    M = [[int(p * den) for p in row] for row in P]
+    g = [2 * sum(Mi[j] * x0[j] for j in range(n)) for Mi in M]
+    M_row = max(sum(map(abs, Mi)) for Mi in M)
+    # the Gram-Schmidt rows normalized, each entry within 1.5*eps relative
+    # of its exact value (2^-537 absolute where its square is subnormal)
+    E = np.array([[math.copysign(math.sqrt(ui * ui / uu), ui) for ui in u]
+                  for u, uu in ortho])
+    a = np.array([v / N for v in x0])[:, None]  # int true division: exact
     side = max(1, int(round(search_budget ** (1.0 / r))))
-    best = (np.longdouble(np.inf), None)
+    best_F, best_k, reach = None, None, math.inf
     tried = 0
     while tried < min(search_budget, side ** r):
         # the next indices of the grid [-(side//2), side - side//2)^r in
-        # lexicographic order
+        # lexicographic order, one row per coordinate
         block = np.arange(tried, min(tried + SEARCH_BLOCK, side ** r))
         tried += len(block)
-        J = np.stack(np.unravel_index(block, (side,) * r), axis=1)
-        J = (J - side // 2).astype(np.longdouble) * N
-        t = J @ Q.T
-        k = np.rint((t - x0) / N)
-        c = x0 + N * k
-        resid = c - (c @ Q) @ Q.T
-        dist = np.sqrt((resid * resid).sum(axis=1))
-        i = int(np.argmin(dist))
-        if dist[i] < best[0]:
-            best = (dist[i], tuple(int(v) for v in k[i]))
-    if best[1] is None:
-        return None
-    c = tuple(int(hole.x0[j]) + hole.N * best[1][j] for j in range(hole.n))
-    if R < math.inf and _dist2_to_span(c, Vb.tolist()) > Fraction(R) ** 2:
+        J = np.stack(np.unravel_index(block, (side,) * r)) - side // 2
+        y = -a
+        for j in range(r):
+            y = y + Q[:, j, None] * J[j]
+        k = np.rint(y)
+        # y errs by at most gamma_{r+2}*(sum_j |Q_ij|*|J_j| + 1), eps =
+        # 2^-53, gamma_m = m*eps/(1 - m*eps), for r products, r sums and
+        # the rounding of x0/N; |Q_ij| <= 1 + n*eps.  Twice that covers the
+        # second-order terms: where y is that near a half-integer, the
+        # rounding of y may not be the exact one, so k is taken exactly.
+        ey = 2 * (r + 2) * EPS * (r * int(np.abs(J).max()) + 1)
+        for i, col in zip(*np.nonzero(np.abs(y - k) >= 0.5 - ey)):
+            exact = sum(Fraction(Q[i, j]) * int(J[j, col]) for j in range(r))
+            k[i, col] = round(exact - Fraction(x0[i], N))
+        w = a + k
+        resid = w - E.T @ (E @ w)
+        dist = np.sqrt((resid * resid).sum(axis=0))
+        # With W the block's largest |w|, the computed w errs by at most
+        # eps*(1 + W) per coordinate (x0/N and the sum), so by
+        # eps*sqrt(n)*(1 + W) in norm; E's rows by 2*eps each from the exact
+        # orthonormal ones; the r dot products by gamma_n*sqrt(n)*W each,
+        # and the residual's sums by gamma_{r+1}*(1 + r)*sqrt(n)*W.  The
+        # exact basis needs no condition number: to first order the
+        # residual errs by eps*sqrt(n)*(W + 1)*(1 + r*(n + 4) + (r + 1)^2),
+        # and the sum of squares and sqrt add (n/2 + 1)*eps relative to a
+        # residual of norm at most sqrt(n)*(W + 1).  With r <= n the sum is
+        # at most 2*(n + 3)*(r + 1)*eps*sqrt(n)*(W + 1); tol is twice that,
+        # which covers the second-order and subnormal terms and the
+        # roundings of tol and of the sums it enters below.
+        W = float(np.abs(w).max())
+        tol = 4 * (n + 3) * (r + 1) * EPS * math.sqrt(n) * (W + 1)
+        # reach bounds the least exact distance so far; a candidate whose
+        # float distance is past reach + tol is farther than that
+        reach = min(reach, float(dist.min()) + tol)
+        near = np.flatnonzero(dist <= reach + tol)
+        if not near.size:
+            continue
+        K = k[:, near].astype(np.int64)
+        if M_row * (int(np.abs(K).max()) + 1) < 2 ** 63:
+            # M*M = den*M makes k^T M k = |M*k|^2/den, so F depends on k
+            # through M*k alone, exact in int64 here: the first candidate
+            # of each value of M*k stands for the rest
+            MK = np.array(M, dtype=np.int64) @ K
+            first = np.sort(np.unique(MK, axis=1, return_index=True)[1])
+            K, MK = K[:, first].astype(object), MK[:, first].astype(object)
+        else:
+            K = K.astype(object)
+            MK = [sum(M[i][j] * K[j] for j in range(n)) for i in range(n)]
+        F = sum(K[i] * (N * MK[i] + g[i]) for i in range(n))
+        i = int(np.argmin(F))
+        if best_F is None or F[i] < best_F:
+            best_F, best_k = F[i], [int(v) for v in K[:, i]]
+    c = tuple(x0[j] + N * best_k[j] for j in range(n))
+    C = sum(x0[i] * M[i][j] * x0[j] for i in range(n) for j in range(n))
+    if R < math.inf and Fraction(C + N * best_F, den) > Fraction(R) ** 2:
         return None
     return c
 
 
-def _dist2_to_span(x, V) -> Fraction:
-    """Exact squared distance from the vector x to span(rows of V), by
-    Gram-Schmidt in rationals."""
-    def dot(u, v):
-        return sum(a * b for a, b in zip(u, v))
-
-    def reject(v, ortho):
-        for u, uu in ortho:
-            t = dot(v, u) / uu
-            v = [a - t * b for a, b in zip(v, u)]
-        return v
-
+def _gram_schmidt(V) -> list:
+    """The exact Gram-Schmidt rows (u, u.u) of the rows of V, in
+    rationals; ValueError if the rows are linearly dependent."""
     ortho = []
-    for row in V:
-        u = reject([Fraction(v) for v in row], ortho)
-        if any(u):
-            ortho.append((u, dot(u, u)))
-    r = reject([Fraction(v) for v in x], ortho)
-    return dot(r, r)
+    for i, row in enumerate(V):
+        u = [Fraction(v) for v in row]
+        for b, bb in ortho:
+            t = sum(x * y for x, y in zip(u, b)) / bb
+            u = [x - t * y for x, y in zip(u, b)]
+        if not any(u):
+            raise ValueError(f"subspace rows {list(range(i + 1))} are "
+                             "linearly dependent")
+        ortho.append((u, sum(x * x for x in u)))
+    return ortho

@@ -245,6 +245,9 @@ class QuadInt:
     def __neg__(self):
         return QuadInt(self.field, -self.a, -self.b)
 
+    def __sub__(self, other):
+        return self + (-other)
+
     def __rsub__(self, other):
         return (-self) + other
 

@@ -1,5 +1,6 @@
 """Certified gcd-holes via CRT and translate search near a subspace."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -101,8 +102,8 @@ def test_hole_near_subspace_finds_translate():
 
 def test_hole_near_subspace_past_the_float_range():
     """At n=5, A=1 the modulus N has 648 digits, past the largest double:
-    the candidates are ranked by their long double distances, and an int
-    radius is compared exactly."""
+    the candidates are ranked by float distances in units of N, their
+    near-ties and an int radius decided exactly."""
     hole = build_crt_hole(5, 1)
     assert hole.N > 10 ** 600
     x = hole_near_subspace(hole, [[1, 2, 3, 5, 7]], math.inf, 100)
@@ -194,3 +195,97 @@ def test_hole_near_subspace_stops_after_budget_block(monkeypatch, budget,
     monkeypatch.setattr(holes, "SEARCH_BLOCK", 16)
     hole = build_crt_hole(3, 1)
     assert hole_near_subspace(hole, STOP_PLANE, math.inf, budget) == want
+
+
+def dist2_to_span(x, V) -> Fraction:
+    """Exact squared distance from the vector x to span(rows of V), by
+    Gram-Schmidt in rationals."""
+    def dot(u, v):
+        return sum(a * b for a, b in zip(u, v))
+
+    def reject(v, ortho):
+        for u, uu in ortho:
+            t = dot(v, u) / uu
+            v = [a - t * b for a, b in zip(v, u)]
+        return v
+
+    ortho = []
+    for row in V:
+        u = reject([Fraction(v) for v in row], ortho)
+        ortho.append((u, dot(u, u)))
+    r = reject([Fraction(v) for v in x], ortho)
+    return dot(r, r)
+
+
+def brute_force_search(hole, V, budget):
+    """The first translate in grid order of least exact distance to
+    span(V), over the grid points up to the end of the search block in
+    which the count reaches the budget: k is the exact half-even rounding
+    of J*Q^T - x0/N, Q's floats at their binary values."""
+    Vb = np.atleast_2d(np.asarray(V, dtype=np.float64))
+    Q, _ = np.linalg.qr(Vb.T)
+    r = Q.shape[1]
+    side = max(1, round(budget ** (1 / r)))
+    blocks = -(-budget // holes.SEARCH_BLOCK)
+    grid = itertools.product(range(-(side // 2), side - side // 2),
+                             repeat=r)
+    best = None
+    for J in itertools.islice(grid, blocks * holes.SEARCH_BLOCK):
+        k = [round(sum(Fraction(Q[i, j]) * J[j] for j in range(r))
+                   - Fraction(hole.x0[i], hole.N)) for i in range(hole.n)]
+        c = tuple(x + hole.N * kj for x, kj in zip(hole.x0, k))
+        d2 = dist2_to_span(c, Vb.tolist())
+        if best is None or d2 < best[0]:
+            best = (d2, c)
+    return best[1]
+
+
+# The rational lines put many candidates at exactly equal distances: at
+# n = 3, budget 500, 125 of them sit within the float ranking's error bound
+# of the least one.
+@pytest.mark.parametrize("n,V,budget", [
+    (2, [[1, 1.41421356]], 3000),
+    (3, PLANE, 2000),
+    (3, [[1, 0.5, 0.25]], 500),
+    (5, [[1, 2, 3, 5, 7]], 100),
+    (5, [[1, 2, 3, 5, 7]], 2000),
+])
+def test_hole_near_subspace_matches_brute_force(n, V, budget):
+    hole = build_crt_hole(n, 1)
+    assert hole_near_subspace(hole, V, math.inf, budget) == \
+        brute_force_search(hole, V, budget)
+
+
+def test_hole_near_subspace_rejects_dependent_rows():
+    """A second row on the same line would let the QR factorization
+    invent a direction off the subspace."""
+    hole = build_crt_hole(3, 1)
+    with pytest.raises(ValueError, match=r"rows \[0, 1\] are linearly "
+                                         "dependent"):
+        hole_near_subspace(hole, [[1, 0.5, 0.25], [2, 1, 0.5]], hole.N,
+                           2000)
+
+
+def test_hole_near_subspace_rounds_exactly_near_half():
+    """x0/N = 1/2 + 10^-30 rounds to the double 1/2, whose float rounding
+    takes k = 0 on the second axis; the exact rounding takes k = -1, the
+    translate nearer the line.  (The residue class need not be a hole for
+    the search.)"""
+    N = 2 * 10 ** 30
+    hole = CRTHole(n=2, A=0, prime_table={}, x0=(0, N // 2 + 1), N=N)
+    x = hole_near_subspace(hole, [[1.0, 0.0]], math.inf, 10)
+    assert x == brute_force_search(hole, [[1.0, 0.0]], 10)
+    assert x[1] == 1 - N // 2
+
+
+@pytest.mark.parametrize("block", [holes.SEARCH_BLOCK, 7])
+def test_hole_near_subspace_ties_go_to_the_first_in_grid_order(
+        monkeypatch, block):
+    """With x0/N = (1/2, 0) every translate near the line x = y has
+    k_1 - k_2 = 0 or -1, both at the exact distance 1/(2*sqrt(2)) in units
+    of N: an exact tie between two residuals, within one search block and
+    across blocks."""
+    monkeypatch.setattr(holes, "SEARCH_BLOCK", block)
+    hole = CRTHole(n=2, A=0, prime_table={}, x0=(1, 0), N=2)
+    x = hole_near_subspace(hole, [[1.0, 1.0]], math.inf, 40)
+    assert x == brute_force_search(hole, [[1.0, 1.0]], 40)

@@ -151,6 +151,17 @@ def test_conjugation_homomorphism(x, y):
     assert (x + y).conj() == x.conj() + y.conj()
 
 
+@settings(max_examples=100)
+@given(qints5, qints5, st.integers(-10**6, 10**6))
+def test_subtraction_adds_the_negative(x, y, m):
+    """QuadInt - QuadInt and QuadInt - int, which the reflected
+    __rsub__ alone does not reach when both operands are QuadInts."""
+    assert x - y == x + (-y)
+    assert x - m == x + (-m)
+    assert m - x == (-x) + m
+    assert QuadInt(F2, 3, 1) - QuadInt(F2, 1, 1) == QuadInt(F2, 2, 0)
+
+
 @settings(max_examples=200)
 @given(qints, qints)
 def test_exact_order_matches_float(x, y):
