@@ -98,14 +98,14 @@ def hole_near_subspace(hole: CRTHole, V, R, search_budget: int):
 
     Candidates are a budgeted grid J along V, in directions from the QR
     factorization of V, each mapped to the translate with k the half-even
-    rounding of J*Q^T - x0/N (exact, taking Q's floats at their binary
-    values), SEARCH_BLOCK at a time, until the block in which the count
-    reaches the budget.  Each block is ranked by float64 distances in units
-    of N, and every candidate that the ranking's proven error bound cannot
-    rule out is decided by its exact rational distance to span(V), taking
-    the floats of V at their binary values.  The first candidate in grid
-    order of least exact distance is returned as an integer vector if that
-    distance is at most R (R = inf accepts any distance); otherwise None.
+    rounding of J*Q^T - x0/N computed elementwise in float64, SEARCH_BLOCK
+    at a time, until the block in which the count reaches the budget.
+    Each block is ranked by float64 distances in units of N, and every
+    candidate that the ranking's proven error bound cannot rule out is
+    decided by its exact rational distance to span(V), taking the floats
+    of V at their binary values.  The first candidate in grid order of
+    least exact distance is returned as an integer vector if that distance
+    is at most R (R = inf accepts any distance); otherwise None.
     Linearly dependent rows of V raise ValueError."""
     if not R >= 0:
         raise ValueError(f"radius must be >= 0, got {R}")
@@ -147,15 +147,6 @@ def hole_near_subspace(hole: CRTHole, V, R, search_budget: int):
         for j in range(r):
             y = y + Q[:, j, None] * J[j]
         k = np.rint(y)
-        # y errs by at most gamma_{r+2}*(sum_j |Q_ij|*|J_j| + 1), eps =
-        # 2^-53, gamma_m = m*eps/(1 - m*eps), for r products, r sums and
-        # the rounding of x0/N; |Q_ij| <= 1 + n*eps.  Twice that covers the
-        # second-order terms: where y is that near a half-integer, the
-        # rounding of y may not be the exact one, so k is taken exactly.
-        ey = 2 * (r + 2) * EPS * (r * int(np.abs(J).max()) + 1)
-        for i, col in zip(*np.nonzero(np.abs(y - k) >= 0.5 - ey)):
-            exact = sum(Fraction(Q[i, j]) * int(J[j, col]) for j in range(r))
-            k[i, col] = round(exact - Fraction(x0[i], N))
         w = a + k
         resid = w - E.T @ (E @ w)
         dist = np.sqrt((resid * resid).sum(axis=0))
@@ -180,16 +171,30 @@ def hole_near_subspace(hole: CRTHole, V, R, search_budget: int):
         if not near.size:
             continue
         K = k[:, near].astype(np.int64)
-        if M_row * (int(np.abs(K).max()) + 1) < 2 ** 63:
-            # M*M = den*M makes k^T M k = |M*k|^2/den, so F depends on k
-            # through M*k alone, exact in int64 here: the first candidate
-            # of each value of M*k stands for the rest
-            MK = np.array(M, dtype=np.int64) @ K
-            first = np.sort(np.unique(MK, axis=1, return_index=True)[1])
-            K, MK = K[:, first].astype(object), MK[:, first].astype(object)
-        else:
-            K = K.astype(object)
-            MK = [sum(M[i][j] * K[j] for j in range(n)) for i in range(n)]
+        # M*M = den*M makes k^T M k = |M*k|^2/den, so F depends on k
+        # through M*k alone and the first candidate of each M*k stands for
+        # the rest.  M*k is keyed by its residues modulo pairwise coprime
+        # moduli whose product passes M_row times the spread of k: two
+        # candidates of equal key differ by an M*(k - k') that is a
+        # multiple of that product and smaller than it, so zero.  With k
+        # shifted into [0, spread], each (M mod m)*k stays below 2^63.
+        K = K - K.min(axis=1, keepdims=True)
+        spread = max(1, int(K.max()))
+        mods, m = [], (2 ** 63 - 1) // (n * spread) + 1
+        while not mods or math.prod(mods) <= M_row * spread:
+            m -= 1
+            if all(math.gcd(m, q) == 1 for q in mods):
+                mods.append(m)
+        key = np.vstack([np.array([[v % m for v in Mi] for Mi in M]) @ K % m
+                         for m in mods])
+        # a stable sort of the keys puts the first candidate of each key
+        # at the head of its run
+        order = np.lexsort(key)
+        key = key[:, order]
+        head = np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)]
+        first = np.sort(order[head])
+        K = k[:, near[first]].astype(np.int64).astype(object)
+        MK = [sum(M[i][j] * K[j] for j in range(n)) for i in range(n)]
         F = sum(K[i] * (N * MK[i] + g[i]) for i in range(n))
         i = int(np.argmin(F))
         if best_F is None or F[i] < best_F:

@@ -220,8 +220,9 @@ def dist2_to_span(x, V) -> Fraction:
 def brute_force_search(hole, V, budget):
     """The first translate in grid order of least exact distance to
     span(V), over the grid points up to the end of the search block in
-    which the count reaches the budget: k is the exact half-even rounding
-    of J*Q^T - x0/N, Q's floats at their binary values."""
+    which the count reaches the budget.  k is the half-even rounding of
+    J*Q^T - x0/N in float64, in the search's order of operations; it must
+    equal the exact rounding, Q's floats at their binary values."""
     Vb = np.atleast_2d(np.asarray(V, dtype=np.float64))
     Q, _ = np.linalg.qr(Vb.T)
     r = Q.shape[1]
@@ -231,8 +232,15 @@ def brute_force_search(hole, V, budget):
                              repeat=r)
     best = None
     for J in itertools.islice(grid, blocks * holes.SEARCH_BLOCK):
-        k = [round(sum(Fraction(Q[i, j]) * J[j] for j in range(r))
-                   - Fraction(hole.x0[i], hole.N)) for i in range(hole.n)]
+        k = []
+        for i in range(hole.n):
+            y = -(hole.x0[i] / hole.N)
+            for j in range(r):
+                y = y + float(Q[i, j]) * J[j]
+            k.append(int(np.rint(y)))
+        assert k == [round(sum(Fraction(Q[i, j]) * J[j] for j in range(r))
+                           - Fraction(hole.x0[i], hole.N))
+                     for i in range(hole.n)]
         c = tuple(x + hole.N * kj for x, kj in zip(hole.x0, k))
         d2 = dist2_to_span(c, Vb.tolist())
         if best is None or d2 < best[0]:
@@ -242,9 +250,13 @@ def brute_force_search(hole, V, budget):
 
 # The rational lines put many candidates at exactly equal distances: at
 # n = 3, budget 500, 125 of them sit within the float ranking's error bound
-# of the least one.
+# of the least one.  The double nearest 0.1 is a 16-digit integer over
+# 2^55, so M*k needs more than one modulus in the search's grouping key;
+# with V spanning R^2, M = 0 and every candidate is at distance 0.
 @pytest.mark.parametrize("n,V,budget", [
     (2, [[1, 1.41421356]], 3000),
+    (2, [[1, 0.1]], 3000),
+    (2, [[1, 0], [0, 1]], 50),
     (3, PLANE, 2000),
     (3, [[1, 0.5, 0.25]], 500),
     (5, [[1, 2, 3, 5, 7]], 100),
@@ -264,18 +276,6 @@ def test_hole_near_subspace_rejects_dependent_rows():
                                          "dependent"):
         hole_near_subspace(hole, [[1, 0.5, 0.25], [2, 1, 0.5]], hole.N,
                            2000)
-
-
-def test_hole_near_subspace_rounds_exactly_near_half():
-    """x0/N = 1/2 + 10^-30 rounds to the double 1/2, whose float rounding
-    takes k = 0 on the second axis; the exact rounding takes k = -1, the
-    translate nearer the line.  (The residue class need not be a hole for
-    the search.)"""
-    N = 2 * 10 ** 30
-    hole = CRTHole(n=2, A=0, prime_table={}, x0=(0, N // 2 + 1), N=N)
-    x = hole_near_subspace(hole, [[1.0, 0.0]], math.inf, 10)
-    assert x == brute_force_search(hole, [[1.0, 0.0]], 10)
-    assert x[1] == 1 - N // 2
 
 
 @pytest.mark.parametrize("block", [holes.SEARCH_BLOCK, 7])
