@@ -136,22 +136,27 @@ def box_reduced_basis(basis: np.ndarray, widths: np.ndarray) -> np.ndarray:
     Greedy pairwise size reduction of diag(1/widths) @ basis keeps the
     integer bounding box of a [widths]-proportioned region close to the
     count itself; the returned basis spans the same lattice, and coordinate
-    gcds of preimages are preserved under the unimodular change.  At most
-    100 rounds."""
-    n = basis.shape[1]
+    gcds of preimages are preserved under the unimodular change.  basis is
+    one n x n basis or a stack (S x n x n) reduced in one pass: each step
+    takes a mu per basis, rounded half-even as round() does, and the rounds
+    stop when no basis changed, at most 100 of them.  A basis that stopped
+    changing sees only mu = 0 after that, so each ends where it would end
+    alone."""
+    n = basis.shape[-1]
     scaled = basis / widths[:, None]
-    U = np.eye(n, dtype=np.int64)
+    U = np.broadcast_to(np.eye(n, dtype=np.int64), basis.shape).copy()
     for _ in range(100):
         changed = False
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
-                denom = scaled[:, j] @ scaled[:, j]
-                mu = round(float(scaled[:, i] @ scaled[:, j] / denom))
-                if mu:
-                    scaled[:, i] -= mu * scaled[:, j]
-                    U[:, i] -= mu * U[:, j]
+                sj = scaled[..., j]
+                # vecdot takes the dot of each column pair as @ does
+                mu = np.rint(np.vecdot(scaled[..., i], sj) / np.vecdot(sj, sj))
+                if mu.any():
+                    scaled[..., i] -= mu[..., None] * sj
+                    U[..., i] -= mu.astype(np.int64)[..., None] * U[..., j]
                     changed = True
         if not changed:
             break

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from quasivis import kernels
+from quasivis.lattice import box_reduced_basis
 
 
 def reference_count(basis, lo_u, hi_u, lo_x, hi_x, tol, primitive):
@@ -151,9 +152,10 @@ def test_longest_range_in_every_position(monkeypatch, n):
     lines = []
 
     class Spy(kernels._Lines):
-        def __init__(self, basis, lo_u, hi_u, *rest):
-            lines.append(np.asarray(hi_u) - np.asarray(lo_u))
-            super().__init__(basis, lo_u, hi_u, *rest)
+        def __init__(self, bases, lo_u, hi_u, *rest):
+            # the ranges of the one query of the stack
+            lines.append((np.asarray(hi_u) - np.asarray(lo_u))[0])
+            super().__init__(bases, lo_u, hi_u, *rest)
 
     monkeypatch.setattr(kernels, "_Lines", Spy)
     rng = np.random.default_rng(11 + n)
@@ -185,7 +187,7 @@ def test_coprime_counts_match_brute_force():
         z = np.vstack([z, lo + rng.integers(-3, 70, len(gs))])
     for cols in ([0], [1], [5, 6], list(range(len(gs)))):
         g = np.array(gs)[cols]
-        got = kernels._coprime_counts(g, a[:, cols], z[:, cols])
+        got = kernels._coprime_counts(g, a[:, cols], z[:, cols]).sum(axis=-1)
         want = [sum(coprime_brute(int(gi), int(ai), int(zi))
                     for gi, ai, zi in zip(g, ar, zr))
                 for ar, zr in zip(a[:, cols], z[:, cols])]
@@ -237,14 +239,120 @@ def test_collect_matches_count_and_order():
 
 
 def test_chunked_grid_covers_box(monkeypatch):
-    monkeypatch.setattr(kernels, "_CHUNK", 7)
-    lo = np.array([-2, 0, 3], dtype=np.int64)
-    hi = np.array([1, 2, 4], dtype=np.int64)
-    rows = np.concatenate(list(kernels._np_int_grid(lo, hi)))
-    assert len(rows) == 4 * 3 * 2
-    assert len({tuple(r) for r in rows}) == len(rows)
-    assert rows.min(axis=0).tolist() == lo.tolist()
-    assert rows.max(axis=0).tolist() == hi.tolist()
+    """The prefix stream covers every query's box once, in lexicographic
+    order within a query and query by query, in chunks of at most _ROWS
+    rows that split queries and hold several."""
+    monkeypatch.setattr(kernels, "_ROWS", 7)
+    lo = np.array([[-2, 0, 3], [0, 0, 0], [5, 5, 5], [1, -1, 0]])
+    hi = np.array([[1, 2, 4], [-1, 2, 2], [6, 5, 7], [1, -1, 0]])
+    counts = np.where(np.any(hi < lo, axis=1), 0,
+                      np.prod(hi - lo + 1, axis=1))
+    assert counts.tolist() == [24, 0, 6, 1]
+    chunks = list(kernels._prefix_stream(lo, hi, counts))
+    assert all(len(q) <= 7 for q, _ in chunks)
+    assert any(len(set(q.tolist())) > 1 for q, _ in chunks)
+    q = np.concatenate([q for q, _ in chunks])
+    rows = np.concatenate([P.T for _, P in chunks])
+    assert np.all(np.diff(q) >= 0)
+    assert np.bincount(q, minlength=len(lo)).tolist() == counts.tolist()
+    for s in np.flatnonzero(counts):
+        box = [tuple(r) for r in rows[q == s]]
+        assert len(set(box)) == len(box) == counts[s]
+        assert box == sorted(box)
+        assert rows[q == s].min(axis=0).tolist() == lo[s].tolist()
+        assert rows[q == s].max(axis=0).tolist() == hi[s].tolist()
+
+
+def batch_queries(rng, n):
+    """Queries of one dimension n whose batch reaches every branch of the
+    kernel: random cases, an empty integer range, a row constant along the
+    line, coordinates past 2^53, and, around the origin, prefixes of gcd 0
+    and of gcd > 1."""
+    queries = [random_case(rng, n) for _ in range(4)]
+    basis, lo_u, hi_u, lo_x, hi_x = random_case(rng, n)
+    queries.append((basis, lo_u, np.minimum(hi_u, lo_u - 1), lo_x, hi_x))
+    # equal ranges keep the last coordinate as the line, along which row 0
+    # is constant
+    basis = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    basis[0, -1] = 0.0
+    queries.append((basis, np.full(n, -3), np.full(n, 3),
+                    rng.uniform(-3, 0, n), rng.uniform(0.5, 3, n)))
+    # the case of test_coordinates_past_2_53_settle_every_end, with the
+    # coordinates past the second ranging over [0, 1]
+    basis = np.eye(n)
+    basis[0, :2] = 0.5, 0.25
+    lo_u, hi_u = np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+    lo_u[:2], hi_u[:2] = (2 ** 53 - 20, 1), (2 ** 53 + 20, 4)
+    lo_x, hi_x = np.full(n, -0.5), np.full(n, 1.5)
+    lo_x[:2], hi_x[:2] = (2.0 ** 52 - 5.5, 0.5), (2.0 ** 52 + 7, 4.5)
+    queries.append((basis, lo_u, hi_u, lo_x, hi_x))
+    return queries
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batch_equals_single(monkeypatch, n):
+    """A batch counts what each of its queries counts alone, with chunks of
+    7 rows that split queries and hold several."""
+    queries = batch_queries(np.random.default_rng(31 + n), n)
+    want = [kernels.count_lattice_points_in_box(*c) for c in queries]
+    chunks, gcds = [], []
+
+    def stream(*args):
+        for q, P in prefix_stream(*args):
+            chunks.append(q)
+            yield q, P
+
+    def coprime(g, *rest):
+        gcds.append(g)
+        return coprime_counts(g, *rest)
+
+    prefix_stream, coprime_counts = kernels._prefix_stream, \
+        kernels._coprime_counts
+    monkeypatch.setattr(kernels, "_prefix_stream", stream)
+    monkeypatch.setattr(kernels, "_coprime_counts", coprime)
+    monkeypatch.setattr(kernels, "_ROWS", 7)
+    count, boundary = kernels.count_lattice_points_in_boxes(
+        *(np.stack(x) for x in zip(*queries)))
+    assert list(zip(count.tolist(), boundary.tolist())) == want
+    assert want[4] == (0, 0) and want[-1][0] > 0
+    held = [set(q.tolist()) for q in chunks]
+    assert any(len(h) > 1 for h in held)
+    assert any(h & k for h, k in zip(held, held[1:]))
+    g = np.concatenate(gcds)
+    assert (g == 0).any() and (g > 1).any()
+
+
+def test_batch_past_int64_raises_before_any_prefix(monkeypatch):
+    """One query of a batch whose box passes int64 (300^8 points) raises
+    the one-query ValueError before the prefix stream starts."""
+    started = []
+    monkeypatch.setattr(kernels, "_prefix_stream",
+                        lambda *args: started.append(args))
+    with pytest.raises(ValueError, match=f"box of {300 ** 8} points cannot "
+                                         f"be indexed in int64"):
+        kernels.count_lattice_points_in_boxes(
+            np.stack([np.eye(8)] * 3), np.zeros((3, 8)),
+            [np.ones(8), np.full(8, 299), np.ones(8)], np.full(8, -0.5),
+            np.full(8, 0.5))
+    assert not started
+
+
+def test_preimage_box_of_a_stack_matches_each_basis():
+    """integer_preimage_box on a stack of 80 seeded Gaussian bases, reduced
+    as the random experiment reduces them, gives each basis's bounds, at
+    the benchmark's T (10..56) and at those of configs/random.json
+    (20..112)."""
+    rng = np.random.default_rng(8)
+    bases = rng.standard_normal((80, 3, 3))
+    bases /= np.abs(np.linalg.det(bases))[:, None, None] ** (1 / 3)
+    for T in (10, 20, 35, 56, 40, 70, 112):
+        bbox = [(-T, T), (-T, T), (-1, 1)]
+        inv = np.linalg.inv(box_reduced_basis(bases, np.array([2 * T, 2 * T,
+                                                               2.0])))
+        lo, hi = kernels.integer_preimage_box(inv, bbox)
+        each = [kernels.integer_preimage_box(x, bbox) for x in inv]
+        assert np.array_equal(lo, [x for x, _ in each])
+        assert np.array_equal(hi, [x for _, x in each])
 
 
 def test_backend_flag_reporting():

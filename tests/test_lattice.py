@@ -441,17 +441,35 @@ def test_a0_invariance_point_sets():
 
 def test_box_reduced_basis_preserves_lattice():
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        B = rng.standard_normal((3, 3))
-        B /= abs(np.linalg.det(B)) ** (1 / 3)
-        w = np.array([50.0, 50.0, 1.0])
-        R = box_reduced_basis(B, w)
-        M = np.linalg.solve(B, R)
-        assert np.allclose(M, np.round(M), atol=1e-6)
-        assert abs(round(np.linalg.det(M))) == 1
-        # reduction never inflates the scaled column lengths
-        assert np.linalg.norm(R / w[:, None]) <= \
-            np.linalg.norm(B / w[:, None]) + 1e-9
+    bases = rng.standard_normal((20, 3, 3))
+    bases /= np.abs(np.linalg.det(bases))[:, None, None] ** (1 / 3)
+    w = np.array([50.0, 50.0, 1.0])
+    # each basis alone, and the twenty as one stack
+    reduced = [box_reduced_basis(B, w) for B in bases]
+    for B, R, S in zip(bases, reduced, box_reduced_basis(bases, w)):
+        for R in (R, S):
+            M = np.linalg.solve(B, R)
+            assert np.allclose(M, np.round(M), atol=1e-6)
+            assert abs(round(np.linalg.det(M))) == 1
+            # reduction never inflates the scaled column lengths
+            assert np.linalg.norm(R / w[:, None]) <= \
+                np.linalg.norm(B / w[:, None]) + 1e-9
+
+
+def test_box_reduced_basis_of_a_stack_matches_each_basis():
+    """A stack of 80 seeded Gaussian bases reduces to each basis's own
+    reduction, bit for bit, at the benchmark's widths (T = 10..56) and at
+    those of configs/random.json (T = 20..112), and in two other shapes."""
+    rng = np.random.default_rng(12)
+    for n, Ts, tail in ((3, (10, 20, 35, 56, 40, 70, 112), [2.0]),
+                        (2, (30,), [1.0]), (4, (5,), [2.0, 0.5])):
+        bases = rng.standard_normal((80, n, n))
+        bases /= np.abs(np.linalg.det(bases))[:, None, None] ** (1 / n)
+        for T in Ts:
+            w = np.array([2.0 * T] * (n - len(tail)) + tail)
+            stack = box_reduced_basis(bases, w)
+            assert np.array_equal(stack, [box_reduced_basis(B, w)
+                                          for B in bases])
 
 
 # ---------------------------------------------------------------------------
