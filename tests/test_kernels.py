@@ -265,10 +265,17 @@ def test_chunked_grid_covers_box(monkeypatch):
 
 def batch_queries(rng, n):
     """Queries of one dimension n whose batch reaches every branch of the
-    kernel: random cases, an empty integer range, a row constant along the
-    line, coordinates past 2^53, and, around the origin, prefixes of gcd 0
-    and of gcd > 1."""
-    queries = [random_case(rng, n) for _ in range(4)]
+    kernel: two full cases (every line of their boxes holds points, so
+    chunks of lines mix the two), random cases, an empty integer range, a
+    row constant along the line, coordinates past 2^53, and, around the
+    origin, prefixes of gcd 0 and of gcd > 1."""
+    queries = []
+    for k in (1, 2):
+        basis = np.eye(n)
+        basis[:, -1] += 0.01 * k
+        queries.append((basis, np.full(n, -2), np.full(n, 2),
+                        np.full(n, -2.5), np.full(n, 2.5)))
+    queries += [random_case(rng, n) for _ in range(4)]
     basis, lo_u, hi_u, lo_x, hi_x = random_case(rng, n)
     queries.append((basis, lo_u, np.minimum(hi_u, lo_u - 1), lo_x, hi_x))
     # equal ranges keep the last coordinate as the line, along which row 0
@@ -295,7 +302,7 @@ def test_batch_equals_single(monkeypatch, n):
     7 rows that split queries and hold several."""
     queries = batch_queries(np.random.default_rng(31 + n), n)
     want = [kernels.count_lattice_points_in_box(*c) for c in queries]
-    chunks, gcds = [], []
+    chunks, lines, gcds = [], [], []
 
     def stream(*args):
         for q, P in prefix_stream(*args):
@@ -306,18 +313,25 @@ def test_batch_equals_single(monkeypatch, n):
         gcds.append(g)
         return coprime_counts(g, *rest)
 
+    def interior(self, q, *rest):
+        lines.append(set(q.tolist()))
+        return line_interior(self, q, *rest)
+
     prefix_stream, coprime_counts = kernels._prefix_stream, \
         kernels._coprime_counts
+    line_interior = kernels._Lines.interior
+    monkeypatch.setattr(kernels._Lines, "interior", interior)
     monkeypatch.setattr(kernels, "_prefix_stream", stream)
     monkeypatch.setattr(kernels, "_coprime_counts", coprime)
     monkeypatch.setattr(kernels, "_ROWS", 7)
     count, boundary = kernels.count_lattice_points_in_boxes(
         *(np.stack(x) for x in zip(*queries)))
     assert list(zip(count.tolist(), boundary.tolist())) == want
-    assert want[4] == (0, 0) and want[-1][0] > 0
+    assert want[6] == (0, 0) and want[-1][0] > 0
     held = [set(q.tolist()) for q in chunks]
     assert any(len(h) > 1 for h in held)
     assert any(h & k for h, k in zip(held, held[1:]))
+    assert any(len(h) > 1 for h in lines)
     g = np.concatenate(gcds)
     assert (g == 0).any() and (g > 1).any()
 
