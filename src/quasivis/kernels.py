@@ -156,10 +156,17 @@ class _Lines:
         self.lo_x[...], self.hi_x[...] = lo_x, hi_x
         self.lo_w, self.hi_w = self.lo_x - TOL, self.hi_x + TOL
         b = self.bases[:, :, -1]
-        self.rising, self.falling, self.flat = b > 0, b < 0, b == 0
+        rising, falling, self.flat = b > 0, b < 0, b == 0
         self.has_flat = self.flat.any(axis=1)
         self.any_flat = bool(self.has_flat.any())
         slope = np.where(self.flat, 1.0, b)
+        # Per row, the face a line crosses on its way in (the lower one where
+        # the row rises along the line, the upper one where it falls) and on
+        # its way out; a flat row has both faces on both sides.
+        self.entry = (np.where(falling, -np.inf, self.lo_w),
+                      np.where(rising, np.inf, self.hi_w))
+        self.exit = (np.where(rising, -np.inf, self.lo_w),
+                     np.where(falling, np.inf, self.hi_w))
         # The margin, in units of u_n.  With eps = 2^-53, gamma_k =
         # k*eps/(1 - k*eps) and U_j the largest |u_j| of the box: while
         # every |u_j| <= 2^53, so that u casts to float exactly, the
@@ -197,19 +204,17 @@ class _Lines:
         #
         # _estimate estimates, per row, the u_n at which the row enters the
         # widened box and the one at which it leaves as (face - c)/slope, c
-        # the prefix part of the row: the face crossed on the way in is the
-        # lower one where the row rises along the line, the upper one where
-        # it falls, and a flat row has both faces on both sides.  Per query,
-        # the table holds, coordinate-major, blocks of 2*rows constants, for
-        # the entries and for the exits: the faces, the slopes, the prefix
-        # coefficients of each prefix coordinate, and the thresholds of
-        # clear, short and deep.  _estimate gathers a few blocks at a time
-        # at each line's query.
+        # the prefix part of the row.  Per query, the table holds,
+        # coordinate-major, blocks of 2*rows constants, for the entries and
+        # for the exits: the faces, the slopes, the prefix coefficients of
+        # each prefix coordinate, and the thresholds of clear, short and
+        # deep.  _estimate gathers a few blocks at a time at each line's
+        # query.
         table = np.empty((n + 4, 2, rows, S))
-        table[0, 0] = np.where(self.rising, self.lo_w,
-                               np.where(self.falling, self.hi_w, -np.inf)).T
-        table[0, 1] = np.where(self.rising, self.hi_w,
-                               np.where(self.falling, self.lo_w, np.inf)).T
+        table[0, 0] = np.where(rising, self.lo_w,
+                               np.where(falling, self.hi_w, -np.inf)).T
+        table[0, 1] = np.where(rising, self.hi_w,
+                               np.where(falling, self.lo_w, np.inf)).T
         table[1] = slope.T
         table[2:n + 1] = self.bases[:, :, :-1].T[:, None]
         table[n + 1] = margin.T
@@ -257,17 +262,14 @@ class _Lines:
         return self.inside(X, q) & ~self.near(X, q)
 
     def _entered(self, X, q):
-        """The entry faces of inside (the lower face of a rising row, the
-        upper of a falling one); non-decreasing in u_n."""
-        return reduce(np.logical_and,
-                      ((self.falling[q] | (X >= self.lo_w[q]))
-                       & (self.rising[q] | (X <= self.hi_w[q]))).T)
+        """The entry faces of inside; non-decreasing in u_n."""
+        return reduce(np.logical_and, ((X >= self.entry[0][q])
+                                       & (X <= self.entry[1][q])).T)
 
     def _not_left(self, X, q):
         """The exit faces of inside; non-increasing in u_n."""
-        return reduce(np.logical_and,
-                      ((self.rising[q] | (X >= self.lo_w[q]))
-                       & (self.falling[q] | (X <= self.hi_w[q]))).T)
+        return reduce(np.logical_and, ((X >= self.exit[0][q])
+                                       & (X <= self.exit[1][q])).T)
 
     def _settle(self, P, a, z, ok_a, ok_z, first, last, q):
         """Move the ends a..z of each line (of query q) to the first u_n in
@@ -282,9 +284,9 @@ class _Lines:
             k, ca, cz, lo, hi = len(idx), a[idx], z[idx], first[idx], last[idx]
             qi = q[idx]
             X = self.image(P[:, idx], np.stack([ca - 1, ca, cz + 1, cz]), qi)
-            # the rows of X hold qi twice; qi is sorted, so its ends tell
-            # whether it holds one query
-            qq = _columns(np.tile(qi, 2))
+            # the query of each row of X, which holds qi twice: qi is
+            # sorted, so its ends tell whether one query's bounds serve all
+            qq = qi[0] if qi[0] == qi[-1] else np.tile(qi, 2)
             below, at_a = ok_a(X[:2 * k], qq).reshape(2, k)
             above, at_z = ok_z(X[2 * k:], qq).reshape(2, k)
             down = (ca > lo) & below
