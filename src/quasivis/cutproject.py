@@ -229,13 +229,13 @@ def strict_inclusion_witness_random(basis: np.ndarray, window, D, T: float):
             continue
         idxs.sort(key=lambda i: norms[i])
         shortest = idxs[0]
-        a = phys[shortest].astype(np.longdouble)
+        a = phys[shortest]
         for i in idxs[1:]:
             # genuine ray multiples have a cross product at rounding-error
             # scale; accidental near-parallels sit orders of magnitude above.
             # A point as long as the shortest (a projection that is not
             # injective) has no point on its open segment.
-            b = phys[i].astype(np.longdouble)
+            b = phys[i]
             resid = b - (a @ b / (a @ a)) * a
             cross_ok = float(np.sqrt(resid @ resid)) <= 1e-12 * norms[i]
             longer = norms[i] - norms[shortest] > 1e-12 * norms[i]

@@ -60,7 +60,7 @@ def _columns(q):
     """The query index of each row of a chunk, for gathering per-query
     constants: q itself, or the one query of a chunk that holds one (the
     rows come sorted by query), whose constants then broadcast."""
-    return q[:1] if q[0] == q[-1] else q
+    return q[:1] if len(q) and q[0] == q[-1] else q
 
 
 def _prefix_stream(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray):
@@ -86,13 +86,17 @@ def _prefix_stream(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray):
         yield q, P
 
 
-def _image(U, basis):
-    """basis @ u for each row u of U, by one matrix product of at least
-    two rows: numpy computes a lone row by a vector product, whose last bit
-    can differ from that of the same row in a larger product."""
-    if len(U) == 1:
-        return (np.repeat(U, 2, axis=0) @ basis.T)[:1]
-    return U @ basis.T
+def _image(U, B):
+    """B u for each row u of U (... x n), with B one basis (m x n) or one
+    basis per row, broadcast against U's leading axes: the float64 sum
+    B[..., 0] u_0 + B[..., 1] u_1 + ... from left to right, each product
+    and each sum rounded on its own (two ufunc calls, so no fused
+    multiply-add and no BLAS).  So a row's image depends on that row and
+    its basis alone, not on the rows that share its call."""
+    X = B[..., 0] * U[..., :1]
+    for j in range(1, U.shape[-1]):
+        X += B[..., j] * U[..., j:j + 1]
+    return X
 
 
 def _mobius_divisors(g: int) -> list[tuple[int, int]]:
@@ -225,20 +229,13 @@ class _Lines:
     def image(self, P, u, q):
         """The images of the points (P[:, i], u[..., i]) of the queries
         q[i] (sorted), one per row: u is one u_n per prefix, or a stack of
-        such rows.  Each query's rows are one product with its basis."""
+        such rows, whose images come row after row."""
         u = np.atleast_2d(u)
         U = np.empty(u.shape + (len(P) + 1,), dtype=np.int64)
         U[..., :-1] = P.T
         U[..., -1] = u
-        U = U.reshape(-1, U.shape[-1])
-        if len(q) and q[0] == q[-1]:
-            return _image(U, self.bases[q[0]])
-        q = np.tile(q, len(u))
-        X = np.empty((len(U), self.bases.shape[1]))
-        for s in np.unique(q):
-            at = q == s
-            X[at] = _image(U[at], self.bases[s])
-        return X
+        X = _image(U, self.bases[_columns(q)])
+        return X.reshape(-1, X.shape[-1])
 
     def inside(self, X, q, rows=None):
         """The test of the widened box, on the rows flagged in rows (per

@@ -1,124 +1,136 @@
-"""Byte-for-byte regression against the recorded artifacts in golden/: the
-plot of configs/plot.json (square window, box averaging set) and the plot
-of golden/plot_d5_octagon_disc/config.json beside its outputs (d = 5,
-octagon window, disc averaging set, recorded when the plot classified the
-identity grid of its points), the field plots `plot --field d` for d = 2, 5
-(half-integer ring) and 94 (lambda past the plotted range, so the unit box
-is clipped), the `check-hc 2 100` table, the holes
-near-subspace search, the random-lattice experiment of
-configs/random.json at seed 7 (`random --config configs/random.json
---seed 7`), five density sweeps with `--method both`, each from the
-config.json beside its outputs in golden/density_*/: d=5 with an octagon
-window and d=2 with a disc window, whose outer sets (Polygon, Ball) and
-inner Moebius sets (UnitScaled) are tested on the columns of the hull,
-and d=5 with a box window open on both sides of axis 0 and a box
-averaging set off the origin, half-open on axis 1, whose every region
-test runs per axis (density_d5_open_box, recorded when every region
-test ran on the columns), d=2 in dim 3 with cube window and averaging
-set (density_d2_dim3, whose predicted density takes zeta_K(3) from the
-series pair, since zeta_K(2) and zeta_K(4) have a closed form), d=2
-with the square window written as a product of two 1-D boxes
-(density_d2_product, recorded when only a Box window took the fast
-route of the inner window), and the shipped sweep `density --config
-configs/density.json --method direct` up to T=500 in
-golden/density_shipped/.  The same sweep with `--method both` is pinned in
-golden/density_shipped_both/, and the sweep of
-golden/density_shipped_d5_both/config.json (the shipped config with d = 5)
-with `--method both` beside that config; each takes under a second, and
-CI runs both again as commands to log their wall time and peak RSS.
-After an intended change to one of these outputs, re-record it with the
-same command (`--out tests/golden`, or `--out tests/golden/density_*` or
-`plot_*`, or the stdout of check-hc) and say in the change which bytes
-moved and why."""
+"""Byte-for-byte regression against the recorded runs in golden/, listed in
+RUNS.  After an intended change to an output, re-record it with its run's
+argv and say in the change which bytes moved and why."""
 
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from quasivis.cli import EXIT_OK, main
-
-GOLDEN = Path(__file__).parent / "golden"
-CONFIGS = Path(__file__).parent.parent / "configs"
-
-runner = CliRunner()
-
-
-def assert_plot_matches(tmp_path, config, golden):
-    res = runner.invoke(main, ["plot", "--config", str(config),
-                               "--out", str(tmp_path)])
-    assert res.exit_code == EXIT_OK, res.output
-    for name in ("points.csv", "points.svg"):
-        assert (tmp_path / name).read_bytes() == \
-            (golden / name).read_bytes(), name
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+# argv runs from the repo root; it writes goldens (paths under golden/) to
+# --out, and stdout is the golden of its standard output
+Run = namedtuple("Run", "name argv goldens stdout env", defaults=(None, {}))
 
 
-def test_plot_artifacts(tmp_path):
-    assert_plot_matches(tmp_path, CONFIGS / "plot.json", GOLDEN)
+def density(name, config=None, method="both"):
+    config = config or f"tests/golden/{name}/config.json"
+    return Run(name, f"density --config {config} --method {method}",
+               (f"{name}/density.csv", f"{name}/density.json"))
 
 
-def test_plot_octagon_window_disc_averaging(tmp_path):
-    name = "plot_d5_octagon_disc"
-    assert_plot_matches(tmp_path, GOLDEN / name / "config.json",
-                        GOLDEN / name)
+OCTAGON = "plot_d5_octagon_disc"
+RANDOM = "random --config configs/random.json --seed 7"
+RUNS = [
+    Run("plot", "plot --config configs/plot.json",  # square window, box set
+        ("points.csv", "points.svg")),
+    # an octagon window and a disc averaging set in Q(sqrt5)^2
+    Run(OCTAGON, f"plot --config tests/golden/{OCTAGON}/config.json",
+        (f"{OCTAGON}/points.csv", f"{OCTAGON}/points.svg")),
+    Run("field_d2", "plot --field 2", ("field_d2.svg",)),  # the ring Z[sqrt2]
+    Run("field_d5", "plot --field 5", ("field_d5.svg",)),  # half-integers
+    # lambda lies past the plotted range, so the unit box is clipped
+    Run("field_d94", "plot --field 94", ("field_d94.svg",)),
+    # the unit-box criterion on every field in range, on stdout
+    Run("check_hc_2_100", "check-hc 2 100", (), "check_hc_2_100.txt"),
+    # the CRT hole of n = 2, A = 1, searched near a line
+    Run("holes", "holes --n 2 --a 1 --subspace 1,1.41421356", ("holes.json",)),
+    Run("random", RANDOM, ("random.json",)),  # one kernel pass per T
+    # the certified counts do not depend on how BLAS splits the products
+    Run("random_1_blas_thread", RANDOM, ("random.json",),
+        env={"OPENBLAS_NUM_THREADS": "1"}),
+    density("density_d5_octagon"),  # a Polygon window: the column path
+    density("density_d2_disc"),  # a Ball window: the column path
+    # an open-sided box window, a box averaging set off the origin: per axis
+    density("density_d5_open_box"),
+    density("density_shipped_d5_both"),  # d = 5: half-integer branches
+    density("density_d2_dim3"),  # zeta_K(3) from the series pair
+    density("density_d2_product"),  # two 1-D boxes: the per-axis path
+    # the shipped sweep to T = 500, direct
+    density("density_shipped", "configs/density.json", "direct"),
+    density("density_shipped_both", "configs/density.json"),  # with Moebius
+]
 
 
-@pytest.mark.parametrize("d", [2, 5, 94])
-def test_field_plot(tmp_path, d):
-    res = runner.invoke(main, ["plot", "--field", str(d),
-                               "--out", str(tmp_path)])
-    assert res.exit_code == EXIT_OK, res.output
-    name = f"field_d{d}.svg"
-    assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes()
+def argv(run, out):
+    return run.argv.split() + (["--out", str(out)] if run.goldens else [])
 
 
-def test_check_hc_table():
-    res = runner.invoke(main, ["check-hc", "2", "100"])
-    assert res.exit_code == EXIT_OK
-    assert res.stdout_bytes == (GOLDEN / "check_hc_2_100.txt").read_bytes()
+def first_difference(run, code, out, stdout):
+    """The nonzero exit code, or the first golden of run that out (or
+    stdout) does not match byte for byte; None when all match."""
+    if code:
+        return f"exit code {code}"
+    if run.stdout and stdout != (GOLDEN / run.stdout).read_bytes():
+        return run.stdout
+    return next((g for g in run.goldens if not filecmp.cmp(
+        out / Path(g).name, GOLDEN / g, shallow=False)), None)
 
 
-def test_holes_subspace_search(tmp_path):
-    res = runner.invoke(main, ["holes", "--n", "2", "--a", "1",
-                               "--subspace", "1,1.41421356",
-                               "--out", str(tmp_path)])
-    assert res.exit_code == EXIT_OK, res.output
-    assert (tmp_path / "holes.json").read_bytes() == \
-        (GOLDEN / "holes.json").read_bytes()
+def run_all(runs):
+    """Run each of runs as a child `python -m quasivis.cli` and print its
+    wall time, its peak RSS (os.wait4 on that child alone) and any
+    difference; returns 1 when some run differs, else 0."""
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for run in runs:
+            out = Path(tmp) / run.name
+            start = time.perf_counter()
+            with subprocess.Popen(
+                    [sys.executable, "-m", "quasivis.cli", *argv(run, out)],
+                    stdout=subprocess.PIPE, cwd=ROOT,
+                    env={**os.environ, **run.env}) as child:
+                stdout = child.stdout.read()
+                _, status, usage = os.wait4(child.pid, 0)
+                wall = time.perf_counter() - start
+                child.returncode = os.waitstatus_to_exitcode(status)
+            diff = first_difference(run, child.returncode, out, stdout)
+            print(f"{run.name}: {wall:.2f} s, peak RSS "
+                  f"{usage.ru_maxrss / 1024:.1f} MB"
+                  + (f", mismatch in {diff}" if diff else ""), flush=True)
+            failed |= bool(diff)
+    return failed
 
 
-def test_random_experiment(tmp_path):
-    res = runner.invoke(main, ["random", "--config",
-                               str(CONFIGS / "random.json"), "--seed", "7",
-                               "--out", str(tmp_path)])
-    assert res.exit_code == EXIT_OK, res.output
-    assert (tmp_path / "random.json").read_bytes() == \
-        (GOLDEN / "random.json").read_bytes()
+@pytest.mark.parametrize("run", RUNS, ids=lambda run: run.name)
+def test_recorded_run(run, tmp_path, monkeypatch):
+    if run.env:
+        pytest.skip("a process that has loaded numpy cannot change its BLAS "
+                    "threads; the child runner checks this run")
+    # not imported at the top: a child's peak RSS counts the runner's at
+    # the spawn, which stays below a child's own while it has no numpy
+    from quasivis.cli import main
+    monkeypatch.chdir(ROOT)
+    res = CliRunner().invoke(main, argv(run, tmp_path))
+    assert first_difference(run, res.exit_code, tmp_path,
+                            res.stdout_bytes) is None, res.output
 
 
-def assert_density_matches(tmp_path, config, method, golden):
-    res = runner.invoke(main, ["density", "--config", str(config),
-                               "--method", method, "--out", str(tmp_path)])
-    assert res.exit_code == EXIT_OK, res.output
-    for out in ("density.csv", "density.json"):
-        assert (tmp_path / out).read_bytes() == \
-            (golden / out).read_bytes(), out
+def test_every_golden_is_in_the_table():
+    named = {g for run in RUNS for g in (*run.goldens, run.stdout) if g}
+    named |= {a.removeprefix("tests/golden/") for run in RUNS
+              for a in run.argv.split() if a.startswith("tests/golden/")}
+    assert named == {p.relative_to(GOLDEN).as_posix()
+                     for p in GOLDEN.rglob("*") if p.is_file()}
 
 
-@pytest.mark.parametrize("name", ["density_d5_octagon", "density_d2_disc",
-                                  "density_d5_open_box",
-                                  "density_shipped_d5_both",
-                                  "density_d2_dim3", "density_d2_product"])
-def test_density_both_methods(tmp_path, name):
-    assert_density_matches(tmp_path, GOLDEN / name / "config.json", "both",
-                           GOLDEN / name)
+def test_runner_reports_differences(tmp_path, capsys):
+    golden = (GOLDEN / "holes.json").read_bytes()
+    (tmp_path / "holes.json").write_bytes(golden[:-1] + b"x")
+    holes = Run("holes", "", ("holes.json",))
+    assert first_difference(holes, 0, tmp_path, b"") == "holes.json"
+    # a range past 100 is a configuration error, exit 2
+    assert run_all([Run("bad", "check-hc 2 101", (), "check_hc_2_100.txt")])
+    assert capsys.readouterr().out.endswith("mismatch in exit code 2\n")
 
 
-def test_density_shipped_direct(tmp_path):
-    assert_density_matches(tmp_path, CONFIGS / "density.json", "direct",
-                           GOLDEN / "density_shipped")
-
-
-def test_density_shipped_both(tmp_path):
-    assert_density_matches(tmp_path, CONFIGS / "density.json", "both",
-                           GOLDEN / "density_shipped_both")
+if __name__ == "__main__":
+    sys.exit(run_all(RUNS))
