@@ -102,10 +102,12 @@ def hole_near_subspace(hole: CRTHole, V, R, search_budget: int):
     at a time, until the block in which the count reaches the budget.
     Each block is ranked by float64 distances in units of N, and every
     candidate that the ranking's proven error bound cannot rule out is
-    decided by its exact rational distance to span(V), taking the floats
-    of V at their binary values.  The first candidate in grid order of
-    least exact distance is returned as an integer vector if that distance
-    is at most R (R = inf accepts any distance); otherwise None.
+    ranked by its exact rational distance to span(V), taking the floats of
+    V at their binary values.  Equal distances all pass that bound, so on a
+    rational line, where most candidates tie, most are ranked exactly.  The
+    first candidate in grid order of least exact distance is returned as an
+    integer vector if that distance is at most R (R = inf accepts any
+    distance); otherwise None.
     Linearly dependent rows of V raise ValueError."""
     if not R >= 0:
         raise ValueError(f"radius must be >= 0, got {R}")
@@ -128,7 +130,6 @@ def hole_near_subspace(hole: CRTHole, V, R, search_budget: int):
     den = math.lcm(*(p.denominator for row in P for p in row))
     M = [[int(p * den) for p in row] for row in P]
     g = [2 * sum(Mi[j] * x0[j] for j in range(n)) for Mi in M]
-    M_row = max(sum(map(abs, Mi)) for Mi in M)
     # the Gram-Schmidt rows normalized, each entry within 1.5*eps relative
     # of its exact value (2^-537 absolute where its square is subnormal)
     E = np.array([[math.copysign(math.sqrt(ui * ui / uu), ui) for ui in u]
@@ -170,30 +171,7 @@ def hole_near_subspace(hole: CRTHole, V, R, search_budget: int):
         near = np.flatnonzero(dist <= reach + tol)
         if not near.size:
             continue
-        K = k[:, near].astype(np.int64)
-        # M*M = den*M makes k^T M k = |M*k|^2/den, so F depends on k
-        # through M*k alone and the first candidate of each M*k stands for
-        # the rest.  M*k is keyed by its residues modulo pairwise coprime
-        # moduli whose product passes M_row times the spread of k: two
-        # candidates of equal key differ by an M*(k - k') that is a
-        # multiple of that product and smaller than it, so zero.  With k
-        # shifted into [0, spread], each (M mod m)*k stays below 2^63.
-        K = K - K.min(axis=1, keepdims=True)
-        spread = max(1, int(K.max()))
-        mods, m = [], (2 ** 63 - 1) // (n * spread) + 1
-        while not mods or math.prod(mods) <= M_row * spread:
-            m -= 1
-            if all(math.gcd(m, q) == 1 for q in mods):
-                mods.append(m)
-        key = np.vstack([np.array([[v % m for v in Mi] for Mi in M]) @ K % m
-                         for m in mods])
-        # a stable sort of the keys puts the first candidate of each key
-        # at the head of its run
-        order = np.lexsort(key)
-        key = key[:, order]
-        head = np.r_[True, (key[:, 1:] != key[:, :-1]).any(axis=0)]
-        first = np.sort(order[head])
-        K = k[:, near[first]].astype(np.int64).astype(object)
+        K = k[:, near].astype(np.int64).astype(object)
         MK = [sum(M[i][j] * K[j] for j in range(n)) for i in range(n)]
         F = sum(K[i] * (N * MK[i] + g[i]) for i in range(n))
         i = int(np.argmin(F))

@@ -56,13 +56,6 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 _MARGIN = 2.0 ** -52
 
 
-def _columns(q):
-    """The query index of each row of a chunk, for gathering per-query
-    constants: q itself, or the one query of a chunk that holds one (the
-    rows come sorted by query), whose constants then broadcast."""
-    return q[:1] if len(q) and q[0] == q[-1] else q
-
-
 def _prefix_stream(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray):
     """Iterate the integer boxes [lo[s], hi[s]] (S x k) of counts[s] points
     each, one after another and each in lexicographic order, in chunks of
@@ -76,7 +69,7 @@ def _prefix_stream(lo: np.ndarray, hi: np.ndarray, counts: np.ndarray):
     for start in range(0, total, _ROWS):
         idx = np.arange(start, min(start + _ROWS, total), dtype=np.int64)
         q = ends.searchsorted(idx, side="right")
-        first, *lo_sizes = table.take(_columns(q), axis=1)
+        first, *lo_sizes = table.take(q, axis=1)
         rem = idx - first
         P = np.empty((k, len(idx)), dtype=np.int64)
         for j in range(k - 1, -1, -1):
@@ -228,13 +221,13 @@ class _Lines:
 
     def image(self, P, u, q):
         """The images of the points (P[:, i], u[..., i]) of the queries
-        q[i] (sorted), one per row: u is one u_n per prefix, or a stack of
-        such rows, whose images come row after row."""
+        q[i], one per row: u is one u_n per prefix, or a stack of such
+        rows, whose images come row after row."""
         u = np.atleast_2d(u)
         U = np.empty(u.shape + (len(P) + 1,), dtype=np.int64)
         U[..., :-1] = P.T
         U[..., -1] = u
-        X = _image(U, self.bases[_columns(q)])
+        X = _image(U, self.bases[q])
         return X.reshape(-1, X.shape[-1])
 
     def inside(self, X, q, rows=None):
@@ -281,9 +274,7 @@ class _Lines:
             k, ca, cz, lo, hi = len(idx), a[idx], z[idx], first[idx], last[idx]
             qi = q[idx]
             X = self.image(P[:, idx], np.stack([ca - 1, ca, cz + 1, cz]), qi)
-            # the query of each row of X, which holds qi twice: qi is
-            # sorted, so its ends tell whether one query's bounds serve all
-            qq = qi[0] if qi[0] == qi[-1] else np.tile(qi, 2)
+            qq = np.tile(qi, 2)  # the query of each row of X
             below, at_a = ok_a(X[:2 * k], qq).reshape(2, k)
             above, at_z = ok_z(X[2 * k:], qq).reshape(2, k)
             down = (ca > lo) & below
@@ -324,7 +315,6 @@ class _Lines:
         table is gathered a few blocks at a time, each freed after its one
         use, which keeps the chunk's peak memory low."""
         rows, n = self.bases.shape[1:]
-        q = _columns(q)
         # est holds c, then the estimates, then the gaps
         est = np.zeros((2 * rows, P.shape[1]))
         for j, p in enumerate(P):

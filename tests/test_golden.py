@@ -43,12 +43,20 @@ RUNS = [
     Run("check_hc_2_100", "check-hc 2 100", (), "check_hc_2_100.txt"),
     # the CRT hole of n = 2, A = 1, searched near a line
     Run("holes", "holes --n 2 --a 1 --subspace 1,1.41421356", ("holes.json",)),
+    # a rational line: almost every candidate ties and is ranked exactly
+    Run("holes_diagonal", "holes --n 2 --a 1 --subspace 1,1",
+        ("holes_diagonal/holes.json",)),
     Run("random", RANDOM, ("random.json",)),  # one kernel pass per T
     # the certified counts do not depend on how BLAS splits the products
     Run("random_1_blas_thread", RANDOM, ("random.json",),
         env={"OPENBLAS_NUM_THREADS": "1"}),
     density("density_d5_octagon"),  # a Polygon window: the column path
     density("density_d2_disc"),  # a Ball window: the column path
+    # a Polygon window given by its vertices, an octagon averaging set
+    density("density_d2_polygon"),
+    # a disc x box product window, a ball x cube product averaging set off
+    # the origin
+    density("density_d2_dim3_product_ball"),
     # an open-sided box window, a box averaging set off the origin: per axis
     density("density_d5_open_box"),
     density("density_shipped_d5_both"),  # d = 5: half-integer branches

@@ -250,9 +250,10 @@ def brute_force_search(hole, V, budget):
 
 # The rational lines put many candidates at exactly equal distances: at
 # n = 3, budget 500, 125 of them sit within the float ranking's error bound
-# of the least one.  The double nearest 0.1 is a 16-digit integer over
-# 2^55, so M*k needs more than one modulus in the search's grouping key;
-# with V spanning R^2, M = 0 and every candidate is at distance 0.
+# of the least one, and the first of least exact distance must win.  The
+# dyadic line and the double nearest 0.1, a 16-digit integer over 2^55,
+# give exact distances whose integer ranks run far past 64 bits; with V
+# spanning R^2, M = 0 and every candidate is at distance 0.
 @pytest.mark.parametrize("n,V,budget", [
     (2, [[1, 1.41421356]], 3000),
     (2, [[1, 0.1]], 3000),

@@ -56,7 +56,7 @@ def random_case(rng, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("primitive", [False, True])
-def test_backends_agree_with_reference(n, primitive):
+def test_kernel_matches_reference_on_random_boxes(n, primitive):
     rng = np.random.default_rng(42 + n)
     for _ in range(15):
         basis, lo_u, hi_u, lo_x, hi_x = random_case(rng, n)
@@ -266,15 +266,22 @@ def test_chunked_grid_covers_box(monkeypatch):
 def batch_queries(rng, n):
     """Queries of one dimension n whose batch reaches every branch of the
     kernel: two full cases (every line of their boxes holds points, so
-    chunks of lines mix the two), random cases, an empty integer range, a
-    row constant along the line, coordinates past 2^53, and, around the
-    origin, prefixes of gcd 0 and of gcd > 1."""
+    chunks of lines mix the two), two integer cases whose points sit on
+    the faces (no line is deep, so one interior walk settles lines of
+    both), random cases, an empty integer range, a row constant along the
+    line, coordinates past 2^53, and, around the origin, prefixes of gcd 0
+    and of gcd > 1."""
     queries = []
     for k in (1, 2):
         basis = np.eye(n)
         basis[:, -1] += 0.01 * k
         queries.append((basis, np.full(n, -2), np.full(n, 2),
                         np.full(n, -2.5), np.full(n, 2.5)))
+    basis = np.eye(n)
+    basis[:, -1] = 1
+    for top in (1.0, 2.0):
+        queries.append((basis, np.full(n, -2), np.full(n, 2),
+                        np.full(n, -2.0), np.full(n, top)))
     queries += [random_case(rng, n) for _ in range(4)]
     basis, lo_u, hi_u, lo_x, hi_x = random_case(rng, n)
     queries.append((basis, lo_u, np.minimum(hi_u, lo_u - 1), lo_x, hi_x))
@@ -327,7 +334,7 @@ def test_batch_equals_single(monkeypatch, n):
     count, boundary = kernels.count_lattice_points_in_boxes(
         *(np.stack(x) for x in zip(*queries)))
     assert list(zip(count.tolist(), boundary.tolist())) == want
-    assert want[6] == (0, 0) and want[-1][0] > 0
+    assert want[8] == (0, 0) and want[-1][0] > 0
     held = [set(q.tolist()) for q in chunks]
     assert any(len(h) > 1 for h in held)
     assert any(h & k for h, k in zip(held, held[1:]))
